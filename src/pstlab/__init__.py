@@ -9,7 +9,9 @@ sinc-law calibration relation for the drive duration.
 
 from .errors import (
     BranchCutError,
+    CalibrationError,
     ConfigError,
+    DefectiveMatrixError,
     PauliParseError,
     QuadratureError,
     ResourceLimitError,
@@ -72,8 +74,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCutError",
+    "CalibrationError",
     "CoherentErrorSpec",
     "ConfigError",
+    "DefectiveMatrixError",
     "DriveSpec",
     "EffectiveGenerator",
     "MagnusCheckConfig",

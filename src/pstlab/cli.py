@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .liouville import matrix_to_json
 from .magnus import over_rotation_factor
 from .pauli import sign_table, sign_table_csv, enumerate_group
-from .pst_core import calibrate_tau, pst_channel
+from .pst_core import calibrate_tau
 from .experiments import (
     MagnusCheckConfig,
     ParitySweepConfig,
@@ -195,9 +195,8 @@ def _run_table1(args) -> int:
         return _dump_config("table1", config.to_dict(), args.output)
     report = run_table1(config)
     if args.dump_channel:
-        channel = pst_channel(config.drive_spec(), config.error_spec())
         with open(args.dump_channel, "w", encoding="utf-8") as handle:
-            json.dump({"channel": matrix_to_json(channel)}, handle)
+            json.dump({"channel": matrix_to_json(report.channel)}, handle)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.output)
     return 0
 

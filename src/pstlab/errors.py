@@ -22,6 +22,15 @@ class BranchCutError(ArithmeticError):
     """An eigenvalue sits too close to the principal logarithm's branch cut."""
 
 
+class DefectiveMatrixError(ArithmeticError):
+    """A matrix has no reliable eigendecomposition: it is defective, or so
+    nearly defective that its eigenbasis cannot reconstruct it."""
+
+
+class CalibrationError(ArithmeticError):
+    """The calibration relation could not be inverted on its bracket."""
+
+
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature missed its tolerance within the evaluation budget.
 

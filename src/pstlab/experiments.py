@@ -100,13 +100,18 @@ class Table1Config:
 @dataclass(frozen=True)
 class Table1Report:
     """Weight rows keyed by Pauli label, restricted to the error words plus
-    the drive word, with and without the twirl ensemble."""
+    the drive word, with and without the twirl ensemble.
+
+    ``channel`` is the ensemble channel the twirled row was read from; it
+    stays out of comparisons and of the JSON/CSV reports.
+    """
 
     config: Table1Config
     no_pst: dict[str, float]
     pst: dict[str, float]
     theoretical_drive_coeff: float
     agreement_pct: float
+    channel: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,7 +148,8 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     identity = enumerate_group(drive.n_qubits)[0]
     raw = pst_realization(drive, err, NoiseSpec(), identity).generator
     no_pst_eff = effective_generator(expm(raw), drive.tau)
-    pst_eff = effective_generator(pst_channel(drive, err, NoiseSpec()), drive.tau)
+    channel = pst_channel(drive, err, NoiseSpec())
+    pst_eff = effective_generator(channel, drive.tau)
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = pst_eff.coefficient(config.drive)
@@ -154,6 +160,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
         pst={label: pst_eff.coefficient(label) for label in labels},
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,
+        channel=channel,
     )
 
 

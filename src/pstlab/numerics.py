@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchCutError, QuadratureError
+from .errors import BranchCutError, DefectiveMatrixError, QuadratureError
 
 __all__ = [
     "QUADRATURE_ORDER",
@@ -94,13 +94,13 @@ def logm_principal(m, branch_tol: float = 1e-8) -> np.ndarray:
     try:
         inverse = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:
-        raise ArithmeticError(
+        raise DefectiveMatrixError(
             "eigenbasis is singular; the matrix is defective and has no"
             " eigendecomposition logarithm"
         ) from None
     residual = np.linalg.norm((eigvecs * eigvals) @ inverse - m)
     if residual > 1e-9 * max(1.0, np.linalg.norm(m)):
-        raise ArithmeticError(
+        raise DefectiveMatrixError(
             "eigenbasis too ill-conditioned for a reliable logarithm"
             f" (reconstruction residual {residual:.3e}); the matrix is"
             " defective or nearly so"

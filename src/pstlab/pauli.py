@@ -7,7 +7,9 @@ to a symplectic form over GF(2), so no matrices are built until
 `matrix_of` is called explicitly.
 
 Products are tracked without phases: every operation here needs only
-commutation signs and conjugations, which are phase-free.
+commutation signs and conjugations, which are phase-free.  Whole tables
+of commutation signs come from `commutation_parity`, which evaluates the
+symplectic form for every group word at once on int8 bit arrays.
 
 Group enumeration is lexicographic with I < X < Y < Z per qubit and the
 leftmost qubit most significant, which keeps sign tables and CSV exports
@@ -16,6 +18,7 @@ bit-reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ __all__ = [
     "MAX_QUBITS_ENV",
     "PauliString",
     "check_qubit_count",
+    "commutation_parity",
     "commutation_sign",
     "enumerate_group",
     "identity_string",
@@ -182,26 +186,53 @@ def enumerate_group(n: int) -> list[PauliString]:
 
 
 def matrix_of(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the word (Kronecker product of factors)."""
+    """Dense 2^n x 2^n matrix of the word (Kronecker product of factors).
+
+    The result is cached per word and read-only; the qubit bound is
+    checked on every call, so lowering it also refuses cached words.
+    """
     check_qubit_count(p.n_qubits)
+    return _cached_matrix(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_matrix(p: PauliString) -> np.ndarray:
     m = np.array([[1.0 + 0.0j]])
     for letter in p.label:
         m = np.kron(m, _SINGLE_QUBIT[letter])
+    m.setflags(write=False)
     return m
+
+
+def _symplectic_bits(words: list[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and z bits of ``words`` as int8 arrays of shape (len(words), n)."""
+    for word in words:
+        if word.n_qubits != n:
+            raise ValueError(
+                f"word {word.label} acts on {word.n_qubits} qubits, expected {n}"
+            )
+    x = np.array([word.x_bits for word in words], dtype=np.int8).reshape(-1, n)
+    z = np.array([word.z_bits for word in words], dtype=np.int8).reshape(-1, n)
+    return x, z
+
+
+def commutation_parity(n: int, words: list[PauliString] | None = None) -> np.ndarray:
+    """Commutation parities of every n-qubit word against ``words``.
+
+    Rows run over the whole group in group order, columns over ``words``
+    (default: the whole group, giving a 4^n x 4^n table).  Entries are
+    int8 bits, 0 where the pair commutes and 1 where it anticommutes, so
+    the sign is 1 - 2 * parity.
+    """
+    group = enumerate_group(n)
+    x, z = _symplectic_bits(group, n)
+    word_x, word_z = (x, z) if words is None else _symplectic_bits(words, n)
+    return (x @ word_z.T + z @ word_x.T) & 1
 
 
 def sign_table(n: int) -> np.ndarray:
     """4^n x 4^n matrix of commutation signs, rows/columns in group order."""
-    group = enumerate_group(n)
-    size = len(group)
-    table = np.empty((size, size), dtype=int)
-    for i, a in enumerate(group):
-        table[i, i] = 1
-        for j in range(i + 1, size):
-            s = commutation_sign(a, group[j])
-            table[i, j] = s
-            table[j, i] = s
-    return table
+    return 1 - 2 * commutation_parity(n).astype(int)
 
 
 def sign_table_csv(n: int) -> str:
@@ -211,5 +242,5 @@ def sign_table_csv(n: int) -> str:
     table = sign_table(n)
     lines = ["label," + ",".join(labels)]
     for label, row in zip(labels, table):
-        lines.append(label + "," + ",".join(str(int(v)) for v in row))
+        lines.append(label + "," + ",".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"

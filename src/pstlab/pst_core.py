@@ -8,14 +8,34 @@ frame word gives an equivalent lab-frame generator with the raw drive and
 the error/noise conjugated instead; `PSTRealization` exposes both, and
 their channels agree exactly.
 
-The ensemble channel averages all 4^n realizations exactly (no sampling):
-the statistical story of a hardware run is irrelevant at desk scale, and
-exact averaging keeps every acceptance check deterministic.
+The ensemble channel is the exact uniform average over all 4^n frames
+(no sampling), but it is not computed frame by frame.  A frame changes
+only the drive-sign pattern s, so the k drive terms realize at most 2^k
+distinct flipped generators G_s (dependent drive words realize fewer),
+and `pst_channel` runs one `expm` per realized pattern.  Pauli frames are
+diagonal in the Pauli-transfer basis: column i of B is vec(P_i)/sqrt(2^n)
+(row-major), and B^dag (P_a kron P_a*) B = diag(chi_a), with chi_a(P_i)
+the commutation sign of the frame word and P_i.  The frame average of
+R_s = B^dag exp(G_s) B is therefore an exact Hadamard mask,
+
+    K_PTM = sum_s W_s o R_s,   W_s = X_s^T X_s / 4^n,
+
+where the rows of X_s are the sign-table rows chi_a of the frames with
+pattern s.  The result returns to the row-major Liouville basis once, as
+B K_PTM B^dag.  B is the Kronecker power of the one-qubit basis up to a
+fixed index permutation, so both changes of basis run one qubit leg at a
+time and B is never built densely.
 
 `effective_generator` reads a channel back through the principal log and
-projects the Hamiltonian part onto Pauli commutator superoperators, whose
-pairwise inner products are 2*4^n for distinct non-identity words; the
-coefficients are normalized so an ideal gate reads 1 on its drive word.
+projects the Hamiltonian part onto Pauli commutator superoperators
+H_g = P_g kron I - I kron P_g^T, whose pairwise inner products are 2*4^n
+for distinct non-identity words.  The projection needs no superoperator
+per word: with X the scaled log as a tensor X[a,b,c,d] and its partial
+traces L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
+<H_g, X> = <P_g, L - R^T>, one 2^n x 2^n inner product.  Since
+H -> H kron I - I kron H^T is linear, the Hamiltonian part of the log is
+the single superoperator of sum_g c_g P_g.  The coefficients are
+normalized so an ideal gate reads 1 on its drive word.
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CalibrationError
 from .liouville import (
     NoiseSpec,
     dissipator_superop,
@@ -41,6 +62,8 @@ from .magnus import (
 from .numerics import expm, logm_principal, op_norm
 from .pauli import (
     PauliString,
+    check_qubit_count,
+    commutation_parity,
     commutation_sign,
     enumerate_group,
     matrix_of,
@@ -125,24 +148,76 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
     return PSTRealization(alpha, signs, lab, flipped)
 
 
+def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
+    """B^dag m B (or B m B^dag with ``inverse``), where column i of B is
+    vec(P_i) / sqrt(2^n), row-major, words in group order.
+
+    B is the n-th Kronecker power of the one-qubit basis once each qubit's
+    (row, column) index pair is grouped into one leg of size 4, so the
+    change of basis runs leg by leg and B is never built densely.
+    """
+    one = np.stack(
+        [matrix_of(pauli_from_label(letter)).reshape(-1) for letter in "IXYZ"], axis=1
+    ) / math.sqrt(2)
+    out_leg, in_leg = (one.T, one.conj().T) if inverse else (one.conj(), one)
+    grouped = [axis for q in range(n) for axis in (q, n + q)]
+    order = grouped + [2 * n + axis for axis in grouped]
+    bits, legs = (2,) * (4 * n), (4,) * (2 * n)
+    t = m.reshape(legs) if inverse else m.reshape(bits).transpose(order).reshape(legs)
+    for leg in range(2 * n):
+        # Contract the leading leg; the transformed leg moves to the back.
+        t = np.tensordot(t, out_leg if leg < n else in_leg, axes=(0, 0))
+    if inverse:
+        t = t.reshape(bits).transpose(np.argsort(order))
+    return t.reshape(m.shape)
+
+
 def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
                 noise: NoiseSpec | None = None) -> np.ndarray:
     """Uniform average of P_alpha exp(flipped generator) P_alpha over all
-    4^n frame words, enumerated in group order (exact, deterministic)."""
+    4^n frame words, computed exactly with one `expm` per realized
+    drive-sign pattern and a Pauli-transfer mask (see the module notes)."""
     err = err if err is not None else CoherentErrorSpec()
     noise = noise if noise is not None else NoiseSpec()
-    group = enumerate_group(drive.n_qubits)
-    total = np.zeros((4**drive.n_qubits,) * 2, dtype=complex)
-    for alpha in group:
-        realization = pst_realization(drive, err, noise, alpha)
-        frame = pauli_unitary_superop(alpha)
-        total += frame @ expm(realization.flipped_generator) @ frame
-    return total / len(group)
+    check_drive_error_compat(drive, err)
+    n = check_qubit_count(drive.n_qubits)
+    dim = 4**n
+    tau = drive.tau
+
+    # Everything but the drive is the same in every frame.
+    static = dissipator_superop(noise, n) - 1.0j * tau * _error_superop(err, dim)
+
+    words = [word for word, _ in drive.terms]
+    patterns, frame_pattern = np.unique(
+        commutation_parity(n, words), axis=0, return_inverse=True
+    )
+    frame_pattern = frame_pattern.reshape(-1)  # numpy 2.0.0 returns it 2-D
+    parity = commutation_parity(n)  # chi_alpha(P_i) = 1 - 2 parity[alpha, i]
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for s, bits in enumerate(patterns):
+        signs = [1 - 2 * int(bit) for bit in bits]
+        flipped = static - 1.0j * tau * _drive_superop(drive, signs)
+        ptm = _pauli_transfer(expm(flipped), n)
+        rows = 1.0 - 2.0 * parity[frame_pattern == s]
+        ptm *= rows.T @ rows
+        total += ptm
+        del flipped, ptm, rows  # keep them out of the next expm's peak memory
+    total /= dim
+    return _pauli_transfer(total, n, inverse=True)
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
     """Noiseless, error-free gate channel exp(-i tau H_drive)."""
     return expm(-1.0j * drive.tau * _drive_superop(drive))
+
+
+def _pauli_sum(coeffs: dict[PauliString, float], side: int) -> np.ndarray:
+    """sum_g c_g P_g; its commutator superoperator is sum_g c_g H_g."""
+    total = np.zeros((side, side), dtype=complex)
+    for word, coefficient in coeffs.items():
+        total += coefficient * matrix_of(word)
+    return total
 
 
 @dataclass(frozen=True)
@@ -168,10 +243,10 @@ class EffectiveGenerator:
 
     def reconstructed(self) -> np.ndarray:
         """-i tau sum_g c_g H_g + remainder; equals the original channel log."""
-        total = np.array(self.dissipative_remainder, dtype=complex)
-        for word, coefficient in self.hamiltonian_coeffs.items():
-            total += -1.0j * self.tau * coefficient * hamiltonian_superop(matrix_of(word))
-        return total
+        remainder = np.asarray(self.dissipative_remainder, dtype=complex)
+        side = math.isqrt(remainder.shape[0])
+        hamiltonian = _pauli_sum(self.hamiltonian_coeffs, side)
+        return remainder - 1.0j * self.tau * hamiltonian_superop(hamiltonian)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,15 +277,17 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
         raise ValueError(f"channel dimension {dim} is not a power of 4")
 
     log_k = logm_principal(k)
-    scaled = log_k / (-1.0j * tau)
+    side = 2**n
+    scaled = (log_k / (-1.0j * tau)).reshape(side, side, side, side)
+    left = np.trace(scaled, axis1=1, axis2=3)    # L[a,c] = sum_b X[a,b,c,b]
+    right = np.trace(scaled, axis1=0, axis2=2)   # R[b,d] = sum_a X[a,b,a,d]
+    projected = left - right.T                   # <H_g, X> = <P_g, L - R^T>
     normalization = 2.0 * dim  # <H_g, H_g'> = 2 * 4^n * delta_gg'
-    coeffs: dict[PauliString, float] = {}
-    remainder = np.array(log_k, dtype=complex)
-    for word in enumerate_group(n)[1:]:
-        h_word = hamiltonian_superop(matrix_of(word))
-        value = float(np.real(np.vdot(h_word, scaled)) / normalization)
-        coeffs[word] = value
-        remainder += 1.0j * tau * value * h_word
+    coeffs = {
+        word: float(np.real(np.vdot(matrix_of(word), projected)) / normalization)
+        for word in enumerate_group(n)[1:]
+    }
+    remainder = log_k + 1.0j * tau * hamiltonian_superop(_pauli_sum(coeffs, side))
     return EffectiveGenerator(tau, coeffs, remainder)
 
 
@@ -239,7 +316,7 @@ def calibrate_tau(theta: float, sum_h2: float) -> float:
     low, high = 0.0, target
     if residual(high) < 0:
         # Impossible while the factor stays >= 1; guarded anyway.
-        raise ArithmeticError(
+        raise CalibrationError(
             "calibration bracket (0, theta/2] does not straddle the root"
         )
     for _ in range(200):

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pstlab.cli import main
-from pstlab.pst_core import calibrate_tau
+from pstlab.experiments import Table1Config
+from pstlab.liouville import matrix_from_json
+from pstlab.pst_core import calibrate_tau, pst_channel
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,19 @@ class TestTable1Command:
         channel = json.loads(channel_path.read_text())["channel"]
         assert len(channel) == 16 and len(channel[0]) == 16
         assert len(channel[0][0]) == 2
+
+    def test_dumped_channel_is_the_ensemble_channel(self, tmp_path, capsys):
+        channel_path = tmp_path / "channel.json"
+        code, _, _ = run_cli(
+            capsys, "table1", "--drive", "XZ", "--error", "YY=0.3", "--error", "ZI=0.2",
+            "--dump-channel", str(channel_path),
+        )
+        assert code == 0
+        config = Table1Config(drive="XZ", errors=(("YY", 0.3), ("ZI", 0.2)))
+        dumped = matrix_from_json(json.loads(channel_path.read_text())["channel"])
+        np.testing.assert_array_equal(
+            dumped, pst_channel(config.drive_spec(), config.error_spec())
+        )
 
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run_cli(capsys, "table1")

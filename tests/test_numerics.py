@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pstlab.errors import BranchCutError, QuadratureError
+from pstlab.errors import BranchCutError, DefectiveMatrixError, QuadratureError
 from pstlab.liouville import hamiltonian_superop, pauli_unitary_superop
 from pstlab.numerics import (
     QUADRATURE_ORDER,
@@ -100,6 +100,13 @@ class TestLogmPrincipal:
     def test_defective_rejected(self):
         with pytest.raises(ArithmeticError):
             logm_principal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_defective_error_is_typed(self):
+        # A Jordan block has no eigenbasis; the failure is a typed
+        # ArithmeticError subclass, so the CLI still exits with code 2.
+        with pytest.raises(DefectiveMatrixError, match="defective"):
+            logm_principal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert issubclass(DefectiveMatrixError, ArithmeticError)
 
 
 class TestOpNorm:

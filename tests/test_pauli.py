@@ -9,6 +9,7 @@ from pstlab.errors import PauliParseError, ResourceLimitError
 from pstlab.pauli import (
     MAX_QUBITS_ENV,
     PauliString,
+    commutation_parity,
     commutation_sign,
     enumerate_group,
     identity_string,
@@ -177,3 +178,48 @@ class TestSignTable:
         assert lines[2] == "X,1,1,-1,-1"
         assert len(lines) == 5
         assert text.endswith("\n")
+
+
+class TestVectorizedSigns:
+    def test_parity_against_chosen_words(self):
+        words = [pauli_from_label(label) for label in ("ZX", "XX", "IY")]
+        parity = commutation_parity(2, words)
+        assert parity.shape == (16, 3) and parity.dtype == np.int8
+        for row, alpha in zip(parity, enumerate_group(2)):
+            assert [1 - 2 * int(bit) for bit in row] == [
+                commutation_sign(alpha, word) for word in words
+            ]
+
+    def test_parity_rejects_foreign_register(self):
+        with pytest.raises(ValueError):
+            commutation_parity(2, [pauli_from_label("XYZ")])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_is_byte_identical_to_pairwise_signs(self, n):
+        # The vectorized table against the symplectic sign of every pair.
+        group = enumerate_group(n)
+        lines = ["label," + ",".join(p.label for p in group)]
+        for a in group:
+            lines.append(
+                a.label + "," + ",".join(str(commutation_sign(a, b)) for b in group)
+            )
+        assert sign_table_csv(n) == "\n".join(lines) + "\n"
+
+
+class TestMatrixCache:
+    def test_repeat_calls_share_a_read_only_array(self):
+        word = pauli_from_label("XY")
+        first = matrix_of(word)
+        assert matrix_of(pauli_from_label("XY")) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            first *= 2.0
+
+    def test_bound_is_checked_on_cache_hits(self, monkeypatch):
+        word = pauli_from_label("ZX")
+        matrix_of(word)
+        monkeypatch.setenv(MAX_QUBITS_ENV, "1")
+        with pytest.raises(ResourceLimitError):
+            matrix_of(word)

@@ -5,12 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pstlab.errors import BranchCutError
-from pstlab.liouville import NoiseSpec, hamiltonian_superop, pauli_unitary_superop
+from pstlab import pst_core
+from pstlab.errors import BranchCutError, CalibrationError, ResourceLimitError
+from pstlab.liouville import (
+    NOISE_KINDS,
+    NoiseSpec,
+    hamiltonian_superop,
+    pauli_unitary_superop,
+    vectorize,
+)
 from pstlab.magnus import CoherentErrorSpec, DriveSpec, over_rotation_factor
-from pstlab.numerics import expm
-from pstlab.pauli import enumerate_group, identity_string, matrix_of, pauli_from_label
+from pstlab.numerics import expm, logm_principal
+from pstlab.pauli import (
+    MAX_QUBITS_ENV,
+    enumerate_group,
+    identity_string,
+    matrix_of,
+    pauli_from_label,
+)
 from pstlab.pst_core import (
     EffectiveGenerator,
     calibrate_tau,
@@ -30,6 +45,44 @@ def drive_zx(tau=0.5):
 
 def table1_error(scale=1.0):
     return CoherentErrorSpec(TABLE1_ERRORS, scale=scale)
+
+
+def brute_force_channel(drive, err=None, noise=None):
+    """Reference ensemble: P_alpha exp(flipped) P_alpha for every frame
+    word, one realization and one expm each, averaged in group order."""
+    err = err if err is not None else CoherentErrorSpec()
+    noise = noise if noise is not None else NoiseSpec()
+    group = enumerate_group(drive.n_qubits)
+    total = np.zeros((4**drive.n_qubits,) * 2, dtype=complex)
+    for alpha in group:
+        realization = pst_realization(drive, err, noise, alpha)
+        frame = pauli_unitary_superop(alpha)
+        total += frame @ expm(realization.flipped_generator) @ frame
+    return total / len(group)
+
+
+def assert_matches_oracle(drive, err=None, noise=None):
+    k = pst_channel(drive, err, noise)
+    assert np.abs(k - brute_force_channel(drive, err, noise)).max() <= 1e-13
+    return k
+
+
+def assert_trace_preserving(k):
+    # The vectorized identity is a left null vector of K - I.
+    left = vectorize(np.eye(math.isqrt(k.shape[0]))).conj()
+    np.testing.assert_allclose(left @ (k - np.eye(k.shape[0])), 0.0, atol=1e-12)
+
+
+def superop_projection(log_k, tau):
+    """Weights as <H_g, log K / (-i tau)> / (2 * 4^n), one superoperator per word."""
+    dim = log_k.shape[0]
+    n = round(math.log(dim, 4))
+    scaled = log_k / (-1.0j * tau)
+    return {
+        word: float(np.real(np.vdot(hamiltonian_superop(matrix_of(word)), scaled)))
+        / (2.0 * dim)
+        for word in enumerate_group(n)[1:]
+    }
 
 
 class TestRealization:
@@ -120,6 +173,119 @@ class TestChannel:
         np.testing.assert_allclose(left @ k, left, atol=1e-12)
 
 
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Shapes of the matrices `pst_core` exponentiates during the test."""
+    calls = []
+
+    def counting_expm(m):
+        calls.append(np.shape(m))
+        return expm(m)
+
+    monkeypatch.setattr(pst_core, "expm", counting_expm)
+    return calls
+
+
+class TestChannelMatchesOracle:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize(
+        "drive, errors",
+        [
+            (DriveSpec.single("X", 0.7), (("Y", 0.3), ("Z", -0.2))),
+            (drive_zx(), TABLE1_ERRORS),
+            (DriveSpec.single("ZXY", 0.5), (("XXY", 0.2), ("YZI", 0.6), ("IIZ", 0.1))),
+        ],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_every_noise_kind(self, drive, errors, kind):
+        noise = NoiseSpec(kind, 0.0 if kind == "none" else 1.5)
+        assert_matches_oracle(drive, CoherentErrorSpec(errors), noise)
+
+    @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
+    def test_explicit_noise_targets(self, kind):
+        assert_matches_oracle(drive_zx(2.5), table1_error(), NoiseSpec(kind, 3.0, (1,)))
+        drive = DriveSpec((("ZZI", 1.0), ("XIX", 0.3)), 0.5)
+        err = CoherentErrorSpec((("XXY", 0.2), ("YZI", 0.6)))
+        assert_matches_oracle(drive, err, NoiseSpec(kind, 0.4, (2, 0)))
+
+    def test_negative_error_scale(self):
+        k = assert_matches_oracle(
+            drive_zx(2.5), table1_error(scale=-0.7), NoiseSpec("amplitude_damping", 3.0)
+        )
+        assert_trace_preserving(k)
+
+    def test_multi_term_drive_expms_only_realized_patterns(self, expm_calls):
+        # XX = XI * IX, so its sign is the product of the other two: only 4
+        # of the 8 sign patterns occur, and only those get an expm.
+        drive = DriveSpec((("XI", 1.0), ("IX", 0.4), ("XX", 0.3)), 0.6)
+        err = CoherentErrorSpec((("ZZ", 0.2), ("YI", 0.3), ("ZY", 0.1)))
+        noise = NoiseSpec("amplitude_damping", 0.5)
+        k = pst_channel(drive, err, noise)
+        assert len(expm_calls) == 4
+        assert np.abs(k - brute_force_channel(drive, err, noise)).max() <= 1e-13
+
+    def test_single_drive_needs_two_expms(self, expm_calls):
+        pst_channel(DriveSpec.single("ZXY", 0.5), CoherentErrorSpec((("XXY", 0.2),)))
+        assert expm_calls == [(64, 64), (64, 64)]
+
+
+_LETTERS = st.sampled_from("IXYZ")
+
+
+@st.composite
+def twirl_inputs(draw):
+    n = draw(st.integers(1, 2))
+    word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
+        lambda label: set(label) != {"I"}
+    )
+    drive_words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
+    error_words = draw(
+        st.lists(word.filter(lambda w: w not in drive_words), max_size=3, unique=True)
+    )
+    amplitude = st.floats(-0.8, 0.8, allow_nan=False)
+    drive = DriveSpec(
+        tuple((w, draw(amplitude)) for w in drive_words),
+        draw(st.floats(0.05, 1.2)),
+    )
+    err = CoherentErrorSpec(
+        tuple((w, draw(amplitude)) for w in error_words),
+        scale=draw(st.floats(-1.5, 1.5)),
+    )
+    kind = draw(st.sampled_from(NOISE_KINDS))
+    targets = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
+    ))
+    noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, 3.0)), targets)
+    return drive, err, noise
+
+
+class TestChannelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs())
+    def test_matches_oracle_and_preserves_trace(self, inputs):
+        k = assert_matches_oracle(*inputs)
+        assert_trace_preserving(k)
+
+
+class TestChannelValidation:
+    def test_error_word_equal_to_drive_word(self):
+        with pytest.raises(ValueError, match="coincides with a drive Pauli"):
+            pst_channel(drive_zx(), CoherentErrorSpec((("ZX", 0.1),)))
+
+    def test_register_size_mismatch(self):
+        with pytest.raises(ValueError, match="qubits"):
+            pst_channel(drive_zx(), CoherentErrorSpec((("XXX", 0.1),)))
+
+    def test_noise_target_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            pst_channel(drive_zx(), table1_error(), NoiseSpec("pauli_z", 1.0, (2,)))
+
+    def test_qubit_bound(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "1")
+        with pytest.raises(ResourceLimitError):
+            pst_channel(drive_zx())
+
+
 class TestEffectiveGenerator:
     def test_ideal_gate_reads_one_on_drive(self):
         eff = effective_generator(ideal_channel(drive_zx()), 0.5)
@@ -142,6 +308,15 @@ class TestEffectiveGenerator:
         np.testing.assert_allclose(
             eff.reconstructed(), logm_principal(expm(g)), atol=1e-10
         )
+
+    def test_partial_trace_projection_matches_superoperators(self):
+        k = pst_channel(drive_zx(), table1_error(), NoiseSpec("amplitude_damping", 0.5))
+        eff = effective_generator(k, 0.5)
+        reference = superop_projection(logm_principal(k), 0.5)
+        assert eff.hamiltonian_coeffs.keys() == reference.keys()
+        for word, value in reference.items():
+            assert abs(eff.hamiltonian_coeffs[word] - value) <= 1e-15
+        np.testing.assert_allclose(eff.reconstructed(), logm_principal(k), atol=1e-13)
 
     def test_excludes_identity_word(self):
         eff = effective_generator(ideal_channel(drive_zx()), 0.5)
@@ -192,6 +367,12 @@ class TestCalibration:
             calibrate_tau(3.5, 0.1)
         with pytest.raises(ValueError):
             calibrate_tau(1.0, -0.1)
+
+    def test_bracket_failure_is_typed(self, monkeypatch):
+        monkeypatch.setattr(pst_core, "over_rotation_factor", lambda tau, sum_h2: 0.5)
+        with pytest.raises(CalibrationError):
+            calibrate_tau(1.0, 0.24)
+        assert issubclass(CalibrationError, ArithmeticError)
 
     def test_monotone_in_error_weight(self):
         taus = [calibrate_tau(1.0, s) for s in (0.0, 0.1, 0.24, 0.5)]
