@@ -111,7 +111,7 @@ class Table1Report:
     pst: dict[str, float]
     theoretical_drive_coeff: float
     agreement_pct: float
-    channel: np.ndarray | None = field(default=None, compare=False, repr=False)
+    channel: np.ndarray = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {

@@ -102,20 +102,24 @@ class PSTRealization:
         return expm(self.generator)
 
 
-def _drive_superop(drive: DriveSpec, signs=None) -> np.ndarray:
-    total = None
-    for k, (word, coefficient) in enumerate(drive.terms):
-        weight = coefficient if signs is None else signs[k] * coefficient
-        term = weight * hamiltonian_superop(matrix_of(word))
-        total = term if total is None else total + term
+def _pauli_sum(terms, side: int) -> np.ndarray:
+    """sum_g c_g P_g over (word, c_g) pairs; its commutator superoperator is
+    sum_g c_g H_g, since P -> P kron I - I kron P^T is linear."""
+    total = np.zeros((side, side), dtype=complex)
+    for word, coefficient in terms:
+        total += coefficient * matrix_of(word)
     return total
+
+
+def _drive_superop(drive: DriveSpec, signs=None) -> np.ndarray:
+    terms = drive.terms
+    if signs is not None:
+        terms = [(word, sign * coefficient) for sign, (word, coefficient) in zip(signs, terms)]
+    return hamiltonian_superop(_pauli_sum(terms, 2**drive.n_qubits))
 
 
 def _error_superop(err: CoherentErrorSpec, dim: int) -> np.ndarray:
-    total = np.zeros((dim, dim), dtype=complex)
-    for word, amplitude in err.scaled_terms():
-        total += amplitude * hamiltonian_superop(matrix_of(word))
-    return total
+    return hamiltonian_superop(_pauli_sum(err.scaled_terms(), math.isqrt(dim)))
 
 
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
@@ -212,14 +216,6 @@ def ideal_channel(drive: DriveSpec) -> np.ndarray:
     return expm(-1.0j * drive.tau * _drive_superop(drive))
 
 
-def _pauli_sum(coeffs: dict[PauliString, float], side: int) -> np.ndarray:
-    """sum_g c_g P_g; its commutator superoperator is sum_g c_g H_g."""
-    total = np.zeros((side, side), dtype=complex)
-    for word, coefficient in coeffs.items():
-        total += coefficient * matrix_of(word)
-    return total
-
-
 @dataclass(frozen=True)
 class EffectiveGenerator:
     """Decomposition of a channel log into Pauli-Hamiltonian weights plus
@@ -245,7 +241,7 @@ class EffectiveGenerator:
         """-i tau sum_g c_g H_g + remainder; equals the original channel log."""
         remainder = np.asarray(self.dissipative_remainder, dtype=complex)
         side = math.isqrt(remainder.shape[0])
-        hamiltonian = _pauli_sum(self.hamiltonian_coeffs, side)
+        hamiltonian = _pauli_sum(self.hamiltonian_coeffs.items(), side)
         return remainder - 1.0j * self.tau * hamiltonian_superop(hamiltonian)
 
     def to_json_dict(self) -> dict:
@@ -287,7 +283,7 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
         word: float(np.real(np.vdot(matrix_of(word), projected)) / normalization)
         for word in enumerate_group(n)[1:]
     }
-    remainder = log_k + 1.0j * tau * hamiltonian_superop(_pauli_sum(coeffs, side))
+    remainder = log_k + 1.0j * tau * hamiltonian_superop(_pauli_sum(coeffs.items(), side))
     return EffectiveGenerator(tau, coeffs, remainder)
 
 

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pstlab import pst_core
 from pstlab.errors import BranchCutError, CalibrationError, ResourceLimitError
@@ -227,44 +225,6 @@ class TestChannelMatchesOracle:
     def test_single_drive_needs_two_expms(self, expm_calls):
         pst_channel(DriveSpec.single("ZXY", 0.5), CoherentErrorSpec((("XXY", 0.2),)))
         assert expm_calls == [(64, 64), (64, 64)]
-
-
-_LETTERS = st.sampled_from("IXYZ")
-
-
-@st.composite
-def twirl_inputs(draw):
-    n = draw(st.integers(1, 2))
-    word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
-        lambda label: set(label) != {"I"}
-    )
-    drive_words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
-    error_words = draw(
-        st.lists(word.filter(lambda w: w not in drive_words), max_size=3, unique=True)
-    )
-    amplitude = st.floats(-0.8, 0.8, allow_nan=False)
-    drive = DriveSpec(
-        tuple((w, draw(amplitude)) for w in drive_words),
-        draw(st.floats(0.05, 1.2)),
-    )
-    err = CoherentErrorSpec(
-        tuple((w, draw(amplitude)) for w in error_words),
-        scale=draw(st.floats(-1.5, 1.5)),
-    )
-    kind = draw(st.sampled_from(NOISE_KINDS))
-    targets = draw(st.one_of(
-        st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
-    ))
-    noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, 3.0)), targets)
-    return drive, err, noise
-
-
-class TestChannelProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(twirl_inputs())
-    def test_matches_oracle_and_preserves_trace(self, inputs):
-        k = assert_matches_oracle(*inputs)
-        assert_trace_preserving(k)
 
 
 class TestChannelValidation:
