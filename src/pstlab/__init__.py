@@ -15,6 +15,7 @@ from .errors import (
     PauliParseError,
     QuadratureError,
     ResourceLimitError,
+    ToleranceError,
 )
 from .liouville import (
     NoiseSpec,
@@ -90,6 +91,7 @@ __all__ = [
     "QuadratureResult",
     "ResourceLimitError",
     "Table1Config",
+    "ToleranceError",
     "anticommuting_sum_h2",
     "calibrate_tau",
     "commutation_sign",

@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, ToleranceError
 from .liouville import matrix_to_json
 from .magnus import over_rotation_factor
 from .pauli import sign_table, sign_table_csv, enumerate_group
@@ -94,8 +94,12 @@ def _build_parser() -> _Parser:
     magnus.add_argument("--tolerance", type=float,
                         help="allowed quadrature/closed-form discrepancy (default 1e-6)")
     magnus.add_argument("--omega1-tolerance", type=float)
-    magnus.add_argument("--quad-tolerance", type=float)
-    magnus.add_argument("--max-evaluations", type=int)
+    magnus.add_argument("--quad-tolerance", type=float,
+                        help="refinement tolerance on the scalar trig kernels,"
+                             " integrated once per tau (default 1e-9)")
+    magnus.add_argument("--max-evaluations", type=int,
+                        help="evaluations allowed to each second-order"
+                             " kernel quadrature (default 2^20)")
 
     table = commands.add_parser("sign-table", help="commutation-sign table as CSV")
     _add_common(table, "csv")
@@ -266,7 +270,7 @@ def _run_magnus_check(args) -> int:
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.output)
     if not report.all_within_tolerance:
         failing = [row for row in report.rows if not row.within_tolerance]
-        raise ArithmeticError(
+        raise ToleranceError(
             f"{len(failing)} crosscheck row(s) exceeded tolerance or failed to converge"
         )
     return 0

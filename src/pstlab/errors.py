@@ -31,6 +31,11 @@ class CalibrationError(ArithmeticError):
     """The calibration relation could not be inverted on its bracket."""
 
 
+class ToleranceError(ArithmeticError):
+    """A numerical crosscheck finished but some rows exceeded their tolerance
+    (or failed to converge)."""
+
+
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature missed its tolerance within the evaluation budget.
 

@@ -14,11 +14,37 @@ coefficient follows the sinc law implemented in `omega2_avg_closed` and
 `over_rotation_factor`, with only the anticommuting error words
 contributing.
 
+The quadrature path checks that closed form independently.  In twirl
+frame alpha the dressed error sum is a fixed bilinear form in three
+constant matrices,
+
+    A(t) = C0 + cos(2t) C1 + i sin(2t) C2,
+
+with C0 summing the sign-weighted commuting words and C1, C2 the
+anticommuting ones.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the
+commutator expands exactly as
+
+    [A(t1), A(t2)] = (c2 - c1) [C0,C1] + i (s2 - s1) [C0,C2]
+                     + i sin 2(t2 - t1) [C1,C2],
+
+so the time-ordered integral needs only the scalar kernel triple
+(K01, K02, K12) of those three trigonometric factors over the triangle
+0 <= t2 <= t1 <= tau, and the first-order term only the integrals of
+(1, cos 2t, sin 2t) over [0, tau].  Both depend on tau alone: an average
+integrates them once, builds each word's H and G once, and then forms
+every frame's C0, C1, C2 from its +-1 signs.  The sum over all 4^n frames
+is kept explicit rather than collapsed by sign orthogonality, so the
+crosscheck does not assume the cancellation the closed form relies on.
+``tol`` and ``max_evaluations`` therefore bound the refinement of the
+kernel vector (Frobenius norm of the level difference, integrand calls),
+not of a superoperator sum; a frame's matrix error is at most that
+kernel error times the summed norms of the fixed matrices the kernels
+multiply (half the three commutators for the second-order term).
+
 Closed-form operations require a single drive Pauli with coefficient 1
 (the duration tau carries the rotation angle); the general multi-term
 drive is accepted only by the ensemble builder in `pst_core`.
 """
-
 from __future__ import annotations
 
 import math
@@ -183,39 +209,36 @@ def _dressed_parts(word: PauliString, beta: PauliString):
     return h_word, np.kron(product, eye) + np.kron(eye, product.conj())
 
 
-class _TwirledInteraction:
-    """Interaction-frame error generator A(t) for one twirl word.
+def _dressed_error(drive: DriveSpec, err: CoherentErrorSpec):
+    """Validated (word, scaled amplitude, H_word, G_word) per error word.
 
-    Splits the (sign-weighted) error sum into a commuting constant part
-    plus cos/sin parts for the anticommuting words, so each evaluation is
-    a cheap linear combination of three precomputed matrices.
+    Built once per call; each twirl frame then only applies its signs.
     """
+    beta = drive.single_pauli()
+    check_drive_error_compat(drive, err)
+    return [
+        (word, amplitude, *_dressed_parts(word, beta))
+        for word, amplitude in err.scaled_terms()
+    ]
 
-    def __init__(self, drive: DriveSpec, err: CoherentErrorSpec,
-                 alpha: PauliString | None = None):
-        beta = drive.single_pauli()
-        check_drive_error_compat(drive, err)
-        dim = 4**drive.n_qubits
-        self.constant = np.zeros((dim, dim), dtype=complex)
-        self.cos_part = np.zeros((dim, dim), dtype=complex)
-        self.sin_part = np.zeros((dim, dim), dtype=complex)
-        for word, amplitude in err.scaled_terms():
-            weight = amplitude
-            if alpha is not None:
-                weight *= commutation_sign(alpha, word)
-            h_word, g_word = _dressed_parts(word, beta)
-            if g_word is None:
-                self.constant += weight * h_word
-            else:
-                self.cos_part += weight * h_word
-                self.sin_part += weight * g_word
 
-    def at(self, t: float) -> np.ndarray:
-        return (
-            self.constant
-            + math.cos(2.0 * t) * self.cos_part
-            + 1.0j * math.sin(2.0 * t) * self.sin_part
-        )
+def _frame_parts(dressed, alpha: PauliString, dim: int):
+    """Constant, cos and sin parts (C0, C1, C2) of the interaction-frame
+    error generator A(t) = C0 + cos(2t) C1 + i sin(2t) C2 in twirl frame
+    alpha: commuting words feed C0, anticommuting ones C1 and C2."""
+    c0, c1, c2 = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    for word, amplitude, h_word, g_word in dressed:
+        weight = amplitude * commutation_sign(alpha, word)
+        if g_word is None:
+            c0 += weight * h_word
+        else:
+            c1 += weight * h_word
+            c2 += weight * g_word
+    return c0, c1, c2
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np.ndarray:
@@ -241,15 +264,31 @@ def _zero_superop(drive: DriveSpec) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
+def _omega1_kernels(tau: float, tol: float) -> np.ndarray:
+    """Integrals of (1, cos 2t, sin 2t) over [0, tau]."""
+    return interval_quadrature(
+        lambda t: np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)]), tau, tol
+    ).value
+
+
+def _omega1_sum(drive, err, frames, tol) -> np.ndarray:
+    """Sum over ``frames`` of -i (J0 C0 + J1 C1 + i J2 C2), with J the
+    interval kernels of `_omega1_kernels`."""
+    dressed = _dressed_error(drive, err)
+    total = _zero_superop(drive)
+    if drive.tau == 0:
+        return total
+    j0, j1, j2 = _omega1_kernels(drive.tau, tol)
+    for alpha in frames:
+        c0, c1, c2 = _frame_parts(dressed, alpha, total.shape[0])
+        total += -1.0j * (j0 * c0 + j1 * c1 + 1.0j * j2 * c2)
+    return total
+
+
 def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec,
                  alpha: PauliString, tol: float = 1e-9) -> np.ndarray:
     """First-order term -i * integral of the twirled dressed error over [0, tau]."""
-    if drive.tau == 0:
-        _TwirledInteraction(drive, err, alpha)  # still validate inputs
-        return _zero_superop(drive)
-    dressing = _TwirledInteraction(drive, err, alpha)
-    result = interval_quadrature(dressing.at, drive.tau, tol)
-    return -1.0j * result.value
+    return _omega1_sum(drive, err, (alpha,), tol)
 
 
 def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec, tol: float = 1e-9) -> np.ndarray:
@@ -259,10 +298,41 @@ def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec, tol: float = 1e-9) -> n
     returned so callers can assert how close to zero it lands.
     """
     group = enumerate_group(drive.n_qubits)
+    return _omega1_sum(drive, err, group, tol) / len(group)
+
+
+def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
+    """Kernel triple (K01, K02, K12): the integrals of
+    (cos 2t2 - cos 2t1, sin 2t2 - sin 2t1, sin 2(t2 - t1))
+    over the time-ordered triangle 0 <= t2 <= t1 <= tau."""
+
+    def kernels(t1: float, t2: float) -> np.ndarray:
+        return np.array([
+            math.cos(2.0 * t2) - math.cos(2.0 * t1),
+            math.sin(2.0 * t2) - math.sin(2.0 * t1),
+            math.sin(2.0 * (t2 - t1)),
+        ])
+
+    return triangle_quadrature(kernels, tau, tol, max_evaluations).value
+
+
+def _omega2_sum(drive, err, frames, tol, max_evaluations) -> np.ndarray:
+    """Sum over ``frames`` of
+    -(1/2) (K01 [C0,C1] + i K02 [C0,C2] + i K12 [C1,C2]),
+    the exact expansion of -(1/2) iint [A(t1), A(t2)]."""
+    dressed = _dressed_error(drive, err)
     total = _zero_superop(drive)
-    for alpha in group:
-        total += omega1_alpha(drive, err, alpha, tol)
-    return total / len(group)
+    if drive.tau == 0 or not err.terms:
+        return total
+    k01, k02, k12 = _omega2_kernels(drive.tau, tol, max_evaluations)
+    for alpha in frames:
+        c0, c1, c2 = _frame_parts(dressed, alpha, total.shape[0])
+        total += -0.5 * (
+            k01 * _commutator(c0, c1)
+            + 1.0j * k02 * _commutator(c0, c2)
+            + 1.0j * k12 * _commutator(c1, c2)
+        )
+    return total
 
 
 def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -270,17 +340,7 @@ def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
     """Second-order term for one twirl word: the time-ordered double
     commutator integral -(1/2) iint [A(t1), A(t2)] with both error
     insertions conjugated by the twirl."""
-    if drive.tau == 0 or not err.terms:
-        _TwirledInteraction(drive, err, alpha)
-        return _zero_superop(drive)
-    dressing = _TwirledInteraction(drive, err, alpha)
-
-    def integrand(t1: float, t2: float) -> np.ndarray:
-        a1 = dressing.at(t1)
-        a2 = dressing.at(t2)
-        return -0.5 * (a1 @ a2 - a2 @ a1)
-
-    return triangle_quadrature(integrand, drive.tau, tol, max_evaluations).value
+    return _omega2_sum(drive, err, (alpha,), tol, max_evaluations)
 
 
 def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -289,13 +349,12 @@ def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
 
     Cross terms between distinct error words cancel by sign orthogonality,
     so the average equals the sum of squared-amplitude single-word terms
-    (the quantity `omega2_avg_closed` evaluates analytically).
+    (the quantity `omega2_avg_closed` evaluates analytically).  The kernel
+    triple is integrated once and every frame is summed explicitly, so
+    this check does not rely on that cancellation.
     """
     group = enumerate_group(drive.n_qubits)
-    total = _zero_superop(drive)
-    for alpha in group:
-        total += omega2_alpha(drive, err, alpha, tol, max_evaluations)
-    return total / len(group)
+    return _omega2_sum(drive, err, group, tol, max_evaluations) / len(group)
 
 
 def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:

@@ -7,10 +7,14 @@ principal logarithm is an explicit eigendecomposition so that branch-cut
 proximity and defective inputs surface as errors instead of silently
 degraded results.
 
-Quadrature is a fixed composite 4-point Gauss-Legendre product rule
-(order 8), refined by doubling the cell count until two successive
-levels agree; the difference between levels is the reported error
-estimate.  Everything is deterministic, with a fixed summation order.
+Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
+on an interval or as a product rule on the time-ordered triangle.  Both
+run through one refinement loop that doubles the cell count until two
+successive levels agree; the Frobenius norm of the difference between
+levels is the reported error estimate, and the evaluation budget counts
+integrand calls (4 nodes per cell on the interval, the product grid of
+those nodes on the triangle).  Everything is deterministic, with a fixed
+summation order.
 """
 
 from __future__ import annotations
@@ -131,11 +135,15 @@ def _composite_rule(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def interval_quadrature(f, upper: float, tol: float = 1e-9,
-                        max_evaluations: int = 2**20) -> QuadratureResult:
-    """Integrate f(t) over [0, upper] by cell-doubling refinement."""
-    if upper <= 0:
-        raise ValueError(f"upper limit must be positive, got {upper}")
+def _refine(level_sum, dims: int, tol: float, max_evaluations: int,
+            name: str) -> QuadratureResult:
+    """Cell-doubling refinement shared by both quadratures.
+
+    ``level_sum(nodes, weights)`` evaluates one level of the composite rule
+    in ``dims`` dimensions, ``nodes.size ** dims`` integrand calls; levels
+    double the cell count until two successive ones agree to ``tol`` in
+    Frobenius norm.
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     previous = None
@@ -144,28 +152,41 @@ def interval_quadrature(f, upper: float, tol: float = 1e-9,
     cells = 1
     while True:
         nodes, weights = _composite_rule(cells)
-        if evaluations + nodes.size > max_evaluations:
+        count = nodes.size**dims
+        if evaluations + count > max_evaluations:
             best = None
             if previous is not None and math.isfinite(estimate):
                 best = QuadratureResult(previous, estimate, evaluations)
             raise QuadratureError(
-                f"interval quadrature did not reach tol={tol:g} within"
+                f"{name} quadrature did not reach tol={tol:g} within"
                 f" {max_evaluations} evaluations (best estimate"
                 f" {estimate:.3e})",
                 best=best,
             )
-        total = None
-        for node, weight in zip(nodes, weights):
-            term = weight * np.asarray(f(upper * node), dtype=complex)
-            total = term if total is None else total + term
-        evaluations += nodes.size
-        current = upper * total
+        current = level_sum(nodes, weights)
+        evaluations += count
         if previous is not None:
             estimate = float(np.linalg.norm(current - previous))
             if estimate <= tol:
                 return QuadratureResult(current, estimate, evaluations)
         previous = current
         cells *= 2
+
+
+def interval_quadrature(f, upper: float, tol: float = 1e-9,
+                        max_evaluations: int = 2**20) -> QuadratureResult:
+    """Integrate f(t) over [0, upper] by cell-doubling refinement."""
+    if upper <= 0:
+        raise ValueError(f"upper limit must be positive, got {upper}")
+
+    def level_sum(nodes, weights):
+        total = None
+        for node, weight in zip(nodes, weights):
+            term = weight * np.asarray(f(upper * node), dtype=complex)
+            total = term if total is None else total + term
+        return upper * total
+
+    return _refine(level_sum, 1, tol, max_evaluations, "interval")
 
 
 def triangle_quadrature(f, tau: float, tol: float = 1e-9,
@@ -182,35 +203,14 @@ def triangle_quadrature(f, tau: float, tol: float = 1e-9,
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    previous = None
-    estimate = math.inf
-    evaluations = 0
-    cells = 1
-    while True:
-        nodes, weights = _composite_rule(cells)
-        if evaluations + nodes.size**2 > max_evaluations:
-            best = None
-            if previous is not None and math.isfinite(estimate):
-                best = QuadratureResult(previous, estimate, evaluations)
-            raise QuadratureError(
-                f"triangle quadrature did not reach tol={tol:g} within"
-                f" {max_evaluations} evaluations (best estimate"
-                f" {estimate:.3e})",
-                best=best,
-            )
+
+    def level_sum(nodes, weights):
         total = None
         for u, wu in zip(nodes, weights):
             t1 = tau * u
             for v, wv in zip(nodes, weights):
                 term = (wu * wv * u) * np.asarray(f(t1, t1 * v), dtype=complex)
                 total = term if total is None else total + term
-        evaluations += nodes.size**2
-        current = (tau * tau) * total
-        if previous is not None:
-            estimate = float(np.linalg.norm(current - previous))
-            if estimate <= tol:
-                return QuadratureResult(current, estimate, evaluations)
-        previous = current
-        cells *= 2
+        return (tau * tau) * total
+
+    return _refine(level_sum, 2, tol, max_evaluations, "triangle")

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from pstlab.cli import main
+from pstlab.cli import _build_parser, _run_magnus_check, main
+from pstlab.errors import ToleranceError
 from pstlab.experiments import Table1Config
 from pstlab.liouville import matrix_from_json
 from pstlab.pst_core import calibrate_tau, pst_channel
@@ -227,6 +228,16 @@ class TestMagnusCheckCommand:
         assert "numerical failure" in err
         payload = json.loads(out)  # report still emitted for triage
         assert payload["rows"][0]["note"] != ""
+
+    def test_tolerance_failure_is_typed(self, capsys):
+        argv = ["magnus-check", "--taus", "0.5", "--error-set", "XX=0.2",
+                "--tolerance", "1e-30"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "exceeded tolerance" in err
+        assert json.loads(out)["all_within_tolerance"] is False
+        with pytest.raises(ToleranceError, match="1 crosscheck row"):
+            _run_magnus_check(_build_parser().parse_args(argv))
 
 
 class TestConfigFiles:

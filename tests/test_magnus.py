@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from pstlab.errors import QuadratureError
 from pstlab.liouville import hamiltonian_superop
 from pstlab.magnus import (
     CoherentErrorSpec,
     DriveSpec,
+    _omega1_kernels,
+    _omega2_kernels,
     anticommuting_sum_h2,
     check_drive_error_compat,
     interaction_dressed,
@@ -20,7 +23,7 @@ from pstlab.magnus import (
     omega2_avg_closed,
     over_rotation_factor,
 )
-from pstlab.numerics import expm
+from pstlab.numerics import expm, interval_quadrature, triangle_quadrature
 from pstlab.pauli import (
     commutation_sign,
     enumerate_group,
@@ -30,6 +33,8 @@ from pstlab.pauli import (
 )
 
 TABLE1_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
+# Against ZX: XX, IZ and YX anticommute, YY and ZI commute.
+MIXED_ERRORS = (("XX", 0.3), ("YY", 0.5), ("IZ", -0.2), ("ZI", 0.4), ("YX", 0.25))
 
 
 def drive_zx(tau=0.5):
@@ -42,6 +47,56 @@ def brute_force_dressed(gamma_label, beta_label, t):
     h_gamma = hamiltonian_superop(matrix_of(pauli_from_label(gamma_label)))
     u = expm(-1j * t * h_beta)
     return u.conj().T @ h_gamma @ u
+
+
+class TwirledInteractionOracle:
+    """Interaction-frame error generators A(t), one per twirl frame, each
+    built as a sign-weighted sum of per-word dressed matrices.
+
+    Integrating these matrix integrands node by node is the direct route
+    that the scalar-kernel quadrature in `pstlab.magnus` replaces.  The
+    frames are stacked along a leading axis so that one quadrature call
+    covers all of them.
+    """
+
+    def __init__(self, drive, err, frames):
+        beta = drive.single_pauli()
+        dim = 4**drive.n_qubits
+        eye = np.eye(2**drive.n_qubits)
+        shape = (len(frames), dim, dim)
+        self.constant = np.zeros(shape, dtype=complex)
+        self.cos_part = np.zeros(shape, dtype=complex)
+        self.sin_part = np.zeros(shape, dtype=complex)
+        for word, amplitude in err.scaled_terms():
+            weights = amplitude * np.array(
+                [commutation_sign(alpha, word) for alpha in frames]
+            )[:, None, None]
+            h_word = hamiltonian_superop(matrix_of(word))
+            if commutation_sign(word, beta) == 1:
+                self.constant += weights * h_word
+            else:
+                product = matrix_of(beta) @ matrix_of(word)
+                self.cos_part += weights * h_word
+                self.sin_part += weights * (
+                    np.kron(product, eye) + np.kron(eye, product.conj())
+                )
+
+    def at(self, t):
+        return (
+            self.constant
+            + math.cos(2.0 * t) * self.cos_part
+            + 1.0j * math.sin(2.0 * t) * self.sin_part
+        )
+
+    def omega1(self, tau):
+        return -1.0j * interval_quadrature(self.at, tau).value
+
+    def omega2(self, tau):
+        def integrand(t1, t2):
+            a1, a2 = self.at(t1), self.at(t2)
+            return -0.5 * (a1 @ a2 - a2 @ a1)
+
+        return triangle_quadrature(integrand, tau).value
 
 
 class TestSpecs:
@@ -303,3 +358,64 @@ class TestQuadratureVsClosedFormSweep:
         )
         diff = np.linalg.norm(omega2_avg(drive, err) - omega2_avg_closed(drive, err))
         assert diff <= 1e-6
+
+
+ORACLE_TAUS = (0.3, 0.5, 1.0, 2.5)
+ORACLE_ERRORS = {
+    "default": CoherentErrorSpec(TABLE1_ERRORS),
+    "mixed": CoherentErrorSpec(MIXED_ERRORS),
+    "negative-scale": CoherentErrorSpec(MIXED_ERRORS, scale=-0.7),
+}
+
+
+class TestScalarKernels:
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_kernels_match_closed_forms(self, tau):
+        c, s = math.cos(2 * tau), math.sin(2 * tau)
+        triple = [
+            (1 - c) / 2 - tau * s / 2,
+            tau * (1 + c) / 2 - s / 2,
+            (s - 2 * tau) / 4,
+        ]
+        np.testing.assert_allclose(
+            _omega2_kernels(tau, 1e-12, 2**20), triple, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            _omega1_kernels(tau, 1e-12), [tau, s / 2, (1 - c) / 2], rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ERRORS))
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_every_frame_matches_matrix_oracle(self, tau, name):
+        drive = DriveSpec.single("ZX", tau)
+        err = ORACLE_ERRORS[name]
+        frames = enumerate_group(2)
+        oracle = TwirledInteractionOracle(drive, err, frames)
+        omega2 = np.array([omega2_alpha(drive, err, alpha) for alpha in frames])
+        omega1 = np.array([omega1_alpha(drive, err, alpha) for alpha in frames])
+        assert np.abs(omega2 - oracle.omega2(tau)).max(axis=(1, 2)).max() <= 1e-10
+        assert np.abs(omega1 - oracle.omega1(tau)).max(axis=(1, 2)).max() <= 1e-10
+
+
+class TestQuadratureBudget:
+    # At tau = 1 the kernel triple needs more than two refinement levels
+    # (16 + 64 evaluations), so the next level (256 more) must fit.
+    def test_first_level_over_budget_has_no_best(self):
+        drive = DriveSpec.single("ZX", 1.0)
+        with pytest.raises(QuadratureError, match="triangle quadrature") as excinfo:
+            omega2_avg(drive, CoherentErrorSpec(TABLE1_ERRORS), max_evaluations=50)
+        assert excinfo.value.best is None
+
+    def test_later_level_over_budget_carries_best(self):
+        drive = DriveSpec.single("ZX", 1.0)
+        with pytest.raises(QuadratureError) as excinfo:
+            omega2_avg(drive, CoherentErrorSpec(TABLE1_ERRORS), max_evaluations=100)
+        best = excinfo.value.best
+        assert best is not None
+        assert best.evaluations == 80
+
+    def test_two_levels_suffice_at_half_duration(self):
+        drive = DriveSpec.single("ZX", 0.5)
+        err = CoherentErrorSpec(TABLE1_ERRORS)
+        value = omega2_avg(drive, err, max_evaluations=80)
+        assert np.linalg.norm(value - omega2_avg_closed(drive, err)) <= 1e-6
