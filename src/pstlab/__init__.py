@@ -63,8 +63,11 @@ from .pst_core import (
     pst_realization,
 )
 from .experiments import (
+    CalibrateConfig,
     MagnusCheckConfig,
+    OverRotationConfig,
     ParitySweepConfig,
+    SignTableConfig,
     Table1Config,
     run_magnus_crosscheck,
     run_parity_sweep,
@@ -75,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCutError",
+    "CalibrateConfig",
     "CalibrationError",
     "CoherentErrorSpec",
     "ConfigError",
@@ -83,6 +87,7 @@ __all__ = [
     "EffectiveGenerator",
     "MagnusCheckConfig",
     "NoiseSpec",
+    "OverRotationConfig",
     "ParitySweepConfig",
     "PSTRealization",
     "PauliParseError",
@@ -90,6 +95,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "ResourceLimitError",
+    "SignTableConfig",
     "Table1Config",
     "ToleranceError",
     "anticommuting_sum_h2",

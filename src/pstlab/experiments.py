@@ -17,13 +17,23 @@ Default parameters: a ZX drive with duration 0.5 and error amplitudes
 XX 0.2, YY 0.6, ZZ 0.2, YX 0.4 for the weight table; duration 2.5 and
 rate 3 for the parity sweep (extreme decay makes the damping asymmetry
 visible).  No sampling anywhere; reports are bit-identical across runs.
+
+Every CLI subcommand has one frozen config dataclass here, the three
+above plus ``SignTableConfig``, ``OverRotationConfig`` and
+``CalibrateConfig`` for the scalar commands.  Construction coerces each
+field to its annotated type (``ConfigError`` names a field that does not
+fit), ``from_dict`` rejects unknown fields, and ``to_dict`` gives the JSON
+form, tuples as lists.  Each field also declares its command-line flag,
+from which ``pstlab.cli`` derives every subcommand's options.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -43,11 +53,14 @@ from .pauli import commutation_sign, enumerate_group, pauli_from_label
 from .pst_core import effective_generator, ideal_channel, pst_channel, pst_realization
 
 __all__ = [
+    "CalibrateConfig",
     "MagnusCheckConfig",
     "MagnusCheckReport",
     "MagnusCheckRow",
+    "OverRotationConfig",
     "ParitySweepConfig",
     "ParitySweepRow",
+    "SignTableConfig",
     "Table1Config",
     "Table1Report",
     "parity_rows_to_csv",
@@ -59,9 +72,104 @@ __all__ = [
 DEFAULT_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
 
 
-def _error_pairs(errors) -> tuple[tuple[str, float], ...]:
-    pairs = errors.items() if hasattr(errors, "items") else errors
-    return tuple((str(label), float(value)) for label, value in pairs)
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+
+def _field(default=MISSING, *, flag=None, parse=None, **argparse_kwargs):
+    """A config field with its command-line flag declared beside it.
+
+    The flag is ``--`` plus the field name with ``_`` -> ``-`` unless
+    ``flag`` renames it; ``parse`` turns the flag's text into the field's
+    JSON form (default: the text itself), and ``metavar``, ``help`` and
+    ``action`` go to argparse unchanged.
+    """
+    return field(default=default, metadata={"flag": flag, "parse": parse,
+                                            "argparse": argparse_kwargs})
+
+
+def _split_csv(text: str) -> list[str]:
+    return [item for item in text.split(",") if item != ""]
+
+
+def _parse_error_pairs(entries) -> list:
+    pairs = []
+    for entry in entries:
+        label, equals, value = entry.partition("=")
+        if not equals:
+            raise ConfigError(f"expected LABEL=AMPLITUDE, got {entry!r}")
+        pairs.append([label.strip().upper(), value])
+    return pairs
+
+
+def _parse_error_sets(entries) -> list:
+    return [_parse_error_pairs(entry.split(";")) for entry in entries]
+
+
+def _coerce(hint, value):
+    """``value`` (a JSON value, or flag text) converted to the type ``hint``.
+
+    Raises TypeError or ValueError if it does not fit.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if hasattr(value, "items"):
+            value = list(value.items())
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        args = typing.get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"expected {len(args)} items, got {len(value)}")
+        return tuple(_coerce(arg, item) for arg, item in zip(args, value))
+    if value is None or isinstance(value, bool):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    if hint is str:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {value!r}")
+        return value
+    if hint is int and isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+    return hint(value)
+
+
+def _plain(value):
+    return [_plain(item) for item in value] if isinstance(value, tuple) else value
+
+
+class _Config:
+    """Shared behaviour of the frozen config dataclasses: every field is
+    coerced to its annotated type on construction, and a config converts
+    to and from the JSON object its reports echo."""
+
+    def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            try:
+                object.__setattr__(self, spec.name, _coerce(hints[spec.name], value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config field {spec.name!r}: {exc}") from None
+
+    def to_dict(self) -> dict:
+        return {spec.name: _plain(getattr(self, spec.name)) for spec in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ConfigError(
+                f"unknown config fields for {cls.__name__}: {sorted(unknown)}"
+            )
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -69,32 +177,21 @@ def _error_pairs(errors) -> tuple[tuple[str, float], ...]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Table1Config:
-    drive: str = "ZX"
-    tau: float = 0.5
-    errors: tuple[tuple[str, float], ...] = DEFAULT_ERRORS
-    scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "errors", _error_pairs(self.errors))
+class Table1Config(_Config):
+    drive: str = _field("ZX", help="drive Pauli label (default ZX)")
+    tau: float = _field(0.5, help="gate duration (default 0.5)")
+    errors: tuple[tuple[str, float], ...] = _field(
+        DEFAULT_ERRORS, flag="--error", parse=_parse_error_pairs, action="append",
+        metavar="LABEL=AMP",
+        help="error term, repeatable (default XX=0.2 YY=0.6 ZZ=0.2 YX=0.4)",
+    )
+    scale: float = _field(1.0, help="global error scale (default 1)")
 
     def drive_spec(self) -> DriveSpec:
         return DriveSpec.single(self.drive, self.tau)
 
     def error_spec(self) -> CoherentErrorSpec:
         return CoherentErrorSpec.from_amplitudes(self.errors, self.scale)
-
-    def to_dict(self) -> dict:
-        return {
-            "drive": self.drive,
-            "tau": self.tau,
-            "errors": [list(pair) for pair in self.errors],
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Table1Config":
-        return _config_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -169,24 +266,31 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ParitySweepConfig:
+class ParitySweepConfig(_Config):
     drive: str = "ZX"
-    tau: float = 2.5
-    errors: tuple[tuple[str, float], ...] = DEFAULT_ERRORS
-    zeta: float = 3.0
-    noise_kinds: tuple[str, ...] = ("pauli_z", "amplitude_damping")
-    noise_targets: tuple[int, ...] | None = None
+    tau: float = _field(2.5, help="gate duration (default 2.5)")
+    errors: tuple[tuple[str, float], ...] = _field(
+        DEFAULT_ERRORS, flag="--error", parse=_parse_error_pairs, action="append",
+        metavar="LABEL=AMP",
+    )
+    zeta: float = _field(3.0, help="noise rate (default 3)")
+    noise_kinds: tuple[str, ...] = _field(
+        ("pauli_z", "amplitude_damping"), parse=_split_csv, metavar="KIND[,KIND...]",
+        help="default pauli_z,amplitude_damping",
+    )
+    noise_targets: tuple[int, ...] | None = _field(
+        None, parse=_split_csv, metavar="Q[,Q...]",
+        help="qubit indices carrying the noise (default all)",
+    )
     delta_max: float = 1.0
     delta_points: int = 41
-    deltas: tuple[float, ...] | None = None
+    deltas: tuple[float, ...] | None = _field(
+        None, parse=_split_csv, metavar="D[,D...]",
+        help="explicit grid; must contain every -delta partner",
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "errors", _error_pairs(self.errors))
-        object.__setattr__(self, "noise_kinds", tuple(self.noise_kinds))
-        if self.noise_targets is not None:
-            object.__setattr__(self, "noise_targets", tuple(self.noise_targets))
-        if self.deltas is not None:
-            object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        super().__post_init__()
         for kind in self.noise_kinds:
             if kind not in NOISE_KINDS:
                 raise ConfigError(f"unknown noise kind {kind!r}")
@@ -223,20 +327,6 @@ class ParitySweepConfig:
 
     def noise_spec(self, kind: str) -> NoiseSpec:
         return NoiseSpec(kind, self.zeta if kind != "none" else 0.0, self.noise_targets)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["errors"] = [list(pair) for pair in self.errors]
-        data["noise_kinds"] = list(self.noise_kinds)
-        data["noise_targets"] = (
-            None if self.noise_targets is None else list(self.noise_targets)
-        )
-        data["deltas"] = None if self.deltas is None else list(self.deltas)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParitySweepConfig":
-        return _config_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -293,26 +383,35 @@ def parity_rows_to_csv(rows: list[ParitySweepRow]) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MagnusCheckConfig:
+class MagnusCheckConfig(_Config):
     drive: str = "ZX"
-    taus: tuple[float, ...] = (0.3, 0.5, 1.0)
-    error_sets: tuple[tuple[tuple[str, float], ...], ...] | None = None
+    taus: tuple[float, ...] = _field(
+        (0.3, 0.5, 1.0), parse=_split_csv, metavar="T[,T...]",
+        help="default 0.3,0.5,1.0",
+    )
+    error_sets: tuple[tuple[tuple[str, float], ...], ...] | None = _field(
+        None, flag="--error-set", parse=_parse_error_sets, action="append",
+        metavar="L=A[;L=A...]",
+        help="explicit error set, repeatable; replaces the defaults",
+    )
     random_sets: int = 5
     seed: int = 20240
     max_amplitude: float = 0.6
-    tolerance: float = 1e-6
+    tolerance: float = _field(
+        1e-6, help="allowed quadrature/closed-form discrepancy (default 1e-6)"
+    )
     omega1_tolerance: float = 1e-9
-    quadrature_tol: float = 1e-9
-    max_evaluations: int = 2**20
+    quadrature_tol: float = _field(
+        1e-9, flag="--quad-tolerance",
+        help="refinement tolerance on the scalar trig kernels,"
+             " integrated once per tau (default 1e-9)",
+    )
+    max_evaluations: int = _field(
+        2**20, help="evaluations allowed to each kernel quadrature (default 2^20)"
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        if self.error_sets is not None:
-            object.__setattr__(
-                self,
-                "error_sets",
-                tuple(_error_pairs(pairs) for pairs in self.error_sets),
-            )
+        super().__post_init__()
         if self.random_sets < 0:
             raise ConfigError("random_sets must be >= 0")
         if not 0 < self.max_amplitude:
@@ -326,20 +425,6 @@ class MagnusCheckConfig:
         return (DEFAULT_ERRORS,) + _random_anticommuting_sets(
             self.drive, self.random_sets, self.seed, self.max_amplitude
         )
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["taus"] = list(self.taus)
-        data["error_sets"] = (
-            None
-            if self.error_sets is None
-            else [[list(p) for p in pairs] for pairs in self.error_sets]
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MagnusCheckConfig":
-        return _config_from_dict(cls, data)
 
 
 def _random_anticommuting_sets(drive_label: str, count: int, seed: int,
@@ -432,8 +517,9 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
                                       config.max_evaluations)
                 closed = omega2_avg_closed(drive, err)
                 discrepancy = float(np.linalg.norm(averaged - closed))
-                omega1_norm = float(np.linalg.norm(omega1_avg(drive, err,
-                                                              config.quadrature_tol)))
+                omega1_norm = float(np.linalg.norm(omega1_avg(
+                    drive, err, config.quadrature_tol, config.max_evaluations
+                )))
                 rows.append(
                     MagnusCheckRow(
                         tau=tau,
@@ -460,26 +546,22 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
     return MagnusCheckReport(config=config, rows=tuple(rows))
 
 
-def _config_from_dict(cls, data: dict):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown config fields for {cls.__name__}: {sorted(unknown)}"
-        )
-    kwargs = dict(data)
-    for key in ("errors", "error_sets", "taus", "noise_kinds", "noise_targets",
-                "deltas"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            if key == "errors":
-                kwargs[key] = tuple(tuple(pair) for pair in kwargs[key])
-            elif key == "error_sets":
-                kwargs[key] = tuple(
-                    tuple(tuple(pair) for pair in pairs) for pairs in kwargs[key]
-                )
-            else:
-                kwargs[key] = tuple(kwargs[key])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+# ---------------------------------------------------------------------------
+# Scalar commands
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SignTableConfig(_Config):
+    qubits: int = _field(2, help="register size (default 2)")
+
+
+@dataclass(frozen=True)
+class OverRotationConfig(_Config):
+    tau: float
+    sum_h2: float = _field(help="sum of squared anticommuting error amplitudes")
+
+
+@dataclass(frozen=True)
+class CalibrateConfig(_Config):
+    theta: float = _field(help="target rotation angle")
+    sum_h2: float

@@ -264,41 +264,44 @@ def _zero_superop(drive: DriveSpec) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
-def _omega1_kernels(tau: float, tol: float) -> np.ndarray:
+def _omega1_kernels(tau: float, tol: float,
+                    max_evaluations: int = 2**20) -> np.ndarray:
     """Integrals of (1, cos 2t, sin 2t) over [0, tau]."""
     return interval_quadrature(
-        lambda t: np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)]), tau, tol
+        lambda t: np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)]),
+        tau, tol, max_evaluations,
     ).value
 
 
-def _omega1_sum(drive, err, frames, tol) -> np.ndarray:
+def _omega1_sum(drive, err, frames, tol, max_evaluations) -> np.ndarray:
     """Sum over ``frames`` of -i (J0 C0 + J1 C1 + i J2 C2), with J the
     interval kernels of `_omega1_kernels`."""
     dressed = _dressed_error(drive, err)
     total = _zero_superop(drive)
     if drive.tau == 0:
         return total
-    j0, j1, j2 = _omega1_kernels(drive.tau, tol)
+    j0, j1, j2 = _omega1_kernels(drive.tau, tol, max_evaluations)
     for alpha in frames:
         c0, c1, c2 = _frame_parts(dressed, alpha, total.shape[0])
         total += -1.0j * (j0 * c0 + j1 * c1 + 1.0j * j2 * c2)
     return total
 
 
-def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec,
-                 alpha: PauliString, tol: float = 1e-9) -> np.ndarray:
+def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
+                 tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
     """First-order term -i * integral of the twirled dressed error over [0, tau]."""
-    return _omega1_sum(drive, err, (alpha,), tol)
+    return _omega1_sum(drive, err, (alpha,), tol, max_evaluations)
 
 
-def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec, tol: float = 1e-9) -> np.ndarray:
+def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
+               tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
     """Twirl average of the first-order term over the full Pauli group.
 
     Sign orthogonality cancels it exactly; the near-zero matrix is
     returned so callers can assert how close to zero it lands.
     """
     group = enumerate_group(drive.n_qubits)
-    return _omega1_sum(drive, err, group, tol) / len(group)
+    return _omega1_sum(drive, err, group, tol, max_evaluations) / len(group)
 
 
 def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pstlab.cli import _build_parser, _run_magnus_check, main
+from pstlab.cli import _build_parser, _run_command, main
 from pstlab.errors import ToleranceError
 from pstlab.experiments import Table1Config
 from pstlab.liouville import matrix_from_json
@@ -237,7 +238,7 @@ class TestMagnusCheckCommand:
         assert "exceeded tolerance" in err
         assert json.loads(out)["all_within_tolerance"] is False
         with pytest.raises(ToleranceError, match="1 crosscheck row"):
-            _run_magnus_check(_build_parser().parse_args(argv))
+            _run_command(_build_parser().parse_args(argv))
 
 
 class TestConfigFiles:
@@ -287,6 +288,106 @@ class TestConfigFiles:
         code, _, err = run_cli(capsys, "table1", "--config", "/nonexistent.json")
         assert code == 1
         assert "cannot read" in err
+
+
+# Flags of a quick run of every subcommand.
+QUICK_ARGV = {
+    "table1": ["--tau", "0.4", "--error", "XX=0.1"],
+    "parity-sweep": ["--deltas=-0.5,0,0.5", "--noise-kinds", "pauli_z",
+                     "--noise-targets", "0"],
+    "magnus-check": ["--taus", "0.5", "--error-set", "XX=0.2;YY=0.6",
+                     "--quad-tolerance", "1e-8"],
+    "sign-table": ["--qubits", "1"],
+    "overrotation": ["--tau", "0.5", "--sum-h2", "0.24"],
+    "calibrate": ["--theta", "1.0", "--sum-h2", "0.24"],
+}
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--dump-config", "--output", "--format"}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", sorted(QUICK_ARGV))
+    def test_dump_config_round_trips(self, command, tmp_path, capsys):
+        argv = [command, *QUICK_ARGV[command]]
+        code, dumped, _ = run_cli(capsys, *argv, "--dump-config")
+        assert code == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(dumped)
+
+        code, direct, _ = run_cli(capsys, *argv)
+        code2, via_config, _ = run_cli(capsys, command, "--config", str(config_path))
+        assert code == 0 and code2 == 0
+        assert direct == via_config
+
+        _, redumped, _ = run_cli(
+            capsys, command, "--config", str(config_path), "--dump-config"
+        )
+        assert redumped == dumped
+
+    @pytest.mark.parametrize("command", sorted(QUICK_ARGV))
+    def test_unknown_field_rejected(self, command, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"bogus": 1}))
+        code, out, err = run_cli(
+            capsys, command, *QUICK_ARGV[command], "--config", str(config_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert "unknown config fields" in err and "bogus" in err
+
+    @pytest.mark.parametrize("command, data, name", [
+        ("overrotation", {"tau": None, "sum_h2": 0.24}, "tau"),
+        ("table1", {"tau": "abc"}, "tau"),
+        ("sign-table", {"qubits": 2.7}, "qubits"),
+        ("calibrate", {"theta": True, "sum_h2": 0.0}, "theta"),
+    ])
+    def test_uncoercible_value_is_config_error(self, command, data, name, tmp_path,
+                                               capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pstlab: config error:")
+        assert repr(name) in err
+
+    def test_file_values_take_the_field_type(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"tau": 1, "errors": [["XX", "0.5"]]}))
+        _, from_file, _ = run_cli(
+            capsys, "table1", "--config", str(config_path), "--dump-config"
+        )
+        _, from_flags, _ = run_cli(
+            capsys, "table1", "--tau", "1", "--error", "XX=0.5", "--dump-config"
+        )
+        assert from_file == from_flags
+        assert json.loads(from_file)["tau"] == 1.0
+
+    def test_option_strings(self):
+        parser = _build_parser()
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = {
+            name: set(sub._option_string_actions) - COMMON_OPTIONS
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "table1": {"--drive", "--tau", "--error", "--scale", "--dump-channel"},
+            "parity-sweep": {"--drive", "--tau", "--zeta", "--error", "--noise-kinds",
+                             "--noise-targets", "--delta-max", "--delta-points",
+                             "--deltas"},
+            "magnus-check": {"--drive", "--taus", "--error-set", "--random-sets",
+                             "--seed", "--max-amplitude", "--tolerance",
+                             "--omega1-tolerance", "--quad-tolerance",
+                             "--max-evaluations"},
+            "sign-table": {"--qubits"},
+            "overrotation": {"--tau", "--sum-h2"},
+            "calibrate": {"--theta", "--sum-h2"},
+        }
+        for sub in commands.choices.values():
+            assert COMMON_OPTIONS <= set(sub._option_string_actions)
 
 
 def test_module_entry_point():

@@ -419,3 +419,9 @@ class TestQuadratureBudget:
         err = CoherentErrorSpec(TABLE1_ERRORS)
         value = omega2_avg(drive, err, max_evaluations=80)
         assert np.linalg.norm(value - omega2_avg_closed(drive, err)) <= 1e-6
+
+    def test_first_order_term_is_bounded_too(self):
+        # The interval rule's first level alone takes 4 evaluations.
+        drive = DriveSpec.single("ZX", 0.5)
+        with pytest.raises(QuadratureError, match="interval quadrature"):
+            omega1_avg(drive, CoherentErrorSpec(TABLE1_ERRORS), max_evaluations=3)
