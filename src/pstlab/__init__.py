@@ -55,7 +55,6 @@ from .pauli import (
 )
 from .pst_core import (
     EffectiveGenerator,
-    PSTRealization,
     calibrate_tau,
     effective_generator,
     ideal_channel,
@@ -89,7 +88,6 @@ __all__ = [
     "NoiseSpec",
     "OverRotationConfig",
     "ParitySweepConfig",
-    "PSTRealization",
     "PauliParseError",
     "PauliString",
     "QuadratureError",

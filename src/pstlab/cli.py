@@ -156,7 +156,8 @@ def _build_parser() -> _Parser:
                          help="print the resolved config as JSON and exit")
         sub.add_argument("--output", help="write the report here instead of stdout")
         sub.add_argument("--format", choices=command.formats,
-                         default=command.default_format)
+                         default=command.default_format,
+                         help=f"report format (default {command.default_format})")
         for spec in fields(command.config):
             sub.add_argument(_flag(spec), **spec.metadata.get("argparse", {}))
         if name == "table1":

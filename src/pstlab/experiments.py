@@ -22,9 +22,10 @@ Every CLI subcommand has one frozen config dataclass here, the three
 above plus ``SignTableConfig``, ``OverRotationConfig`` and
 ``CalibrateConfig`` for the scalar commands.  Construction coerces each
 field to its annotated type (``ConfigError`` names a field that does not
-fit), ``from_dict`` rejects unknown fields, and ``to_dict`` gives the JSON
-form, tuples as lists.  Each field also declares its command-line flag,
-from which ``pstlab.cli`` derives every subcommand's options.
+fit; a ``PauliLabel`` is also stripped and upper-cased), ``from_dict``
+rejects unknown fields, and ``to_dict`` gives the JSON form, tuples as
+lists.  Each field also declares its command-line flag, from which
+``pstlab.cli`` derives every subcommand's options.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .magnus import (
     over_rotation_factor,
 )
 from .numerics import expm, op_norm
-from .pauli import commutation_sign, enumerate_group, pauli_from_label
+from .pauli import commutation_sign, enumerate_group, identity_string, pauli_from_label
 from .pst_core import effective_generator, ideal_channel, pst_channel, pst_realization
 
 __all__ = [
@@ -98,12 +99,17 @@ def _parse_error_pairs(entries) -> list:
         label, equals, value = entry.partition("=")
         if not equals:
             raise ConfigError(f"expected LABEL=AMPLITUDE, got {entry!r}")
-        pairs.append([label.strip().upper(), value])
+        pairs.append([label, value])
     return pairs
 
 
 def _parse_error_sets(entries) -> list:
     return [_parse_error_pairs(entry.split(";")) for entry in entries]
+
+
+# A Pauli label field: stripped and upper-cased on coercion, so a flag and
+# a config file accept the same spellings.
+PauliLabel = typing.NewType("PauliLabel", str)
 
 
 def _coerce(hint, value):
@@ -128,10 +134,10 @@ def _coerce(hint, value):
         return tuple(_coerce(arg, item) for arg, item in zip(args, value))
     if value is None or isinstance(value, bool):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    if hint is str:
+    if hint in (str, PauliLabel):
         if not isinstance(value, str):
             raise TypeError(f"expected a string, got {value!r}")
-        return value
+        return value.strip().upper() if hint is PauliLabel else value
     if hint is int and isinstance(value, float):
         if not value.is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
@@ -178,9 +184,9 @@ class _Config:
 
 @dataclass(frozen=True)
 class Table1Config(_Config):
-    drive: str = _field("ZX", help="drive Pauli label (default ZX)")
+    drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     tau: float = _field(0.5, help="gate duration (default 0.5)")
-    errors: tuple[tuple[str, float], ...] = _field(
+    errors: tuple[tuple[PauliLabel, float], ...] = _field(
         DEFAULT_ERRORS, flag="--error", parse=_parse_error_pairs, action="append",
         metavar="LABEL=AMP",
         help="error term, repeatable (default XX=0.2 YY=0.6 ZZ=0.2 YX=0.4)",
@@ -242,8 +248,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     err = config.error_spec()
     labels = [label for label, _ in config.errors] + [config.drive]
 
-    identity = enumerate_group(drive.n_qubits)[0]
-    raw = pst_realization(drive, err, NoiseSpec(), identity).generator
+    raw = pst_realization(drive, err, NoiseSpec(), identity_string(drive.n_qubits))
     no_pst_eff = effective_generator(expm(raw), drive.tau)
     channel = pst_channel(drive, err, NoiseSpec())
     pst_eff = effective_generator(channel, drive.tau)
@@ -267,11 +272,13 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 
 @dataclass(frozen=True)
 class ParitySweepConfig(_Config):
-    drive: str = "ZX"
+    drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     tau: float = _field(2.5, help="gate duration (default 2.5)")
-    errors: tuple[tuple[str, float], ...] = _field(
+    errors: tuple[tuple[PauliLabel, float], ...] = _field(
         DEFAULT_ERRORS, flag="--error", parse=_parse_error_pairs, action="append",
         metavar="LABEL=AMP",
+        help="error term at delta = 1, repeatable"
+             " (default XX=0.2 YY=0.6 ZZ=0.2 YX=0.4)",
     )
     zeta: float = _field(3.0, help="noise rate (default 3)")
     noise_kinds: tuple[str, ...] = _field(
@@ -282,11 +289,12 @@ class ParitySweepConfig(_Config):
         None, parse=_split_csv, metavar="Q[,Q...]",
         help="qubit indices carrying the noise (default all)",
     )
-    delta_max: float = 1.0
-    delta_points: int = 41
+    delta_max: float = _field(1.0, help="largest |delta| of the grid (default 1)")
+    delta_points: int = _field(41, help="odd number of grid points (default 41)")
     deltas: tuple[float, ...] | None = _field(
         None, parse=_split_csv, metavar="D[,D...]",
-        help="explicit grid; must contain every -delta partner",
+        help="explicit grid; must contain every -delta partner"
+             " (default: --delta-max and --delta-points)",
     )
 
     def __post_init__(self):
@@ -384,23 +392,30 @@ def parity_rows_to_csv(rows: list[ParitySweepRow]) -> str:
 
 @dataclass(frozen=True)
 class MagnusCheckConfig(_Config):
-    drive: str = "ZX"
+    drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     taus: tuple[float, ...] = _field(
         (0.3, 0.5, 1.0), parse=_split_csv, metavar="T[,T...]",
         help="default 0.3,0.5,1.0",
     )
-    error_sets: tuple[tuple[tuple[str, float], ...], ...] | None = _field(
+    error_sets: tuple[tuple[tuple[PauliLabel, float], ...], ...] | None = _field(
         None, flag="--error-set", parse=_parse_error_sets, action="append",
         metavar="L=A[;L=A...]",
         help="explicit error set, repeatable; replaces the defaults",
     )
-    random_sets: int = 5
-    seed: int = 20240
-    max_amplitude: float = 0.6
+    random_sets: int = _field(
+        5, help="seeded random anticommuting error sets run after the default"
+                " set, unless --error-set is given (default 5)",
+    )
+    seed: int = _field(20240, help="seed of the random error sets (default 20240)")
+    max_amplitude: float = _field(
+        0.6, help="largest random error amplitude (default 0.6)"
+    )
     tolerance: float = _field(
         1e-6, help="allowed quadrature/closed-form discrepancy (default 1e-6)"
     )
-    omega1_tolerance: float = 1e-9
+    omega1_tolerance: float = _field(
+        1e-9, help="allowed first-order cancellation norm (default 1e-9)"
+    )
     quadrature_tol: float = _field(
         1e-9, flag="--quad-tolerance",
         help="refinement tolerance on the scalar trig kernels,"
@@ -557,11 +572,15 @@ class SignTableConfig(_Config):
 
 @dataclass(frozen=True)
 class OverRotationConfig(_Config):
-    tau: float
-    sum_h2: float = _field(help="sum of squared anticommuting error amplitudes")
+    tau: float = _field(help="gate duration (no default)")
+    sum_h2: float = _field(
+        help="sum of squared anticommuting error amplitudes (no default)"
+    )
 
 
 @dataclass(frozen=True)
 class CalibrateConfig(_Config):
-    theta: float = _field(help="target rotation angle")
-    sum_h2: float
+    theta: float = _field(help="target rotation angle (no default)")
+    sum_h2: float = _field(
+        help="sum of squared anticommuting error amplitudes (no default)"
+    )

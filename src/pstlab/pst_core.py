@@ -3,10 +3,8 @@
 One twirl realization applies a Pauli frame, drives the gate with the
 drive terms' signs flipped according to their commutation with the frame
 word (the physical coherent error and noise act unconjugated in that
-frame), then closes the frame.  Conjugating that driven generator by the
-frame word gives an equivalent lab-frame generator with the raw drive and
-the error/noise conjugated instead; `PSTRealization` exposes both, and
-their channels agree exactly.
+frame), then closes the frame.  `pst_realization` returns that driven
+generator G; the realization's channel is (P kron P*) exp(G) (P kron P*).
 
 The ensemble channel is the exact uniform average over all 4^n frames
 (no sampling), but it is not computed frame by frame.  A frame changes
@@ -47,12 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError
-from .liouville import (
-    NoiseSpec,
-    dissipator_superop,
-    hamiltonian_superop,
-    pauli_unitary_superop,
-)
+from .liouville import NoiseSpec, dissipator_superop, hamiltonian_superop
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
@@ -66,40 +59,19 @@ from .pauli import (
     commutation_parity,
     commutation_sign,
     enumerate_group,
+    identity_string,
     matrix_of,
     pauli_from_label,
 )
 
 __all__ = [
     "EffectiveGenerator",
-    "PSTRealization",
     "calibrate_tau",
     "effective_generator",
     "ideal_channel",
     "pst_channel",
     "pst_realization",
 ]
-
-
-@dataclass(frozen=True)
-class PSTRealization:
-    """One member of the twirl ensemble.
-
-    ``generator`` is the lab-frame form (raw drive, error and noise
-    conjugated by the frame word); its exponential is this realization's
-    channel.  ``flipped_generator`` is what is physically driven between
-    the two frame gates: drive terms sign-flipped per ``sign_pattern``,
-    error and noise untouched.  The two are conjugate under the frame
-    word, so exp(generator) = P_alpha exp(flipped_generator) P_alpha.
-    """
-
-    alpha: PauliString
-    sign_pattern: tuple[int, ...]
-    generator: np.ndarray
-    flipped_generator: np.ndarray
-
-    def channel(self) -> np.ndarray:
-        return expm(self.generator)
 
 
 def _pauli_sum(terms, side: int) -> np.ndarray:
@@ -111,45 +83,35 @@ def _pauli_sum(terms, side: int) -> np.ndarray:
     return total
 
 
-def _drive_superop(drive: DriveSpec, signs=None) -> np.ndarray:
-    terms = drive.terms
-    if signs is not None:
-        terms = [(word, sign * coefficient) for sign, (word, coefficient) in zip(signs, terms)]
-    return hamiltonian_superop(_pauli_sum(terms, 2**drive.n_qubits))
+def _flipped_generators(drive: DriveSpec, err: CoherentErrorSpec, noise: NoiseSpec):
+    """The generator driven in a frame, as a function of the frame's drive
+    signs s_j: noise - i tau (error + sum_j s_j c_j H_j).
 
+    The frame-independent part, noise - i tau error, is built once here;
+    each call builds only the sign-flipped drive.
+    """
+    side = 2**drive.n_qubits
+    tau = drive.tau
+    static = (dissipator_superop(noise, drive.n_qubits)
+              - 1.0j * tau * hamiltonian_superop(_pauli_sum(err.scaled_terms(), side)))
 
-def _error_superop(err: CoherentErrorSpec, dim: int) -> np.ndarray:
-    return hamiltonian_superop(_pauli_sum(err.scaled_terms(), math.isqrt(dim)))
+    def generator(signs) -> np.ndarray:
+        terms = [(word, sign * c) for sign, (word, c) in zip(signs, drive.terms)]
+        return static - 1.0j * tau * hamiltonian_superop(_pauli_sum(terms, side))
+
+    return generator
 
 
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
-                    noise: NoiseSpec, alpha: PauliString) -> PSTRealization:
-    """Build the twirl realization for one frame word."""
+                    noise: NoiseSpec, alpha: PauliString) -> np.ndarray:
+    """The generator driven between the gates of frame word ``alpha``."""
     check_drive_error_compat(drive, err)
     if alpha.n_qubits != drive.n_qubits:
         raise ValueError(
             f"frame word acts on {alpha.n_qubits} qubits, drive on {drive.n_qubits}"
         )
-    n = drive.n_qubits
-    dim = 4**n
-    tau = drive.tau
-    signs = tuple(commutation_sign(alpha, word) for word, _ in drive.terms)
-
-    coherent = _error_superop(err, dim)
-    lindblad = dissipator_superop(noise, n)
-    frame = pauli_unitary_superop(alpha)
-
-    flipped = (
-        -1.0j * tau * _drive_superop(drive, signs)
-        - 1.0j * tau * coherent
-        + lindblad
-    )
-    lab = (
-        -1.0j * tau * _drive_superop(drive)
-        - 1.0j * tau * (frame @ coherent @ frame)
-        + frame @ lindblad @ frame
-    )
-    return PSTRealization(alpha, signs, lab, flipped)
+    signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
+    return _flipped_generators(drive, err, noise)(signs)
 
 
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
@@ -186,10 +148,7 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
     check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
     dim = 4**n
-    tau = drive.tau
-
-    # Everything but the drive is the same in every frame.
-    static = dissipator_superop(noise, n) - 1.0j * tau * _error_superop(err, dim)
+    generator = _flipped_generators(drive, err, noise)
 
     words = [word for word, _ in drive.terms]
     patterns, frame_pattern = np.unique(
@@ -200,20 +159,20 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
 
     total = np.zeros((dim, dim), dtype=complex)
     for s, bits in enumerate(patterns):
-        signs = [1 - 2 * int(bit) for bit in bits]
-        flipped = static - 1.0j * tau * _drive_superop(drive, signs)
-        ptm = _pauli_transfer(expm(flipped), n)
+        ptm = _pauli_transfer(expm(generator([1 - 2 * int(bit) for bit in bits])), n)
         rows = 1.0 - 2.0 * parity[frame_pattern == s]
         ptm *= rows.T @ rows
         total += ptm
-        del flipped, ptm, rows  # keep them out of the next expm's peak memory
+        del ptm, rows  # keep them out of the next expm's peak memory
     total /= dim
     return _pauli_transfer(total, n, inverse=True)
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
-    """Noiseless, error-free gate channel exp(-i tau H_drive)."""
-    return expm(-1.0j * drive.tau * _drive_superop(drive))
+    """Noiseless, error-free gate channel exp(-i tau H_drive): the
+    identity frame's realization."""
+    return expm(pst_realization(drive, CoherentErrorSpec(), NoiseSpec(),
+                                identity_string(drive.n_qubits)))
 
 
 @dataclass(frozen=True)

@@ -363,6 +363,40 @@ class TestConfigSchema:
         assert from_file == from_flags
         assert json.loads(from_file)["tau"] == 1.0
 
+    @pytest.mark.parametrize("command, flags, data, normalized", [
+        ("table1", ["--drive", "zx", "--error", "xx=0.1", "--error", " yx =0.3"],
+         {"drive": "zx", "errors": [["xx", 0.1], [" yx ", 0.3]]},
+         {"errors": [["XX", 0.1], ["YX", 0.3]]}),
+        ("parity-sweep", ["--drive", "zx", "--error", "yy=0.6", "--deltas=-0.5,0,0.5",
+                          "--noise-kinds", "pauli_z"],
+         {"drive": "zx", "errors": [["yy", 0.6]], "deltas": [-0.5, 0, 0.5],
+          "noise_kinds": ["pauli_z"]},
+         {"errors": [["YY", 0.6]], "noise_kinds": ["pauli_z"]}),
+        ("magnus-check", ["--drive", "zx", "--taus", "0.5", "--error-set", "xx=0.2;yy=0.6",
+                          "--quad-tolerance", "1e-8"],
+         {"drive": "zx", "taus": [0.5], "error_sets": [[["xx", 0.2], ["yy", 0.6]]],
+          "quadrature_tol": 1e-8},
+         {"error_sets": [[["XX", 0.2], ["YY", 0.6]]]}),
+    ], ids=["table1", "parity-sweep", "magnus-check"])
+    def test_lower_case_labels_agree_between_flag_and_file(self, command, flags, data,
+                                                           normalized, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        from_flags = [run_cli(capsys, command, *flags, *extra)
+                      for extra in ([], ["--dump-config"])]
+        from_file = [run_cli(capsys, command, "--config", str(config_path), *extra)
+                     for extra in ([], ["--dump-config"])]
+        assert all(code == 0 for code, _, _ in from_flags + from_file)
+        assert from_flags == from_file
+        dumped = json.loads(from_flags[1][1])
+        assert dumped["drive"] == "ZX"
+        assert {key: dumped[key] for key in normalized} == normalized
+
+    def test_lower_case_error_flag_report_unchanged(self, capsys):
+        assert run_cli(capsys, "table1", "--error", "xx=0.1") == run_cli(
+            capsys, "table1", "--error", "XX=0.1"
+        )
+
     def test_option_strings(self):
         parser = _build_parser()
         commands = next(
