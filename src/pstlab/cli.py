@@ -109,18 +109,22 @@ class _Command(NamedTuple):
     finish: Callable = lambda result, args: None
 
 
+# The runners are looked up by name when a command runs, so a wrapper bound
+# over a module-level name (a profiler's, a test's) sees CLI calls too.
 _COMMANDS = {
     "table1": _Command(
         "effective Hamiltonian weights with and without the twirl",
-        Table1Config, run_table1, _report_text, "json", finish=_dump_channel,
+        Table1Config, lambda config: run_table1(config), _report_text, "json",
+        finish=_dump_channel,
     ),
     "parity-sweep": _Command(
         "channel deviation over a symmetric error-strength grid",
-        ParitySweepConfig, run_parity_sweep, _sweep_text, "csv",
+        ParitySweepConfig, lambda config: run_parity_sweep(config), _sweep_text, "csv",
     ),
     "magnus-check": _Command(
         "quadrature vs closed-form second-order crosscheck",
-        MagnusCheckConfig, run_magnus_crosscheck, _report_text, "json",
+        MagnusCheckConfig, lambda config: run_magnus_crosscheck(config),
+        _report_text, "json",
         finish=_check_tolerance,
     ),
     "sign-table": _Command(

@@ -71,6 +71,8 @@ __all__ = [
 ]
 
 DEFAULT_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
+# Random magnus-check amplitudes are drawn from [floor, max_amplitude].
+RANDOM_AMPLITUDE_FLOOR = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +431,15 @@ class MagnusCheckConfig(_Config):
         super().__post_init__()
         if self.random_sets < 0:
             raise ConfigError("random_sets must be >= 0")
-        if not 0 < self.max_amplitude:
-            raise ConfigError("max_amplitude must be positive")
+        for name in ("tolerance", "omega1_tolerance", "quadrature_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not RANDOM_AMPLITUDE_FLOOR <= self.max_amplitude < math.inf:
+            raise ConfigError(
+                f"max_amplitude must be finite and >= {RANDOM_AMPLITUDE_FLOOR},"
+                f" the smallest random amplitude; got {self.max_amplitude}"
+            )
 
     def resolved_error_sets(self) -> tuple[tuple[tuple[str, float], ...], ...]:
         """Explicit sets if given, else the default amplitudes plus seeded
@@ -456,7 +465,7 @@ def _random_anticommuting_sets(drive_label: str, count: int, seed: int,
     for _ in range(count):
         size = int(rng.integers(2, min(4, len(pool)) + 1))
         chosen = rng.choice(len(pool), size=size, replace=False)
-        amplitudes = rng.uniform(0.05, max_amplitude, size=size)
+        amplitudes = rng.uniform(RANDOM_AMPLITUDE_FLOOR, max_amplitude, size=size)
         sets.append(
             tuple((pool[int(i)], float(a)) for i, a in zip(chosen, amplitudes))
         )

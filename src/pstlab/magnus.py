@@ -2,44 +2,55 @@
 
 For a single-Pauli drive with unit coefficient the evolution is
 U(t) = exp(-i t P_beta), and an error word P_gamma that anticommutes with
-the drive is dressed in the interaction frame into
+the drive is dressed in the interaction frame into the Hermitian
 
-    cos(2t) H_gamma + i sin(2t) G_gamma,
+    U(t)^dag P_gamma U(t) = cos(2t) P_gamma + sin(2t) i P_beta P_gamma;
 
-where H_gamma is the commutator superoperator of P_gamma and G_gamma is
-built from the product P_beta P_gamma; a commuting word is left untouched.
-The twirl average of the first-order term vanishes by sign orthogonality.
-The second-order average collapses onto the drive axis: the surviving
-coefficient follows the sinc law implemented in `omega2_avg_closed` and
-`over_rotation_factor`, with only the anticommuting error words
-contributing.
+a commuting word is left untouched.  The twirl average of the first-order
+term vanishes by sign orthogonality.  The second-order average collapses
+onto the drive axis: the surviving coefficient follows the sinc law
+implemented in `omega2_avg_closed` and `over_rotation_factor`, with only
+the anticommuting error words contributing.
 
-The quadrature path checks that closed form independently.  In twirl
-frame alpha the dressed error sum is a fixed bilinear form in three
-constant matrices,
+The quadrature path checks that closed form independently, in Hilbert
+space.  In twirl frame alpha the dressed error sum is
 
-    A(t) = C0 + cos(2t) C1 + i sin(2t) C2,
+    a(t) = c0 + cos(2t) c1 + sin(2t) c2,
 
-with C0 summing the sign-weighted commuting words and C1, C2 the
-anticommuting ones.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the
-commutator expands exactly as
+with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
+their i P_beta P_w, each weighted by its amplitude and the frame sign
+chi_alpha(P_w).  The frame signs are the rows of the sign table
+1 - 2 * commutation_parity, the table the ensemble average in `pst_core`
+reads, so one contraction builds c0, c1, c2 for all 4^n frames.  Writing
+c_k = cos 2t_k and s_k = sin 2t_k, the commutator expands exactly as
 
-    [A(t1), A(t2)] = (c2 - c1) [C0,C1] + i (s2 - s1) [C0,C2]
-                     + i sin 2(t2 - t1) [C1,C2],
+    [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
+                     + sin 2(t2 - t1) [c1,c2],
 
 so the time-ordered integral needs only the scalar kernel triple
 (K01, K02, K12) of those three trigonometric factors over the triangle
-0 <= t2 <= t1 <= tau, and the first-order term only the integrals of
-(1, cos 2t, sin 2t) over [0, tau].  Both depend on tau alone: an average
-integrates them once, builds each word's H and G once, and then forms
-every frame's C0, C1, C2 from its +-1 signs.  The sum over all 4^n frames
-is kept explicit rather than collapsed by sign orthogonality, so the
-crosscheck does not assume the cancellation the closed form relies on.
+0 <= t2 <= t1 <= tau, and the first-order term only the integrals
+(J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau].  Both depend on tau
+alone and are integrated once per call; each frame then costs three
+2^n x 2^n commutators, batched over the frame axis.  The sum over all
+4^n frames is kept explicit rather than collapsed by sign orthogonality,
+so the crosscheck does not assume the cancellation the closed form
+relies on.
+
+The Liouville form is an output format only.  The commutator
+superoperator H(x) = x kron I - I kron x^T of `liouville` is linear and a
+Lie homomorphism, [H(a), H(b)] = H([a, b]), so the interaction-frame
+generator is A(t) = H(a(t)) and each public call lifts one Hermitian
+matrix, summed over its frames:
+
+    Omega1 = -i H(J0 c0 + J1 c1 + J2 c2),
+    Omega2 = -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])).
+
 ``tol`` and ``max_evaluations`` therefore bound the refinement of the
 kernel vector (Frobenius norm of the level difference, integrand calls),
-not of a superoperator sum; a frame's matrix error is at most that
-kernel error times the summed norms of the fixed matrices the kernels
-multiply (half the three commutators for the second-order term).
+not of a matrix sum; a frame's matrix error is at most that kernel error
+times the summed norms of the fixed matrices the kernels multiply (half
+the lifted commutators for the second-order term).
 
 Closed-form operations require a single drive Pauli with coefficient 1
 (the duration tau carries the rotation angle); the general multi-term
@@ -56,6 +67,7 @@ from .liouville import hamiltonian_superop
 from .numerics import interval_quadrature, sinc, triangle_quadrature
 from .pauli import (
     PauliString,
+    commutation_parity,
     commutation_sign,
     enumerate_group,
     matrix_of,
@@ -194,74 +206,69 @@ def check_drive_error_compat(drive: DriveSpec, err: CoherentErrorSpec) -> None:
             )
 
 
-def _dressed_parts(word: PauliString, beta: PauliString):
-    """Constant matrices behind the dressed form of one error word.
+def _dressed_parts(words, beta: PauliString) -> np.ndarray:
+    """Hilbert-space parts of the dressed ``words``, stacked (3, words, 2^n, 2^n).
 
-    Returns (H_word, None) for a word commuting with the drive, or
-    (H_word, G_word) for an anticommuting one, with
-    G built from the Hilbert-space product P_beta P_word.
+    A word commuting with the drive beta contributes P_w to part 0; an
+    anticommuting one contributes P_w to part 1 and the Hermitian
+    i P_beta P_w to part 2.  Word w dressed at time t is then the lift of
+    parts[0, w] + cos(2t) parts[1, w] + sin(2t) parts[2, w].
     """
-    h_word = hamiltonian_superop(matrix_of(word))
-    if commutation_sign(word, beta) == 1:
-        return h_word, None
-    product = matrix_of(beta) @ matrix_of(word)
-    eye = np.eye(product.shape[0])
-    return h_word, np.kron(product, eye) + np.kron(eye, product.conj())
+    dim = 2**beta.n_qubits
+    parts = np.zeros((3, len(words), dim, dim), dtype=complex)
+    for index, word in enumerate(words):
+        if commutation_sign(word, beta) == 1:
+            parts[0, index] = matrix_of(word)
+        else:
+            parts[1, index] = matrix_of(word)
+            parts[2, index] = 1.0j * matrix_of(beta) @ matrix_of(word)
+    return parts
 
 
-def _dressed_error(drive: DriveSpec, err: CoherentErrorSpec):
-    """Validated (word, scaled amplitude, H_word, G_word) per error word.
+def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
+                 alpha: PauliString | None) -> np.ndarray:
+    """(c0, c1, c2) of a(t) = c0 + cos(2t) c1 + sin(2t) c2 in every twirl
+    frame, stacked (3, frames, 2^n, 2^n).
 
-    Built once per call; each twirl frame then only applies its signs.
+    The frames are the rows of the sign table 1 - 2 * commutation_parity
+    against the error words, in group order, or only alpha's row.
     """
     beta = drive.single_pauli()
     check_drive_error_compat(drive, err)
-    return [
-        (word, amplitude, *_dressed_parts(word, beta))
-        for word, amplitude in err.scaled_terms()
-    ]
-
-
-def _frame_parts(dressed, alpha: PauliString, dim: int):
-    """Constant, cos and sin parts (C0, C1, C2) of the interaction-frame
-    error generator A(t) = C0 + cos(2t) C1 + i sin(2t) C2 in twirl frame
-    alpha: commuting words feed C0, anticommuting ones C1 and C2."""
-    c0, c1, c2 = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
-    for word, amplitude, h_word, g_word in dressed:
-        weight = amplitude * commutation_sign(alpha, word)
-        if g_word is None:
-            c0 += weight * h_word
-        else:
-            c1 += weight * h_word
-            c2 += weight * g_word
-    return c0, c1, c2
+    n = drive.n_qubits
+    terms = err.scaled_terms()
+    words = [word for word, _ in terms]
+    signs = 1.0 - 2.0 * commutation_parity(n, words)
+    if alpha is not None:
+        signs = signs[[enumerate_group(n).index(alpha)]]
+    weights = signs * [amplitude for _, amplitude in terms]
+    return np.einsum("fw,kwij->kfij", weights, _dressed_parts(words, beta))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    """[a, b] of Hermitian a, b (batched over leading axes) as ab - (ab)^dag:
+    one product, and anti-Hermitian by construction whatever order the
+    product sums in, so the Hermiticity check of the lift holds even for a
+    frame sum that cancels to rounding level."""
+    product = a @ b
+    return product - product.conj().swapaxes(-1, -2)
 
 
 def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np.ndarray:
     """Dressed error generator U(t)^dag H_gamma U(t) for a single-Pauli drive.
 
-    Commuting words come back unchanged; anticommuting words pick up the
-    closed form cos(2t) H_gamma + i sin(2t) G_gamma, equal to the
-    brute-force conjugation by exp(-i t H_beta).
+    Commuting words come back unchanged (the identity word as an exact
+    zero); anticommuting words pick up the closed form, the lift of
+    cos(2t) P_gamma + sin(2t) i P_beta P_gamma, equal to the brute-force
+    conjugation by exp(-i t H_beta).
     """
     beta = drive.single_pauli()
     if err_term.n_qubits != drive.n_qubits:
         raise ValueError("error word and drive act on different registers")
-    if err_term.is_identity:
-        return _zero_superop(drive)
-    h_word, g_word = _dressed_parts(err_term, beta)
-    if g_word is None:
-        return h_word
-    return math.cos(2.0 * t) * h_word + 1.0j * math.sin(2.0 * t) * g_word
-
-
-def _zero_superop(drive: DriveSpec) -> np.ndarray:
-    dim = 4**drive.n_qubits
-    return np.zeros((dim, dim), dtype=complex)
+    constant, cos_part, sin_part = _dressed_parts([err_term], beta)[:, 0]
+    return hamiltonian_superop(
+        constant + math.cos(2.0 * t) * cos_part + math.sin(2.0 * t) * sin_part
+    )
 
 
 def _omega1_kernels(tau: float, tol: float,
@@ -273,24 +280,20 @@ def _omega1_kernels(tau: float, tol: float,
     ).value
 
 
-def _omega1_sum(drive, err, frames, tol, max_evaluations) -> np.ndarray:
-    """Sum over ``frames`` of -i (J0 C0 + J1 C1 + i J2 C2), with J the
+def _omega1_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
+    """Sum over the frames of -i H(J0 c0 + J1 c1 + J2 c2), with J the
     interval kernels of `_omega1_kernels`."""
-    dressed = _dressed_error(drive, err)
-    total = _zero_superop(drive)
-    if drive.tau == 0:
-        return total
-    j0, j1, j2 = _omega1_kernels(drive.tau, tol, max_evaluations)
-    for alpha in frames:
-        c0, c1, c2 = _frame_parts(dressed, alpha, total.shape[0])
-        total += -1.0j * (j0 * c0 + j1 * c1 + 1.0j * j2 * c2)
-    return total
+    c0, c1, c2 = _frame_parts(drive, err, alpha).sum(axis=1)
+    j0, j1, j2 = (
+        _omega1_kernels(drive.tau, tol, max_evaluations) if drive.tau else np.zeros(3)
+    )
+    return -1.0j * hamiltonian_superop(j0 * c0 + j1 * c1 + j2 * c2)
 
 
 def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
                  tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
     """First-order term -i * integral of the twirled dressed error over [0, tau]."""
-    return _omega1_sum(drive, err, (alpha,), tol, max_evaluations)
+    return _omega1_sum(drive, err, alpha, tol, max_evaluations)
 
 
 def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -300,8 +303,7 @@ def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
     Sign orthogonality cancels it exactly; the near-zero matrix is
     returned so callers can assert how close to zero it lands.
     """
-    group = enumerate_group(drive.n_qubits)
-    return _omega1_sum(drive, err, group, tol, max_evaluations) / len(group)
+    return _omega1_sum(drive, err, None, tol, max_evaluations) / 4**drive.n_qubits
 
 
 def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
@@ -319,23 +321,19 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     return triangle_quadrature(kernels, tau, tol, max_evaluations).value
 
 
-def _omega2_sum(drive, err, frames, tol, max_evaluations) -> np.ndarray:
-    """Sum over ``frames`` of
-    -(1/2) (K01 [C0,C1] + i K02 [C0,C2] + i K12 [C1,C2]),
+def _omega2_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
+    """Sum over the frames of
+    -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])),
     the exact expansion of -(1/2) iint [A(t1), A(t2)]."""
-    dressed = _dressed_error(drive, err)
-    total = _zero_superop(drive)
-    if drive.tau == 0 or not err.terms:
-        return total
-    k01, k02, k12 = _omega2_kernels(drive.tau, tol, max_evaluations)
-    for alpha in frames:
-        c0, c1, c2 = _frame_parts(dressed, alpha, total.shape[0])
-        total += -0.5 * (
-            k01 * _commutator(c0, c1)
-            + 1.0j * k02 * _commutator(c0, c2)
-            + 1.0j * k12 * _commutator(c1, c2)
-        )
-    return total
+    c0, c1, c2 = _frame_parts(drive, err, alpha)
+    k01, k02, k12 = (
+        _omega2_kernels(drive.tau, tol, max_evaluations)
+        if drive.tau and err.terms else np.zeros(3)
+    )
+    commutators = (
+        k01 * _commutator(c0, c1) + k02 * _commutator(c0, c2) + k12 * _commutator(c1, c2)
+    )
+    return -1.0j * hamiltonian_superop(-0.5j * commutators.sum(axis=0))
 
 
 def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -343,7 +341,7 @@ def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
     """Second-order term for one twirl word: the time-ordered double
     commutator integral -(1/2) iint [A(t1), A(t2)] with both error
     insertions conjugated by the twirl."""
-    return _omega2_sum(drive, err, (alpha,), tol, max_evaluations)
+    return _omega2_sum(drive, err, alpha, tol, max_evaluations)
 
 
 def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -356,8 +354,7 @@ def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
     triple is integrated once and every frame is summed explicitly, so
     this check does not rely on that cancellation.
     """
-    group = enumerate_group(drive.n_qubits)
-    return _omega2_sum(drive, err, group, tol, max_evaluations) / len(group)
+    return _omega2_sum(drive, err, None, tol, max_evaluations) / 4**drive.n_qubits
 
 
 def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:

@@ -240,6 +240,20 @@ class TestMagnusCheckCommand:
         with pytest.raises(ToleranceError, match="1 crosscheck row"):
             _run_command(_build_parser().parse_args(argv))
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--quad-tolerance", "nan", "quadrature_tol"),
+        ("--tolerance", "nan", "tolerance"),
+        ("--omega1-tolerance", "0", "omega1_tolerance"),
+        ("--max-amplitude", "0.01", "max_amplitude"),
+        ("--max-amplitude", "inf", "max_amplitude"),
+    ])
+    def test_bad_tolerance_or_amplitude_is_config_error(self, flag, value, name, capsys):
+        code, out, err = run_cli(capsys, "magnus-check", "--taus", "0.5",
+                                 "--error-set", "XX=0.2", flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"config error: {name} must be finite" in err
+
 
 class TestConfigFiles:
     def test_dump_config_round_trip(self, tmp_path, capsys):

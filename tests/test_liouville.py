@@ -71,6 +71,21 @@ class TestHamiltonianSuperop:
             hamiltonian_superop(SIGMA_Z), np.diag([0.0, 2.0, -2.0, 0.0]).astype(complex)
         )
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_lie_homomorphism(self, n_qubits):
+        # [H(a), H(b)] = -i H(i [a, b]) with i [a, b] Hermitian, and H(I) = 0
+        # exactly: the Magnus terms are lifted from Hilbert space through it.
+        rng = np.random.default_rng(40 + n_qubits)
+        dim = 2**n_qubits
+        m = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+        a, b = m + m.conj().swapaxes(1, 2)
+        ha, hb = hamiltonian_superop(a), hamiltonian_superop(b)
+        np.testing.assert_allclose(
+            ha @ hb - hb @ ha, -1j * hamiltonian_superop(1j * (a @ b - b @ a)),
+            rtol=0, atol=1e-12,
+        )
+        assert not hamiltonian_superop(np.eye(dim)).any()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hamiltonian_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
