@@ -49,9 +49,15 @@ from .magnus import (
     omega2_avg_closed,
     over_rotation_factor,
 )
-from .numerics import expm, op_norm
+from .numerics import op_norm
 from .pauli import commutation_sign, enumerate_group, identity_string, pauli_from_label
-from .pst_core import effective_generator, ideal_channel, pst_channel, pst_realization
+from .pst_core import (
+    EffectiveGenerator,
+    effective_generator,
+    ideal_channel,
+    pst_channel,
+    pst_realization,
+)
 
 __all__ = [
     "CalibrateConfig",
@@ -240,10 +246,12 @@ class Table1Report:
 def run_table1(config: Table1Config | None = None) -> Table1Report:
     """Compare effective Hamiltonian weights with and without the twirl.
 
-    The untwirled row reads the weights straight off the exponential of
-    the raw generator (identity frame only) and reproduces the input
-    amplitudes; the twirled row zeroes the error words and amplifies the
-    drive weight, which is compared against the sinc-law prediction.
+    The untwirled row projects the raw generator (the identity frame's
+    realization) onto the Pauli words directly, with no channel and no
+    log, so it reproduces the input amplitudes at every tau; the twirled
+    row reads the ensemble channel through its principal log, zeroes the
+    error words and amplifies the drive weight, which is compared against
+    the sinc-law prediction.
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
@@ -251,7 +259,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     labels = [label for label, _ in config.errors] + [config.drive]
 
     raw = pst_realization(drive, err, NoiseSpec(), identity_string(drive.n_qubits))
-    no_pst_eff = effective_generator(expm(raw), drive.tau)
+    no_pst_eff = EffectiveGenerator.from_generator(raw, drive.tau)
     channel = pst_channel(drive, err, NoiseSpec())
     pst_eff = effective_generator(channel, drive.tau)
 
@@ -431,7 +439,7 @@ class MagnusCheckConfig(_Config):
         super().__post_init__()
         if self.random_sets < 0:
             raise ConfigError("random_sets must be >= 0")
-        for name in ("tolerance", "omega1_tolerance", "quadrature_tol"):
+        for name in ("tolerance", "omega1_tolerance", "quadrature_tol", "max_evaluations"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")

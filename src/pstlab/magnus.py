@@ -240,6 +240,8 @@ def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
     words = [word for word, _ in terms]
     signs = 1.0 - 2.0 * commutation_parity(n, words)
     if alpha is not None:
+        if alpha.n_qubits != n:
+            raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
         signs = signs[[enumerate_group(n).index(alpha)]]
     weights = signs * [amplitude for _, amplitude in terms]
     return np.einsum("fw,kwij->kfij", weights, _dressed_parts(words, beta))

@@ -24,16 +24,20 @@ B K_PTM B^dag.  B is the Kronecker power of the one-qubit basis up to a
 fixed index permutation, so both changes of basis run one qubit leg at a
 time and B is never built densely.
 
-`effective_generator` reads a channel back through the principal log and
-projects the Hamiltonian part onto Pauli commutator superoperators
+`EffectiveGenerator.from_generator` projects a generator (a Liouvillian
+such as a `pst_realization`) onto Pauli commutator superoperators
 H_g = P_g kron I - I kron P_g^T, whose pairwise inner products are 2*4^n
-for distinct non-identity words.  The projection needs no superoperator
-per word: with X the scaled log as a tensor X[a,b,c,d] and its partial
-traces L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
+for distinct non-identity words; what the projection leaves is the
+dissipative remainder.  The projection needs no superoperator per word:
+with X the scaled generator as a tensor X[a,b,c,d] and its partial traces
+L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
 <H_g, X> = <P_g, L - R^T>, one 2^n x 2^n inner product.  Since
-H -> H kron I - I kron H^T is linear, the Hamiltonian part of the log is
-the single superoperator of sum_g c_g P_g.  The coefficients are
-normalized so an ideal gate reads 1 on its drive word.
+H -> H kron I - I kron H^T is linear, the Hamiltonian part is the single
+superoperator of sum_g c_g P_g.  The coefficients are normalized so an
+ideal gate reads 1 on its drive word.  A channel has no generator of its
+own: `effective_generator` takes its principal log first, and so reads
+the generator back only while the channel eigenphases stay inside
+(-pi, pi).
 """
 
 from __future__ import annotations
@@ -177,8 +181,8 @@ def ideal_channel(drive: DriveSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Decomposition of a channel log into Pauli-Hamiltonian weights plus
-    a dissipative remainder: log K = -i tau sum_g c_g H_g + remainder.
+    """Decomposition of a generator into Pauli-Hamiltonian weights plus a
+    dissipative remainder: G = -i tau sum_g c_g H_g + remainder.
 
     The coefficient map covers every non-identity word (the identity's
     commutator superoperator vanishes identically, so it has no weight).
@@ -196,8 +200,35 @@ class EffectiveGenerator:
     def remainder_norm(self) -> float:
         return op_norm(self.dissipative_remainder)
 
+    @classmethod
+    def from_generator(cls, generator: np.ndarray, tau: float) -> EffectiveGenerator:
+        """Project a 4^n x 4^n generator onto the Pauli commutator
+        superoperators (see the module notes); `reconstructed` inverts it."""
+        if not math.isfinite(tau) or tau <= 0:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
+        generator = np.asarray(generator, dtype=complex)
+        if generator.ndim != 2 or generator.shape[0] != generator.shape[1]:
+            raise ValueError(f"expected a square generator, got shape {generator.shape}")
+        dim = generator.shape[0]
+        n = round(math.log(dim, 4))
+        if 4**n != dim:
+            raise ValueError(f"generator dimension {dim} is not a power of 4")
+
+        side = 2**n
+        scaled = (generator / (-1.0j * tau)).reshape(side, side, side, side)
+        left = np.trace(scaled, axis1=1, axis2=3)    # L[a,c] = sum_b X[a,b,c,b]
+        right = np.trace(scaled, axis1=0, axis2=2)   # R[b,d] = sum_a X[a,b,a,d]
+        projected = left - right.T                   # <H_g, X> = <P_g, L - R^T>
+        normalization = 2.0 * dim  # <H_g, H_g'> = 2 * 4^n * delta_gg'
+        coeffs = {
+            word: float(np.real(np.vdot(matrix_of(word), projected)) / normalization)
+            for word in enumerate_group(n)[1:]
+        }
+        hamiltonian = hamiltonian_superop(_pauli_sum(coeffs.items(), side))
+        return cls(tau, coeffs, generator + 1.0j * tau * hamiltonian)
+
     def reconstructed(self) -> np.ndarray:
-        """-i tau sum_g c_g H_g + remainder; equals the original channel log."""
+        """-i tau sum_g c_g H_g + remainder; equals the projected generator."""
         remainder = np.asarray(self.dissipative_remainder, dtype=complex)
         side = math.isqrt(remainder.shape[0])
         hamiltonian = _pauli_sum(self.hamiltonian_coeffs.items(), side)
@@ -216,34 +247,16 @@ class EffectiveGenerator:
 
 def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     """Extract drive-normalized Pauli weights and the dissipative remainder
-    from a channel via its principal log.
+    from a channel: `EffectiveGenerator.from_generator` of its principal log.
 
-    Valid only while the channel eigenphases stay away from +-pi; the
-    principal log raises a branch error otherwise.
+    The weights are those of the channel's generator only while the
+    channel eigenphases stay inside (-pi, pi); for a Hamiltonian h, while
+    tau times the eigenvalue spread of h stays below pi.  The principal
+    log raises a branch error only within ``branch_tol`` of the cut.
+    Past it, the log returns another branch without an error, and the
+    weights are aliased.
     """
-    if not math.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError(f"expected a square channel matrix, got shape {k.shape}")
-    dim = k.shape[0]
-    n = round(math.log(dim, 4))
-    if 4**n != dim:
-        raise ValueError(f"channel dimension {dim} is not a power of 4")
-
-    log_k = logm_principal(k)
-    side = 2**n
-    scaled = (log_k / (-1.0j * tau)).reshape(side, side, side, side)
-    left = np.trace(scaled, axis1=1, axis2=3)    # L[a,c] = sum_b X[a,b,c,b]
-    right = np.trace(scaled, axis1=0, axis2=2)   # R[b,d] = sum_a X[a,b,a,d]
-    projected = left - right.T                   # <H_g, X> = <P_g, L - R^T>
-    normalization = 2.0 * dim  # <H_g, H_g'> = 2 * 4^n * delta_gg'
-    coeffs = {
-        word: float(np.real(np.vdot(matrix_of(word), projected)) / normalization)
-        for word in enumerate_group(n)[1:]
-    }
-    remainder = log_k + 1.0j * tau * hamiltonian_superop(_pauli_sum(coeffs.items(), side))
-    return EffectiveGenerator(tau, coeffs, remainder)
+    return EffectiveGenerator.from_generator(logm_principal(k), tau)
 
 
 def calibrate_tau(theta: float, sum_h2: float) -> float:

@@ -246,6 +246,8 @@ class TestMagnusCheckCommand:
         ("--omega1-tolerance", "0", "omega1_tolerance"),
         ("--max-amplitude", "0.01", "max_amplitude"),
         ("--max-amplitude", "inf", "max_amplitude"),
+        ("--max-evaluations", "0", "max_evaluations"),
+        ("--max-evaluations", "-5", "max_evaluations"),
     ])
     def test_bad_tolerance_or_amplitude_is_config_error(self, flag, value, name, capsys):
         code, out, err = run_cli(capsys, "magnus-check", "--taus", "0.5",

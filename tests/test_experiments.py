@@ -31,6 +31,16 @@ class TestTable1:
         assert report.theoretical_drive_coeff == pytest.approx(1.019, abs=1e-3)
         assert report.agreement_pct == pytest.approx(99.8, abs=0.1)
 
+    @pytest.mark.parametrize("tau", [0.5, 0.95, 1.0])
+    def test_untwirled_row_reproduces_inputs(self, tau):
+        # Past tau = 0.93 the default terms push the raw gate's eigenphases
+        # beyond pi, where a log of its exponential would alias.
+        report = run_table1(Table1Config(tau=tau))
+        inputs = {"XX": 0.2, "YY": 0.6, "ZZ": 0.2, "YX": 0.4, "ZX": 1.0}
+        assert report.no_pst.keys() == inputs.keys()
+        for label, amplitude in inputs.items():
+            assert abs(report.no_pst[label] - amplitude) <= 1e-12
+
     def test_zero_error_config(self):
         config = Table1Config(errors=(("XX", 0.0), ("YY", 0.0)))
         report = run_table1(config)

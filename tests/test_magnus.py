@@ -287,6 +287,14 @@ class TestOmega2:
         )
 
 
+class TestFrameRegister:
+    @pytest.mark.parametrize("omega", [omega1_alpha, omega2_alpha])
+    def test_frame_on_another_register_is_rejected(self, omega):
+        err = CoherentErrorSpec.from_amplitudes({"XX": 0.3})
+        with pytest.raises(ValueError, match="frame word acts on 1 qubits, drive on 2"):
+            omega(drive_zx(), err, pauli_from_label("X"))
+
+
 class TestClosedForm:
     def test_default_prefactor(self):
         drive = drive_zx()

@@ -295,6 +295,27 @@ class TestEffectiveGenerator:
             assert abs(eff.hamiltonian_coeffs[word] - value) <= 1e-15
         np.testing.assert_allclose(eff.reconstructed(), logm_principal(k), atol=1e-13)
 
+    def test_generator_projection_matches_superoperators(self):
+        # A generator with a drive, a Hermitian contamination and an
+        # amplitude-damping dissipator, projected with no log in between.
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        g = (-1j * 0.5 * word_superop("ZX") + 0.1 * (a + a.conj().T) / 2
+             + dissipator_superop(NoiseSpec("amplitude_damping", 0.7), 2))
+        eff = EffectiveGenerator.from_generator(g, 0.5)
+        reference = superop_projection(g, 0.5)
+        assert eff.hamiltonian_coeffs.keys() == reference.keys()
+        for word, value in reference.items():
+            assert abs(eff.hamiltonian_coeffs[word] - value) <= 1e-15
+        np.testing.assert_allclose(eff.reconstructed(), g, rtol=0, atol=1e-13)
+
+    def test_channel_extraction_projects_the_principal_log(self):
+        k = pst_channel(drive_zx(), table1_error(), NoiseSpec("amplitude_damping", 0.5))
+        eff = effective_generator(k, 0.5)
+        direct = EffectiveGenerator.from_generator(logm_principal(k), 0.5)
+        assert eff.hamiltonian_coeffs == direct.hamiltonian_coeffs
+        assert np.array_equal(eff.dissipative_remainder, direct.dissipative_remainder)
+
     def test_excludes_identity_word(self):
         eff = effective_generator(ideal_channel(drive_zx()), 0.5)
         assert all(not word.is_identity for word in eff.hamiltonian_coeffs)
