@@ -5,6 +5,17 @@ code 1 and ``ArithmeticError`` subclasses (numerical failure) to exit
 code 2, so new error types should slot into one of those families.
 """
 
+__all__ = [
+    "BranchCutError",
+    "CalibrationError",
+    "ConfigError",
+    "DefectiveMatrixError",
+    "PauliParseError",
+    "QuadratureError",
+    "ResourceLimitError",
+    "ToleranceError",
+]
+
 
 class PauliParseError(ValueError):
     """A Pauli label contains a character outside {I, X, Y, Z}."""

@@ -23,27 +23,32 @@ above plus ``SignTableConfig``, ``OverRotationConfig`` and
 ``CalibrateConfig`` for the scalar commands.  Construction coerces each
 field to its annotated type (``ConfigError`` names a field that does not
 fit; a ``PauliLabel`` is also stripped and upper-cased), ``from_dict``
-rejects unknown fields, and ``to_dict`` gives the JSON form, tuples as
-lists.  Each field also declares its command-line flag, from which
-``pstlab.cli`` derives every subcommand's options.
+rejects unknown fields, and ``to_dict`` is ``dataclasses.asdict`` (JSON
+writes its tuples as lists).  Construction also builds the drive, error and
+noise specs the run would build, so a config that cannot run raises
+``ConfigError`` before anything is dumped or computed.  Each field also
+declares its command-line flag, from which ``pstlab.cli`` derives every
+subcommand's options.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .liouville import NOISE_KINDS, NoiseSpec
+from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
     anticommuting_sum_h2,
+    check_drive_error_compat,
     omega1_avg,
     omega2_avg,
     omega2_avg_closed,
@@ -152,14 +157,24 @@ def _coerce(hint, value):
     return hint(value)
 
 
-def _plain(value):
-    return [_plain(item) for item in value] if isinstance(value, tuple) else value
+@contextlib.contextmanager
+def _as_config_error():
+    """Re-raise a spec's ValueError as a ConfigError, message unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _require_nonempty(config, name: str) -> None:
+    if not getattr(config, name):
+        raise ConfigError(f"{name} must hold at least one value")
 
 
 class _Config:
     """Shared behaviour of the frozen config dataclasses: every field is
     coerced to its annotated type on construction, and a config converts
-    to and from the JSON object its reports echo."""
+    to (``asdict``) and from the JSON object its reports echo."""
 
     def __post_init__(self):
         hints = typing.get_type_hints(type(self))
@@ -171,7 +186,7 @@ class _Config:
                 raise ConfigError(f"config field {spec.name!r}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {spec.name: _plain(getattr(self, spec.name)) for spec in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict):
@@ -200,6 +215,11 @@ class Table1Config(_Config):
         help="error term, repeatable (default XX=0.2 YY=0.6 ZZ=0.2 YX=0.4)",
     )
     scale: float = _field(1.0, help="global error scale (default 1)")
+
+    def __post_init__(self):
+        super().__post_init__()
+        with _as_config_error():
+            check_drive_error_compat(self.drive_spec(), self.error_spec())
 
     def drive_spec(self) -> DriveSpec:
         return DriveSpec.single(self.drive, self.tau)
@@ -233,8 +253,8 @@ class Table1Report:
             "agreement_pct": self.agreement_pct,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         lines = ["word,no_pst,pst"]
@@ -309,9 +329,7 @@ class ParitySweepConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        for kind in self.noise_kinds:
-            if kind not in NOISE_KINDS:
-                raise ConfigError(f"unknown noise kind {kind!r}")
+        _require_nonempty(self, "noise_kinds")
         if self.deltas is None:
             if self.delta_points < 1 or self.delta_points % 2 == 0:
                 raise ConfigError(
@@ -320,19 +338,24 @@ class ParitySweepConfig(_Config):
                 )
             if not self.delta_max > 0:
                 raise ConfigError(f"delta_max must be positive, got {self.delta_max}")
-
-    def delta_grid(self) -> tuple[float, ...]:
-        """Ascending grid containing an exact -delta partner for every delta."""
-        if self.deltas is not None:
-            grid = sorted(self.deltas)
-            values = set(grid)
-            missing = [d for d in grid if -d not in values]
+        else:
+            values = set(self.deltas)
+            missing = [d for d in sorted(values) if -d not in values]
             if missing:
                 raise ConfigError(
                     f"delta grid lacks the mirror of {missing}; the symmetrized"
                     " reference needs +-delta pairs"
                 )
-            return tuple(grid)
+        with _as_config_error():
+            drive = self.drive_spec()
+            check_drive_error_compat(drive, self.error_spec(1.0))
+            for kind in self.noise_kinds:
+                self.noise_spec(kind).resolved_targets(drive.n_qubits)
+
+    def delta_grid(self) -> tuple[float, ...]:
+        """Ascending grid containing an exact -delta partner for every delta."""
+        if self.deltas is not None:
+            return tuple(sorted(self.deltas))
         half = (self.delta_points - 1) // 2
         positives = [self.delta_max * k / half for k in range(1, half + 1)] if half else []
         return tuple([-d for d in reversed(positives)] + [0.0] + positives)
@@ -448,6 +471,13 @@ class MagnusCheckConfig(_Config):
                 f"max_amplitude must be finite and >= {RANDOM_AMPLITUDE_FLOOR},"
                 f" the smallest random amplitude; got {self.max_amplitude}"
             )
+        _require_nonempty(self, "taus")
+        if self.error_sets is not None:
+            _require_nonempty(self, "error_sets")
+        with _as_config_error():
+            drive = DriveSpec.single(self.drive, 0.0)
+            for pairs in self.resolved_error_sets():
+                check_drive_error_compat(drive, CoherentErrorSpec.from_amplitudes(pairs))
 
     def resolved_error_sets(self) -> tuple[tuple[tuple[str, float], ...], ...]:
         """Explicit sets if given, else the default amplitudes plus seeded
@@ -489,16 +519,6 @@ class MagnusCheckRow:
     within_tolerance: bool
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "errors": [list(pair) for pair in self.errors],
-            "discrepancy": self.discrepancy,
-            "omega1_norm": self.omega1_norm,
-            "within_tolerance": self.within_tolerance,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class MagnusCheckReport:
@@ -512,12 +532,12 @@ class MagnusCheckReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "rows": [row.to_json_dict() for row in self.rows],
+            "rows": [asdict(row) for row in self.rows],
             "all_within_tolerance": self.all_within_tolerance,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         lines = ["tau,errors,discrepancy,omega1_norm,within_tolerance,note"]

@@ -88,12 +88,30 @@ __all__ = [
 ]
 
 
-def _as_terms(terms) -> tuple[tuple[PauliString, float], ...]:
+def _as_terms(terms, role: str) -> tuple[tuple[PauliString, float], ...]:
+    """(word, coefficient) pairs, labels parsed, under the rules every Pauli
+    sum here obeys: one register, no identity word, no repeated word,
+    finite coefficients.  Messages name the ``role`` ("drive" or "error")."""
     out = []
+    seen = set()
     for word, coefficient in terms:
         if isinstance(word, str):
             word = pauli_from_label(word)
-        out.append((word, float(coefficient)))
+        coefficient = float(coefficient)
+        if out and word.n_qubits != out[0][0].n_qubits:
+            raise ValueError(
+                f"{role} terms must act on the same register; {word.label} does not"
+            )
+        if word.is_identity:
+            raise ValueError(
+                f"identity word {word.label} generates nothing; drop it from the {role}"
+            )
+        if word in seen:
+            raise ValueError(f"duplicate {role} term {word.label}")
+        if not math.isfinite(coefficient):
+            raise ValueError(f"{role} coefficient for {word.label} must be finite")
+        seen.add(word)
+        out.append((word, coefficient))
     return tuple(out)
 
 
@@ -105,23 +123,11 @@ class DriveSpec:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _as_terms(self.terms))
+        object.__setattr__(self, "terms", _as_terms(self.terms, "drive"))
         if not self.terms:
             raise ValueError("drive needs at least one Pauli term")
         if not math.isfinite(self.tau) or self.tau < 0:
             raise ValueError(f"drive duration must be finite and >= 0, got {self.tau}")
-        n = self.terms[0][0].n_qubits
-        seen = set()
-        for word, coefficient in self.terms:
-            if word.n_qubits != n:
-                raise ValueError("drive terms must act on the same register")
-            if word.is_identity:
-                raise ValueError("identity word generates nothing; drop it from the drive")
-            if word.label in seen:
-                raise ValueError(f"duplicate drive term {word.label}")
-            seen.add(word.label)
-            if not math.isfinite(coefficient):
-                raise ValueError(f"drive coefficient for {word.label} must be finite")
 
     @classmethod
     def single(cls, label: str, tau: float, coefficient: float = 1.0) -> "DriveSpec":
@@ -155,20 +161,9 @@ class CoherentErrorSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _as_terms(self.terms))
+        object.__setattr__(self, "terms", _as_terms(self.terms, "error"))
         if not math.isfinite(self.scale):
             raise ValueError("scale must be finite")
-        seen = set()
-        for word, amplitude in self.terms:
-            if word.n_qubits != self.terms[0][0].n_qubits:
-                raise ValueError("error terms must act on the same register")
-            if word.is_identity:
-                raise ValueError("identity word generates nothing; drop it")
-            if word.label in seen:
-                raise ValueError(f"duplicate error term {word.label}")
-            seen.add(word.label)
-            if not math.isfinite(amplitude):
-                raise ValueError(f"amplitude for {word.label} must be finite")
 
     @classmethod
     def from_amplitudes(cls, amplitudes, scale: float = 1.0) -> "CoherentErrorSpec":

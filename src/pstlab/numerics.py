@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 QUADRATURE_ORDER = 8  # composite 4-point Gauss-Legendre per cell
+# Eigenvalues this close to the principal log's branch cut are rejected.
+BRANCH_TOL = 1e-8
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
@@ -72,11 +74,11 @@ def expm(m) -> np.ndarray:
     return scipy.linalg.expm(_as_square_finite(m))
 
 
-def logm_principal(m, branch_tol: float = 1e-8) -> np.ndarray:
+def logm_principal(m) -> np.ndarray:
     """Principal matrix logarithm via eigendecomposition.
 
     Requires a diagonalizable input with every eigenvalue farther than
-    ``branch_tol`` from the closed negative real axis (the branch cut,
+    ``BRANCH_TOL`` from the closed negative real axis (the branch cut,
     including 0).  Eigenvalue arguments of the result lie in (-pi, pi).
     A near-defective eigenbasis raises instead of silently degrading.
     """
@@ -85,13 +87,13 @@ def logm_principal(m, branch_tol: float = 1e-8) -> np.ndarray:
     for value in eigvals:
         # Distance to the ray (-inf, 0]: |Im| beside it, |z| past its end.
         distance = abs(value.imag) if value.real < 0 else abs(value)
-        if distance <= branch_tol:
-            if abs(value) <= branch_tol:
+        if distance <= BRANCH_TOL:
+            if abs(value) <= BRANCH_TOL:
                 raise BranchCutError(
                     f"matrix is singular to working precision (eigenvalue {value:.3e})"
                 )
             raise BranchCutError(
-                f"eigenvalue {value:.6e} lies within {branch_tol:g} of the"
+                f"eigenvalue {value:.6e} lies within {BRANCH_TOL:g} of the"
                 " branch cut of the principal logarithm; reduce the evolution"
                 " time tau so the eigenphases stay inside (-pi, pi)"
             )
@@ -119,7 +121,9 @@ def op_norm(m) -> float:
 
 
 def sinc(x: float) -> float:
-    """sin(x)/x with a series fallback near 0."""
+    """sin(x)/x with a series fallback near 0, and its limit 0 at +-inf."""
+    if math.isinf(x):
+        return 0.0
     if abs(x) < 1e-4:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0

@@ -241,8 +241,8 @@ class EffectiveGenerator:
             "remainder_norm": self.remainder_norm(),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
@@ -252,7 +252,7 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     The weights are those of the channel's generator only while the
     channel eigenphases stay inside (-pi, pi); for a Hamiltonian h, while
     tau times the eigenvalue spread of h stays below pi.  The principal
-    log raises a branch error only within ``branch_tol`` of the cut.
+    log raises a branch error only within ``numerics.BRANCH_TOL`` of the cut.
     Past it, the log returns another branch without an error, and the
     weights are aliased.
     """

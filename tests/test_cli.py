@@ -123,6 +123,11 @@ class TestScalarCommands:
         assert code == 1
         assert "sum-h2" in err
 
+    def test_overrotation_at_overflowing_tau_reads_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "overrotation", "--tau", "1e308",
+                                 "--sum-h2", "1")
+        assert (code, out, err) == (0, "1.5\n", "")
+
     def test_calibrate_trivial_half_angle(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate", "--theta", "1.0", "--sum-h2", "0")
         assert code == 0
@@ -318,6 +323,23 @@ QUICK_ARGV = {
     "calibrate": ["--theta", "1.0", "--sum-h2", "0.24"],
 }
 
+# Configs that coerce field by field but name specs no run can build.
+UNRUNNABLE_ARGV = [
+    ["parity-sweep", "--deltas=0.5,0"],
+    ["parity-sweep", "--noise-targets", "3"],
+    ["parity-sweep", "--zeta=-1"],
+    ["table1", "--error", "ZX=0.1"],
+    ["table1", "--drive", "ZXI", "--error", "XX=0.2"],
+    ["magnus-check", "--drive", "X"],
+    ["magnus-check", "--drive", "XX"],
+]
+
+# An empty list that would leave a run with nothing to do, and its field.
+EMPTY_LIST_ARGV = [
+    (["magnus-check", "--taus="], "taus"),
+    (["parity-sweep", "--noise-kinds="], "noise_kinds"),
+]
+
 COMMON_OPTIONS = {"-h", "--help", "--config", "--dump-config", "--output", "--format"}
 
 
@@ -438,6 +460,33 @@ class TestConfigSchema:
         }
         for sub in commands.choices.values():
             assert COMMON_OPTIONS <= set(sub._option_string_actions)
+
+
+class TestConfigRejectsWhatTheRunRejects:
+    @pytest.mark.parametrize("argv", UNRUNNABLE_ARGV, ids=" ".join)
+    def test_dump_config_fails_as_the_run_does(self, argv, capsys):
+        run_code, _, run_err = run_cli(capsys, *argv)
+        dump_code, dump_out, dump_err = run_cli(capsys, *argv, "--dump-config")
+        assert run_code == dump_code == 1
+        assert dump_out == ""
+        assert dump_err == run_err
+        assert "config error" in dump_err
+
+    @pytest.mark.parametrize("argv, name", EMPTY_LIST_ARGV,
+                             ids=[name for _, name in EMPTY_LIST_ARGV])
+    def test_empty_list_flag_is_config_error(self, argv, name, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"config error: {name} must hold at least one value" in err
+
+    def test_empty_error_sets_in_file_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"error_sets": []}))
+        code, out, err = run_cli(capsys, "magnus-check", "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert "config error: error_sets must hold at least one value" in err
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,32 @@ class TestSpecs:
         err = CoherentErrorSpec.from_amplitudes({"X": 0.1})
         with pytest.raises(ValueError):
             check_drive_error_compat(drive_zx(), err)
+
+
+# One term list per per-term rule, each breaking only that rule, with the
+# message it must raise; "{role}" is the spec's role.
+BROKEN_TERMS = {
+    "register": ((("ZX", 1.0), ("Z", 0.5)),
+                 "{role} terms must act on the same register; Z does not"),
+    "identity": ((("ZX", 1.0), ("II", 0.5)),
+                 "identity word II generates nothing; drop it from the {role}"),
+    "duplicate": ((("ZX", 1.0), ("ZX", 0.5)), "duplicate {role} term ZX"),
+    "finite": ((("ZX", 1.0), ("XX", math.inf)),
+               "{role} coefficient for XX must be finite"),
+}
+
+
+class TestTermRules:
+    @pytest.mark.parametrize("rule", sorted(BROKEN_TERMS))
+    @pytest.mark.parametrize("build, role", [
+        (lambda terms: DriveSpec(terms, 0.5), "drive"),
+        (CoherentErrorSpec, "error"),
+    ], ids=["drive", "error"])
+    def test_each_rule_names_role_and_word(self, build, role, rule):
+        terms, message = BROKEN_TERMS[rule]
+        expected = "^" + re.escape(message.format(role=role)) + "$"
+        with pytest.raises(ValueError, match=expected):
+            build(terms)
 
 
 class TestInteractionDressed:

@@ -145,6 +145,11 @@ class TestSinc:
     def test_at_pi(self):
         assert abs(sinc(math.pi)) < 1e-16
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, 2.0 * 1e308],
+                             ids=["inf", "-inf", "overflow"])
+    def test_infinite_argument_is_the_limit(self, x):
+        assert sinc(x) == 0.0
+
 
 class TestTriangleQuadrature:
     def test_constant_integrand(self):
