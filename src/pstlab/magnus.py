@@ -31,7 +31,9 @@ so the time-ordered integral needs only the scalar kernel triple
 (K01, K02, K12) of those three trigonometric factors over the triangle
 0 <= t2 <= t1 <= tau, and the first-order term only the integrals
 (J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau].  Both depend on tau
-alone and are integrated once per call; each frame then costs three
+alone, so each is integrated once per (tau, tol, max_evaluations) and
+cached as a read-only array (a failed quadrature is not cached, so its
+error reaches every caller); each frame then costs three
 2^n x 2^n commutators, batched over the frame axis.  The sum over all
 4^n frames is kept explicit rather than collapsed by sign orthogonality,
 so the crosscheck does not assume the cancellation the closed form
@@ -58,6 +60,7 @@ drive is accepted only by the ensemble builder in `pst_core`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -268,13 +271,19 @@ def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np
     )
 
 
+def _read_only(kernels: np.ndarray) -> np.ndarray:
+    kernels.flags.writeable = False
+    return kernels
+
+
+@functools.lru_cache(maxsize=256)
 def _omega1_kernels(tau: float, tol: float,
                     max_evaluations: int = 2**20) -> np.ndarray:
     """Integrals of (1, cos 2t, sin 2t) over [0, tau]."""
-    return interval_quadrature(
+    return _read_only(interval_quadrature(
         lambda t: np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)]),
         tau, tol, max_evaluations,
-    ).value
+    ).value)
 
 
 def _omega1_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
@@ -303,6 +312,7 @@ def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
     return _omega1_sum(drive, err, None, tol, max_evaluations) / 4**drive.n_qubits
 
 
+@functools.lru_cache(maxsize=256)
 def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     """Kernel triple (K01, K02, K12): the integrals of
     (cos 2t2 - cos 2t1, sin 2t2 - sin 2t1, sin 2(t2 - t1))
@@ -315,7 +325,7 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
             math.sin(2.0 * (t2 - t1)),
         ])
 
-    return triangle_quadrature(kernels, tau, tol, max_evaluations).value
+    return _read_only(triangle_quadrature(kernels, tau, tol, max_evaluations).value)
 
 
 def _omega2_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Dense complex numerics: expm, principal logm, operator norm, quadrature.
 
-The exponential delegates to scipy's scaling-and-squaring Pade
+The general exponential delegates to scipy's scaling-and-squaring Pade
 implementation; spectral radii in this package stay small (at most ~10
-for the strongest dissipators), well inside its comfort zone.  The
+for the strongest dissipators), well inside its comfort zone.  Only
+dissipative generators need it, so scipy is imported on the first `expm`
+call rather than with this module.  A unitary exp(-i t h) of a Hermitian
+h comes from numpy's `eigh` instead (`expm_hermitian`).  The
 principal logarithm is an explicit eigendecomposition so that branch-cut
 proximity and defective inputs surface as errors instead of silently
 degraded results.
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, DefectiveMatrixError, QuadratureError
 
@@ -31,6 +33,7 @@ __all__ = [
     "QUADRATURE_ORDER",
     "QuadratureResult",
     "expm",
+    "expm_hermitian",
     "interval_quadrature",
     "logm_principal",
     "op_norm",
@@ -71,7 +74,18 @@ def _as_square_finite(m) -> np.ndarray:
 
 def expm(m) -> np.ndarray:
     """Matrix exponential of a square complex matrix."""
+    import scipy.linalg  # deferred: only dissipative generators need it
+
     return scipy.linalg.expm(_as_square_finite(m))
+
+
+def expm_hermitian(h, t: float) -> np.ndarray:
+    """exp(-i t h) of a Hermitian h, from its eigendecomposition.
+
+    Only the lower triangle of h is read, as by `np.linalg.eigh`.
+    """
+    energies, basis = np.linalg.eigh(_as_square_finite(h))
+    return (basis * np.exp(-1.0j * t * energies)) @ basis.conj().T
 
 
 def logm_principal(m) -> np.ndarray:

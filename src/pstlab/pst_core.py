@@ -10,7 +10,12 @@ The ensemble channel is the exact uniform average over all 4^n frames
 (no sampling), but it is not computed frame by frame.  A frame changes
 only the drive-sign pattern s, so the k drive terms realize at most 2^k
 distinct flipped generators G_s (dependent drive words realize fewer),
-and `pst_channel` runs one `expm` per realized pattern.  Pauli frames are
+and `pst_channel` runs one exponential per realized pattern.  Each
+pattern's Hamiltonian H_s = error + sum_j s_j c_j P_j is built once as a
+2^n x 2^n matrix.  Without noise, exp(G_s) is the lift U_s kron U_s* of
+the Hilbert-space unitary U_s = exp(-i tau H_s), taken from `eigh`, and
+no Liouville `expm` runs; with noise it is the 4^n x 4^n `expm` of
+noise - i tau H(H_s).  Pauli frames are
 diagonal in the Pauli-transfer basis: column i of B is vec(P_i)/sqrt(2^n)
 (row-major), and B^dag (P_a kron P_a*) B = diag(chi_a), with chi_a(P_i)
 the commutation sign of the frame word and P_i.  The frame average of
@@ -49,21 +54,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError
-from .liouville import NoiseSpec, dissipator_superop, hamiltonian_superop
+from .liouville import (
+    NoiseSpec,
+    dissipator_superop,
+    hamiltonian_superop,
+    unitary_superop,
+)
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
     check_drive_error_compat,
     over_rotation_factor,
 )
-from .numerics import expm, logm_principal, op_norm
+from .numerics import expm, expm_hermitian, logm_principal, op_norm
 from .pauli import (
     PauliString,
     check_qubit_count,
     commutation_parity,
     commutation_sign,
     enumerate_group,
-    identity_string,
     matrix_of,
     pauli_from_label,
 )
@@ -87,35 +96,54 @@ def _pauli_sum(terms, side: int) -> np.ndarray:
     return total
 
 
-def _flipped_generators(drive: DriveSpec, err: CoherentErrorSpec, noise: NoiseSpec):
-    """The generator driven in a frame, as a function of the frame's drive
-    signs s_j: noise - i tau (error + sum_j s_j c_j H_j).
+def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
+    """signs -> H_s = error + sum_j s_j c_j P_j, the 2^n x 2^n Hamiltonian
+    driven in a frame with drive signs s_j.
 
-    The frame-independent part, noise - i tau error, is built once here;
-    each call builds only the sign-flipped drive.
+    The frame-independent error sum is built once here; each call adds
+    only the sign-flipped drive.
     """
     side = 2**drive.n_qubits
-    tau = drive.tau
-    static = (dissipator_superop(noise, drive.n_qubits)
-              - 1.0j * tau * hamiltonian_superop(_pauli_sum(err.scaled_terms(), side)))
+    error = _pauli_sum(err.scaled_terms(), side)
 
-    def generator(signs) -> np.ndarray:
+    def hamiltonian(signs) -> np.ndarray:
         terms = [(word, sign * c) for sign, (word, c) in zip(signs, drive.terms)]
-        return static - 1.0j * tau * hamiltonian_superop(_pauli_sum(terms, side))
+        return error + _pauli_sum(terms, side)
 
-    return generator
+    return hamiltonian
+
+
+def _pattern_channels(drive: DriveSpec, err: CoherentErrorSpec, noise: NoiseSpec):
+    """The realization channel exp(G_s) as a function of the drive signs.
+
+    Without noise (kind "none" or rate 0) G_s = -i tau H(H_s), so the
+    channel is the lift U kron U* of the 2^n x 2^n unitary
+    U = exp(-i tau H_s).  Otherwise it is the Liouville `expm` of
+    noise - i tau H(H_s).
+    """
+    hamiltonian = _pattern_hamiltonian(drive, err)
+    tau = drive.tau
+    if noise.kind == "none" or noise.rate == 0:
+        return lambda signs: unitary_superop(expm_hermitian(hamiltonian(signs), tau))
+    dissipator = dissipator_superop(noise, drive.n_qubits)
+    return lambda signs: expm(
+        dissipator - 1.0j * tau * hamiltonian_superop(hamiltonian(signs))
+    )
 
 
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
                     noise: NoiseSpec, alpha: PauliString) -> np.ndarray:
-    """The generator driven between the gates of frame word ``alpha``."""
+    """The generator driven between the gates of frame word ``alpha``:
+    noise - i tau H(error + sum_j s_j c_j P_j)."""
     check_drive_error_compat(drive, err)
     if alpha.n_qubits != drive.n_qubits:
         raise ValueError(
             f"frame word acts on {alpha.n_qubits} qubits, drive on {drive.n_qubits}"
         )
     signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
-    return _flipped_generators(drive, err, noise)(signs)
+    hamiltonian = _pattern_hamiltonian(drive, err)(signs)
+    return (dissipator_superop(noise, drive.n_qubits)
+            - 1.0j * drive.tau * hamiltonian_superop(hamiltonian))
 
 
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
@@ -145,14 +173,14 @@ def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
 def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
                 noise: NoiseSpec | None = None) -> np.ndarray:
     """Uniform average of P_alpha exp(flipped generator) P_alpha over all
-    4^n frame words, computed exactly with one `expm` per realized
+    4^n frame words, computed exactly with one exponential per realized
     drive-sign pattern and a Pauli-transfer mask (see the module notes)."""
     err = err if err is not None else CoherentErrorSpec()
     noise = noise if noise is not None else NoiseSpec()
     check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
     dim = 4**n
-    generator = _flipped_generators(drive, err, noise)
+    channel = _pattern_channels(drive, err, noise)
 
     words = [word for word, _ in drive.terms]
     patterns, frame_pattern = np.unique(
@@ -163,20 +191,20 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
 
     total = np.zeros((dim, dim), dtype=complex)
     for s, bits in enumerate(patterns):
-        ptm = _pauli_transfer(expm(generator([1 - 2 * int(bit) for bit in bits])), n)
+        ptm = _pauli_transfer(channel([1 - 2 * int(bit) for bit in bits]), n)
         rows = 1.0 - 2.0 * parity[frame_pattern == s]
         ptm *= rows.T @ rows
         total += ptm
-        del ptm, rows  # keep them out of the next expm's peak memory
+        del ptm, rows  # keep them out of the next pattern's peak memory
     total /= dim
     return _pauli_transfer(total, n, inverse=True)
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
     """Noiseless, error-free gate channel exp(-i tau H_drive): the
-    identity frame's realization."""
-    return expm(pst_realization(drive, CoherentErrorSpec(), NoiseSpec(),
-                                identity_string(drive.n_qubits)))
+    identity frame's realization, lifted from its 2^n x 2^n unitary."""
+    channel = _pattern_channels(drive, CoherentErrorSpec(), NoiseSpec())
+    return channel([1] * len(drive.terms))
 
 
 @dataclass(frozen=True)

@@ -184,13 +184,14 @@ class TestMagnusCrosscheck:
         assert report.rows[0].omega1_norm <= 1e-12
 
     def test_convergence_failure_noted_and_run_continues(self):
+        # Each tau's rows share its kernels; a failure reaches every row.
         config = MagnusCheckConfig(
             taus=(0.5, 1.0),
-            error_sets=((("XX", 0.2),),),
+            error_sets=((("XX", 0.2),), (("YX", 0.4), ("XX", 0.1))),
             max_evaluations=50,
         )
         report = run_magnus_crosscheck(config)
-        assert len(report.rows) == 2
+        assert len(report.rows) == 4
         assert not report.all_within_tolerance
         for row in report.rows:
             assert "quadrature" in row.note

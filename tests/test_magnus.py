@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from pstlab import magnus
 from pstlab.errors import QuadratureError
 from pstlab.liouville import hamiltonian_superop
 from pstlab.magnus import (
@@ -418,6 +419,26 @@ class TestScalarKernels:
         np.testing.assert_allclose(
             _omega1_kernels(tau, 1e-12), [tau, s / 2, (1 - c) / 2], rtol=0, atol=1e-12
         )
+
+    def test_kernels_are_integrated_once_and_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(quadrature):
+            def run(*args):
+                calls.append(quadrature.__name__)
+                return quadrature(*args)
+            return run
+
+        monkeypatch.setattr(magnus, "triangle_quadrature", counting(triangle_quadrature))
+        monkeypatch.setattr(magnus, "interval_quadrature", counting(interval_quadrature))
+        _omega1_kernels.cache_clear()
+        _omega2_kernels.cache_clear()
+        for _ in range(3):
+            first, second = _omega1_kernels(0.45, 1e-9), _omega2_kernels(0.45, 1e-9, 2**20)
+        assert sorted(calls) == ["interval_quadrature", "triangle_quadrature"]
+        for kernels in (first, second):
+            with pytest.raises(ValueError, match="read-only"):
+                kernels[0] = 0.0
 
     @pytest.mark.parametrize("name", sorted(ORACLE_ERRORS))
     @pytest.mark.parametrize("tau", ORACLE_TAUS)

@@ -12,6 +12,7 @@ from pstlab.numerics import (
     QuadratureResult,
     _composite_rule,
     expm,
+    expm_hermitian,
     interval_quadrature,
     logm_principal,
     op_norm,
@@ -47,11 +48,22 @@ class TestExpm:
             delta = np.linalg.norm(full - half @ half) / np.linalg.norm(full)
             assert delta < 1e-12
 
+    def test_hermitian_exponential_matches_expm(self):
+        # exp(-i t h) from eigh, degenerate spectra included.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for h in (a + a.conj().T, np.kron(SIGMA_Z, np.eye(4)), np.zeros((8, 8))):
+            for t in (0.3, -1.7):
+                np.testing.assert_allclose(
+                    expm_hermitian(h, t), expm(-1j * t * h), rtol=0, atol=1e-13
+                )
+
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            expm(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for exponential in (expm, lambda m: expm_hermitian(m, 1.0)):
+            with pytest.raises(ValueError):
+                exponential(np.zeros((2, 3)))
+            with pytest.raises(ValueError):
+                exponential(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestLogmPrincipal:

@@ -1,4 +1,10 @@
-"""The package surface: every module's ``__all__``, re-exported once."""
+"""The package surface: every module's ``__all__``, re-exported once, and
+the imports it costs."""
+
+import json
+import subprocess
+import sys
+import textwrap
 
 import pstlab
 from pstlab import errors, experiments, liouville, magnus, numerics, pauli, pst_core
@@ -46,3 +52,44 @@ def test_hand_listed_surface_is_kept():
     assert len(HAND_LISTED_SURFACE) == 51
     missing = set(HAND_LISTED_SURFACE) - set(pstlab.__all__)
     assert not missing
+
+
+# Runs in a fresh interpreter and prints, per step, whether scipy is loaded.
+_SCIPY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    steps = {}
+    import pstlab.cli
+    steps["import pstlab.cli"] = "scipy" in sys.modules
+    for argv in (
+        ["overrotation", "--tau", "0.5", "--sum-h2", "0.24"],
+        ["calibrate", "--theta", "1.0", "--sum-h2", "0.24"],
+        ["sign-table", "--qubits", "2"],
+        ["table1"],
+        ["magnus-check"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = pstlab.cli.main(argv)
+        steps[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
+    from pstlab import DriveSpec, NoiseSpec, pst_channel
+    pst_channel(DriveSpec.single("X", 0.5), noise=NoiseSpec("amplitude_damping", 1.0))
+    steps["amplitude_damping channel"] = "scipy" in sys.modules
+    print(json.dumps(steps))
+""")
+
+
+def test_scipy_loads_only_for_dissipative_channels():
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    steps = json.loads(result.stdout)
+    assert steps == {
+        "import pstlab.cli": False,
+        "overrotation --tau 0.5 --sum-h2 0.24": False,
+        "calibrate --theta 1.0 --sum-h2 0.24": False,
+        "sign-table --qubits 2": False,
+        "table1": False,
+        "magnus-check": False,
+        "amplitude_damping channel": True,
+    }

@@ -22,7 +22,7 @@ from pstlab.liouville import (
     vectorize,
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec, over_rotation_factor
-from pstlab.numerics import expm, logm_principal
+from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import (
     MAX_QUBITS_ENV,
     enumerate_group,
@@ -41,6 +41,9 @@ from pstlab.pst_core import (
 
 TABLE1_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
 AC_ONLY_ERRORS = (("XX", 0.2), ("ZZ", 0.2), ("YX", 0.4))
+# XX = XI * IX: the third drive sign is the product of the other two.
+DEPENDENT_DRIVE = DriveSpec((("XI", 1.0), ("IX", 0.4), ("XX", 0.3)), 0.6)
+DEPENDENT_ERRORS = (("ZZ", 0.2), ("YI", 0.3), ("ZY", 0.1))
 
 
 def drive_zx(tau=0.5):
@@ -134,6 +137,13 @@ class TestRealization:
         drive = drive_zx()
         reference = expm(-1j * 0.5 * word_superop("ZX"))
         np.testing.assert_allclose(ideal_channel(drive), reference, atol=1e-13)
+        for gate in (drive, DEPENDENT_DRIVE):
+            identity_frame = pst_realization(
+                gate, CoherentErrorSpec(), NoiseSpec(), identity_string(2)
+            )
+            np.testing.assert_allclose(
+                ideal_channel(gate), expm(identity_frame), rtol=0, atol=1e-13
+            )
         for alpha in enumerate_group(2):
             g = pst_realization(drive, CoherentErrorSpec(), NoiseSpec(), alpha)
             frame = pauli_unitary_superop(alpha)
@@ -203,20 +213,40 @@ def expm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hermitian_calls(monkeypatch):
+    """Shapes of the Hamiltonians `pst_core` exponentiates in Hilbert space."""
+    calls = []
+
+    def counting_expm_hermitian(h, t):
+        calls.append(np.shape(h))
+        return expm_hermitian(h, t)
+
+    monkeypatch.setattr(pst_core, "expm_hermitian", counting_expm_hermitian)
+    return calls
+
+
 class TestChannelMatchesOracle:
-    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize(
+        "kind, rate",
+        [
+            *(pytest.param(kind, 0.0 if kind == "none" else 1.5, id=kind)
+              for kind in NOISE_KINDS),
+            pytest.param("amplitude_damping", 0.0, id="amplitude_damping-zero-rate"),
+        ],
+    )
     @pytest.mark.parametrize(
         "drive, errors",
         [
             (DriveSpec.single("X", 0.7), (("Y", 0.3), ("Z", -0.2))),
             (drive_zx(), TABLE1_ERRORS),
             (DriveSpec.single("ZXY", 0.5), (("XXY", 0.2), ("YZI", 0.6), ("IIZ", 0.1))),
+            (DEPENDENT_DRIVE, DEPENDENT_ERRORS),
         ],
-        ids=["n1", "n2", "n3"],
+        ids=["n1", "n2", "n3", "dependent"],
     )
-    def test_every_noise_kind(self, drive, errors, kind):
-        noise = NoiseSpec(kind, 0.0 if kind == "none" else 1.5)
-        assert_matches_oracle(drive, CoherentErrorSpec(errors), noise)
+    def test_every_noise_kind(self, drive, errors, kind, rate):
+        assert_matches_oracle(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
 
     @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
     def test_explicit_noise_targets(self, kind):
@@ -234,16 +264,27 @@ class TestChannelMatchesOracle:
     def test_multi_term_drive_expms_only_realized_patterns(self, expm_calls):
         # XX = XI * IX, so its sign is the product of the other two: only 4
         # of the 8 sign patterns occur, and only those get an expm.
-        drive = DriveSpec((("XI", 1.0), ("IX", 0.4), ("XX", 0.3)), 0.6)
-        err = CoherentErrorSpec((("ZZ", 0.2), ("YI", 0.3), ("ZY", 0.1)))
+        err = CoherentErrorSpec(DEPENDENT_ERRORS)
         noise = NoiseSpec("amplitude_damping", 0.5)
-        k = pst_channel(drive, err, noise)
+        k = pst_channel(DEPENDENT_DRIVE, err, noise)
         assert len(expm_calls) == 4
-        assert np.abs(k - brute_force_channel(drive, err, noise)).max() <= 1e-13
+        assert np.abs(k - brute_force_channel(DEPENDENT_DRIVE, err, noise)).max() <= 1e-13
 
-    def test_single_drive_needs_two_expms(self, expm_calls):
-        pst_channel(DriveSpec.single("ZXY", 0.5), CoherentErrorSpec((("XXY", 0.2),)))
+    def test_single_drive_needs_two_expms(self, expm_calls, hermitian_calls):
+        # Noise-free patterns (no noise, or a zero rate) exponentiate their
+        # 8x8 Hamiltonians and run no Liouville expm; a dissipative channel
+        # runs one 64x64 expm per realized pattern.
+        drive = DriveSpec.single("ZXY", 0.5)
+        err = CoherentErrorSpec((("XXY", 0.2),))
+        for noise in (NoiseSpec(), NoiseSpec("amplitude_damping", 0.0)):
+            hermitian_calls.clear()
+            pst_channel(drive, err, noise)
+            assert expm_calls == []
+            assert hermitian_calls == [(8, 8), (8, 8)]
+        hermitian_calls.clear()
+        pst_channel(drive, err, NoiseSpec("amplitude_damping", 0.5))
         assert expm_calls == [(64, 64), (64, 64)]
+        assert hermitian_calls == []
 
 
 class TestChannelValidation:

@@ -8,9 +8,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_pst_core import assert_matches_oracle, assert_trace_preserving  # noqa: E402
+from test_pst_core import (  # noqa: E402
+    DEPENDENT_DRIVE,
+    DEPENDENT_ERRORS,
+    assert_matches_oracle,
+    assert_trace_preserving,
+)
 
 from pstlab.liouville import NOISE_KINDS, NoiseSpec  # noqa: E402
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
@@ -49,6 +54,13 @@ def twirl_inputs(draw):
 class TestChannelProperties:
     @settings(max_examples=40, deadline=None)
     @given(twirl_inputs())
+    # Noise-free inputs, which take the Hilbert-space exponential.
+    @example((DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS), NoiseSpec()))
+    @example((
+        DEPENDENT_DRIVE,
+        CoherentErrorSpec(DEPENDENT_ERRORS, scale=-0.8),
+        NoiseSpec("amplitude_damping", 0.0, (1,)),
+    ))
     def test_matches_oracle_and_preserves_trace(self, inputs):
         k = assert_matches_oracle(*inputs)
         assert_trace_preserving(k)
