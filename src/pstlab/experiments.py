@@ -58,9 +58,9 @@ from .numerics import op_norm
 from .pauli import commutation_sign, enumerate_group, identity_string, pauli_from_label
 from .pst_core import (
     EffectiveGenerator,
-    effective_generator,
     ideal_channel,
     pst_channel,
+    pst_channel_and_generator,
     pst_realization,
 )
 
@@ -269,7 +269,8 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     The untwirled row projects the raw generator (the identity frame's
     realization) onto the Pauli words directly, with no channel and no
     log, so it reproduces the input amplitudes at every tau; the twirled
-    row reads the ensemble channel through its principal log, zeroes the
+    row reads the ensemble channel through its principal log, taken block
+    by block over the cosets of the drive group.  The twirl zeroes the
     error words and amplifies the drive weight, which is compared against
     the sinc-law prediction.
     """
@@ -280,8 +281,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 
     raw = pst_realization(drive, err, NoiseSpec(), identity_string(drive.n_qubits))
     no_pst_eff = EffectiveGenerator.from_generator(raw, drive.tau)
-    channel = pst_channel(drive, err, NoiseSpec())
-    pst_eff = effective_generator(channel, drive.tau)
+    channel, pst_eff = pst_channel_and_generator(drive, err, NoiseSpec())
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = pst_eff.coefficient(config.drive)

@@ -8,7 +8,9 @@ call rather than with this module.  A unitary exp(-i t h) of a Hermitian
 h comes from numpy's `eigh` instead (`expm_hermitian`).  The
 principal logarithm is an explicit eigendecomposition so that branch-cut
 proximity and defective inputs surface as errors instead of silently
-degraded results.
+degraded results.  It also takes a stack of matrices, shape (..., d, d),
+and logs each one in a single batched `eig`: a block-diagonal matrix is
+logged block by block, with the same checks as one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
@@ -63,10 +65,13 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
-def _as_square_finite(m) -> np.ndarray:
+def _as_square_finite(m, stacked: bool = False) -> np.ndarray:
+    """``m`` as a finite complex square matrix, or with ``stacked`` a
+    stack of them, shape (..., d, d)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
+        stack = " or a stack of them" if stacked else ""
+        raise ValueError(f"expected a square matrix{stack}, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -89,28 +94,32 @@ def expm_hermitian(h, t: float) -> np.ndarray:
 
 
 def logm_principal(m) -> np.ndarray:
-    """Principal matrix logarithm via eigendecomposition.
+    """Principal matrix logarithm via eigendecomposition, of one square
+    matrix or of each matrix in a stack of shape (..., d, d).
 
-    Requires a diagonalizable input with every eigenvalue farther than
+    Requires diagonalizable inputs with every eigenvalue farther than
     ``BRANCH_TOL`` from the closed negative real axis (the branch cut,
     including 0).  Eigenvalue arguments of the result lie in (-pi, pi).
-    A near-defective eigenbasis raises instead of silently degrading.
+    A near-defective eigenbasis raises instead of silently degrading; for
+    a stack, the reconstruction residual is taken over the whole stack,
+    against the norm of the whole input.
     """
-    m = _as_square_finite(m)
+    m = _as_square_finite(m, stacked=True)
     eigvals, eigvecs = np.linalg.eig(m)
-    for value in eigvals:
-        # Distance to the ray (-inf, 0]: |Im| beside it, |z| past its end.
-        distance = abs(value.imag) if value.real < 0 else abs(value)
-        if distance <= BRANCH_TOL:
-            if abs(value) <= BRANCH_TOL:
-                raise BranchCutError(
-                    f"matrix is singular to working precision (eigenvalue {value:.3e})"
-                )
+    # Distance to the ray (-inf, 0]: |Im| beside it, |z| past its end.
+    distance = np.where(eigvals.real < 0, np.abs(eigvals.imag), np.abs(eigvals))
+    near_cut = eigvals[distance <= BRANCH_TOL]
+    if near_cut.size:
+        value = near_cut[0]
+        if abs(value) <= BRANCH_TOL:
             raise BranchCutError(
-                f"eigenvalue {value:.6e} lies within {BRANCH_TOL:g} of the"
-                " branch cut of the principal logarithm; reduce the evolution"
-                " time tau so the eigenphases stay inside (-pi, pi)"
+                f"matrix is singular to working precision (eigenvalue {value:.3e})"
             )
+        raise BranchCutError(
+            f"eigenvalue {value:.6e} lies within {BRANCH_TOL:g} of the"
+            " branch cut of the principal logarithm; reduce the evolution"
+            " time tau so the eigenphases stay inside (-pi, pi)"
+        )
     try:
         inverse = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:
@@ -118,14 +127,14 @@ def logm_principal(m) -> np.ndarray:
             "eigenbasis is singular; the matrix is defective and has no"
             " eigendecomposition logarithm"
         ) from None
-    residual = np.linalg.norm((eigvecs * eigvals) @ inverse - m)
+    residual = np.linalg.norm((eigvecs * eigvals[..., None, :]) @ inverse - m)
     if residual > 1e-9 * max(1.0, np.linalg.norm(m)):
         raise DefectiveMatrixError(
             "eigenbasis too ill-conditioned for a reliable logarithm"
             f" (reconstruction residual {residual:.3e}); the matrix is"
             " defective or nearly so"
         )
-    return (eigvecs * np.log(eigvals)) @ inverse
+    return (eigvecs * np.log(eigvals)[..., None, :]) @ inverse
 
 
 def op_norm(m) -> float:

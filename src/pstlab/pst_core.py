@@ -19,15 +19,27 @@ noise - i tau H(H_s).  Pauli frames are
 diagonal in the Pauli-transfer basis: column i of B is vec(P_i)/sqrt(2^n)
 (row-major), and B^dag (P_a kron P_a*) B = diag(chi_a), with chi_a(P_i)
 the commutation sign of the frame word and P_i.  The frame average of
-R_s = B^dag exp(G_s) B is therefore an exact Hadamard mask,
+R_s = B^dag exp(G_s) B is therefore entrywise,
 
-    K_PTM = sum_s W_s o R_s,   W_s = X_s^T X_s / 4^n,
+    K_PTM[i, j] = 4^-n sum_a chi_a(P_i P_j) R_s(a)[i, j].
 
-where the rows of X_s are the sign-table rows chi_a of the frames with
-pattern s.  The result returns to the row-major Liouville basis once, as
-B K_PTM B^dag.  B is the Kronecker power of the one-qubit basis up to a
-fixed index permutation, so both changes of basis run one qubit leg at a
-time and B is never built densely.
+The frames of one pattern s form a coset of the centralizer of the drive
+words, and the sum of chi_a(Q) over such a coset vanishes unless Q lies
+in the group <D> the drive words generate (2^m words); on <D>, chi_a is
+the character chi_s that the pattern fixes.  So K_PTM is block diagonal
+over the cosets of <D>,
+
+    K_PTM[i, j] = 2^-m sum_s chi_s(P_i P_j) R_s[i, j]   if P_i P_j in <D>,
+
+and 0 otherwise: 4^n / 2^m blocks of size 2^m (2 x 2 for one drive
+word).  In group order the index digits are I=0, X=1, Y=2, Z=3, so
+P_i P_j is P_(i XOR j) up to phase, <D> is a set of indices closed under
+XOR and its cosets are rep XOR <D>; its 2^m characters, one per realized
+pattern, form a Sylvester Hadamard matrix.  The blocks return to the
+row-major Liouville basis once, as B K_PTM B^dag.  B is the Kronecker
+power of the one-qubit basis up to a fixed index permutation, so both
+changes of basis run one qubit leg at a time and B is never built
+densely.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 such as a `pst_realization`) onto Pauli commutator superoperators
@@ -42,7 +54,10 @@ superoperator of sum_g c_g P_g.  The coefficients are normalized so an
 ideal gate reads 1 on its drive word.  A channel has no generator of its
 own: `effective_generator` takes its principal log first, and so reads
 the generator back only while the channel eigenphases stay inside
-(-pi, pi).
+(-pi, pi).  The log of a block-diagonal matrix is the block-diagonal
+matrix of the blocks' logs, so `pst_channel_and_generator` logs the
+twirled channel as one stack of 2^m x 2^m blocks instead of a dense
+4^n x 4^n matrix.
 """
 
 from __future__ import annotations
@@ -70,7 +85,6 @@ from .numerics import expm, expm_hermitian, logm_principal, op_norm
 from .pauli import (
     PauliString,
     check_qubit_count,
-    commutation_parity,
     commutation_sign,
     enumerate_group,
     matrix_of,
@@ -83,6 +97,7 @@ __all__ = [
     "effective_generator",
     "ideal_channel",
     "pst_channel",
+    "pst_channel_and_generator",
     "pst_realization",
 ]
 
@@ -170,34 +185,90 @@ def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     return t.reshape(m.shape)
 
 
+def _word_index(word: PauliString) -> int:
+    """Position of ``word`` in group order: base-4 digits I=0, X=1, Y=2,
+    Z=3, leftmost qubit most significant."""
+    index = 0
+    for x, z in zip(word.x_bits, word.z_bits):
+        index = 4 * index + 2 * z + (x ^ z)
+    return index
+
+
+def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The drive group <D> and its cosets, as word indices.
+
+    Returns (group, position, cosets): ``group[p]`` is the XOR of the
+    independent drive words at the set bits of p, ``position[j]`` is
+    drive word j's element, and ``cosets[b]`` lists the b-th coset,
+    rep XOR group, with its smallest index as rep.
+    """
+    group, position = np.zeros(1, dtype=np.intp), []
+    for word, _ in drive.terms:
+        index = _word_index(word)
+        found = np.flatnonzero(group == index)
+        position.append(found[0] if found.size else group.size)
+        if not found.size:
+            group = np.concatenate([group, group ^ index])
+    words = np.arange(4**drive.n_qubits)
+    cosets = words[(words[:, None] ^ group).min(axis=1) == words][:, None] ^ group
+    return group, position, cosets
+
+
 def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
                 noise: NoiseSpec | None = None) -> np.ndarray:
     """Uniform average of P_alpha exp(flipped generator) P_alpha over all
     4^n frame words, computed exactly with one exponential per realized
-    drive-sign pattern and a Pauli-transfer mask (see the module notes)."""
+    drive-sign pattern, block by block over the cosets of the drive group
+    (see the module notes)."""
     err = err if err is not None else CoherentErrorSpec()
     noise = noise if noise is not None else NoiseSpec()
     check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
-    dim = 4**n
     channel = _pattern_channels(drive, err, noise)
+    group, position, cosets = _coset_index(drive)
 
-    words = [word for word, _ in drive.terms]
-    patterns, frame_pattern = np.unique(
-        commutation_parity(n, words), axis=0, return_inverse=True
-    )
-    frame_pattern = frame_pattern.reshape(-1)  # numpy 2.0.0 returns it 2-D
-    parity = commutation_parity(n)  # chi_alpha(P_i) = 1 - 2 parity[alpha, i]
+    # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
+    # matrix; character c is the drive-sign pattern chi_c[position].
+    # Patterns are summed in one fixed order, ascending parity bits, so
+    # the channel is reproducible bit for bit.
+    characters = np.ones((1, 1))
+    while characters.shape[0] < group.size:
+        characters = np.block([[characters, characters], [characters, -characters]])
+    parities = characters[:, position] < 0
+    characters = characters[np.lexsort(parities.T[::-1])]
 
-    total = np.zeros((dim, dim), dtype=complex)
-    for s, bits in enumerate(patterns):
-        ptm = _pauli_transfer(channel([1 - 2 * int(bit) for bit in bits]), n)
-        rows = 1.0 - 2.0 * parity[frame_pattern == s]
-        ptm *= rows.T @ rows
-        total += ptm
-        del ptm, rows  # keep them out of the next pattern's peak memory
-    total /= dim
-    return _pauli_transfer(total, n, inverse=True)
+    rows, cols = cosets[:, :, None], cosets[:, None, :]
+    blocks = np.zeros((len(cosets), group.size, group.size), dtype=complex)
+    for chi in characters:
+        ptm = _pauli_transfer(channel(chi[position]), n)
+        blocks += ptm[rows, cols] * np.outer(chi, chi)  # chi_s(P_i P_j)
+    blocks /= group.size
+    ptm = np.zeros((4**n,) * 2, dtype=complex)
+    ptm[rows, cols] = blocks
+    return _pauli_transfer(ptm, n, inverse=True)
+
+
+def pst_channel_and_generator(
+    drive: DriveSpec, err: CoherentErrorSpec | None = None,
+    noise: NoiseSpec | None = None,
+) -> tuple[np.ndarray, EffectiveGenerator]:
+    """`pst_channel` and the `EffectiveGenerator` of its principal log.
+
+    The log is one `logm_principal` of the stack of the channel's 2^m x 2^m
+    coset blocks in the Pauli-transfer basis, not of the dense 4^n x 4^n
+    channel; it equals `effective_generator(pst_channel(...), tau)` up to
+    rounding.
+    """
+    channel = pst_channel(drive, err, noise)
+    n = drive.n_qubits
+    _, _, cosets = _coset_index(drive)
+    rows, cols = cosets[:, :, None], cosets[:, None, :]
+    ptm = _pauli_transfer(channel, n)
+    log_blocks = logm_principal(ptm[rows, cols])
+    ptm[...] = 0.0  # the log, like the channel, lives on the cosets only
+    ptm[rows, cols] = log_blocks
+    log = _pauli_transfer(ptm, n, inverse=True)
+    return channel, EffectiveGenerator.from_generator(log, drive.tau)
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:

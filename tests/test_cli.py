@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -102,6 +103,20 @@ class TestTable1Command:
         _, first, _ = run_cli(capsys, "table1")
         _, second, _ = run_cli(capsys, "table1")
         assert first == second
+
+    def test_branch_cut_is_numerical_failure(self, capsys):
+        # At tau 3 the twirled channel has real negative eigenvalues (one of
+        # them about -0.575); the block log rejects them as the dense log did.
+        code, out, err = run_cli(capsys, "table1", "--tau", "3.0")
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "branch cut" in err
+        named = complex(re.search(r"eigenvalue (\S+) lies", err).group(1))
+        config = Table1Config(tau=3.0)
+        eigvals = np.linalg.eigvals(pst_channel(config.drive_spec(), config.error_spec()))
+        on_cut = eigvals[(eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-8)]
+        assert np.abs(on_cut + 0.575).min() <= 1e-3
+        assert np.abs(on_cut - named).min() <= 1e-6
 
 
 class TestScalarCommands:

@@ -121,6 +121,61 @@ class TestLogmPrincipal:
         assert issubclass(DefectiveMatrixError, ArithmeticError)
 
 
+def unitary_stack(count, d, seed):
+    """``count`` random d x d unitaries with eigenphases inside (-2, 2)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    anti = (a - a.conj().swapaxes(-1, -2)) / 2
+    anti *= 2.0 / max(2.0, np.abs(np.linalg.eigvals(anti)).max())
+    return np.stack([expm(block) for block in anti]), anti
+
+
+class TestStackedLogm:
+    def test_each_matrix_of_the_stack_is_logged(self):
+        stack, anti = unitary_stack(6, 3, seed=11)
+        log = logm_principal(stack)
+        assert log.shape == (6, 3, 3)
+        np.testing.assert_allclose(log, anti, atol=1e-9)
+        for block, block_log in zip(stack, log):
+            np.testing.assert_allclose(logm_principal(block), block_log, atol=1e-13)
+
+    def test_leading_axes_are_kept(self):
+        stack, _ = unitary_stack(6, 2, seed=12)
+        np.testing.assert_array_equal(
+            logm_principal(stack.reshape(2, 3, 2, 2)),
+            logm_principal(stack).reshape(2, 3, 2, 2),
+        )
+
+    def test_block_diagonal_matrix_is_logged_block_by_block(self):
+        stack, _ = unitary_stack(4, 2, seed=13)
+        dense = np.zeros((8, 8), dtype=complex)
+        for b, block in enumerate(stack):
+            dense[2 * b:2 * b + 2, 2 * b:2 * b + 2] = block
+        blocks_log = logm_principal(stack)
+        dense_log = logm_principal(dense)
+        for b, block_log in enumerate(blocks_log):
+            np.testing.assert_allclose(
+                dense_log[2 * b:2 * b + 2, 2 * b:2 * b + 2], block_log, atol=1e-13
+            )
+
+    def test_one_block_on_the_cut_rejects_the_stack(self):
+        stack, _ = unitary_stack(5, 2, seed=14)
+        stack[3] = np.diag([-0.5 + 1e-9j, 1.0])
+        with pytest.raises(BranchCutError, match="tau"):
+            logm_principal(stack)
+
+    def test_one_defective_block_rejects_the_stack(self):
+        stack, _ = unitary_stack(5, 2, seed=15)
+        stack[2] = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(DefectiveMatrixError, match="defective"):
+            logm_principal(stack)
+
+    def test_rejects_non_square_stacks(self):
+        for shape in ((3,), (4, 2, 3)):
+            with pytest.raises(ValueError, match="square"):
+                logm_principal(np.ones(shape))
+
+
 class TestOpNorm:
     def test_identity(self):
         assert op_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-12)

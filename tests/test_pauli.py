@@ -98,6 +98,13 @@ class TestGroupEnumeration:
         assert group[0].is_identity
         assert len({p.label for p in group}) == 16
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_products_xor_the_group_indices(self, n):
+        # Digits I=0, X=1, Y=2, Z=3 multiply by XOR: P_i P_j = P_(i^j) up to phase.
+        group = enumerate_group(n)
+        for i, j in itertools.product(range(len(group)), repeat=2):
+            assert multiply(group[i], group[j]) == group[i ^ j]
+
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             enumerate_group(5)

@@ -21,6 +21,7 @@ from pstlab.liouville import (
     pauli_unitary_superop,
     vectorize,
 )
+from pstlab.experiments import Table1Config, run_table1
 from pstlab.magnus import CoherentErrorSpec, DriveSpec, over_rotation_factor
 from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import (
@@ -36,6 +37,7 @@ from pstlab.pst_core import (
     effective_generator,
     ideal_channel,
     pst_channel,
+    pst_channel_and_generator,
     pst_realization,
 )
 
@@ -77,6 +79,51 @@ def assert_trace_preserving(k):
     # The vectorized identity is a left null vector of K - I.
     left = vectorize(np.eye(math.isqrt(k.shape[0]))).conj()
     np.testing.assert_allclose(left @ (k - np.eye(k.shape[0])), 0.0, atol=1e-12)
+
+
+def pauli_transfer_matrix(k):
+    """B^dag K B, with column i of B vec(P_i) / sqrt(2^n), words in group order."""
+    n = round(math.log(k.shape[0], 4))
+    basis = np.stack(
+        [matrix_of(word).reshape(-1) for word in enumerate_group(n)], axis=1
+    ) / math.sqrt(2**n)
+    return basis.conj().T @ k @ basis
+
+
+def drive_group(drive):
+    """The words of the group <D> that the drive words generate."""
+    group = {identity_string(drive.n_qubits)}
+    for word, _ in drive.terms:
+        group |= {word * member for member in group}
+    return group
+
+
+def assert_coset_block_sparse(k, drive):
+    """Pauli-transfer entries (i, j) of K with P_i P_j outside <D> vanish."""
+    words, inside = enumerate_group(drive.n_qubits), drive_group(drive)
+    outside = np.array([[p * q not in inside for q in words] for p in words])
+    assert np.abs(pauli_transfer_matrix(k)[outside]).max(initial=0.0) <= 1e-14
+
+
+def assert_block_log_matches_dense(drive, err=None, noise=None):
+    """The block-log generator equals the dense log's to 1e-10, or both
+    raise the same typed error; the channel returned beside it is
+    `pst_channel`'s, bit for bit."""
+    k = pst_channel(drive, err, noise)
+    try:
+        dense = effective_generator(k, drive.tau)
+    except (BranchCutError, DefectiveMatrixError) as exc:
+        with pytest.raises(type(exc)):
+            pst_channel_and_generator(drive, err, noise)
+        return
+    channel, blocks = pst_channel_and_generator(drive, err, noise)
+    assert np.array_equal(channel, k)
+    assert blocks.hamiltonian_coeffs.keys() == dense.hamiltonian_coeffs.keys()
+    for word, value in dense.hamiltonian_coeffs.items():
+        assert abs(blocks.hamiltonian_coeffs[word] - value) <= 1e-10
+    np.testing.assert_allclose(
+        blocks.dissipative_remainder, dense.dissipative_remainder, rtol=0, atol=1e-10
+    )
 
 
 def superop_projection(log_k, tau):
@@ -285,6 +332,63 @@ class TestChannelMatchesOracle:
         pst_channel(drive, err, NoiseSpec("amplitude_damping", 0.5))
         assert expm_calls == [(64, 64), (64, 64)]
         assert hermitian_calls == []
+
+
+@pytest.fixture
+def logm_calls(monkeypatch):
+    """Shapes of the inputs `pst_core` takes principal logs of."""
+    calls = []
+
+    def counting_logm(m):
+        calls.append(np.shape(m))
+        return logm_principal(m)
+
+    monkeypatch.setattr(pst_core, "logm_principal", counting_logm)
+    return calls
+
+
+class TestCosetBlocks:
+    def test_word_index_is_the_group_position(self):
+        for n in (1, 2, 3):
+            assert [pst_core._word_index(w) for w in enumerate_group(n)] == list(range(4**n))
+
+    @pytest.mark.parametrize(
+        "drive, errors, noise",
+        [
+            (drive_zx(), TABLE1_ERRORS, NoiseSpec()),
+            (drive_zx(), TABLE1_ERRORS, NoiseSpec("amplitude_damping", 3.0)),
+            # Both logs reject the channel: an eigenvalue sits on the cut.
+            (drive_zx(2.5), TABLE1_ERRORS, NoiseSpec("amplitude_damping", 3.0)),
+            (DEPENDENT_DRIVE, DEPENDENT_ERRORS, NoiseSpec("pauli_z", 0.5)),
+            (DriveSpec.single("ZXY", 0.5), (("XXY", 0.2), ("YZI", 0.6)), NoiseSpec()),
+        ],
+        ids=["n2", "n2-damping", "n2-damping-on-cut", "dependent", "n3"],
+    )
+    def test_channel_is_block_sparse_and_its_log_matches_dense(self, drive, errors, noise):
+        err = CoherentErrorSpec(errors)
+        assert_coset_block_sparse(brute_force_channel(drive, err, noise), drive)
+        assert_block_log_matches_dense(drive, err, noise)
+
+    @pytest.mark.parametrize("label, errors", [
+        ("ZX", TABLE1_ERRORS),
+        ("ZXY", (("XXY", 0.2), ("YZI", 0.6), ("IIZ", 0.1))),
+    ])
+    def test_table1_logs_one_stack_of_two_by_two_blocks(self, logm_calls, label, errors):
+        # One drive word generates <D> = {I, P}: 4^n / 2 cosets of two
+        # words each, and no dense 4^n x 4^n log.
+        report = run_table1(Table1Config(drive=label, errors=errors))
+        assert logm_calls == [(4**len(label) // 2, 2, 2)]
+        assert abs(report.pst[label] - report.theoretical_drive_coeff) <= 1e-2
+
+    def test_dependent_drive_logs_blocks_of_four(self, logm_calls):
+        # XI, IX and XX generate a group of 4 words: 4 cosets of 4.
+        pst_channel_and_generator(DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS))
+        assert logm_calls == [(4, 4, 4)]
+
+    def test_branch_failure_propagates(self):
+        drive = DriveSpec.single("ZX", math.pi / 2)
+        with pytest.raises(BranchCutError):
+            pst_channel_and_generator(drive)
 
 
 class TestChannelValidation:

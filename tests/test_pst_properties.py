@@ -1,9 +1,11 @@
-"""Property tests of the ensemble channel against the per-frame oracle.
+"""Property tests of the ensemble channel against the per-frame oracle,
+and of its coset-block log against the dense one.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -13,12 +15,15 @@ from hypothesis import strategies as st  # noqa: E402
 from test_pst_core import (  # noqa: E402
     DEPENDENT_DRIVE,
     DEPENDENT_ERRORS,
-    assert_matches_oracle,
+    assert_block_log_matches_dense,
+    assert_coset_block_sparse,
     assert_trace_preserving,
+    brute_force_channel,
 )
 
 from pstlab.liouville import NOISE_KINDS, NoiseSpec  # noqa: E402
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
+from pstlab.pst_core import pst_channel  # noqa: E402
 
 
 _LETTERS = st.sampled_from("IXYZ")
@@ -62,5 +67,12 @@ class TestChannelProperties:
         NoiseSpec("amplitude_damping", 0.0, (1,)),
     ))
     def test_matches_oracle_and_preserves_trace(self, inputs):
-        k = assert_matches_oracle(*inputs)
+        drive, err, noise = inputs
+        oracle = brute_force_channel(drive, err, noise)
+        k = pst_channel(drive, err, noise)
+        assert np.abs(k - oracle).max() <= 1e-13
         assert_trace_preserving(k)
+        # The oracle itself lives on the cosets of <D>, and the block log
+        # reads the same generator as the dense log of the whole channel.
+        assert_coset_block_sparse(oracle, drive)
+        assert_block_log_matches_dense(drive, err, noise)
