@@ -15,6 +15,7 @@ already absorbed into L, so generators add them unscaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ class NoiseSpec:
         if not math.isfinite(self.rate) or self.rate < 0:
             raise ValueError(f"noise rate must be finite and >= 0, got {self.rate}")
         if self.targets is not None:
+            # A tuple keeps the spec hashable, and so a cache key.
+            object.__setattr__(self, "targets", tuple(self.targets))
             if len(set(self.targets)) != len(self.targets):
                 raise ValueError(f"noise targets must be distinct, got {self.targets}")
             if any(t < 0 for t in self.targets):
@@ -149,16 +152,26 @@ def dissipator_superop(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     sqrt(rate) |0><1|.  exp of the result is completely positive and trace
     preserving, and the vectorized identity is a left null vector (trace
     preservation).
+
+    The result is cached per (spec, n_qubits) and read-only; the qubit
+    bound is checked on every call, so lowering it also refuses cached
+    generators.
     """
     check_qubit_count(n_qubits)
+    return _cached_dissipator(spec, n_qubits)
+
+
+# Bounded, unlike the Pauli-word cache: noise rates form a continuum.
+@functools.lru_cache(maxsize=16)
+def _cached_dissipator(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if spec.kind == "none":
-        return out
-    op = _SIGMA_Z if spec.kind == "pauli_z" else _LOWERING
-    root_rate = math.sqrt(spec.rate)
-    for target in spec.resolved_targets(n_qubits):
-        out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
+    if spec.kind != "none":
+        op = _SIGMA_Z if spec.kind == "pauli_z" else _LOWERING
+        root_rate = math.sqrt(spec.rate)
+        for target in spec.resolved_targets(n_qubits):
+            out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
+    out.setflags(write=False)
     return out
 
 

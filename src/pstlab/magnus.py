@@ -20,9 +20,9 @@ space.  In twirl frame alpha the dressed error sum is
 with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
 their i P_beta P_w, each weighted by its amplitude and the frame sign
 chi_alpha(P_w).  The frame signs are the rows of the sign table
-1 - 2 * commutation_parity, the table the ensemble average in `pst_core`
-reads, so one contraction builds c0, c1, c2 for all 4^n frames.  Writing
-c_k = cos 2t_k and s_k = sin 2t_k, the commutator expands exactly as
+1 - 2 * commutation_parity, so one contraction builds c0, c1, c2 for all
+4^n frames.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the commutator
+expands exactly as
 
     [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
                      + sin 2(t2 - t1) [c1,c2],

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pstlab.errors import ResourceLimitError
 from pstlab.liouville import (
     NoiseSpec,
     devectorize,
@@ -17,7 +18,7 @@ from pstlab.liouville import (
     vectorize,
 )
 from pstlab.numerics import expm
-from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label
+from pstlab.pauli import MAX_QUBITS_ENV, enumerate_group, matrix_of, pauli_from_label
 
 SIGMA_Z = np.diag([1.0 + 0j, -1.0 + 0j])
 
@@ -243,6 +244,33 @@ class TestDissipator:
             out = devectorize(channel @ vectorize(rho))
             assert abs(np.trace(out) - 1.0) < 1e-12
             assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
+
+
+class TestDissipatorCache:
+    def test_repeat_calls_share_a_read_only_array(self):
+        first = dissipator_superop(NoiseSpec("amplitude_damping", 0.8, [1]), 2)
+        again = dissipator_superop(NoiseSpec("amplitude_damping", 0.8, (1,)), 2)
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            first *= 2.0
+
+    def test_specs_and_sizes_are_kept_apart(self):
+        spec = NoiseSpec("pauli_z", 0.8)
+        assert dissipator_superop(spec, 1).shape == (4, 4)
+        assert dissipator_superop(spec, 2).shape == (16, 16)
+        assert not np.array_equal(
+            dissipator_superop(spec, 2), dissipator_superop(NoiseSpec("pauli_z", 0.9), 2)
+        )
+
+    def test_bound_is_checked_on_cache_hits(self, monkeypatch):
+        spec = NoiseSpec("pauli_z", 0.8)
+        dissipator_superop(spec, 2)
+        monkeypatch.setenv(MAX_QUBITS_ENV, "1")
+        with pytest.raises(ResourceLimitError):
+            dissipator_superop(spec, 2)
 
 
 class TestMatrixJson:

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from pstlab import pst_core
 from pstlab.errors import BranchCutError, DefectiveMatrixError, QuadratureError
-from pstlab.liouville import hamiltonian_superop, pauli_unitary_superop
+from pstlab.experiments import ParitySweepConfig, run_parity_sweep
+from pstlab.liouville import (
+    NoiseSpec,
+    dissipator_superop,
+    hamiltonian_superop,
+    pauli_unitary_superop,
+)
 from pstlab.numerics import (
+    _THETA_13,
     QUADRATURE_ORDER,
     QuadratureResult,
     _composite_rule,
@@ -64,6 +72,74 @@ class TestExpm:
                 exponential(np.zeros((2, 3)))
             with pytest.raises(ValueError):
                 exponential(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.fixture
+def scipy_expm():
+    return pytest.importorskip("scipy.linalg").expm
+
+
+def assert_matches_scipy(m, scipy_expm):
+    expected = scipy_expm(m)
+    np.testing.assert_allclose(
+        expm(m), expected, rtol=0, atol=1e-13 * max(1.0, np.abs(expected).max())
+    )
+
+
+def lindbladian(drive, kind, rate, tau):
+    """noise - i tau H(drive) of a one-word drive with unit coefficient."""
+    word = pauli_from_label(drive)
+    return (dissipator_superop(NoiseSpec(kind, rate), word.n_qubits)
+            - 1.0j * tau * hamiltonian_superop(matrix_of(word)))
+
+
+class TestExpmOracle:
+    """The Pade exponential against scipy's, where scipy is installed."""
+
+    # The 1-norms where the oracle switches between its Pade degrees 3, 5,
+    # 7 and 9 (Higham 2005, table 2.3) and theta_13, where the in-package
+    # expm starts to square, each crossed from below and from above; then
+    # norms that need 2 to 5 squarings.
+    THETAS = [1.495585217958292e-2, 2.539398330063230e-1,
+              9.504178996162932e-1, 2.097847961257068e0, _THETA_13]
+    NORMS = [theta * f for theta in THETAS for f in (0.9, 1.1)]
+    NORMS += [20.0, 50.0, 100.0]
+
+    @pytest.mark.parametrize("norm", NORMS, ids=[f"{n:.3g}" for n in NORMS])
+    def test_random_complex_matrices(self, norm, scipy_expm):
+        rng = np.random.default_rng(int(1000 * norm))
+        for d in (2, 4, 8, 16):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m *= norm / np.abs(m).sum(axis=0).max()
+            assert_matches_scipy(m, scipy_expm)
+
+    @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
+    def test_strong_lindbladians_need_many_squarings(self, kind, scipy_expm):
+        # Rate 250 at tau 2.5: 1-norm about 1e3, so 8 squarings.  Random
+        # matrices of that norm are too ill-conditioned for a 1e-13
+        # comparison; the channel of a Lindbladian stays bounded.
+        m = lindbladian("ZX", kind, 250.0, 2.5)
+        assert np.abs(m).sum(axis=0).max() > 900
+        assert_matches_scipy(m, scipy_expm)
+
+    def test_parity_sweep_generators_at_the_grid_ends(self, scipy_expm, monkeypatch):
+        generators = []
+
+        def recording(m):
+            generators.append(np.array(m))
+            return expm(m)
+
+        monkeypatch.setattr(pst_core, "expm", recording)
+        run_parity_sweep(ParitySweepConfig(deltas=(-1.0, 1.0)))
+        # Two noise kinds, two deltas, two drive-sign patterns each.
+        assert len(generators) == 8
+        for m in generators:
+            assert_matches_scipy(m, scipy_expm)
+
+    @pytest.mark.parametrize("drive", ["X", "ZX"])
+    def test_exceptional_point_liouvillian(self, drive, scipy_expm):
+        assert_matches_scipy(lindbladian(drive, "amplitude_damping", 4.0, 0.5),
+                             scipy_expm)
 
 
 class TestLogmPrincipal:
@@ -169,6 +245,26 @@ class TestStackedLogm:
         stack[2] = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(DefectiveMatrixError, match="defective"):
             logm_principal(stack)
+
+    def test_residual_is_judged_per_block(self):
+        # Four well-conditioned blocks of norm about 140 and one nearly
+        # defective block of norm 0.84.  Its reconstruction residual fails
+        # its own bound 1e-9 but would pass one of 1e-9 times the norm of
+        # the whole stack.
+        stack, _ = unitary_stack(5, 2, seed=16)
+        stack *= 100.0
+        similarity = np.array([[1.0, 0.3], [0.2, 1.0]])
+        jordan = 0.5 * np.array([[0.5, 1.0], [0.0, 0.5 + 1e-8]])
+        stack[1] = similarity @ jordan @ np.linalg.inv(similarity)
+        eigvals, eigvecs = np.linalg.eig(stack[1])
+        residual = np.linalg.norm(
+            (eigvecs * eigvals) @ np.linalg.inv(eigvecs) - stack[1]
+        )
+        assert 1e-9 * max(1.0, np.linalg.norm(stack[1])) < residual
+        assert residual < 1e-9 * np.linalg.norm(stack)
+        with pytest.raises(DefectiveMatrixError, match="defective"):
+            logm_principal(stack)
+        logm_principal(np.delete(stack, 1, axis=0))
 
     def test_rejects_non_square_stacks(self):
         for shape in ((3,), (4, 2, 3)):
