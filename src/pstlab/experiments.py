@@ -55,13 +55,13 @@ from .magnus import (
     over_rotation_factor,
 )
 from .numerics import op_norm
-from .pauli import commutation_sign, enumerate_group, identity_string, pauli_from_label
+from .pauli import commutation_sign, enumerate_group, pauli_from_label
 from .pst_core import (
-    EffectiveGenerator,
+    _pattern_hamiltonian,
+    _pauli_weight,
     ideal_channel,
     pst_channel,
     pst_channel_and_generator,
-    pst_realization,
 )
 
 __all__ = [
@@ -266,29 +266,28 @@ class Table1Report:
 def run_table1(config: Table1Config | None = None) -> Table1Report:
     """Compare effective Hamiltonian weights with and without the twirl.
 
-    The untwirled row projects the raw generator (the identity frame's
-    realization) onto the Pauli words directly, with no channel and no
-    log, so it reproduces the input amplitudes at every tau; the twirled
-    row reads the ensemble channel through its principal log, taken block
-    by block over the cosets of the drive group.  The twirl zeroes the
-    error words and amplifies the drive weight, which is compared against
-    the sinc-law prediction.
+    The untwirled row reads the Pauli weights of the identity frame's
+    2^n x 2^n Hamiltonian directly, with no channel and no log, so it
+    reproduces the input amplitudes at every tau; the twirled row reads
+    the ensemble channel through its principal log, taken block by block
+    over the cosets of the drive group.  The twirl zeroes the error words
+    and amplifies the drive weight, which is compared against the
+    sinc-law prediction.
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
     err = config.error_spec()
     labels = [label for label, _ in config.errors] + [config.drive]
 
-    raw = pst_realization(drive, err, NoiseSpec(), identity_string(drive.n_qubits))
-    no_pst_eff = EffectiveGenerator.from_generator(raw, drive.tau)
     channel, pst_eff = pst_channel_and_generator(drive, err, NoiseSpec())
+    untwirled = _pattern_hamiltonian(drive, err)([1] * len(drive.terms))
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = pst_eff.coefficient(config.drive)
     agreement = 100.0 * (1.0 - abs(numeric - theoretical) / numeric)
     return Table1Report(
         config=config,
-        no_pst={label: no_pst_eff.coefficient(label) for label in labels},
+        no_pst={label: _pauli_weight(untwirled, label) for label in labels},
         pst={label: pst_eff.coefficient(label) for label in labels},
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,

@@ -42,29 +42,30 @@ changes of basis run one qubit leg at a time and B is never built
 densely.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
-such as a `pst_realization`) onto Pauli commutator superoperators
+or a channel log) onto Pauli commutator superoperators
 H_g = P_g kron I - I kron P_g^T, whose pairwise inner products are 2*4^n
 for distinct non-identity words; what the projection leaves is the
-dissipative remainder.  The projection needs no superoperator per word:
-with X the scaled generator as a tensor X[a,b,c,d] and its partial traces
-L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
-<H_g, X> = <P_g, L - R^T>, one 2^n x 2^n inner product.  Since
-H -> H kron I - I kron H^T is linear, the Hamiltonian part is the single
-superoperator of sum_g c_g P_g.  The coefficients are normalized so an
-ideal gate reads 1 on its drive word.  A channel has no generator of its
-own: `effective_generator` takes its principal log first, and so reads
-the generator back only while the channel eigenphases stay inside
-(-pi, pi).  The log of a block-diagonal matrix is the block-diagonal
-matrix of the blocks' logs, so `pst_channel_and_generator` logs the
-twirled channel as one stack of 2^m x 2^m blocks instead of a dense
-4^n x 4^n matrix.
+dissipative remainder.  It needs no superoperator and no loop over
+words: with X the scaled generator as a tensor X[a,b,c,d] and its
+partial traces L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
+<H_g, X> = <P_g, L - R^T>, so the Hamiltonian part is the one traceless
+Hermitian matrix h = herm(L - R^T) / 2^(n+1) = sum_g c_g P_g, and a
+word's weight is c_g = tr(P_g h) / 2^n (an ideal gate reads 1 on its
+drive word).  `table1`'s untwirled row reads the same weights off the
+identity frame's 2^n x 2^n Hamiltonian, with no projection.  A channel
+has no generator of its own: `effective_generator` takes its principal
+log first, and so reads the generator back only while the channel
+eigenphases stay inside (-pi, pi).  The log of a block-diagonal matrix
+is the block-diagonal matrix of the blocks' logs, so
+`pst_channel_and_generator` logs the twirled channel's coset blocks,
+straight from the average, as one stack of 2^m x 2^m matrices.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,28 +103,15 @@ __all__ = [
 ]
 
 
-def _pauli_sum(terms, side: int) -> np.ndarray:
-    """sum_g c_g P_g over (word, c_g) pairs; its commutator superoperator is
-    sum_g c_g H_g, since P -> P kron I - I kron P^T is linear."""
-    total = np.zeros((side, side), dtype=complex)
-    for word, coefficient in terms:
-        total += coefficient * matrix_of(word)
-    return total
-
-
 def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
     """signs -> H_s = error + sum_j s_j c_j P_j, the 2^n x 2^n Hamiltonian
-    driven in a frame with drive signs s_j.
-
-    The frame-independent error sum is built once here; each call adds
-    only the sign-flipped drive.
-    """
-    side = 2**drive.n_qubits
-    error = _pauli_sum(err.scaled_terms(), side)
+    driven in a frame with drive signs s_j; the error sum is built once."""
+    zero = np.zeros((2**drive.n_qubits,) * 2, dtype=complex)
+    error = sum((c * matrix_of(word) for word, c in err.scaled_terms()), zero)
 
     def hamiltonian(signs) -> np.ndarray:
-        terms = [(word, sign * c) for sign, (word, c) in zip(signs, drive.terms)]
-        return error + _pauli_sum(terms, side)
+        flipped = (s * c * matrix_of(word) for s, (word, c) in zip(signs, drive.terms))
+        return error + sum(flipped, zero)
 
     return hamiltonian
 
@@ -214,12 +202,10 @@ def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     return group, position, cosets
 
 
-def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
-                noise: NoiseSpec | None = None) -> np.ndarray:
-    """Uniform average of P_alpha exp(flipped generator) P_alpha over all
-    4^n frame words, computed exactly with one exponential per realized
-    drive-sign pattern, block by block over the cosets of the drive group
-    (see the module notes)."""
+def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
+                  noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """The twirled channel's (4^n / 2^m, 2^m, 2^m) stack of Pauli-transfer
+    blocks and the cosets of <D> they sit on (see the module notes)."""
     err = err if err is not None else CoherentErrorSpec()
     noise = noise if noise is not None else NoiseSpec()
     check_drive_error_compat(drive, err)
@@ -243,32 +229,36 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
         ptm = _pauli_transfer(channel(chi[position]), n)
         blocks += ptm[rows, cols] * np.outer(chi, chi)  # chi_s(P_i P_j)
     blocks /= group.size
-    ptm = np.zeros((4**n,) * 2, dtype=complex)
-    ptm[rows, cols] = blocks
-    return _pauli_transfer(ptm, n, inverse=True)
+    return blocks, cosets
+
+
+def _from_coset_blocks(blocks: np.ndarray, cosets: np.ndarray) -> np.ndarray:
+    """The Liouville matrix with Pauli-transfer ``blocks`` on ``cosets``, 0 elsewhere."""
+    ptm = np.zeros((cosets.size,) * 2, dtype=complex)
+    ptm[cosets[:, :, None], cosets[:, None, :]] = blocks
+    return _pauli_transfer(ptm, round(math.log(cosets.size, 4)), inverse=True)
+
+
+def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
+                noise: NoiseSpec | None = None) -> np.ndarray:
+    """Uniform average of P_alpha exp(flipped generator) P_alpha over all
+    4^n frame words, computed exactly with one exponential per realized
+    drive-sign pattern, block by block over the cosets of the drive group
+    (see the module notes)."""
+    return _from_coset_blocks(*_coset_blocks(drive, err, noise))
 
 
 def pst_channel_and_generator(
     drive: DriveSpec, err: CoherentErrorSpec | None = None,
     noise: NoiseSpec | None = None,
 ) -> tuple[np.ndarray, EffectiveGenerator]:
-    """`pst_channel` and the `EffectiveGenerator` of its principal log.
-
-    The log is one `logm_principal` of the stack of the channel's 2^m x 2^m
-    coset blocks in the Pauli-transfer basis, not of the dense 4^n x 4^n
-    channel; it equals `effective_generator(pst_channel(...), tau)` up to
-    rounding.
-    """
-    channel = pst_channel(drive, err, noise)
-    n = drive.n_qubits
-    _, _, cosets = _coset_index(drive)
-    rows, cols = cosets[:, :, None], cosets[:, None, :]
-    ptm = _pauli_transfer(channel, n)
-    log_blocks = logm_principal(ptm[rows, cols])
-    ptm[...] = 0.0  # the log, like the channel, lives on the cosets only
-    ptm[rows, cols] = log_blocks
-    log = _pauli_transfer(ptm, n, inverse=True)
-    return channel, EffectiveGenerator.from_generator(log, drive.tau)
+    """`pst_channel` and the `EffectiveGenerator` of its principal log, taken
+    as one `logm_principal` of the coset-block stack; it equals
+    `effective_generator(pst_channel(...), tau)` up to rounding."""
+    blocks, cosets = _coset_blocks(drive, err, noise)
+    log = _from_coset_blocks(logm_principal(blocks), cosets)
+    return (_from_coset_blocks(blocks, cosets),
+            EffectiveGenerator.from_generator(log, drive.tau))
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
@@ -278,23 +268,38 @@ def ideal_channel(drive: DriveSpec) -> np.ndarray:
     return channel([1] * len(drive.terms))
 
 
-@dataclass(frozen=True)
+def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
+    """tr(P_word h) / 2^n, the weight of ``word`` in a Hermitian h; the
+    identity has none, its commutator superoperator vanishes."""
+    word = pauli_from_label(word) if isinstance(word, str) else word
+    n = h.shape[0].bit_length() - 1
+    if word.n_qubits != n:
+        raise ValueError(f"word {word.label} has {word.n_qubits} qubits, the Hamiltonian {n}")
+    if word.is_identity:
+        return 0.0
+    return float(np.vdot(matrix_of(word), h).real) / h.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
 class EffectiveGenerator:
     """Decomposition of a generator into Pauli-Hamiltonian weights plus a
-    dissipative remainder: G = -i tau sum_g c_g H_g + remainder.
-
-    The coefficient map covers every non-identity word (the identity's
-    commutator superoperator vanishes identically, so it has no weight).
+    dissipative remainder: G = -i tau H(hamiltonian) + remainder, with
+    hamiltonian = sum_g c_g P_g traceless Hermitian (2^n x 2^n).
+    Instances hold arrays, so they compare by identity.
     """
 
     tau: float
-    hamiltonian_coeffs: dict[PauliString, float] = field(compare=False)
-    dissipative_remainder: np.ndarray = field(compare=False)
+    hamiltonian: np.ndarray
+    dissipative_remainder: np.ndarray
 
     def coefficient(self, word: str | PauliString) -> float:
-        if isinstance(word, str):
-            word = pauli_from_label(word)
-        return self.hamiltonian_coeffs[word]
+        return _pauli_weight(self.hamiltonian, word)
+
+    @property
+    def hamiltonian_coeffs(self) -> dict[PauliString, float]:
+        """c_g for every non-identity word, in group order."""
+        n = self.hamiltonian.shape[0].bit_length() - 1
+        return {word: self.coefficient(word) for word in enumerate_group(n)[1:]}
 
     def remainder_norm(self) -> float:
         return op_norm(self.dissipative_remainder)
@@ -309,29 +314,24 @@ class EffectiveGenerator:
         if generator.ndim != 2 or generator.shape[0] != generator.shape[1]:
             raise ValueError(f"expected a square generator, got shape {generator.shape}")
         dim = generator.shape[0]
-        n = round(math.log(dim, 4))
-        if 4**n != dim:
-            raise ValueError(f"generator dimension {dim} is not a power of 4")
+        n = (dim.bit_length() - 1) // 2
+        if dim < 4 or 4**n != dim:
+            raise ValueError(f"generator dimension {dim} is not a power of 4 (n >= 1)")
+        check_qubit_count(n)
 
         side = 2**n
         scaled = (generator / (-1.0j * tau)).reshape(side, side, side, side)
         left = np.trace(scaled, axis1=1, axis2=3)    # L[a,c] = sum_b X[a,b,c,b]
         right = np.trace(scaled, axis1=0, axis2=2)   # R[b,d] = sum_a X[a,b,a,d]
-        projected = left - right.T                   # <H_g, X> = <P_g, L - R^T>
-        normalization = 2.0 * dim  # <H_g, H_g'> = 2 * 4^n * delta_gg'
-        coeffs = {
-            word: float(np.real(np.vdot(matrix_of(word), projected)) / normalization)
-            for word in enumerate_group(n)[1:]
-        }
-        hamiltonian = hamiltonian_superop(_pauli_sum(coeffs.items(), side))
-        return cls(tau, coeffs, generator + 1.0j * tau * hamiltonian)
+        # <H_g, X> = <P_g, L - R^T> and <H_g, H_g'> = 2 * 4^n * delta_gg'.
+        projected = (left - right.T) / (2 * side)
+        h = (projected + projected.conj().T) / 2
+        return cls(tau, h, generator + 1.0j * tau * hamiltonian_superop(h))
 
     def reconstructed(self) -> np.ndarray:
-        """-i tau sum_g c_g H_g + remainder; equals the projected generator."""
-        remainder = np.asarray(self.dissipative_remainder, dtype=complex)
-        side = math.isqrt(remainder.shape[0])
-        hamiltonian = _pauli_sum(self.hamiltonian_coeffs.items(), side)
-        return remainder - 1.0j * self.tau * hamiltonian_superop(hamiltonian)
+        """-i tau H(hamiltonian) + remainder; equals the projected generator."""
+        superop = hamiltonian_superop(self.hamiltonian)
+        return self.dissipative_remainder - 1.0j * self.tau * superop
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pstlab import pst_core
 from pstlab.errors import ConfigError
 from pstlab.experiments import (
     MagnusCheckConfig,
@@ -17,6 +18,7 @@ from pstlab.experiments import (
     run_table1,
 )
 from pstlab.pauli import commutation_sign, pauli_from_label
+from pstlab.pst_core import EffectiveGenerator
 
 
 class TestTable1:
@@ -67,6 +69,34 @@ class TestTable1:
         lines = text.splitlines()
         assert lines[0] == "word,no_pst,pst"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("config", [
+        Table1Config(),
+        Table1Config(drive="ZXII", errors=(("XXIZ", 0.2), ("IYYI", 0.3), ("YZXY", 0.15))),
+    ], ids=["default", "4-qubit"])
+    def test_reads_no_raw_liouvillian_and_no_word_table(self, config, monkeypatch):
+        # The untwirled row reads the identity frame's 2^n x 2^n Hamiltonian
+        # and the twirled row the coset-block log: no raw Liouvillian, no
+        # loop over all 4^n words, and one projection (of the log).
+        def refuse(*args, **kwargs):
+            raise AssertionError("table1 reached a 4^n-sized path")
+
+        monkeypatch.setattr(pst_core, "pst_realization", refuse)
+        monkeypatch.setattr(pst_core, "enumerate_group", refuse)
+        projections = []
+        project = EffectiveGenerator.from_generator.__func__
+
+        def counted(cls, generator, tau):
+            projections.append(generator.shape)
+            return project(cls, generator, tau)
+
+        monkeypatch.setattr(EffectiveGenerator, "from_generator", classmethod(counted))
+        report = run_table1(config)
+        assert len(projections) == 1
+        assert report.agreement_pct >= 99.0
+        for label, amplitude in config.errors:
+            assert abs(report.pst[label]) <= 1e-12
+            assert abs(report.no_pst[label] - amplitude) <= 1e-15
 
     def test_config_round_trip(self):
         config = Table1Config(tau=0.7, scale=0.5)

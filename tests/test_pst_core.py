@@ -491,6 +491,38 @@ class TestEffectiveGenerator:
         with pytest.raises(ValueError):
             effective_generator(np.eye(8), 0.5)
 
+    @pytest.mark.parametrize("dim", [0, 1, 2, 8])
+    def test_rejects_dimensions_off_the_qubit_registers(self, dim):
+        with pytest.raises(ValueError, match="is not a power of 4"):
+            EffectiveGenerator.from_generator(np.zeros((dim, dim)), 0.5)
+
+    def test_qubit_bound(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "1")
+        with pytest.raises(ResourceLimitError):
+            EffectiveGenerator.from_generator(np.zeros((16, 16)), 0.5)
+
+    def test_word_on_another_register_is_a_value_error(self):
+        eff = effective_generator(ideal_channel(drive_zx()), 0.5)
+        with pytest.raises(ValueError, match="ZXI has 3 qubits, the Hamiltonian 2"):
+            eff.coefficient("ZXI")
+        with pytest.raises(ValueError, match="Z has 1 qubits, the Hamiltonian 2"):
+            eff.coefficient(pauli_from_label("Z"))
+
+    def test_identity_word_has_no_weight(self):
+        eff = effective_generator(ideal_channel(drive_zx()), 0.5)
+        assert eff.coefficient("II") == 0.0
+        assert eff.coefficient(identity_string(2)) == 0.0
+
+    def test_equality_is_identity(self):
+        # Generators with different weights at the same tau must differ.
+        ideal = effective_generator(ideal_channel(drive_zx()), 0.5)
+        err = CoherentErrorSpec((("XX", 0.2), ("YY", 0.6)))
+        twirled = effective_generator(pst_channel(drive_zx(), err), 0.5)
+        assert twirled.coefficient("ZX") - ideal.coefficient("ZX") > 3e-3
+        assert ideal != twirled
+        assert ideal == ideal
+        assert len({ideal, twirled}) == 2
+
     def test_json_serialization(self):
         eff = effective_generator(ideal_channel(drive_zx()), 0.5)
         payload = json.loads(eff.to_json())

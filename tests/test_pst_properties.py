@@ -1,5 +1,6 @@
 """Property tests of the ensemble channel against the per-frame oracle,
-and of its coset-block log against the dense one.
+of its coset-block log against the dense one, and of the effective
+generator's Hamiltonian.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -21,9 +22,15 @@ from test_pst_core import (  # noqa: E402
     brute_force_channel,
 )
 
-from pstlab.liouville import NOISE_KINDS, NoiseSpec  # noqa: E402
+from pstlab.liouville import (  # noqa: E402
+    NOISE_KINDS,
+    NoiseSpec,
+    dissipator_superop,
+    hamiltonian_superop,
+)
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
-from pstlab.pst_core import pst_channel  # noqa: E402
+from pstlab.pauli import matrix_of  # noqa: E402
+from pstlab.pst_core import EffectiveGenerator, pst_channel  # noqa: E402
 
 
 _LETTERS = st.sampled_from("IXYZ")
@@ -76,3 +83,35 @@ class TestChannelProperties:
         # reads the same generator as the dense log of the whole channel.
         assert_coset_block_sparse(oracle, drive)
         assert_block_log_matches_dense(drive, err, noise)
+
+
+class TestEffectiveGeneratorProperties:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        rate=st.floats(0.0, 3.0),
+        tau=st.floats(0.05, 1.2),
+        contamination=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hamiltonian_is_the_weights_and_reconstructs(
+        self, n, kind, rate, tau, contamination, seed
+    ):
+        # A Lindblad generator plus an arbitrary (non-physical) complex part.
+        rng = np.random.default_rng(seed)
+        side = 2**n
+        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        noise = NoiseSpec(kind, 0.0 if kind == "none" else rate)
+        junk = rng.normal(size=(side**2,) * 2) + 1j * rng.normal(size=(side**2,) * 2)
+        g = (dissipator_superop(noise, n)
+             - 1j * tau * hamiltonian_superop((a + a.conj().T) / 2)
+             + contamination * junk)
+        eff = EffectiveGenerator.from_generator(g, tau)
+        h = eff.hamiltonian
+        assert h.shape == (side, side)
+        assert np.abs(h - h.conj().T).max() <= 1e-15
+        assert abs(np.trace(h)) <= 1e-14
+        rebuilt = sum(c * matrix_of(word) for word, c in eff.hamiltonian_coeffs.items())
+        assert np.abs(h - rebuilt).max() <= 1e-14
+        assert np.abs(eff.reconstructed() - g).max() <= 1e-13
