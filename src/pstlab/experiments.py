@@ -57,11 +57,11 @@ from .magnus import (
 from .numerics import op_norm
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
 from .pst_core import (
+    _coset_blocks,
+    _from_coset_blocks,
+    _log_hamiltonian,
     _pattern_hamiltonian,
     _pauli_weight,
-    ideal_channel,
-    pst_channel,
-    pst_channel_and_generator,
 )
 
 __all__ = [
@@ -233,8 +233,10 @@ class Table1Report:
     """Weight rows keyed by Pauli label, restricted to the error words plus
     the drive word, with and without the twirl ensemble.
 
-    ``channel`` is the ensemble channel the twirled row was read from; it
-    stays out of comparisons and of the JSON/CSV reports.
+    ``coset_blocks`` holds the ensemble channel the twirled row was read
+    from, as its Pauli-transfer blocks and their cosets; ``channel``
+    densifies them on each read.  Both stay out of comparisons and of the
+    JSON/CSV reports.
     """
 
     config: Table1Config
@@ -242,7 +244,11 @@ class Table1Report:
     pst: dict[str, float]
     theoretical_drive_coeff: float
     agreement_pct: float
-    channel: np.ndarray = field(compare=False, repr=False)
+    coset_blocks: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+
+    @property
+    def channel(self) -> np.ndarray:
+        return _from_coset_blocks(*self.coset_blocks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,29 +275,30 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     The untwirled row reads the Pauli weights of the identity frame's
     2^n x 2^n Hamiltonian directly, with no channel and no log, so it
     reproduces the input amplitudes at every tau; the twirled row reads
-    the ensemble channel through its principal log, taken block by block
-    over the cosets of the drive group.  The twirl zeroes the error words
-    and amplifies the drive weight, which is compared against the
-    sinc-law prediction.
+    the 2^n x 2^n Hamiltonian part of the ensemble channel's principal
+    log, taken block by block over the cosets of the drive group, with no
+    4^n x 4^n array.  The twirl zeroes the error words and amplifies the
+    drive weight, which is compared against the sinc-law prediction.
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
     err = config.error_spec()
     labels = [label for label, _ in config.errors] + [config.drive]
 
-    channel, pst_eff = pst_channel_and_generator(drive, err, NoiseSpec())
+    blocks, cosets = _coset_blocks(drive, err, NoiseSpec())
+    twirled = _log_hamiltonian(blocks, cosets, drive.tau)
     untwirled = _pattern_hamiltonian(drive, err)([1] * len(drive.terms))
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
-    numeric = pst_eff.coefficient(config.drive)
+    numeric = _pauli_weight(twirled, config.drive)
     agreement = 100.0 * (1.0 - abs(numeric - theoretical) / numeric)
     return Table1Report(
         config=config,
         no_pst={label: _pauli_weight(untwirled, label) for label in labels},
-        pst={label: pst_eff.coefficient(label) for label in labels},
+        pst={label: _pauli_weight(twirled, label) for label in labels},
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,
-        channel=channel,
+        coset_blocks=(blocks, cosets),
     )
 
 
@@ -384,18 +391,21 @@ class ParitySweepRow:
 def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySweepRow]:
     """Sweep E(delta) = ||K(delta) - U0||_op per noise kind.
 
-    U0 is the ideal noiseless gate channel.  Rows are emitted per kind in
-    config order, deltas ascending.
+    U0 is the ideal noiseless gate channel, the twirl of the error-free
+    drive, so it is block diagonal on the same cosets of the drive group
+    as K; the Pauli-transfer basis is unitary, so the operator norm is the
+    largest over the coset blocks of K - U0, and no dense channel is
+    built.  Rows are emitted per kind in config order, deltas ascending.
     """
     config = config if config is not None else ParitySweepConfig()
     drive = config.drive_spec()
     grid = config.delta_grid()
-    reference = ideal_channel(drive)
+    reference, _ = _coset_blocks(drive, None, None)
     rows: list[ParitySweepRow] = []
     for kind in config.noise_kinds:
         noise = config.noise_spec(kind)
         deviations = {
-            delta: op_norm(pst_channel(drive, config.error_spec(delta), noise) - reference)
+            delta: op_norm(_coset_blocks(drive, config.error_spec(delta), noise)[0] - reference)
             for delta in grid
         }
         for delta in grid:

@@ -72,7 +72,7 @@ def _as_square_finite(m, stacked: bool = False) -> np.ndarray:
     if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
         stack = " or a stack of them" if stacked else ""
         raise ValueError(f"expected a square matrix{stack}, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -101,16 +101,27 @@ def expm(m) -> np.ndarray:
     a = _as_square_finite(m)
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    a = a / 2.0**squarings
+    if squarings:
+        a = a / 2.0**squarings
     b = _PADE_13
-    ident = np.eye(a.shape[0], dtype=complex)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    scratch = np.empty_like(a)
+
+    def add(head, terms, identity=0.0):
+        # head + sum c * power + identity * I, left to right, in place
+        # (head is fresh and contiguous, so the stride slice is its diagonal).
+        for c, power in terms:
+            head += np.multiply(power, c, out=scratch)
+        if identity:
+            head.reshape(-1)[:: a.shape[0] + 1] += identity
+        return head
+
+    u = a @ add(a6 @ add(b[13] * a6, ((b[11], a4), (b[9], a2))),
+                ((b[7], a6), (b[5], a4), (b[3], a2)), b[1])
+    v = add(a6 @ add(b[12] * a6, ((b[10], a4), (b[8], a2))),
+            ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
     result = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         result = result @ result
@@ -174,9 +185,11 @@ def logm_principal(m) -> np.ndarray:
 
 
 def op_norm(m) -> float:
-    """Largest singular value."""
-    m = _as_square_finite(m)
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value of one square matrix, or the largest over a
+    stack of shape (..., d, d); of a block-diagonal matrix, the largest
+    over its blocks."""
+    m = _as_square_finite(m, stacked=True)
+    return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 
 def sinc(x: float) -> float:

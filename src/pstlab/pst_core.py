@@ -9,56 +9,65 @@ generator G; the realization's channel is (P kron P*) exp(G) (P kron P*).
 The ensemble channel is the exact uniform average over all 4^n frames
 (no sampling), but it is not computed frame by frame.  A frame changes
 only the drive-sign pattern s, so the k drive terms realize at most 2^k
-distinct flipped generators G_s (dependent drive words realize fewer),
-and `pst_channel` runs one exponential per realized pattern.  Each
-pattern's Hamiltonian H_s = error + sum_j s_j c_j P_j is built once as a
-2^n x 2^n matrix.  Without noise, exp(G_s) is the lift U_s kron U_s* of
-the Hilbert-space unitary U_s = exp(-i tau H_s), taken from `eigh`, and
-no Liouville `expm` runs; with noise it is the 4^n x 4^n `expm` of
-noise - i tau H(H_s).  Pauli frames are
-diagonal in the Pauli-transfer basis: column i of B is vec(P_i)/sqrt(2^n)
-(row-major), and B^dag (P_a kron P_a*) B = diag(chi_a), with chi_a(P_i)
-the commutation sign of the frame word and P_i.  The frame average of
-R_s = B^dag exp(G_s) B is therefore entrywise,
-
-    K_PTM[i, j] = 4^-n sum_a chi_a(P_i P_j) R_s(a)[i, j].
-
-The frames of one pattern s form a coset of the centralizer of the drive
+distinct Hamiltonians H_s = error + sum_j s_j c_j P_j (dependent drive
+words realize fewer), each built once as a 2^n x 2^n matrix.  Pauli
+frames are diagonal in the Pauli-transfer basis: column i of B is
+vec(P_i)/sqrt(2^n) (row-major), and B^dag (P_a kron P_a*) B = diag(chi_a),
+with chi_a(P_i) the commutation sign of the frame word and P_i.  The
+frames of one pattern form a coset of the centralizer of the drive
 words, and the sum of chi_a(Q) over such a coset vanishes unless Q lies
 in the group <D> the drive words generate (2^m words); on <D>, chi_a is
-the character chi_s that the pattern fixes.  So K_PTM is block diagonal
-over the cosets of <D>,
+the character chi_s that the pattern fixes.  So the averaged
+Pauli-transfer matrix is block diagonal over the cosets of <D>,
 
     K_PTM[i, j] = 2^-m sum_s chi_s(P_i P_j) R_s[i, j]   if P_i P_j in <D>,
 
-and 0 otherwise: 4^n / 2^m blocks of size 2^m (2 x 2 for one drive
-word).  In group order the index digits are I=0, X=1, Y=2, Z=3, so
-P_i P_j is P_(i XOR j) up to phase, <D> is a set of indices closed under
-XOR and its cosets are rep XOR <D>; its 2^m characters, one per realized
-pattern, form a Sylvester Hadamard matrix.  The blocks return to the
-row-major Liouville basis once, as B K_PTM B^dag.  B is the Kronecker
-power of the one-qubit basis up to a fixed index permutation, so both
-changes of basis run one qubit leg at a time and B is never built
-densely.
+and 0 otherwise, with R_s the pattern channel's Pauli-transfer matrix:
+4^n / 2^m blocks of size 2^m (2 x 2 for one drive word).  In group order
+the index digits are I=0, X=1, Y=2, Z=3, so P_i P_g = w(i, g) P_(i XOR g)
+with a phase w, <D> is a set of indices closed under XOR and its cosets
+are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix.
+
+Only the bands R_s[i, i XOR g], g in <D>, are needed.  With noise they
+are read off the 4^n x 4^n Liouville `expm` of noise - i tau H(H_s),
+taken to the Pauli-transfer basis.  Without noise (kind "none" or rate
+0) the pattern is the unitary U_s = exp(-i tau H_s) from `eigh`, and
+its bands follow from Pauli spectra alone: with a_k = tr(P_k U_s) / 2^n
+and b_k the same coefficients of P_g U_s^dag,
+
+    R_s[i, i XOR g] = conj(w(i, g)) sum_k chi(i, k) a_k b_k,
+
+where chi(i, k) is the commutation sign.  The coefficients, the sign sum
+(a symplectic Walsh-Hadamard transform) and w are Kronecker products of
+one 4 x 4 table per qubit, so each transform runs one qubit leg at a
+time, O(n 4^n), and no 4^n x 4^n array is formed.  `pst_channel`
+returns the blocks to the row-major Liouville basis once, as
+B K_PTM B^dag, with the same leg-by-leg change of basis.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 or a channel log) onto Pauli commutator superoperators
 H_g = P_g kron I - I kron P_g^T, whose pairwise inner products are 2*4^n
 for distinct non-identity words; what the projection leaves is the
-dissipative remainder.  It needs no superoperator and no loop over
-words: with X the scaled generator as a tensor X[a,b,c,d] and its
-partial traces L[a,c] = sum_b X[a,b,c,b] and R[b,d] = sum_a X[a,b,a,d],
-<H_g, X> = <P_g, L - R^T>, so the Hamiltonian part is the one traceless
-Hermitian matrix h = herm(L - R^T) / 2^(n+1) = sum_g c_g P_g, and a
-word's weight is c_g = tr(P_g h) / 2^n (an ideal gate reads 1 on its
-drive word).  `table1`'s untwirled row reads the same weights off the
-identity frame's 2^n x 2^n Hamiltonian, with no projection.  A channel
-has no generator of its own: `effective_generator` takes its principal
-log first, and so reads the generator back only while the channel
-eigenphases stay inside (-pi, pi).  The log of a block-diagonal matrix
-is the block-diagonal matrix of the blocks' logs, so
-`pst_channel_and_generator` logs the twirled channel's coset blocks,
-straight from the average, as one stack of 2^m x 2^m matrices.
+dissipative remainder.  With X the scaled generator as a tensor
+X[a,b,c,d] and its partial traces L[a,c] = sum_b X[a,b,c,b] and
+R[b,d] = sum_a X[a,b,a,d], <H_g, X> = <P_g, L - R^T>, so the Hamiltonian
+part is the one traceless Hermitian matrix h = herm(L - R^T) / 2^(n+1)
+= sum_g c_g P_g, and a word's weight is c_g = tr(P_g h) / 2^n (an ideal
+gate reads 1 on its drive word).  A channel has no generator of its
+own: `effective_generator` takes its principal log first, and so reads
+the generator back only while the channel eigenphases stay inside
+(-pi, pi).
+
+`table1` never forms the dense log.  The log of a block-diagonal matrix
+is the block-diagonal matrix of the blocks' logs, so it logs the coset
+blocks as one stack of 2^m x 2^m matrices.  In the Pauli-transfer basis
+H_g has entries 2 w(g, j) at (g XOR j, j) for each j that anticommutes
+with g, so with X = log / (-i tau) the weight
+c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
+reads the (i, i XOR g) band alone, and every word outside <D> weighs 0.
+The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads through
+the same tr(P h) / 2^n rule as its untwirled row, the identity frame's
+Hamiltonian.  Its report densifies the channel only when it is read.
 """
 
 from __future__ import annotations
@@ -98,7 +107,6 @@ __all__ = [
     "effective_generator",
     "ideal_channel",
     "pst_channel",
-    "pst_channel_and_generator",
     "pst_realization",
 ]
 
@@ -116,24 +124,6 @@ def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
     return hamiltonian
 
 
-def _pattern_channels(drive: DriveSpec, err: CoherentErrorSpec, noise: NoiseSpec):
-    """The realization channel exp(G_s) as a function of the drive signs.
-
-    Without noise (kind "none" or rate 0) G_s = -i tau H(H_s), so the
-    channel is the lift U kron U* of the 2^n x 2^n unitary
-    U = exp(-i tau H_s).  Otherwise it is the Liouville `expm` of
-    noise - i tau H(H_s).
-    """
-    hamiltonian = _pattern_hamiltonian(drive, err)
-    tau = drive.tau
-    if noise.kind == "none" or noise.rate == 0:
-        return lambda signs: unitary_superop(expm_hermitian(hamiltonian(signs), tau))
-    dissipator = dissipator_superop(noise, drive.n_qubits)
-    return lambda signs: expm(
-        dissipator - 1.0j * tau * hamiltonian_superop(hamiltonian(signs))
-    )
-
-
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
                     noise: NoiseSpec, alpha: PauliString) -> np.ndarray:
     """The generator driven between the gates of frame word ``alpha``:
@@ -149,6 +139,13 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
             - 1.0j * drive.tau * hamiltonian_superop(hamiltonian))
 
 
+# The one-qubit words in group order I, X, Y, Z: row k is vec(P_k), row-major.
+_PAULI_ROWS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+# P_a P_b = _PHASE[a, b] P_(a XOR b); the phase squares to the commutation sign.
+_PHASE = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
+_SIGNS = (_PHASE * _PHASE).real
+
+
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     """B^dag m B (or B m B^dag with ``inverse``), where column i of B is
     vec(P_i) / sqrt(2^n), row-major, words in group order.
@@ -157,9 +154,7 @@ def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     (row, column) index pair is grouped into one leg of size 4, so the
     change of basis runs leg by leg and B is never built densely.
     """
-    one = np.stack(
-        [matrix_of(pauli_from_label(letter)).reshape(-1) for letter in "IXYZ"], axis=1
-    ) / math.sqrt(2)
+    one = _PAULI_ROWS.T / math.sqrt(2)
     out_leg, in_leg = (one.T, one.conj().T) if inverse else (one.conj(), one)
     grouped = [axis for q in range(n) for axis in (q, n + q)]
     order = grouped + [2 * n + axis for axis in grouped]
@@ -173,6 +168,16 @@ def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     return t.reshape(m.shape)
 
 
+def _per_leg(t: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """kron(table, ..., table) applied along the last axis of t (size 4^n),
+    one 4 x 4 qubit leg at a time, so the Kronecker power is never built."""
+    head, size = t.shape[:-1], t.shape[-1]
+    for _ in range(size.bit_length() // 2):
+        # Transform the last leg and move it to the front.
+        t = (t.reshape(*head, -1, 4) @ table.T).swapaxes(-1, -2).reshape(*head, size)
+    return t
+
+
 def _word_index(word: PauliString) -> int:
     """Position of ``word`` in group order: base-4 digits I=0, X=1, Y=2,
     Z=3, leftmost qubit most significant."""
@@ -182,13 +187,29 @@ def _word_index(word: PauliString) -> int:
     return index
 
 
+def _word_at(index: int, n: int) -> PauliString:
+    """The n-qubit word at ``index`` in group order (`_word_index` inverted)."""
+    return pauli_from_label("".join("IXYZ"[(index >> s) & 3] for s in range(2 * n - 2, -1, -2)))
+
+
+def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
+    """w[p, i] with P_i P_g = w[p, i] P_(i XOR g) for g = group[p] and
+    every word i: a Kronecker product of one-qubit phase columns."""
+    phases = np.ones((group.size, 1), dtype=complex)
+    for shift in range(2 * n - 2, -1, -2):
+        leg = _PHASE[:, (group >> shift) & 3].T
+        phases = (phases[:, :, None] * leg[:, None, :]).reshape(group.size, -1)
+    return phases
+
+
 def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The drive group <D> and its cosets, as word indices.
 
     Returns (group, position, cosets): ``group[p]`` is the XOR of the
-    independent drive words at the set bits of p, ``position[j]`` is
-    drive word j's element, and ``cosets[b]`` lists the b-th coset,
-    rep XOR group, with its smallest index as rep.
+    independent drive words at the set bits of p, so group[p] XOR group[q]
+    is group[p XOR q]; ``position[j]`` is drive word j's element, and
+    ``cosets[b]`` lists the b-th coset, rep XOR group, with its smallest
+    index as rep (``cosets[0]`` is the group itself).
     """
     group, position = np.zeros(1, dtype=np.intp), []
     for word, _ in drive.terms:
@@ -210,11 +231,34 @@ def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
     noise = noise if noise is not None else NoiseSpec()
     check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
-    channel = _pattern_channels(drive, err, noise)
+    hamiltonian, tau = _pattern_hamiltonian(drive, err), drive.tau
     group, position, cosets = _coset_index(drive)
+    words = np.arange(4**n)
+
+    # bands(signs)[p, i] is R_s[i, i XOR group[p]] of the pattern's
+    # Pauli-transfer matrix R_s, the only entries the twirl keeps.
+    if noise.kind == "none" or noise.rate == 0:
+        phases = _product_phases(group, n)
+        legs = [axis for q in range(n) for axis in (q, n + q)]
+
+        def bands(signs) -> np.ndarray:
+            # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
+            # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
+            u = expm_hermitian(hamiltonian(signs), tau)
+            a = _per_leg(u.reshape((2,) * (2 * n)).transpose(legs).reshape(-1),
+                         _PAULI_ROWS.conj() / 2)
+            b = np.conj(a * phases)[np.arange(group.size)[:, None], words ^ group[:, None]]
+            return np.conj(phases) * _per_leg(a * b, _SIGNS)
+    else:
+        dissipator = dissipator_superop(noise, n)
+
+        def bands(signs) -> np.ndarray:
+            generator = dissipator - 1.0j * tau * hamiltonian_superop(hamiltonian(signs))
+            return _pauli_transfer(expm(generator), n)[words, words ^ group[:, None]]
 
     # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
-    # matrix; character c is the drive-sign pattern chi_c[position].
+    # matrix; character c is the drive-sign pattern chi_c[position], and
+    # chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
     # Patterns are summed in one fixed order, ascending parity bits, so
     # the channel is reproducible bit for bit.
     characters = np.ones((1, 1))
@@ -223,13 +267,12 @@ def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
     parities = characters[:, position] < 0
     characters = characters[np.lexsort(parities.T[::-1])]
 
-    rows, cols = cosets[:, :, None], cosets[:, None, :]
-    blocks = np.zeros((len(cosets), group.size, group.size), dtype=complex)
+    average = np.zeros((group.size, words.size), dtype=complex)
     for chi in characters:
-        ptm = _pauli_transfer(channel(chi[position]), n)
-        blocks += ptm[rows, cols] * np.outer(chi, chi)  # chi_s(P_i P_j)
-    blocks /= group.size
-    return blocks, cosets
+        average += chi[:, None] * bands(chi[position])
+    average /= group.size
+    p = np.arange(group.size)
+    return average[p[:, None] ^ p, cosets[:, :, None]], cosets
 
 
 def _from_coset_blocks(blocks: np.ndarray, cosets: np.ndarray) -> np.ndarray:
@@ -237,6 +280,30 @@ def _from_coset_blocks(blocks: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     ptm = np.zeros((cosets.size,) * 2, dtype=complex)
     ptm[cosets[:, :, None], cosets[:, None, :]] = blocks
     return _pauli_transfer(ptm, round(math.log(cosets.size, 4)), inverse=True)
+
+
+def _check_tau(tau: float) -> None:
+    """A log divided by -i tau reads a generator only for a positive tau."""
+    if not math.isfinite(tau) or tau <= 0:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
+def _log_hamiltonian(blocks: np.ndarray, cosets: np.ndarray, tau: float) -> np.ndarray:
+    """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal log
+    of the channel with Pauli-transfer ``blocks`` on ``cosets``, read off
+    the log's (i, i XOR g) bands for g in <D> (see the module notes); the
+    same as `EffectiveGenerator.from_generator` of the dense log."""
+    _check_tau(tau)
+    group, n = cosets[0], (cosets.size.bit_length() - 1) // 2
+    log = logm_principal(blocks)
+    p = np.arange(group.size)
+    bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
+    terms = _product_phases(group, n).imag[:, cosets] * bands
+    h = np.zeros((2**n,) * 2, dtype=complex)
+    for g, row in zip(group[1:], terms[1:]):
+        # fsum rounds each band's sum once, independent of its order.
+        h += math.fsum(row.ravel()) / (tau * cosets.size) * matrix_of(_word_at(g, n))
+    return h
 
 
 def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
@@ -248,24 +315,11 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
     return _from_coset_blocks(*_coset_blocks(drive, err, noise))
 
 
-def pst_channel_and_generator(
-    drive: DriveSpec, err: CoherentErrorSpec | None = None,
-    noise: NoiseSpec | None = None,
-) -> tuple[np.ndarray, EffectiveGenerator]:
-    """`pst_channel` and the `EffectiveGenerator` of its principal log, taken
-    as one `logm_principal` of the coset-block stack; it equals
-    `effective_generator(pst_channel(...), tau)` up to rounding."""
-    blocks, cosets = _coset_blocks(drive, err, noise)
-    log = _from_coset_blocks(logm_principal(blocks), cosets)
-    return (_from_coset_blocks(blocks, cosets),
-            EffectiveGenerator.from_generator(log, drive.tau))
-
-
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
     """Noiseless, error-free gate channel exp(-i tau H_drive): the
     identity frame's realization, lifted from its 2^n x 2^n unitary."""
-    channel = _pattern_channels(drive, CoherentErrorSpec(), NoiseSpec())
-    return channel([1] * len(drive.terms))
+    hamiltonian = _pattern_hamiltonian(drive, CoherentErrorSpec())([1] * len(drive.terms))
+    return unitary_superop(expm_hermitian(hamiltonian, drive.tau))
 
 
 def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
@@ -308,8 +362,7 @@ class EffectiveGenerator:
     def from_generator(cls, generator: np.ndarray, tau: float) -> EffectiveGenerator:
         """Project a 4^n x 4^n generator onto the Pauli commutator
         superoperators (see the module notes); `reconstructed` inverts it."""
-        if not math.isfinite(tau) or tau <= 0:
-            raise ValueError(f"tau must be finite and positive, got {tau}")
+        _check_tau(tau)
         generator = np.asarray(generator, dtype=complex)
         if generator.ndim != 2 or generator.shape[0] != generator.shape[1]:
             raise ValueError(f"expected a square generator, got shape {generator.shape}")

@@ -1,0 +1,59 @@
+"""Dense reference constructions of the twirled channel's coset blocks.
+
+`pst_core` builds a noiseless pattern's coset blocks from Pauli spectra of
+its 2^n x 2^n unitary, with no 4^n x 4^n array.  The oracles here take the
+long way: lift each pattern unitary to U kron U*, transform the whole lift
+to the Pauli-transfer basis and gather the blocks, or average every one of
+the 4^n frames one Pauli-transfer matrix at a time.
+"""
+
+import numpy as np
+
+from pstlab import pst_core
+from pstlab.liouville import pauli_unitary_superop, unitary_superop
+from pstlab.magnus import CoherentErrorSpec
+from pstlab.numerics import expm_hermitian, logm_principal
+from pstlab.pauli import commutation_sign, enumerate_group
+from pstlab.pst_core import EffectiveGenerator
+
+
+def dense_noiseless_blocks(drive, err=None):
+    """Coset blocks of the noiseless twirl, gathered from each realized
+    pattern's dense Pauli-transfer matrix B^dag (U kron U*) B."""
+    err = err if err is not None else CoherentErrorSpec()
+    n = drive.n_qubits
+    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
+    group, position, cosets = pst_core._coset_index(drive)
+    characters = np.ones((1, 1))
+    while characters.shape[0] < group.size:
+        characters = np.block([[characters, characters], [characters, -characters]])
+    rows, cols = cosets[:, :, None], cosets[:, None, :]
+    blocks = np.zeros((len(cosets), group.size, group.size), dtype=complex)
+    for chi in characters:
+        lift = unitary_superop(expm_hermitian(hamiltonian(chi[position]), drive.tau))
+        blocks += pst_core._pauli_transfer(lift, n)[rows, cols] * np.outer(chi, chi)
+    return blocks / group.size, cosets
+
+
+def frame_average_blocks(drive, err=None):
+    """Coset blocks of the noiseless twirl as the plain average over all
+    4^n frames of P_a U_a P_a, each frame's channel lifted and transformed
+    to the Pauli-transfer basis on its own."""
+    err = err if err is not None else CoherentErrorSpec()
+    n = drive.n_qubits
+    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
+    _, _, cosets = pst_core._coset_index(drive)
+    total = np.zeros((4**n,) * 2, dtype=complex)
+    for alpha in enumerate_group(n):
+        signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
+        frame = pauli_unitary_superop(alpha)
+        lift = unitary_superop(expm_hermitian(hamiltonian(signs), drive.tau))
+        total += pst_core._pauli_transfer(frame @ lift @ frame, n)
+    return (total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets
+
+
+def densified_log_generator(blocks, cosets, tau):
+    """`EffectiveGenerator.from_generator` of the blocks' principal log,
+    written out as a dense 4^n x 4^n Liouville matrix."""
+    log = pst_core._from_coset_blocks(logm_principal(blocks), cosets)
+    return EffectiveGenerator.from_generator(log, tau)

@@ -1,11 +1,12 @@
 """Tests for the scripted experiment drivers and their reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pstlab import pst_core
+from pstlab import experiments, pst_core
 from pstlab.errors import ConfigError
 from pstlab.experiments import (
     MagnusCheckConfig,
@@ -17,8 +18,9 @@ from pstlab.experiments import (
     run_parity_sweep,
     run_table1,
 )
+from pstlab.numerics import op_norm
 from pstlab.pauli import commutation_sign, pauli_from_label
-from pstlab.pst_core import EffectiveGenerator
+from pstlab.pst_core import EffectiveGenerator, ideal_channel, pst_channel
 
 
 class TestTable1:
@@ -75,28 +77,41 @@ class TestTable1:
         Table1Config(drive="ZXII", errors=(("XXIZ", 0.2), ("IYYI", 0.3), ("YZXY", 0.15))),
     ], ids=["default", "4-qubit"])
     def test_reads_no_raw_liouvillian_and_no_word_table(self, config, monkeypatch):
-        # The untwirled row reads the identity frame's 2^n x 2^n Hamiltonian
-        # and the twirled row the coset-block log: no raw Liouvillian, no
-        # loop over all 4^n words, and one projection (of the log).
+        # Both rows come from 2^n x 2^n Hamiltonians and the coset blocks:
+        # no lift, no superoperator, no dense change of basis, no dense
+        # channel and no projection of a dense log.
         def refuse(*args, **kwargs):
-            raise AssertionError("table1 reached a 4^n-sized path")
+            raise AssertionError("table1 reached a 4^n x 4^n path")
 
-        monkeypatch.setattr(pst_core, "pst_realization", refuse)
-        monkeypatch.setattr(pst_core, "enumerate_group", refuse)
-        projections = []
-        project = EffectiveGenerator.from_generator.__func__
-
-        def counted(cls, generator, tau):
-            projections.append(generator.shape)
-            return project(cls, generator, tau)
-
-        monkeypatch.setattr(EffectiveGenerator, "from_generator", classmethod(counted))
+        for name in ("pst_realization", "enumerate_group", "_pauli_transfer",
+                     "unitary_superop", "hamiltonian_superop", "_from_coset_blocks"):
+            monkeypatch.setattr(pst_core, name, refuse)
+        monkeypatch.setattr(experiments, "_from_coset_blocks", refuse)
+        monkeypatch.setattr(EffectiveGenerator, "from_generator", classmethod(refuse))
         report = run_table1(config)
-        assert len(projections) == 1
         assert report.agreement_pct >= 99.0
         for label, amplitude in config.errors:
             assert abs(report.pst[label]) <= 1e-12
             assert abs(report.no_pst[label] - amplitude) <= 1e-15
+
+    def test_zero_duration_is_rejected(self):
+        # The twirled row divides the log by -i tau.
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            run_table1(Table1Config(tau=0.0))
+
+    def test_four_qubit_peak_memory_is_below_one_dense_channel(self):
+        # One 256 x 256 complex array, the n = 4 Liouville size, is 1 MiB.
+        config = Table1Config(
+            drive="ZXII", errors=(("XXIZ", 0.2), ("IYYI", 0.3), ("YZXY", 0.15))
+        )
+        run_table1(config)  # fill the Pauli-matrix cache outside the window
+        tracemalloc.start()
+        try:
+            run_table1(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 16
 
     def test_config_round_trip(self):
         config = Table1Config(tau=0.7, scale=0.5)
@@ -139,6 +154,25 @@ class TestParitySweep:
             for d in (0.5, 1.0)
         )
         assert damping_asym > 1e-8
+
+    def test_block_norms_are_the_dense_norms(self, monkeypatch):
+        # The sweep takes norms of coset-block stacks and never densifies a
+        # channel; the dense norm of the Liouville difference is the same.
+        drive = SMALL_SWEEP.drive_spec()
+        expected = [
+            op_norm(pst_channel(drive, SMALL_SWEEP.error_spec(delta), SMALL_SWEEP.noise_spec(kind))
+                    - ideal_channel(drive))
+            for kind in SMALL_SWEEP.noise_kinds
+            for delta in SMALL_SWEEP.delta_grid()
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep densified a channel")
+
+        monkeypatch.setattr(pst_core, "_from_coset_blocks", refuse)
+        monkeypatch.setattr(experiments, "_from_coset_blocks", refuse)
+        rows = run_parity_sweep(SMALL_SWEEP)
+        assert max(abs(row.error - e) for row, e in zip(rows, expected)) <= 1e-14
 
     def test_noiseless_origin_is_exact(self):
         rows = run_parity_sweep(SMALL_SWEEP)

@@ -296,6 +296,25 @@ class TestOpNorm:
         with pytest.raises(ValueError):
             op_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_stack_is_the_block_diagonal_norm(self):
+        rng = np.random.default_rng(10)
+        stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        dense = np.zeros((24, 24), dtype=complex)
+        for b, block in enumerate(stack.reshape(6, 4, 4)):
+            dense[4 * b:4 * b + 4, 4 * b:4 * b + 4] = block
+        assert op_norm(stack) == max(op_norm(block) for block in stack.reshape(6, 4, 4))
+        assert op_norm(stack) == pytest.approx(op_norm(dense), rel=1e-14)
+
+    def test_rejects_non_square_and_non_finite_stacks(self):
+        for shape in ((3,), (4, 2, 3)):
+            with pytest.raises(ValueError, match="or a stack of them"):
+                op_norm(np.ones(shape))
+        for bad in (np.inf, complex(1.0, np.nan)):
+            stack = np.ones((3, 2, 2), dtype=complex)
+            stack[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                op_norm(stack)
+
 
 class TestSinc:
     def test_at_zero(self):

@@ -37,7 +37,6 @@ from pstlab.pst_core import (
     effective_generator,
     ideal_channel,
     pst_channel,
-    pst_channel_and_generator,
     pst_realization,
 )
 
@@ -105,25 +104,32 @@ def assert_coset_block_sparse(k, drive):
     assert np.abs(pauli_transfer_matrix(k)[outside]).max(initial=0.0) <= 1e-14
 
 
+def block_log_hamiltonian(drive, err=None, noise=None):
+    """The twirled Hamiltonian `table1` reads: its channel's coset blocks,
+    logged as one stack and read off the bands of <D>."""
+    blocks, cosets = pst_core._coset_blocks(drive, err, noise)
+    return pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+
+
 def assert_block_log_matches_dense(drive, err=None, noise=None):
-    """The block-log generator equals the dense log's to 1e-10, or both
-    raise the same typed error; the channel returned beside it is
-    `pst_channel`'s, bit for bit."""
+    """The block log equals the dense log of `pst_channel` to 1e-10, and
+    the Hamiltonian read off its bands equals the dense log's projection
+    to 1e-10, or both raise the same typed error."""
     k = pst_channel(drive, err, noise)
     try:
         dense = effective_generator(k, drive.tau)
     except (BranchCutError, DefectiveMatrixError) as exc:
         with pytest.raises(type(exc)):
-            pst_channel_and_generator(drive, err, noise)
+            block_log_hamiltonian(drive, err, noise)
         return
-    channel, blocks = pst_channel_and_generator(drive, err, noise)
-    assert np.array_equal(channel, k)
-    assert blocks.hamiltonian_coeffs.keys() == dense.hamiltonian_coeffs.keys()
-    for word, value in dense.hamiltonian_coeffs.items():
-        assert abs(blocks.hamiltonian_coeffs[word] - value) <= 1e-10
+    blocks, cosets = pst_core._coset_blocks(drive, err, noise)
     np.testing.assert_allclose(
-        blocks.dissipative_remainder, dense.dissipative_remainder, rtol=0, atol=1e-10
+        pst_core._from_coset_blocks(logm_principal(blocks), cosets), logm_principal(k),
+        rtol=0, atol=1e-10,
     )
+    h = block_log_hamiltonian(drive, err, noise)
+    for word, value in dense.hamiltonian_coeffs.items():
+        assert abs(pst_core._pauli_weight(h, word) - value) <= 1e-10
 
 
 def superop_projection(log_k, tau):
@@ -382,13 +388,13 @@ class TestCosetBlocks:
 
     def test_dependent_drive_logs_blocks_of_four(self, logm_calls):
         # XI, IX and XX generate a group of 4 words: 4 cosets of 4.
-        pst_channel_and_generator(DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS))
+        block_log_hamiltonian(DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS))
         assert logm_calls == [(4, 4, 4)]
 
     def test_branch_failure_propagates(self):
         drive = DriveSpec.single("ZX", math.pi / 2)
         with pytest.raises(BranchCutError):
-            pst_channel_and_generator(drive)
+            block_log_hamiltonian(drive)
 
 
 class TestChannelValidation:

@@ -1,5 +1,6 @@
 """Property tests of the ensemble channel against the per-frame oracle,
-of its coset-block log against the dense one, and of the effective
+of its coset-block log against the dense one, of the noiseless spectral
+blocks and band weights against dense oracles, and of the effective
 generator's Hamiltonian.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
@@ -13,6 +14,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from pst_oracles import (  # noqa: E402
+    dense_noiseless_blocks,
+    densified_log_generator,
+    frame_average_blocks,
+)
 from test_pst_core import (  # noqa: E402
     DEPENDENT_DRIVE,
     DEPENDENT_ERRORS,
@@ -20,8 +26,11 @@ from test_pst_core import (  # noqa: E402
     assert_coset_block_sparse,
     assert_trace_preserving,
     brute_force_channel,
+    drive_group,
 )
 
+from pstlab import pst_core  # noqa: E402
+from pstlab.errors import BranchCutError, DefectiveMatrixError  # noqa: E402
 from pstlab.liouville import (  # noqa: E402
     NOISE_KINDS,
     NoiseSpec,
@@ -29,7 +38,7 @@ from pstlab.liouville import (  # noqa: E402
     hamiltonian_superop,
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
-from pstlab.pauli import matrix_of  # noqa: E402
+from pstlab.pauli import enumerate_group, matrix_of  # noqa: E402
 from pstlab.pst_core import EffectiveGenerator, pst_channel  # noqa: E402
 
 
@@ -37,8 +46,8 @@ _LETTERS = st.sampled_from("IXYZ")
 
 
 @st.composite
-def twirl_inputs(draw):
-    n = draw(st.integers(1, 2))
+def twirl_inputs(draw, max_qubits=2, noise=True):
+    n = draw(st.integers(1, max_qubits))
     word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
         lambda label: set(label) != {"I"}
     )
@@ -55,6 +64,8 @@ def twirl_inputs(draw):
         tuple((w, draw(amplitude)) for w in error_words),
         scale=draw(st.floats(-1.5, 1.5)),
     )
+    if not noise:
+        return drive, err
     kind = draw(st.sampled_from(NOISE_KINDS))
     targets = draw(st.one_of(
         st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
@@ -83,6 +94,36 @@ class TestChannelProperties:
         # reads the same generator as the dense log of the whole channel.
         assert_coset_block_sparse(oracle, drive)
         assert_block_log_matches_dense(drive, err, noise)
+
+
+class TestSpectralBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs(max_qubits=3, noise=False))
+    @example((DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS, scale=1.3)))
+    @example((
+        DriveSpec((("ZXY", 0.9), ("XIZ", -0.4), ("YXY", 0.3)), 0.7),
+        CoherentErrorSpec((("XXY", 0.2), ("YZI", 0.6), ("IIZ", -0.1))),
+    ))
+    def test_match_dense_oracles_and_band_weights(self, inputs):
+        drive, err = inputs
+        blocks, cosets = pst_core._coset_blocks(drive, err, None)
+        for oracle in (dense_noiseless_blocks, frame_average_blocks):
+            expected, expected_cosets = oracle(drive, err)
+            assert np.array_equal(cosets, expected_cosets)
+            assert np.abs(blocks - expected).max() <= 1e-13
+        try:
+            dense = densified_log_generator(blocks, cosets, drive.tau)
+        except (BranchCutError, DefectiveMatrixError) as exc:
+            with pytest.raises(type(exc)):
+                pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+            return
+        h = pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+        inside = drive_group(drive)
+        for word in enumerate_group(drive.n_qubits):
+            weight = pst_core._pauli_weight(h, word)
+            assert abs(weight - dense.coefficient(word)) <= 1e-12
+            if word not in inside:
+                assert weight == 0.0
 
 
 class TestEffectiveGeneratorProperties:
