@@ -7,25 +7,49 @@ averaged interaction terms (quadrature and closed form), and inverts the
 sinc-law calibration relation for the drive duration.
 
 The package re-exports every module's ``__all__``; each public name is
-declared once, in the module that defines it.
+declared once, in the module that defines it.  Names resolve on first
+access (PEP 562), so ``import pstlab`` loads no submodule and no numpy.
+The numpy-free modules (`errors`, `sinc_law`, `schema`, `pauli`) come
+first in the search order, so ``pstlab.over_rotation_factor`` or
+``pstlab.sign_table_csv`` still loads no numpy; any name of a numeric
+module, ``pstlab.__all__``, ``dir(pstlab)`` and ``from pstlab import *``
+import every module.
 """
 
-from . import errors, experiments, liouville, magnus, numerics, pauli, pst_core
-from .errors import *
-from .pauli import *
-from .liouville import *
-from .numerics import *
-from .magnus import *
-from .pst_core import *
-from .experiments import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = []
-__all__ += errors.__all__
-__all__ += pauli.__all__
-__all__ += liouville.__all__
-__all__ += numerics.__all__
-__all__ += magnus.__all__
-__all__ += pst_core.__all__
-__all__ += experiments.__all__
+# Every submodule whose ``__all__`` the package re-exports, in export order.
+_MODULES = (
+    "errors", "sinc_law", "schema", "pauli",
+    "liouville", "numerics", "magnus", "pst_core", "experiments",
+)
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    # A submodule, the CLI included, imports on first access, so that
+    # ``from pstlab import cli`` searches no numeric module.
+    if name in _MODULES or name == "cli":
+        return _module(name)
+    if name == "__all__":
+        value = [export for module in _MODULES for export in _module(module).__all__]
+    elif name.startswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        for module in map(_module, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

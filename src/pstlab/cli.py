@@ -6,9 +6,15 @@ fields, --dump-config to echo the fully resolved config (which re-parses
 to an identical run), and --output/--format to direct the report.
 
 Every subcommand's options come from the fields of its config dataclass
-in `pstlab.experiments`: a field's flag is its name with _ -> - unless the
-field renames it.  A config file may set only those fields (unknown ones
-are rejected), and its values are coerced to the field types.
+(`pstlab.schema` for the scalar commands, `pstlab.experiments` for the
+numeric ones): a field's flag is its name with _ -> - unless the field
+renames it.  A config file may set only those fields (unknown ones are
+rejected), and its values are coerced to the field types.  Each run
+builds the flags of its own subcommand only.
+
+The scalar commands (sign-table, overrotation, calibrate) never load
+numpy.  The numeric ones (table1, parity-sweep, magnus-check) import
+`pstlab.experiments`, and numpy with it, once they are chosen.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical failure; the
 diagnostic goes to stderr.
@@ -23,22 +29,8 @@ from dataclasses import MISSING, asdict, fields
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ToleranceError
-from .liouville import matrix_to_json
-from .magnus import over_rotation_factor
-from .pauli import sign_table, sign_table_csv, enumerate_group
-from .pst_core import calibrate_tau
-from .experiments import (
-    CalibrateConfig,
-    MagnusCheckConfig,
-    OverRotationConfig,
-    ParitySweepConfig,
-    SignTableConfig,
-    Table1Config,
-    parity_rows_to_csv,
-    run_magnus_crosscheck,
-    run_parity_sweep,
-    run_table1,
-)
+from .schema import CalibrateConfig, OverRotationConfig, SignTableConfig
+from .sinc_law import calibrate_tau, over_rotation_factor
 
 _SCALAR_FORMAT = "{:.7g}"
 
@@ -52,20 +44,27 @@ def _report_text(config, report, fmt: str) -> str:
     return report.to_csv() if fmt == "csv" else report.to_json()
 
 
+def _experiments():
+    """`pstlab.experiments`, imported (numpy with it) by the numeric commands."""
+    from . import experiments
+
+    return experiments
+
+
 def _sweep_text(config, rows, fmt: str) -> str:
     if fmt == "csv":
-        return parity_rows_to_csv(rows)
+        return _experiments().parity_rows_to_csv(rows)
     payload = {"config": config.to_dict(), "rows": [asdict(row) for row in rows]}
     return json.dumps(payload, indent=2)
 
 
 def _sign_table_text(config, qubits: int, fmt: str) -> str:
+    from .pauli import _sign_rows, enumerate_group, sign_table_csv
+
     if fmt == "csv":
         return sign_table_csv(qubits)
-    payload = {
-        "labels": [p.label for p in enumerate_group(qubits)],
-        "table": sign_table(qubits).tolist(),
-    }
+    group = enumerate_group(qubits)
+    payload = {"labels": [p.label for p in group], "table": _sign_rows(group)}
     return json.dumps(payload, indent=2)
 
 
@@ -83,6 +82,8 @@ def _scalar_text(key: str):
 
 def _dump_channel(report, args) -> None:
     if args.dump_channel:
+        from .liouville import matrix_to_json
+
         with open(args.dump_channel, "w", encoding="utf-8") as handle:
             json.dump({"channel": matrix_to_json(report.channel)}, handle)
 
@@ -96,12 +97,12 @@ def _check_tolerance(report, args) -> None:
 
 
 class _Command(NamedTuple):
-    """One subcommand: ``run(config)`` computes a result, ``emit(config,
-    result, format)`` renders it, and ``finish(result, args)`` runs once
-    the report is written."""
+    """One subcommand: ``config()`` is its config class, ``run(config)``
+    computes a result, ``emit(config, result, format)`` renders it, and
+    ``finish(result, args)`` runs once the report is written."""
 
     help: str
-    config: type
+    config: Callable[[], type]
     run: Callable
     emit: Callable
     default_format: str
@@ -109,37 +110,42 @@ class _Command(NamedTuple):
     finish: Callable = lambda result, args: None
 
 
-# The runners are looked up by name when a command runs, so a wrapper bound
-# over a module-level name (a profiler's, a test's) sees CLI calls too.
+# The numeric configs and runners are looked up in `pstlab.experiments`
+# when a command runs, so the scalar commands never import it, and a
+# wrapper bound over a module-level name (a profiler's, a test's) sees CLI
+# calls too.
 _COMMANDS = {
     "table1": _Command(
         "effective Hamiltonian weights with and without the twirl",
-        Table1Config, lambda config: run_table1(config), _report_text, "json",
+        lambda: _experiments().Table1Config,
+        lambda config: _experiments().run_table1(config), _report_text, "json",
         finish=_dump_channel,
     ),
     "parity-sweep": _Command(
         "channel deviation over a symmetric error-strength grid",
-        ParitySweepConfig, lambda config: run_parity_sweep(config), _sweep_text, "csv",
+        lambda: _experiments().ParitySweepConfig,
+        lambda config: _experiments().run_parity_sweep(config), _sweep_text, "csv",
     ),
     "magnus-check": _Command(
         "quadrature vs closed-form second-order crosscheck",
-        MagnusCheckConfig, lambda config: run_magnus_crosscheck(config),
+        lambda: _experiments().MagnusCheckConfig,
+        lambda config: _experiments().run_magnus_crosscheck(config),
         _report_text, "json",
         finish=_check_tolerance,
     ),
     "sign-table": _Command(
         "commutation-sign table as CSV",
-        SignTableConfig, lambda config: config.qubits, _sign_table_text, "csv",
+        lambda: SignTableConfig, lambda config: config.qubits, _sign_table_text, "csv",
     ),
     "overrotation": _Command(
         "sinc-law amplitude amplification factor",
-        OverRotationConfig,
+        lambda: OverRotationConfig,
         lambda config: over_rotation_factor(config.tau, config.sum_h2),
         _scalar_text("factor"), "text", ("text", "json"),
     ),
     "calibrate": _Command(
         "invert tau * factor(tau) = theta/2 for the drive duration",
-        CalibrateConfig,
+        lambda: CalibrateConfig,
         lambda config: calibrate_tau(config.theta, config.sum_h2),
         _scalar_text("tau"), "text", ("text", "json"),
     ),
@@ -150,26 +156,35 @@ def _flag(spec) -> str:
     return spec.metadata.get("flag") or "--" + spec.name.replace("_", "-")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser of ``argv``: every subcommand is listed, but only the one
+    ``argv`` names (its first non-option argument, as the top level takes
+    no option values) gets its flags."""
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = _Parser(prog="pstlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)
-        sub.add_argument("--config", help="JSON config file; flags override its fields")
-        sub.add_argument("--dump-config", action="store_true",
-                         help="print the resolved config as JSON and exit")
-        sub.add_argument("--output", help="write the report here instead of stdout")
-        sub.add_argument("--format", choices=command.formats,
-                         default=command.default_format,
-                         help=f"report format (default {command.default_format})")
-        for spec in fields(command.config):
-            sub.add_argument(_flag(spec), **spec.metadata.get("argparse", {}))
-        if name == "table1":
-            sub.add_argument(
-                "--dump-channel", metavar="FILE",
-                help="debug dump of the ensemble channel as JSON [re, im] pairs",
-            )
+        if name == chosen:
+            _add_flags(sub, name, command)
     return parser
+
+
+def _add_flags(sub: _Parser, name: str, command: _Command) -> None:
+    sub.add_argument("--config", help="JSON config file; flags override its fields")
+    sub.add_argument("--dump-config", action="store_true",
+                     help="print the resolved config as JSON and exit")
+    sub.add_argument("--output", help="write the report here instead of stdout")
+    sub.add_argument("--format", choices=command.formats,
+                     default=command.default_format,
+                     help=f"report format (default {command.default_format})")
+    for spec in fields(command.config()):
+        sub.add_argument(_flag(spec), **spec.metadata.get("argparse", {}))
+    if name == "table1":
+        sub.add_argument(
+            "--dump-channel", metavar="FILE",
+            help="debug dump of the ensemble channel as JSON [re, im] pairs",
+        )
 
 
 def _load_config_file(path: str | None, command: str) -> dict:
@@ -216,7 +231,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _run_command(args) -> int:
     command = _COMMANDS[args.command]
-    config = _resolve_config(command.config, args)
+    config = _resolve_config(command.config(), args)
     if args.dump_config:
         _emit(json.dumps({"command": args.command, **config.to_dict()}, indent=2),
               args.output)
@@ -228,7 +243,8 @@ def _run_command(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -12,6 +12,7 @@ __all__ = [
     "DefectiveMatrixError",
     "PauliParseError",
     "QuadratureError",
+    "ResolutionError",
     "ResourceLimitError",
     "ToleranceError",
 ]
@@ -40,6 +41,12 @@ class DefectiveMatrixError(ArithmeticError):
 
 class CalibrationError(ArithmeticError):
     """The calibration relation could not be inverted on its bracket."""
+
+
+class ResolutionError(ArithmeticError):
+    """Roundoff would swamp the result: the input lies where the computation
+    cannot resolve it (say, a duration so short that a channel log's
+    roundoff, divided by tau, outgrows the weights read from it)."""
 
 
 class ToleranceError(ArithmeticError):

@@ -18,17 +18,12 @@ XX 0.2, YY 0.6, ZZ 0.2, YX 0.4 for the weight table; duration 2.5 and
 rate 3 for the parity sweep (extreme decay makes the damping asymmetry
 visible).  No sampling anywhere; reports are bit-identical across runs.
 
-Every CLI subcommand has one frozen config dataclass here, the three
-above plus ``SignTableConfig``, ``OverRotationConfig`` and
-``CalibrateConfig`` for the scalar commands.  Construction coerces each
-field to its annotated type (``ConfigError`` names a field that does not
-fit; a ``PauliLabel`` is also stripped and upper-cased), ``from_dict``
-rejects unknown fields, and ``to_dict`` is ``dataclasses.asdict`` (JSON
-writes its tuples as lists).  Construction also builds the drive, error and
-noise specs the run would build, so a config that cannot run raises
-``ConfigError`` before anything is dumped or computed.  Each field also
-declares its command-line flag, from which ``pstlab.cli`` derives every
-subcommand's options.
+Each study has a frozen config dataclass on the numpy-free schema of
+`pstlab.schema` (field coercion, flags, ``from_dict``/``to_dict``), which
+also holds the configs of the three scalar commands.  Construction also
+builds the drive, error and noise specs the run would build, so a config
+that cannot run raises ``ConfigError`` before anything is dumped or
+computed.
 """
 
 from __future__ import annotations
@@ -36,13 +31,12 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, QuadratureError, ResolutionError
 from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
@@ -63,16 +57,21 @@ from .pst_core import (
     _pattern_hamiltonian,
     _pauli_weight,
 )
+from .schema import (
+    PauliLabel,
+    _Config,
+    _field,
+    _parse_error_pairs,
+    _parse_error_sets,
+    _split_csv,
+)
 
 __all__ = [
-    "CalibrateConfig",
     "MagnusCheckConfig",
     "MagnusCheckReport",
     "MagnusCheckRow",
-    "OverRotationConfig",
     "ParitySweepConfig",
     "ParitySweepRow",
-    "SignTableConfig",
     "Table1Config",
     "Table1Report",
     "parity_rows_to_csv",
@@ -82,79 +81,13 @@ __all__ = [
 ]
 
 DEFAULT_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
+# A channel log carries roundoff of about eps, so a weight read as
+# log / tau is off by about eps / tau relative (at most 0.19 eps / tau,
+# measured over n = 1..4 drives at tau = 1e-14..1e-4).  Below this tau
+# that bound passes 1e-6, and table1 refuses to print the weights.
+TABLE1_MIN_TAU = sys.float_info.epsilon / 1e-6
 # Random magnus-check amplitudes are drawn from [floor, max_amplitude].
 RANDOM_AMPLITUDE_FLOOR = 0.05
-
-
-# ---------------------------------------------------------------------------
-# Config schema
-# ---------------------------------------------------------------------------
-
-def _field(default=MISSING, *, flag=None, parse=None, **argparse_kwargs):
-    """A config field with its command-line flag declared beside it.
-
-    The flag is ``--`` plus the field name with ``_`` -> ``-`` unless
-    ``flag`` renames it; ``parse`` turns the flag's text into the field's
-    JSON form (default: the text itself), and ``metavar``, ``help`` and
-    ``action`` go to argparse unchanged.
-    """
-    return field(default=default, metadata={"flag": flag, "parse": parse,
-                                            "argparse": argparse_kwargs})
-
-
-def _split_csv(text: str) -> list[str]:
-    return [item for item in text.split(",") if item != ""]
-
-
-def _parse_error_pairs(entries) -> list:
-    pairs = []
-    for entry in entries:
-        label, equals, value = entry.partition("=")
-        if not equals:
-            raise ConfigError(f"expected LABEL=AMPLITUDE, got {entry!r}")
-        pairs.append([label, value])
-    return pairs
-
-
-def _parse_error_sets(entries) -> list:
-    return [_parse_error_pairs(entry.split(";")) for entry in entries]
-
-
-# A Pauli label field: stripped and upper-cased on coercion, so a flag and
-# a config file accept the same spellings.
-PauliLabel = typing.NewType("PauliLabel", str)
-
-
-def _coerce(hint, value):
-    """``value`` (a JSON value, or flag text) converted to the type ``hint``.
-
-    Raises TypeError or ValueError if it does not fit.
-    """
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
-        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    if typing.get_origin(hint) is tuple:
-        if hasattr(value, "items"):
-            value = list(value.items())
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
-        args = typing.get_args(hint)
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ValueError(f"expected {len(args)} items, got {len(value)}")
-        return tuple(_coerce(arg, item) for arg, item in zip(args, value))
-    if value is None or isinstance(value, bool):
-        raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    if hint in (str, PauliLabel):
-        if not isinstance(value, str):
-            raise TypeError(f"expected a string, got {value!r}")
-        return value.strip().upper() if hint is PauliLabel else value
-    if hint is int and isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"expected an integer, got {value!r}")
-    return hint(value)
 
 
 @contextlib.contextmanager
@@ -169,36 +102,6 @@ def _as_config_error():
 def _require_nonempty(config, name: str) -> None:
     if not getattr(config, name):
         raise ConfigError(f"{name} must hold at least one value")
-
-
-class _Config:
-    """Shared behaviour of the frozen config dataclasses: every field is
-    coerced to its annotated type on construction, and a config converts
-    to (``asdict``) and from the JSON object its reports echo."""
-
-    def __post_init__(self):
-        hints = typing.get_type_hints(type(self))
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            try:
-                object.__setattr__(self, spec.name, _coerce(hints[spec.name], value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config field {spec.name!r}: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        unknown = set(data) - {spec.name for spec in fields(cls)}
-        if unknown:
-            raise ConfigError(
-                f"unknown config fields for {cls.__name__}: {sorted(unknown)}"
-            )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +182,17 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     log, taken block by block over the cosets of the drive group, with no
     4^n x 4^n array.  The twirl zeroes the error words and amplifies the
     drive weight, which is compared against the sinc-law prediction.
+    A tau below ``TABLE1_MIN_TAU`` raises ``ResolutionError``: there the
+    log's roundoff swamps the weights.
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
+    if 0 < drive.tau < TABLE1_MIN_TAU:  # tau = 0 fails as a ValueError below
+        raise ResolutionError(
+            f"tau={drive.tau!r} is too short: the channel log's roundoff,"
+            f" about eps/tau = {sys.float_info.epsilon / drive.tau:.1e} relative,"
+            f" cannot resolve the weights (needs tau >= {TABLE1_MIN_TAU:.3g})"
+        )
     err = config.error_spec()
     labels = [label for label, _ in config.errors] + [config.drive]
 
@@ -605,28 +516,3 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
                     )
                 )
     return MagnusCheckReport(config=config, rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Scalar commands
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SignTableConfig(_Config):
-    qubits: int = _field(2, help="register size (default 2)")
-
-
-@dataclass(frozen=True)
-class OverRotationConfig(_Config):
-    tau: float = _field(help="gate duration (no default)")
-    sum_h2: float = _field(
-        help="sum of squared anticommuting error amplitudes (no default)"
-    )
-
-
-@dataclass(frozen=True)
-class CalibrateConfig(_Config):
-    theta: float = _field(help="target rotation angle (no default)")
-    sum_h2: float = _field(
-        help="sum of squared anticommuting error amplitudes (no default)"
-    )

@@ -9,8 +9,8 @@ the drive is dressed in the interaction frame into the Hermitian
 a commuting word is left untouched.  The twirl average of the first-order
 term vanishes by sign orthogonality.  The second-order average collapses
 onto the drive axis: the surviving coefficient follows the sinc law
-implemented in `omega2_avg_closed` and `over_rotation_factor`, with only
-the anticommuting error words contributing.
+implemented in `omega2_avg_closed` and in `sinc_law.over_rotation_factor`,
+with only the anticommuting error words contributing.
 
 The quadrature path checks that closed form independently, in Hilbert
 space.  In twirl frame alpha the dressed error sum is
@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liouville import hamiltonian_superop
-from .numerics import interval_quadrature, sinc, triangle_quadrature
+from .numerics import interval_quadrature, triangle_quadrature
 from .pauli import (
     PauliString,
     commutation_parity,
@@ -76,6 +76,7 @@ from .pauli import (
     matrix_of,
     pauli_from_label,
 )
+from .sinc_law import over_rotation_factor, sinc
 
 __all__ = [
     "CoherentErrorSpec",
@@ -87,7 +88,6 @@ __all__ = [
     "omega2_alpha",
     "omega2_avg",
     "omega2_avg_closed",
-    "over_rotation_factor",
 ]
 
 
@@ -384,12 +384,3 @@ def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     prefactor = drive.tau * (1.0 - sinc(2.0 * drive.tau)) / 2.0
     weight = anticommuting_sum_h2(drive, err)
     return -1.0j * prefactor * weight * hamiltonian_superop(matrix_of(beta))
-
-
-def over_rotation_factor(tau: float, sum_h2: float) -> float:
-    """Amplitude amplification 1 + (1 - sinc(2 tau))/2 * sum_h2; always >= 1."""
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if not math.isfinite(sum_h2) or sum_h2 < 0:
-        raise ValueError(f"sum_h2 must be finite and >= 0, got {sum_h2}")
-    return 1.0 + (1.0 - sinc(2.0 * tau)) / 2.0 * sum_h2

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutError, DefectiveMatrixError, QuadratureError
+from .sinc_law import sinc
 
 __all__ = [
     "QUADRATURE_ORDER",
@@ -39,7 +40,6 @@ __all__ = [
     "interval_quadrature",
     "logm_principal",
     "op_norm",
-    "sinc",
     "triangle_quadrature",
 ]
 
@@ -190,16 +190,6 @@ def op_norm(m) -> float:
     over its blocks."""
     m = _as_square_finite(m, stacked=True)
     return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
-
-
-def sinc(x: float) -> float:
-    """sin(x)/x with a series fallback near 0, and its limit 0 at +-inf."""
-    if math.isinf(x):
-        return 0.0
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
 
 
 def _composite_rule(cells: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,15 @@ to a symplectic form over GF(2), so no matrices are built until
 `matrix_of` is called explicitly.
 
 Products are tracked without phases: every operation here needs only
-commutation signs and conjugations, which are phase-free.  Whole tables
-of commutation signs come from `commutation_parity`, which evaluates the
-symplectic form for every group word at once on int8 bit arrays.
+commutation signs and conjugations, which are phase-free.  The
+symplectic form runs on Python-int bit masks, one x and one z mask per
+word: a pair anticommutes when ((x_a & z_b) ^ (z_a & x_b)) has odd
+popcount.  `commutation_sign` and the ``sign-table`` command (its CSV
+from `sign_table_csv`, its JSON rows from `_sign_rows`) use the masks
+alone, so neither loads numpy.  numpy is imported only where arrays are
+built: by `matrix_of`, and by `commutation_parity` and `sign_table`,
+which evaluate the form for every group word at once on int8 bit arrays
+for the numeric layers.
 
 Group enumeration is lexicographic with I < X < Y < Z per qubit and the
 leftmost qubit most significant, which keeps sign tables and CSV exports
@@ -22,10 +28,12 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PauliParseError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -51,10 +59,10 @@ _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 
 _SINGLE_QUBIT = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1j), (1j, 0)),
+    "Z": ((1, 0), (0, -1)),
 }
 
 
@@ -119,6 +127,13 @@ class PauliString:
     def __str__(self) -> str:
         return self.label
 
+    @functools.cached_property
+    def _masks(self) -> tuple[int, int]:
+        """The x and z bits as two ints, qubit k at bit k."""
+        x = sum(bit << k for k, bit in enumerate(self.x_bits))
+        z = sum(bit << k for k, bit in enumerate(self.z_bits))
+        return x, z
+
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
@@ -170,10 +185,14 @@ def commutation_sign(a: PauliString, b: PauliString) -> int:
     (-1)^(sum_k x_a z_b + z_a x_b mod 2) with no matrices involved.
     """
     _require_same_size(a, b)
-    parity = 0
-    for xa, za, xb, zb in zip(a.x_bits, a.z_bits, b.x_bits, b.z_bits):
-        parity ^= (xa & zb) ^ (za & xb)
-    return -1 if parity else 1
+    return -1 if _anticommute(a._masks, b._masks) else 1
+
+
+def _anticommute(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Symplectic parity of two words given as (x, z) masks: 1 if they
+    anticommute, 0 if they commute."""
+    (xa, za), (xb, zb) = a, b
+    return ((xa & zb) ^ (za & xb)).bit_count() & 1
 
 
 def enumerate_group(n: int) -> list[PauliString]:
@@ -197,15 +216,19 @@ def matrix_of(p: PauliString) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _cached_matrix(p: PauliString) -> np.ndarray:
+    import numpy as np
+
     m = np.array([[1.0 + 0.0j]])
     for letter in p.label:
-        m = np.kron(m, _SINGLE_QUBIT[letter])
+        m = np.kron(m, np.array(_SINGLE_QUBIT[letter], dtype=complex))
     m.setflags(write=False)
     return m
 
 
 def _symplectic_bits(words: list[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
     """x and z bits of ``words`` as int8 arrays of shape (len(words), n)."""
+    import numpy as np
+
     for word in words:
         if word.n_qubits != n:
             raise ValueError(
@@ -235,12 +258,18 @@ def sign_table(n: int) -> np.ndarray:
     return 1 - 2 * commutation_parity(n).astype(int)
 
 
+def _sign_rows(group: list[PauliString]) -> list[list[int]]:
+    """Commutation signs of every pair of ``group``, as lists of +-1 ints,
+    from the bit masks alone."""
+    masks = [word._masks for word in group]
+    return [[1 - 2 * _anticommute(a, b) for b in masks] for a in masks]
+
+
 def sign_table_csv(n: int) -> str:
     """Sign table as CSV text with a header row (and column) of labels."""
     group = enumerate_group(n)
     labels = [p.label for p in group]
-    table = sign_table(n)
     lines = ["label," + ",".join(labels)]
-    for label, row in zip(labels, table):
-        lines.append(label + "," + ",".join(map(str, row.tolist())))
+    for label, row in zip(labels, _sign_rows(group)):
+        lines.append(label + "," + ",".join(map(str, row)))
     return "\n".join(lines) + "\n"

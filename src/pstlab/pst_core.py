@@ -78,7 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError
 from .liouville import (
     NoiseSpec,
     dissipator_superop,
@@ -89,7 +88,6 @@ from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
     check_drive_error_compat,
-    over_rotation_factor,
 )
 from .numerics import expm, expm_hermitian, logm_principal, op_norm
 from .pauli import (
@@ -100,10 +98,10 @@ from .pauli import (
     matrix_of,
     pauli_from_label,
 )
+from .sinc_law import calibrate_tau
 
 __all__ = [
     "EffectiveGenerator",
-    "calibrate_tau",
     "effective_generator",
     "ideal_channel",
     "pst_channel",
@@ -409,42 +407,3 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     weights are aliased.
     """
     return EffectiveGenerator.from_generator(logm_principal(k), tau)
-
-
-def calibrate_tau(theta: float, sum_h2: float) -> float:
-    """Invert the calibration relation tau * factor(tau, sum_h2) = theta / 2.
-
-    The left side is strictly increasing in tau (derivative
-    1 + sum_h2/2 - sum_h2 cos(2 tau)/2 >= 1), so bisection on (0, theta/2]
-    converges to the unique root; the returned residual is at machine
-    level, far below the 1e-12 contract.  Without errors the result is
-    exactly theta / 2.
-    """
-    if not math.isfinite(theta) or theta <= 0 or theta > math.pi:
-        raise ValueError(
-            f"target angle must satisfy 0 < theta <= pi so theta/2 lands in"
-            f" (0, pi/2]; got {theta}"
-        )
-    if not math.isfinite(sum_h2) or sum_h2 < 0:
-        raise ValueError(f"sum_h2 must be finite and >= 0, got {sum_h2}")
-
-    target = theta / 2.0
-
-    def residual(tau: float) -> float:
-        return tau * over_rotation_factor(tau, sum_h2) - target
-
-    low, high = 0.0, target
-    if residual(high) < 0:
-        # Impossible while the factor stays >= 1; guarded anyway.
-        raise CalibrationError(
-            "calibration bracket (0, theta/2] does not straddle the root"
-        )
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if mid <= low or mid >= high:
-            break
-        if residual(mid) < 0:
-            low = mid
-        else:
-            high = mid
-    return high if abs(residual(high)) <= abs(residual(low)) else low

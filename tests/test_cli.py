@@ -5,15 +5,26 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pstlab.cli import _build_parser, _run_command, main
 from pstlab.errors import ToleranceError
-from pstlab.experiments import Table1Config
+from pstlab.experiments import MagnusCheckConfig, ParitySweepConfig, Table1Config
 from pstlab.liouville import matrix_from_json
 from pstlab.pst_core import calibrate_tau, pst_channel
+from pstlab.schema import CalibrateConfig, OverRotationConfig, SignTableConfig
+
+
+def _subparsers(parser) -> dict:
+    """Subcommand name -> its parser, from a top-level parser."""
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return commands.choices
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +128,12 @@ class TestTable1Command:
         on_cut = eigvals[(eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-8)]
         assert np.abs(on_cut + 0.575).min() <= 1e-3
         assert np.abs(on_cut - named).min() <= 1e-6
+
+    @pytest.mark.parametrize("tau", ["1e-300", "1e-20"])
+    def test_unresolvable_duration_is_numerical_failure(self, tau, capsys):
+        code, out, err = run_cli(capsys, "table1", "--tau", tau)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"pstlab: numerical failure: tau={float(tau)!r} is too short")
 
 
 class TestScalarCommands:
@@ -258,7 +275,7 @@ class TestMagnusCheckCommand:
         assert "exceeded tolerance" in err
         assert json.loads(out)["all_within_tolerance"] is False
         with pytest.raises(ToleranceError, match="1 crosscheck row"):
-            _run_command(_build_parser().parse_args(argv))
+            _run_command(_build_parser(argv).parse_args(argv))
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--quad-tolerance", "nan", "quadrature_tol"),
@@ -451,15 +468,16 @@ class TestConfigSchema:
         )
 
     def test_option_strings(self):
-        parser = _build_parser()
-        commands = next(
-            action for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        options = {
-            name: set(sub._option_string_actions) - COMMON_OPTIONS
-            for name, sub in commands.choices.items()
-        }
+        # Each command's parser builds that command's flags alone; every
+        # other subcommand is listed with nothing but its help flag.
+        options = {}
+        for name in QUICK_ARGV:
+            subparsers = _subparsers(_build_parser([name]))
+            for other, sub in subparsers.items():
+                if other != name:
+                    assert set(sub._option_string_actions) == {"-h", "--help"}
+            assert COMMON_OPTIONS <= set(subparsers[name]._option_string_actions)
+            options[name] = set(subparsers[name]._option_string_actions) - COMMON_OPTIONS
         assert options == {
             "table1": {"--drive", "--tau", "--error", "--scale", "--dump-channel"},
             "parity-sweep": {"--drive", "--tau", "--zeta", "--error", "--noise-kinds",
@@ -473,8 +491,64 @@ class TestConfigSchema:
             "overrotation": {"--tau", "--sum-h2"},
             "calibrate": {"--theta", "--sum-h2"},
         }
-        for sub in commands.choices.values():
-            assert COMMON_OPTIONS <= set(sub._option_string_actions)
+
+
+CONFIG_CLASSES = {
+    "table1": Table1Config,
+    "parity-sweep": ParitySweepConfig,
+    "magnus-check": MagnusCheckConfig,
+    "sign-table": SignTableConfig,
+    "overrotation": OverRotationConfig,
+    "calibrate": CalibrateConfig,
+}
+
+USAGE = "usage: pstlab [-h] command ...\n"
+
+
+class TestParserParity:
+    """The per-command parser shows and rejects what the all-command one did."""
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_CLASSES))
+    def test_help_lists_exactly_the_config_flags(self, command, capsys):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        expected = {
+            spec.metadata["flag"] or "--" + spec.name.replace("_", "-")
+            for spec in fields(CONFIG_CLASSES[command])
+        }
+        expected |= {"--help", "--config", "--dump-config", "--output", "--format"}
+        if command == "table1":
+            expected.add("--dump-channel")
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == expected
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        for command in CONFIG_CLASSES:
+            assert re.search(rf"^\s+{re.escape(command)}\s", out, re.MULTILINE), command
+
+    def test_no_command_message(self, capsys):
+        assert run_cli(capsys) == (1, "", f"pstlab: config error: {USAGE}\n")
+
+    def test_unknown_command_message(self, capsys):
+        choices = ", ".join(repr(command) for command in CONFIG_CLASSES)
+        assert run_cli(capsys, "frobnicate") == (
+            1, "",
+            "pstlab: config error: argument command: invalid choice: 'frobnicate'"
+            f" (choose from {choices})\n{USAGE}\n",
+        )
+
+    @pytest.mark.parametrize("command, declared", [
+        ("overrotation", "table1"), ("table1", "calibrate"), ("sign-table", "magnus-check"),
+    ])
+    def test_config_file_for_another_command(self, command, declared, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"command": declared}))
+        assert run_cli(capsys, command, "--config", str(config_path)) == (
+            1, "",
+            f"pstlab: config error: config file {config_path} is for command"
+            f" {declared!r}, not {command!r}\n",
+        )
 
 
 class TestConfigRejectsWhatTheRunRejects:

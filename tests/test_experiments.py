@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pstlab import experiments, pst_core
-from pstlab.errors import ConfigError
+from pstlab.errors import ConfigError, ResolutionError
 from pstlab.experiments import (
     MagnusCheckConfig,
     ParitySweepConfig,
@@ -98,6 +98,18 @@ class TestTable1:
         # The twirled row divides the log by -i tau.
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             run_table1(Table1Config(tau=0.0))
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-20, 1e-12, 2e-10])
+    def test_unresolvable_duration_is_typed(self, tau):
+        # The log's roundoff, about eps / tau relative, would swamp the weights.
+        with pytest.raises(ResolutionError, match=f"tau={tau!r} is too short"):
+            run_table1(Table1Config(tau=tau))
+
+    @pytest.mark.parametrize("tau", [experiments.TABLE1_MIN_TAU, 1e-9, 1e-6])
+    def test_short_resolvable_duration_runs(self, tau):
+        report = run_table1(Table1Config(tau=tau))
+        assert report.pst["ZX"] == pytest.approx(report.theoretical_drive_coeff,
+                                                 rel=1e-6)
 
     def test_four_qubit_peak_memory_is_below_one_dense_channel(self):
         # One 256 x 256 complex array, the n = 4 Liouville size, is 1 MiB.

@@ -1,15 +1,28 @@
-"""The package surface: every module's ``__all__``, re-exported once, and
-the imports it costs."""
+"""The package surface: every module's ``__all__``, re-exported once and
+resolved on first access, and the imports it costs."""
 
 import json
 import subprocess
 import sys
 import textwrap
 
-import pstlab
-from pstlab import errors, experiments, liouville, magnus, numerics, pauli, pst_core
+import pytest
 
-MODULES = (errors, pauli, liouville, numerics, magnus, pst_core, experiments)
+import pstlab
+from pstlab import (
+    errors,
+    experiments,
+    liouville,
+    magnus,
+    numerics,
+    pauli,
+    pst_core,
+    schema,
+    sinc_law,
+)
+
+MODULES = (errors, sinc_law, schema, pauli, liouville, numerics, magnus, pst_core,
+           experiments)
 
 # The 51 names `pstlab` exported when its surface was still listed by hand;
 # deriving the surface from the modules must keep every one of them.
@@ -48,52 +61,89 @@ def test_every_name_resolves_to_its_module_object():
             assert namespace[name] is getattr(module, name)
 
 
+def test_dir_and_star_import_expose_the_whole_surface():
+    namespace = {}
+    exec("from pstlab import *", namespace)
+    assert set(pstlab.__all__) <= set(dir(pstlab))
+    assert set(pstlab.__all__) <= set(namespace)
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(pstlab, "no_such_name")
+    assert not hasattr(pstlab, "__no_such_dunder__")
+
+
 def test_hand_listed_surface_is_kept():
     assert len(HAND_LISTED_SURFACE) == 51
     missing = set(HAND_LISTED_SURFACE) - set(pstlab.__all__)
     assert not missing
 
 
-# Runs in a fresh interpreter and prints, per step, whether scipy is loaded.
-_SCIPY_PROBE = textwrap.dedent("""
+# Runs in a fresh interpreter and prints, per step, which of numpy and
+# scipy are loaded.
+_IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
+    def loaded():
+        return {name: name in sys.modules for name in ("numpy", "scipy")}
+
     steps = {}
+    import pstlab
+    steps["import pstlab"] = loaded()
+    from pstlab import cli
+    steps["from pstlab import cli"] = loaded()
     import pstlab.cli
-    steps["import pstlab.cli"] = "scipy" in sys.modules
+    steps["import pstlab.cli"] = loaded()
     for argv in (
         ["overrotation", "--tau", "0.5", "--sum-h2", "0.24"],
-        ["calibrate", "--theta", "1.0", "--sum-h2", "0.24"],
+        ["calibrate", "--theta", "1.0", "--sum-h2", "0.24", "--format", "json"],
         ["sign-table", "--qubits", "2"],
+        ["sign-table", "--qubits", "1", "--format", "json"],
+        ["overrotation", "--tau", "0.5", "--sum-h2", "0.24", "--dump-config"],
         ["table1"],
         ["magnus-check"],
         ["parity-sweep"],
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             code = pstlab.cli.main(argv)
-        steps[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
+        steps[" ".join(argv)] = loaded() if code == 0 else f"exit {code}"
     from pstlab import DriveSpec, NoiseSpec, pst_channel
     pst_channel(DriveSpec.single("X", 0.5), noise=NoiseSpec("amplitude_damping", 1.0))
-    steps["amplitude_damping channel"] = "scipy" in sys.modules
+    steps["amplitude_damping channel"] = loaded()
     print(json.dumps(steps))
 """)
 
 
-def test_scipy_never_loads():
-    # Dissipative channels exponentiate with numpy alone, so no command,
-    # the noisy parity sweep included, imports scipy.
+@pytest.fixture(scope="module")
+def import_steps():
     result = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    steps = json.loads(result.stdout)
-    assert steps == {
+    return json.loads(result.stdout)
+
+
+def test_scipy_never_loads(import_steps):
+    # Dissipative channels exponentiate with numpy alone, so no command,
+    # the noisy parity sweep included, imports scipy.
+    assert {step: loaded["scipy"] for step, loaded in import_steps.items()} == dict.fromkeys(
+        import_steps, False)
+
+
+def test_only_numeric_work_loads_numpy(import_steps):
+    # The package surface, the CLI and its scalar commands stop short of
+    # numpy; the first numeric command loads it.
+    assert {step: loaded["numpy"] for step, loaded in import_steps.items()} == {
+        "import pstlab": False,
+        "from pstlab import cli": False,
         "import pstlab.cli": False,
         "overrotation --tau 0.5 --sum-h2 0.24": False,
-        "calibrate --theta 1.0 --sum-h2 0.24": False,
+        "calibrate --theta 1.0 --sum-h2 0.24 --format json": False,
         "sign-table --qubits 2": False,
-        "table1": False,
-        "magnus-check": False,
-        "parity-sweep": False,
-        "amplitude_damping channel": False,
+        "sign-table --qubits 1 --format json": False,
+        "overrotation --tau 0.5 --sum-h2 0.24 --dump-config": False,
+        "table1": True,
+        "magnus-check": True,
+        "parity-sweep": True,
+        "amplitude_damping channel": True,
     }

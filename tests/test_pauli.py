@@ -1,5 +1,6 @@
 """Tests for the symplectic Pauli-string algebra."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from pstlab.pauli import (
     pauli_from_label,
     sign_table,
     sign_table_csv,
+    _sign_rows,
 )
 
 
@@ -211,6 +213,37 @@ class TestVectorizedSigns:
                 a.label + "," + ",".join(str(commutation_sign(a, b)) for b in group)
             )
         assert sign_table_csv(n) == "\n".join(lines) + "\n"
+
+
+class TestBitMaskSigns:
+    """The numpy-free sign table of the sign-table command against the
+    int8 parity matmul the numeric layers use, and pair by pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_equal_the_parity_matmul(self, n):
+        rows = _sign_rows(enumerate_group(n))
+        np.testing.assert_array_equal(
+            np.array(rows), 1 - 2 * commutation_parity(n).astype(int)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_equal_the_pairwise_and_matrix_signs(self, n):
+        group = enumerate_group(n)
+        rows = _sign_rows(group)
+        assert rows == [[commutation_sign(a, b) for b in group] for a in group]
+        for a, row in zip(group, rows):
+            pa = matrix_of(a)
+            for b, sign in zip(group, row):
+                pb = matrix_of(b)
+                assert np.allclose(pa @ pb, sign * (pb @ pa))
+
+    def test_four_qubit_csv_is_unchanged(self):
+        # SHA-256 of the 256 x 256 table as the int8 matmul printed it.
+        text = sign_table_csv(4)
+        assert len(text) == 166278
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3727a51376003bf07296086378886e5046a859dde0a8a8b0001122c124810bea"
+        )
 
 
 class TestMatrixCache:

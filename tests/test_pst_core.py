@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pstlab import pst_core
+from pstlab import pst_core, sinc_law
 from pstlab.errors import (
     BranchCutError,
     CalibrationError,
@@ -563,7 +563,7 @@ class TestCalibration:
             calibrate_tau(1.0, -0.1)
 
     def test_bracket_failure_is_typed(self, monkeypatch):
-        monkeypatch.setattr(pst_core, "over_rotation_factor", lambda tau, sum_h2: 0.5)
+        monkeypatch.setattr(sinc_law, "over_rotation_factor", lambda tau, sum_h2: 0.5)
         with pytest.raises(CalibrationError):
             calibrate_tau(1.0, 0.24)
         assert issubclass(CalibrationError, ArithmeticError)

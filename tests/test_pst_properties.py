@@ -1,11 +1,13 @@
 """Property tests of the ensemble channel against the per-frame oracle,
-of its coset-block log against the dense one, of the noiseless spectral
-blocks and band weights against dense oracles, and of the effective
-generator's Hamiltonian.
+of its complete positivity (a PSD Choi matrix), of its coset-block log
+against the dense one, of the noiseless spectral blocks and band weights
+against dense oracles, and of the effective generator's Hamiltonian.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from pstlab.liouville import (  # noqa: E402
     hamiltonian_superop,
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
-from pstlab.pauli import enumerate_group, matrix_of  # noqa: E402
+from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label  # noqa: E402
 from pstlab.pst_core import EffectiveGenerator, pst_channel  # noqa: E402
 
 
@@ -46,7 +48,7 @@ _LETTERS = st.sampled_from("IXYZ")
 
 
 @st.composite
-def twirl_inputs(draw, max_qubits=2, noise=True):
+def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0):
     n = draw(st.integers(1, max_qubits))
     word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
         lambda label: set(label) != {"I"}
@@ -70,7 +72,8 @@ def twirl_inputs(draw, max_qubits=2, noise=True):
     targets = draw(st.one_of(
         st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
     ))
-    noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, 3.0)), targets)
+    noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, max_rate)),
+                      targets)
     return drive, err, noise
 
 
@@ -94,6 +97,34 @@ class TestChannelProperties:
         # reads the same generator as the dense log of the whole channel.
         assert_coset_block_sparse(oracle, drive)
         assert_block_log_matches_dense(drive, err, noise)
+
+
+def choi_matrix(k: np.ndarray) -> np.ndarray:
+    """J[(c, a), (d, b)] = E(|c><d|)[a, b] of the row-major Liouville matrix K."""
+    d = math.isqrt(k.shape[0])
+    return k.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+class TestChoiPositivity:
+    def test_choi_of_a_unitary_channel_is_its_rank_one_projector(self):
+        # Pins the reshuffle: U (x) U* has Choi |u><u| with u[c, a] = U[a, c].
+        u = matrix_of(pauli_from_label("XY"))
+        vector = u.T.reshape(-1)
+        np.testing.assert_array_equal(choi_matrix(np.kron(u, u.conj())),
+                                      np.outer(vector, vector.conj()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs(max_rate=5.0))
+    # The Liouvillian exceptional point of ROADMAP item 3.
+    @example((DriveSpec.single("X", 0.5), CoherentErrorSpec(),
+              NoiseSpec("amplitude_damping", 4.0)))
+    @example((DriveSpec.single("ZX", 2.5), CoherentErrorSpec.from_amplitudes(
+        {"XX": 0.2, "YY": 0.6, "ZZ": 0.2, "YX": 0.4}), NoiseSpec("amplitude_damping", 5.0)))
+    def test_ensemble_channel_is_completely_positive(self, inputs):
+        choi = choi_matrix(pst_channel(*inputs))
+        scale = np.linalg.norm(choi, 2)
+        assert np.abs(choi - choi.conj().T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12 * scale
 
 
 class TestSpectralBlocks:
