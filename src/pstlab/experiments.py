@@ -51,6 +51,7 @@ from .magnus import (
 from .numerics import op_norm
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
 from .pst_core import (
+    _coset_block_stacks,
     _coset_blocks,
     _from_coset_blocks,
     _log_hamiltonian,
@@ -102,6 +103,17 @@ def _as_config_error():
 def _require_nonempty(config, name: str) -> None:
     if not getattr(config, name):
         raise ConfigError(f"{name} must hold at least one value")
+
+
+def _require_distinct(name: str, values) -> None:
+    """Reject repeated values, compared with ==, so 0.0 and -0.0 are one."""
+    seen, repeated = set(), []
+    for value in values:
+        if value in seen and value not in repeated:
+            repeated.append(value)
+        seen.add(value)
+    if repeated:
+        raise ConfigError(f"{name} repeats {repeated}; each value must appear once")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +214,11 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = _pauli_weight(twirled, config.drive)
+    if numeric == 0:
+        raise ResolutionError(
+            f"the twirled {config.drive} weight reads {numeric!r}, so its agreement"
+            f" with the sinc-law prediction {theoretical!r} is undefined"
+        )
     agreement = 100.0 * (1.0 - abs(numeric - theoretical) / numeric)
     return Table1Report(
         config=config,
@@ -263,6 +280,8 @@ class ParitySweepConfig(_Config):
                     f"delta grid lacks the mirror of {missing}; the symmetrized"
                     " reference needs +-delta pairs"
                 )
+        _require_distinct("delta grid", self.delta_grid())
+        _require_distinct("noise_kinds", self.noise_kinds)
         with _as_config_error():
             drive = self.drive_spec()
             check_drive_error_compat(drive, self.error_spec(1.0))
@@ -312,13 +331,11 @@ def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySwee
     drive = config.drive_spec()
     grid = config.delta_grid()
     reference, _ = _coset_blocks(drive, None, None)
+    errors = [config.error_spec(delta) for delta in grid]
     rows: list[ParitySweepRow] = []
     for kind in config.noise_kinds:
-        noise = config.noise_spec(kind)
-        deviations = {
-            delta: op_norm(_coset_blocks(drive, config.error_spec(delta), noise)[0] - reference)
-            for delta in grid
-        }
+        stacks, _ = _coset_block_stacks(drive, errors, config.noise_spec(kind))
+        deviations = {delta: op_norm(blocks - reference) for delta, blocks in zip(grid, stacks)}
         for delta in grid:
             rows.append(
                 ParitySweepRow(

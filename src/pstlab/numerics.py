@@ -3,9 +3,10 @@
 The general exponential `expm` is scaling and squaring with the
 degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): the
 input is halved s times until its 1-norm is at most theta_13, and its
-approximant is squared s times.  Only dissipative generators need it; a
-unitary exp(-i t h) of a Hermitian h comes from numpy's `eigh` instead
-(`expm_hermitian`).  The principal logarithm is
+approximant is squared s times; a squaring that overflows raises
+``ResolutionError`` instead of returning inf or nan.  Only dissipative
+generators need it; a unitary exp(-i t h) of a Hermitian h comes from
+numpy's `eigh` instead (`expm_hermitian`).  The principal logarithm is
 an explicit eigendecomposition so that branch-cut proximity and
 defective inputs surface as errors instead of silently degraded
 results.  It also takes a stack of matrices, shape (..., d, d), and
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DefectiveMatrixError, QuadratureError
+from .errors import BranchCutError, DefectiveMatrixError, QuadratureError, ResolutionError
 from .sinc_law import sinc
 
 __all__ = [
@@ -97,9 +98,17 @@ def expm(m) -> np.ndarray:
     Scaling and squaring with the degree-13 diagonal Pade approximant
     (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), taken of A / 2^s
     with s = max(0, ceil(log2(||A||_1 / theta_13))) and squared s times.
+    A 1-norm or a squared result that overflows raises
+    ``ResolutionError``, naming the 1-norm and the squaring count.
     """
     a = _as_square_finite(m)
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ResolutionError(
+            f"matrix 1-norm {norm:.3e} overflows; its exponential cannot be"
+            " scaled and squared"
+        )
     squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     if squarings:
         a = a / 2.0**squarings
@@ -123,8 +132,14 @@ def expm(m) -> np.ndarray:
     v = add(a6 @ add(b[12] * a6, ((b[10], a4), (b[8], a2))),
             ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
     result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():
+        raise ResolutionError(
+            f"exponential of a matrix with 1-norm {norm:.3e} overflows in"
+            f" its {squarings} squarings; the input is too large to resolve"
+        )
     return result
 
 

@@ -28,12 +28,21 @@ the index digits are I=0, X=1, Y=2, Z=3, so P_i P_g = w(i, g) P_(i XOR g)
 with a phase w, <D> is a set of indices closed under XOR and its cosets
 are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix.
 
-Only the bands R_s[i, i XOR g], g in <D>, are needed.  With noise they
-are read off the 4^n x 4^n Liouville `expm` of noise - i tau H(H_s),
-taken to the Pauli-transfer basis.  Without noise (kind "none" or rate
-0) the pattern is the unitary U_s = exp(-i tau H_s) from `eigh`, and
-its bands follow from Pauli spectra alone: with a_k = tr(P_k U_s) / 2^n
-and b_k the same coefficients of P_g U_s^dag,
+Only the bands R_s[i, i XOR g], g in <D>, are needed.  With noise the
+pattern generator noise - i tau H(H_s) is built in the Pauli-transfer
+basis and exponentiated there; the basis is unitary, so that `expm` is
+R_s itself.  There the commutator superoperator
+H_g = P_g kron I - I kron P_g^T has the entry
+2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
+anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
+real, with entries +-2.  A pattern's generator is then
+D_PTM - i tau (sum_k c_k H_k + sum_j s_j d_j H_j), with D_PTM the
+dissipator taken to the basis; a sweep over error specs builds what
+depends on the drive and the noise alone, D_PTM included, once.
+Without noise (kind "none" or rate 0) the pattern is the unitary
+U_s = exp(-i tau H_s) from `eigh`, and its bands follow from Pauli
+spectra alone: with a_k = tr(P_k U_s) / 2^n and b_k the same
+coefficients of P_g U_s^dag,
 
     R_s[i, i XOR g] = conj(w(i, g)) sum_k chi(i, k) a_k b_k,
 
@@ -56,13 +65,14 @@ part is the one traceless Hermitian matrix h = herm(L - R^T) / 2^(n+1)
 gate reads 1 on its drive word).  A channel has no generator of its
 own: `effective_generator` takes its principal log first, and so reads
 the generator back only while the channel eigenphases stay inside
-(-pi, pi).
+(-pi, pi); it refuses a log whose exponential does not give the channel
+back to 1e-12 of its norm.
 
 `table1` never forms the dense log.  The log of a block-diagonal matrix
 is the block-diagonal matrix of the blocks' logs, so it logs the coset
-blocks as one stack of 2^m x 2^m matrices.  In the Pauli-transfer basis
-H_g has entries 2 w(g, j) at (g XOR j, j) for each j that anticommutes
-with g, so with X = log / (-i tau) the weight
+blocks as one stack of 2^m x 2^m matrices.  H_g has Pauli-transfer
+entries only at (g XOR j, j) (see above), so with X = log / (-i tau) the
+weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
 reads the (i, i XOR g) band alone, and every word outside <D> weighs 0.
 The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads through
@@ -78,6 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DefectiveMatrixError
 from .liouville import (
     NoiseSpec,
     dissipator_superop,
@@ -107,6 +118,10 @@ __all__ = [
     "pst_channel",
     "pst_realization",
 ]
+
+# `effective_generator` refuses a log whose exponential misses the channel
+# by more than this times the channel's Frobenius norm (at least 1).
+_LOG_RECONSTRUCTION_TOL = 1e-12
 
 
 def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
@@ -196,7 +211,7 @@ def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
     phases = np.ones((group.size, 1), dtype=complex)
     for shift in range(2 * n - 2, -1, -2):
         leg = _PHASE[:, (group >> shift) & 3].T
-        phases = (phases[:, :, None] * leg[:, None, :]).reshape(group.size, -1)
+        phases = (phases[:, :, None] * leg[:, None, :]).reshape(group.size, 4 * phases.shape[1])
     return phases
 
 
@@ -221,38 +236,30 @@ def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     return group, position, cosets
 
 
-def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
-                  noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """The twirled channel's (4^n / 2^m, 2^m, 2^m) stack of Pauli-transfer
-    blocks and the cosets of <D> they sit on (see the module notes)."""
-    err = err if err is not None else CoherentErrorSpec()
+def _commutator_transfer(terms, n: int) -> np.ndarray:
+    """-i H(h) of h = sum_k c_k P_k in the Pauli-transfer basis, for
+    (word, c_k) ``terms``: a real 4^n x 4^n matrix (see the module notes)."""
+    words = np.arange(4**n)
+    out = np.zeros((words.size,) * 2)
+    group = np.array([_word_index(word) for word, _ in terms], dtype=np.intp)
+    for g, (_, c), w in zip(group, terms, _product_phases(group, n).imag):
+        out[words ^ g, words] -= 2 * c * w
+    return out
+
+
+def _coset_block_stacks(drive: DriveSpec, errs: list[CoherentErrorSpec],
+                        noise: NoiseSpec | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The twirled channels' (4^n / 2^m, 2^m, 2^m) stacks of Pauli-transfer
+    blocks, one per error spec in ``errs``, and the cosets of <D> they sit
+    on (see the module notes).  What depends on the drive and the noise
+    alone is built once for all the specs."""
     noise = noise if noise is not None else NoiseSpec()
-    check_drive_error_compat(drive, err)
+    for err in errs:
+        check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
-    hamiltonian, tau = _pattern_hamiltonian(drive, err), drive.tau
+    tau = drive.tau
     group, position, cosets = _coset_index(drive)
     words = np.arange(4**n)
-
-    # bands(signs)[p, i] is R_s[i, i XOR group[p]] of the pattern's
-    # Pauli-transfer matrix R_s, the only entries the twirl keeps.
-    if noise.kind == "none" or noise.rate == 0:
-        phases = _product_phases(group, n)
-        legs = [axis for q in range(n) for axis in (q, n + q)]
-
-        def bands(signs) -> np.ndarray:
-            # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
-            # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
-            u = expm_hermitian(hamiltonian(signs), tau)
-            a = _per_leg(u.reshape((2,) * (2 * n)).transpose(legs).reshape(-1),
-                         _PAULI_ROWS.conj() / 2)
-            b = np.conj(a * phases)[np.arange(group.size)[:, None], words ^ group[:, None]]
-            return np.conj(phases) * _per_leg(a * b, _SIGNS)
-    else:
-        dissipator = dissipator_superop(noise, n)
-
-        def bands(signs) -> np.ndarray:
-            generator = dissipator - 1.0j * tau * hamiltonian_superop(hamiltonian(signs))
-            return _pauli_transfer(expm(generator), n)[words, words ^ group[:, None]]
 
     # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
     # matrix; character c is the drive-sign pattern chi_c[position], and
@@ -264,13 +271,56 @@ def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
         characters = np.block([[characters, characters], [characters, -characters]])
     parities = characters[:, position] < 0
     characters = characters[np.lexsort(parities.T[::-1])]
+    patterns = characters[:, position]
 
-    average = np.zeros((group.size, words.size), dtype=complex)
-    for chi in characters:
-        average += chi[:, None] * bands(chi[position])
-    average /= group.size
+    # bands(err)[c, p, i] is R_s[i, i XOR group[p]] of pattern c's
+    # Pauli-transfer matrix R_s, the only entries the twirl keeps.
+    if noise.kind == "none" or noise.rate == 0:
+        phases = _product_phases(group, n)
+        legs = [axis for q in range(n) for axis in (q, n + q)]
+
+        def bands(err) -> list[np.ndarray]:
+            hamiltonian, out = _pattern_hamiltonian(drive, err), []
+            for signs in patterns:
+                # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
+                # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
+                u = expm_hermitian(hamiltonian(signs), tau)
+                a = _per_leg(u.reshape((2,) * (2 * n)).transpose(legs).reshape(-1),
+                             _PAULI_ROWS.conj() / 2)
+                b = np.conj(a * phases)[np.arange(group.size)[:, None], words ^ group[:, None]]
+                out.append(np.conj(phases) * _per_leg(a * b, _SIGNS))
+            return out
+    else:
+        dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
+        drive_words = np.stack([_commutator_transfer([term], n) for term in drive.terms])
+        # Summed elementwise: a real matmul here would page in the BLAS
+        # library's real kernels, about 0.35 MB of resident code.
+        flips = (patterns[:, :, None, None] * drive_words).sum(axis=1)
+
+        def bands(err) -> list[np.ndarray]:
+            error = _commutator_transfer(err.scaled_terms(), n)
+            return [expm(dissipator + tau * (error + flip))[words, words ^ group[:, None]]
+                    for flip in flips]
+
     p = np.arange(group.size)
-    return average[p[:, None] ^ p, cosets[:, :, None]], cosets
+    stacks = []
+    for err in errs:
+        average = np.zeros((group.size, words.size), dtype=complex)
+        for chi, band in zip(characters, bands(err)):
+            average += chi[:, None] * band
+        average /= group.size
+        stacks.append(average[p[:, None] ^ p, cosets[:, :, None]])
+    return stacks, cosets
+
+
+def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
+                  noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """The twirled channel's (4^n / 2^m, 2^m, 2^m) stack of Pauli-transfer
+    blocks and the cosets of <D> they sit on: `_coset_block_stacks` of
+    the one error spec."""
+    stacks, cosets = _coset_block_stacks(
+        drive, [err if err is not None else CoherentErrorSpec()], noise)
+    return stacks[0], cosets
 
 
 def _from_coset_blocks(blocks: np.ndarray, cosets: np.ndarray) -> np.ndarray:
@@ -405,5 +455,18 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     log raises a branch error only within ``numerics.BRANCH_TOL`` of the cut.
     Past it, the log returns another branch without an error, and the
     weights are aliased.
+
+    A log whose exponential misses the channel by more than 1e-12 times
+    its Frobenius norm (at least 1) raises ``DefectiveMatrixError``: near
+    an exceptional point the eigenbasis can pass the log's own residual
+    check and still give a log accurate only to about 1e-9.
     """
-    return EffectiveGenerator.from_generator(logm_principal(k), tau)
+    log = logm_principal(k)
+    k = np.asarray(k, dtype=complex)
+    miss = float(np.linalg.norm(expm(log) - k))
+    if miss > _LOG_RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(k))):
+        raise DefectiveMatrixError(
+            f"the principal log reconstructs the channel only to {miss:.3e};"
+            " the channel is defective or nearly so"
+        )
+    return EffectiveGenerator.from_generator(log, tau)

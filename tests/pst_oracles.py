@@ -1,28 +1,34 @@
 """Dense reference constructions of the twirled channel's coset blocks.
 
 `pst_core` builds a noiseless pattern's coset blocks from Pauli spectra of
-its 2^n x 2^n unitary, with no 4^n x 4^n array.  The oracles here take the
-long way: lift each pattern unitary to U kron U*, transform the whole lift
-to the Pauli-transfer basis and gather the blocks, or average every one of
-the 4^n frames one Pauli-transfer matrix at a time.
+its 2^n x 2^n unitary, with no 4^n x 4^n array, and a noisy pattern's from
+the exponential of its generator built in the Pauli-transfer basis.  The
+oracles here take the long way: lift each pattern unitary to U kron U*,
+or exponentiate its row-major Liouville generator noise - i tau H(H_s),
+transform the whole channel to the Pauli-transfer basis and gather the
+blocks; or average every one of the 4^n frames one Pauli-transfer matrix
+at a time.
 """
 
 import numpy as np
 
 from pstlab import pst_core
-from pstlab.liouville import pauli_unitary_superop, unitary_superop
+from pstlab.liouville import (
+    dissipator_superop,
+    hamiltonian_superop,
+    pauli_unitary_superop,
+    unitary_superop,
+)
 from pstlab.magnus import CoherentErrorSpec
-from pstlab.numerics import expm_hermitian, logm_principal
+from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import commutation_sign, enumerate_group
 from pstlab.pst_core import EffectiveGenerator
 
 
-def dense_noiseless_blocks(drive, err=None):
-    """Coset blocks of the noiseless twirl, gathered from each realized
-    pattern's dense Pauli-transfer matrix B^dag (U kron U*) B."""
-    err = err if err is not None else CoherentErrorSpec()
-    n = drive.n_qubits
-    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
+def _gathered_blocks(drive, pattern_channel):
+    """Coset blocks of the twirl, gathered from the dense Pauli-transfer
+    matrix of each realized pattern's Liouville channel
+    ``pattern_channel(signs)``."""
     group, position, cosets = pst_core._coset_index(drive)
     characters = np.ones((1, 1))
     while characters.shape[0] < group.size:
@@ -30,9 +36,28 @@ def dense_noiseless_blocks(drive, err=None):
     rows, cols = cosets[:, :, None], cosets[:, None, :]
     blocks = np.zeros((len(cosets), group.size, group.size), dtype=complex)
     for chi in characters:
-        lift = unitary_superop(expm_hermitian(hamiltonian(chi[position]), drive.tau))
-        blocks += pst_core._pauli_transfer(lift, n)[rows, cols] * np.outer(chi, chi)
+        ptm = pst_core._pauli_transfer(pattern_channel(chi[position]), drive.n_qubits)
+        blocks += ptm[rows, cols] * np.outer(chi, chi)
     return blocks / group.size, cosets
+
+
+def dense_noiseless_blocks(drive, err=None):
+    """Coset blocks of the noiseless twirl, gathered from each realized
+    pattern's dense Pauli-transfer matrix B^dag (U kron U*) B."""
+    err = err if err is not None else CoherentErrorSpec()
+    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
+    return _gathered_blocks(drive, lambda signs: unitary_superop(
+        expm_hermitian(hamiltonian(signs), drive.tau)))
+
+
+def liouville_noisy_blocks(drive, err, noise):
+    """Coset blocks of the noisy twirl, gathered from each realized
+    pattern's dense Pauli-transfer matrix B^dag expm(noise - i tau H(H_s)) B,
+    exponentiated in the row-major Liouville basis."""
+    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
+    dissipator = dissipator_superop(noise, drive.n_qubits)
+    return _gathered_blocks(drive, lambda signs: expm(
+        dissipator - 1j * drive.tau * hamiltonian_superop(hamiltonian(signs))))
 
 
 def frame_average_blocks(drive, err=None):

@@ -239,6 +239,19 @@ class TestParitySweepCommand:
         assert code == 1
         assert "mirror" in err
 
+    def test_expm_overflow_is_one_line_numerical_failure(self):
+        # Under warnings as errors: the overflow is typed, and no numpy
+        # RuntimeWarning escapes before it.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pstlab", "parity-sweep",
+             "--delta-points", "3", "--delta-max", "1e20"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("pstlab: numerical failure: exponential of a"
+                                        " matrix with 1-norm 6.000e+20 overflows in its")
+
 
 class TestMagnusCheckCommand:
     def test_quick_json_run(self, capsys):
@@ -360,6 +373,9 @@ UNRUNNABLE_ARGV = [
     ["parity-sweep", "--deltas=0.5,0"],
     ["parity-sweep", "--noise-targets", "3"],
     ["parity-sweep", "--zeta=-1"],
+    ["parity-sweep", "--deltas=0.5,-0.5,0.5"],
+    ["parity-sweep", "--deltas=0,-0"],
+    ["parity-sweep", "--noise-kinds", "pauli_z,pauli_z"],
     ["table1", "--error", "ZX=0.1"],
     ["table1", "--drive", "ZXI", "--error", "XX=0.2"],
     ["magnus-check", "--drive", "X"],

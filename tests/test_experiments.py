@@ -1,12 +1,13 @@
 """Tests for the scripted experiment drivers and their reports."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pstlab import experiments, pst_core
+from pstlab import experiments, liouville, pst_core
 from pstlab.errors import ConfigError, ResolutionError
 from pstlab.experiments import (
     MagnusCheckConfig,
@@ -93,6 +94,12 @@ class TestTable1:
         for label, amplitude in config.errors:
             assert abs(report.pst[label]) <= 1e-12
             assert abs(report.no_pst[label] - amplitude) <= 1e-15
+
+    def test_zero_twirled_drive_weight_is_typed(self):
+        # At XX = 1e20 the twirled ZX weight reads 0.0, and the agreement
+        # percentage would divide by it.
+        with pytest.raises(ResolutionError, match="the twirled ZX weight reads 0.0"):
+            run_table1(Table1Config(errors=(("XX", 1e20),)))
 
     def test_zero_duration_is_rejected(self):
         # The twirled row divides the log by -i tau.
@@ -186,6 +193,31 @@ class TestParitySweep:
         rows = run_parity_sweep(SMALL_SWEEP)
         assert max(abs(row.error - e) for row, e in zip(rows, expected)) <= 1e-14
 
+    def test_builds_generators_in_the_pauli_transfer_basis(self, monkeypatch):
+        # The default sweep: 41 deltas x 2 kinds, one expm per drive-sign
+        # pattern of each point, and one change of basis per kind (of its
+        # dissipator), with no Liouville-basis generator at all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a Liouville-basis generator")
+
+        for name in ("pst_realization", "hamiltonian_superop"):
+            monkeypatch.setattr(pst_core, name, refuse)
+        monkeypatch.setattr(liouville, "hamiltonian_superop", refuse)
+        calls = {"_pauli_transfer": [], "expm": []}
+        for name, calls_of in calls.items():
+            original = getattr(pst_core, name)
+
+            def recording(m, *args, original=original, calls_of=calls_of):
+                calls_of.append(np.shape(m))
+                return original(m, *args)
+
+            monkeypatch.setattr(pst_core, name, recording)
+        config = ParitySweepConfig()
+        rows = run_parity_sweep(config)
+        assert len(rows) == 82
+        assert calls["_pauli_transfer"] == [(16, 16)] * len(config.noise_kinds)
+        assert calls["expm"] == [(16, 16)] * 2 * 82
+
     def test_noiseless_origin_is_exact(self):
         rows = run_parity_sweep(SMALL_SWEEP)
         origin = [r for r in rows if r.noise_kind == "none" and r.delta == 0.0]
@@ -213,6 +245,18 @@ class TestParitySweep:
     def test_missing_pair_rejected(self):
         with pytest.raises(ConfigError, match="mirror"):
             ParitySweepConfig(deltas=(0.5, 1.0, -1.0)).delta_grid()
+
+    @pytest.mark.parametrize("config, repeated", [
+        (dict(deltas=(0.5, -0.5, 0.5)), "delta grid repeats [0.5]"),
+        (dict(deltas=(0.0, -0.0)), "delta grid repeats [-0.0]"),
+        # A grid too fine for its step repeats 0.
+        (dict(delta_max=5e-324, delta_points=5), "delta grid repeats [0.0]"),
+        (dict(noise_kinds=("pauli_z", "none", "pauli_z", "none")),
+         "noise_kinds repeats ['pauli_z', 'none']"),
+    ], ids=["delta", "signed-zero", "underflow", "kinds"])
+    def test_repeated_points_rejected(self, config, repeated):
+        with pytest.raises(ConfigError, match=re.escape(repeated)):
+            ParitySweepConfig(**config)
 
     def test_even_point_count_rejected(self):
         with pytest.raises(ConfigError, match="odd"):

@@ -1,12 +1,18 @@
 """Tests for expm, the principal log, operator norms, and quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pstlab import pst_core
-from pstlab.errors import BranchCutError, DefectiveMatrixError, QuadratureError
+from pstlab.errors import (
+    BranchCutError,
+    DefectiveMatrixError,
+    QuadratureError,
+    ResolutionError,
+)
 from pstlab.experiments import ParitySweepConfig, run_parity_sweep
 from pstlab.liouville import (
     NoiseSpec,
@@ -65,6 +71,21 @@ class TestExpm:
                 np.testing.assert_allclose(
                     expm_hermitian(h, t), expm(-1j * t * h), rtol=0, atol=1e-13
                 )
+
+    @pytest.mark.parametrize("m, norm, squarings", [
+        # exp(1000) overflows; so does the squared Pade approximant of
+        # -i 1e20 ZX, although its exponential is unitary.
+        (np.array([[1000.0]]), "1.000e+03", 8),
+        (-1e20j * matrix_of(pauli_from_label("ZX")), "1.000e+20", 65),
+    ], ids=["exp-1000", "rotation-1e20"])
+    def test_overflow_is_typed(self, m, norm, squarings):
+        message = re.escape(f"1-norm {norm} overflows in its {squarings} squarings")
+        with pytest.raises(ResolutionError, match=message):
+            expm(m)
+
+    def test_norm_overflow_is_typed(self):
+        with pytest.raises(ResolutionError, match="1-norm inf overflows"):
+            expm(np.full((2, 2), 1e308))
 
     def test_rejects_bad_input(self):
         for exponential in (expm, lambda m: expm_hermitian(m, 1.0)):

@@ -396,6 +396,32 @@ class TestCosetBlocks:
         with pytest.raises(BranchCutError):
             block_log_hamiltonian(drive)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commutator_transfer_is_the_superoperator_in_the_pauli_basis(self, n):
+        rng = np.random.default_rng(n)
+        terms = [(word, rng.normal()) for word in enumerate_group(n)]
+        h = sum(c * matrix_of(word) for word, c in terms)
+        expected = pst_core._pauli_transfer(-1j * hamiltonian_superop(h), n)
+        got = pst_core._commutator_transfer(terms, n)
+        assert got.dtype == float
+        assert np.abs(got - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("drive, errors", [
+        (drive_zx(2.5), TABLE1_ERRORS),
+        (DEPENDENT_DRIVE, DEPENDENT_ERRORS),
+    ], ids=["n2", "dependent"])
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(), NoiseSpec("pauli_z", 3.0), NoiseSpec("amplitude_damping", 3.0, (0,)),
+    ], ids=["none", "pauli_z", "amplitude_damping"])
+    def test_many_specs_equal_one_spec_at_a_time(self, drive, errors, noise):
+        errs = [CoherentErrorSpec(errors, scale=s) for s in (-1.0, -0.25, 0.0, 0.5, 1.0)]
+        stacks, cosets = pst_core._coset_block_stacks(drive, errs, noise)
+        assert len(stacks) == len(errs)
+        for err, blocks in zip(errs, stacks):
+            single, single_cosets = pst_core._coset_blocks(drive, err, noise)
+            assert np.array_equal(blocks, single)
+            assert np.array_equal(cosets, single_cosets)
+
 
 class TestChannelValidation:
     def test_error_word_equal_to_drive_word(self):
@@ -489,7 +515,7 @@ class TestEffectiveGenerator:
         k = pst_channel(DriveSpec.single("X", 0.5),
                         noise=NoiseSpec("amplitude_damping", 4.0))
         eff = effective_generator(k, 0.5)
-        np.testing.assert_allclose(expm(eff.reconstructed()), k, atol=1e-12)
+        np.testing.assert_allclose(expm(eff.reconstructed()), k, rtol=0, atol=1e-12)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from pst_oracles import (  # noqa: E402
     dense_noiseless_blocks,
     densified_log_generator,
     frame_average_blocks,
+    liouville_noisy_blocks,
 )
 from test_pst_core import (  # noqa: E402
     DEPENDENT_DRIVE,
@@ -48,7 +49,7 @@ _LETTERS = st.sampled_from("IXYZ")
 
 
 @st.composite
-def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0):
+def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0, kinds=NOISE_KINDS):
     n = draw(st.integers(1, max_qubits))
     word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
         lambda label: set(label) != {"I"}
@@ -68,7 +69,7 @@ def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0):
     )
     if not noise:
         return drive, err
-    kind = draw(st.sampled_from(NOISE_KINDS))
+    kind = draw(st.sampled_from(kinds))
     targets = draw(st.one_of(
         st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
     ))
@@ -155,6 +156,28 @@ class TestSpectralBlocks:
             assert abs(weight - dense.coefficient(word)) <= 1e-12
             if word not in inside:
                 assert weight == 0.0
+
+
+class TestPauliTransferGenerators:
+    """Noisy blocks exponentiated in the Pauli-transfer basis against the
+    exponential of the row-major Liouville generator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs(max_rate=5.0, kinds=("pauli_z", "amplitude_damping")))
+    # The Liouvillian exceptional point of ROADMAP item 3, then two
+    # three-qubit drives, one with two independent words.
+    @example((DriveSpec.single("X", 0.5), CoherentErrorSpec(),
+              NoiseSpec("amplitude_damping", 4.0)))
+    @example((DriveSpec.single("ZXY", 0.7), CoherentErrorSpec((("XXY", 0.2), ("YZI", 0.6))),
+              NoiseSpec("pauli_z", 2.0)))
+    @example((DriveSpec((("ZXY", 0.9), ("XIZ", -0.4)), 0.7),
+              CoherentErrorSpec((("XXY", 0.2), ("YZI", 0.6), ("IIZ", -0.1))),
+              NoiseSpec("amplitude_damping", 1.5, (0, 2))))
+    def test_match_the_liouville_oracle(self, inputs):
+        blocks, cosets = pst_core._coset_blocks(*inputs)
+        expected, expected_cosets = liouville_noisy_blocks(*inputs)
+        assert np.array_equal(cosets, expected_cosets)
+        assert np.abs(blocks - expected).max() <= 1e-13
 
 
 class TestEffectiveGeneratorProperties:
