@@ -85,7 +85,7 @@ def _dump_channel(report, args) -> None:
         from .liouville import matrix_to_json
 
         with open(args.dump_channel, "w", encoding="utf-8") as handle:
-            json.dump({"channel": matrix_to_json(report.channel)}, handle)
+            json.dump({"channel": matrix_to_json(report.twirled.dense())}, handle)
 
 
 def _check_tolerance(report, args) -> None:

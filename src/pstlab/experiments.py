@@ -48,16 +48,8 @@ from .magnus import (
     omega2_avg_closed,
     over_rotation_factor,
 )
-from .numerics import op_norm
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
-from .pst_core import (
-    _coset_block_stacks,
-    _coset_blocks,
-    _from_coset_blocks,
-    _log_hamiltonian,
-    _pattern_hamiltonian,
-    _pauli_weight,
-)
+from .pst_core import TwirledChannel, _pattern_hamiltonian, _pauli_weight, twirled_channels
 from .schema import (
     PauliLabel,
     _Config,
@@ -148,10 +140,8 @@ class Table1Report:
     """Weight rows keyed by Pauli label, restricted to the error words plus
     the drive word, with and without the twirl ensemble.
 
-    ``coset_blocks`` holds the ensemble channel the twirled row was read
-    from, as its Pauli-transfer blocks and their cosets; ``channel``
-    densifies them on each read.  Both stay out of comparisons and of the
-    JSON/CSV reports.
+    ``twirled`` holds the ensemble channel the twirled row was read from;
+    it stays out of comparisons and of the JSON/CSV reports.
     """
 
     config: Table1Config
@@ -159,11 +149,7 @@ class Table1Report:
     pst: dict[str, float]
     theoretical_drive_coeff: float
     agreement_pct: float
-    coset_blocks: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
-
-    @property
-    def channel(self) -> np.ndarray:
-        return _from_coset_blocks(*self.coset_blocks)
+    twirled: TwirledChannel = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,10 +176,10 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     The untwirled row reads the Pauli weights of the identity frame's
     2^n x 2^n Hamiltonian directly, with no channel and no log, so it
     reproduces the input amplitudes at every tau; the twirled row reads
-    the 2^n x 2^n Hamiltonian part of the ensemble channel's principal
-    log, taken block by block over the cosets of the drive group, with no
-    4^n x 4^n array.  The twirl zeroes the error words and amplifies the
-    drive weight, which is compared against the sinc-law prediction.
+    `TwirledChannel.hamiltonian` of the ensemble channel, the 2^n x 2^n
+    Hamiltonian part of its principal log, with no 4^n x 4^n array.  The
+    twirl zeroes the error words and amplifies the drive weight, which is
+    compared against the sinc-law prediction.
     A tau below ``TABLE1_MIN_TAU`` raises ``ResolutionError``: there the
     log's roundoff swamps the weights.
     """
@@ -208,8 +194,8 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     err = config.error_spec()
     labels = [label for label, _ in config.errors] + [config.drive]
 
-    blocks, cosets = _coset_blocks(drive, err, NoiseSpec())
-    twirled = _log_hamiltonian(blocks, cosets, drive.tau)
+    channel = twirled_channels(drive, [err])[0]
+    twirled = channel.hamiltonian()
     untwirled = _pattern_hamiltonian(drive, err)([1] * len(drive.terms))
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
@@ -226,7 +212,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
         pst={label: _pauli_weight(twirled, label) for label in labels},
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,
-        coset_blocks=(blocks, cosets),
+        twirled=channel,
     )
 
 
@@ -322,20 +308,19 @@ def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySwee
     """Sweep E(delta) = ||K(delta) - U0||_op per noise kind.
 
     U0 is the ideal noiseless gate channel, the twirl of the error-free
-    drive, so it is block diagonal on the same cosets of the drive group
-    as K; the Pauli-transfer basis is unitary, so the operator norm is the
-    largest over the coset blocks of K - U0, and no dense channel is
-    built.  Rows are emitted per kind in config order, deltas ascending.
+    drive, so both are `TwirledChannel`s on the cosets of one drive group,
+    and E is their `distance`, read off the blocks with no dense channel.
+    Rows are emitted per kind in config order, deltas ascending.
     """
     config = config if config is not None else ParitySweepConfig()
     drive = config.drive_spec()
     grid = config.delta_grid()
-    reference, _ = _coset_blocks(drive, None, None)
+    reference = twirled_channels(drive, [CoherentErrorSpec()])[0]
     errors = [config.error_spec(delta) for delta in grid]
     rows: list[ParitySweepRow] = []
     for kind in config.noise_kinds:
-        stacks, _ = _coset_block_stacks(drive, errors, config.noise_spec(kind))
-        deviations = {delta: op_norm(blocks - reference) for delta, blocks in zip(grid, stacks)}
+        channels = twirled_channels(drive, errors, config.noise_spec(kind))
+        deviations = {delta: k.distance(reference) for delta, k in zip(grid, channels)}
         for delta in grid:
             rows.append(
                 ParitySweepRow(

@@ -49,9 +49,9 @@ coefficients of P_g U_s^dag,
 where chi(i, k) is the commutation sign.  The coefficients, the sign sum
 (a symplectic Walsh-Hadamard transform) and w are Kronecker products of
 one 4 x 4 table per qubit, so each transform runs one qubit leg at a
-time, O(n 4^n), and no 4^n x 4^n array is formed.  `pst_channel`
-returns the blocks to the row-major Liouville basis once, as
-B K_PTM B^dag, with the same leg-by-leg change of basis.
+time, O(n 4^n), and no 4^n x 4^n array is formed.  `twirled_channels`
+returns a `TwirledChannel`; its `dense` takes the blocks to the row-major
+Liouville basis once, as B K_PTM B^dag, leg by leg as well.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 or a channel log) onto Pauli commutator superoperators
@@ -68,16 +68,16 @@ the generator back only while the channel eigenphases stay inside
 (-pi, pi); it refuses a log whose exponential does not give the channel
 back to 1e-12 of its norm.
 
-`table1` never forms the dense log.  The log of a block-diagonal matrix
-is the block-diagonal matrix of the blocks' logs, so it logs the coset
-blocks as one stack of 2^m x 2^m matrices.  H_g has Pauli-transfer
-entries only at (g XOR j, j) (see above), so with X = log / (-i tau) the
-weight
+`TwirledChannel.hamiltonian` never forms the dense log.  The log of a
+block-diagonal matrix is the block-diagonal matrix of the blocks' logs,
+so it logs the coset blocks as one stack of 2^m x 2^m matrices.  H_g
+has Pauli-transfer entries only at (g XOR j, j) (see above), so with
+X = log / (-i tau) the weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
 reads the (i, i XOR g) band alone, and every word outside <D> weighs 0.
 The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads through
 the same tr(P h) / 2^n rule as its untwirled row, the identity frame's
-Hamiltonian.  Its report densifies the channel only when it is read.
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -113,10 +113,12 @@ from .sinc_law import calibrate_tau
 
 __all__ = [
     "EffectiveGenerator",
+    "TwirledChannel",
     "effective_generator",
     "ideal_channel",
     "pst_channel",
     "pst_realization",
+    "twirled_channels",
 ]
 
 # `effective_generator` refuses a log whose exponential misses the channel
@@ -247,12 +249,64 @@ def _commutator_transfer(terms, n: int) -> np.ndarray:
     return out
 
 
-def _coset_block_stacks(drive: DriveSpec, errs: list[CoherentErrorSpec],
-                        noise: NoiseSpec | None) -> tuple[list[np.ndarray], np.ndarray]:
-    """The twirled channels' (4^n / 2^m, 2^m, 2^m) stacks of Pauli-transfer
-    blocks, one per error spec in ``errs``, and the cosets of <D> they sit
-    on (see the module notes).  What depends on the drive and the noise
-    alone is built once for all the specs."""
+def _check_tau(tau: float) -> None:
+    """A log divided by -i tau reads a generator only for a positive tau."""
+    if not math.isfinite(tau) or tau <= 0:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
+@dataclass(frozen=True, eq=False)
+class TwirledChannel:
+    """A twirled channel in block form (see the module notes): its 2^m x 2^m
+    Pauli-transfer ``blocks[b]`` on the b-th coset ``cosets[b]`` of <D>, 0
+    elsewhere, and the gate duration ``tau`` its log is read at.
+    Instances hold arrays, so they compare by identity."""
+
+    blocks: np.ndarray
+    cosets: np.ndarray
+    tau: float
+
+    @property
+    def _n_qubits(self) -> int:
+        return (self.cosets.size.bit_length() - 1) // 2  # the cosets hold all 4^n words
+
+    def dense(self) -> np.ndarray:
+        """The 4^n x 4^n row-major Liouville matrix."""
+        ptm = np.zeros((self.cosets.size,) * 2, dtype=complex)
+        ptm[self.cosets[:, :, None], self.cosets[:, None, :]] = self.blocks
+        return _pauli_transfer(ptm, self._n_qubits, inverse=True)
+
+    def hamiltonian(self) -> np.ndarray:
+        """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal
+        log, read off the log's (i, i XOR g) bands for g in <D> (see the
+        module notes); the same as `EffectiveGenerator.from_generator` of
+        the dense log."""
+        _check_tau(self.tau)
+        cosets, n = self.cosets, self._n_qubits
+        group, log = cosets[0], logm_principal(self.blocks)
+        p = np.arange(group.size)
+        bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
+        terms = _product_phases(group, n).imag[:, cosets] * bands
+        h = np.zeros((2**n,) * 2, dtype=complex)
+        for g, row in zip(group[1:], terms[1:]):
+            # fsum rounds each band's sum once, independent of its order.
+            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(_word_at(g, n))
+        return h
+
+    def distance(self, other: TwirledChannel) -> float:
+        """||self - other||_op, the largest over the blocks (the Pauli-transfer
+        basis is unitary); channels on different cosets raise ``ValueError``."""
+        if not np.array_equal(self.cosets, other.cosets):
+            raise ValueError("the channels sit on the cosets of different drive groups")
+        return op_norm(self.blocks - other.blocks)
+
+
+def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
+                     noise: NoiseSpec | None = None) -> list[TwirledChannel]:
+    """The twirled channel of each error spec in ``errs``, exact over all
+    4^n frames, with one exponential per realized drive-sign pattern (see
+    the module notes).  What depends on the drive and the noise alone is
+    built once for all the specs."""
     noise = noise if noise is not None else NoiseSpec()
     for err in errs:
         check_drive_error_compat(drive, err)
@@ -303,55 +357,14 @@ def _coset_block_stacks(drive: DriveSpec, errs: list[CoherentErrorSpec],
                     for flip in flips]
 
     p = np.arange(group.size)
-    stacks = []
+    channels = []
     for err in errs:
         average = np.zeros((group.size, words.size), dtype=complex)
         for chi, band in zip(characters, bands(err)):
             average += chi[:, None] * band
         average /= group.size
-        stacks.append(average[p[:, None] ^ p, cosets[:, :, None]])
-    return stacks, cosets
-
-
-def _coset_blocks(drive: DriveSpec, err: CoherentErrorSpec | None,
-                  noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """The twirled channel's (4^n / 2^m, 2^m, 2^m) stack of Pauli-transfer
-    blocks and the cosets of <D> they sit on: `_coset_block_stacks` of
-    the one error spec."""
-    stacks, cosets = _coset_block_stacks(
-        drive, [err if err is not None else CoherentErrorSpec()], noise)
-    return stacks[0], cosets
-
-
-def _from_coset_blocks(blocks: np.ndarray, cosets: np.ndarray) -> np.ndarray:
-    """The Liouville matrix with Pauli-transfer ``blocks`` on ``cosets``, 0 elsewhere."""
-    ptm = np.zeros((cosets.size,) * 2, dtype=complex)
-    ptm[cosets[:, :, None], cosets[:, None, :]] = blocks
-    return _pauli_transfer(ptm, round(math.log(cosets.size, 4)), inverse=True)
-
-
-def _check_tau(tau: float) -> None:
-    """A log divided by -i tau reads a generator only for a positive tau."""
-    if not math.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-
-
-def _log_hamiltonian(blocks: np.ndarray, cosets: np.ndarray, tau: float) -> np.ndarray:
-    """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal log
-    of the channel with Pauli-transfer ``blocks`` on ``cosets``, read off
-    the log's (i, i XOR g) bands for g in <D> (see the module notes); the
-    same as `EffectiveGenerator.from_generator` of the dense log."""
-    _check_tau(tau)
-    group, n = cosets[0], (cosets.size.bit_length() - 1) // 2
-    log = logm_principal(blocks)
-    p = np.arange(group.size)
-    bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
-    terms = _product_phases(group, n).imag[:, cosets] * bands
-    h = np.zeros((2**n,) * 2, dtype=complex)
-    for g, row in zip(group[1:], terms[1:]):
-        # fsum rounds each band's sum once, independent of its order.
-        h += math.fsum(row.ravel()) / (tau * cosets.size) * matrix_of(_word_at(g, n))
-    return h
+        channels.append(TwirledChannel(average[p[:, None] ^ p, cosets[:, :, None]], cosets, tau))
+    return channels
 
 
 def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
@@ -360,7 +373,8 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
     4^n frame words, computed exactly with one exponential per realized
     drive-sign pattern, block by block over the cosets of the drive group
     (see the module notes)."""
-    return _from_coset_blocks(*_coset_blocks(drive, err, noise))
+    err = err if err is not None else CoherentErrorSpec()
+    return twirled_channels(drive, [err], noise)[0].dense()
 
 
 def ideal_channel(drive: DriveSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ oracles here take the long way: lift each pattern unitary to U kron U*,
 or exponentiate its row-major Liouville generator noise - i tau H(H_s),
 transform the whole channel to the Pauli-transfer basis and gather the
 blocks; or average every one of the 4^n frames one Pauli-transfer matrix
-at a time.
+at a time.  Each oracle returns the twirl as a `TwirledChannel`.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from pstlab.liouville import (
 from pstlab.magnus import CoherentErrorSpec
 from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import commutation_sign, enumerate_group
-from pstlab.pst_core import EffectiveGenerator
+from pstlab.pst_core import EffectiveGenerator, TwirledChannel
 
 
 def _gathered_blocks(drive, pattern_channel):
@@ -38,7 +38,7 @@ def _gathered_blocks(drive, pattern_channel):
     for chi in characters:
         ptm = pst_core._pauli_transfer(pattern_channel(chi[position]), drive.n_qubits)
         blocks += ptm[rows, cols] * np.outer(chi, chi)
-    return blocks / group.size, cosets
+    return TwirledChannel(blocks / group.size, cosets, drive.tau)
 
 
 def dense_noiseless_blocks(drive, err=None):
@@ -74,11 +74,13 @@ def frame_average_blocks(drive, err=None):
         frame = pauli_unitary_superop(alpha)
         lift = unitary_superop(expm_hermitian(hamiltonian(signs), drive.tau))
         total += pst_core._pauli_transfer(frame @ lift @ frame, n)
-    return (total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets
+    return TwirledChannel((total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets,
+                          drive.tau)
 
 
-def densified_log_generator(blocks, cosets, tau):
-    """`EffectiveGenerator.from_generator` of the blocks' principal log,
-    written out as a dense 4^n x 4^n Liouville matrix."""
-    log = pst_core._from_coset_blocks(logm_principal(blocks), cosets)
-    return EffectiveGenerator.from_generator(log, tau)
+def densified_log_generator(channel):
+    """`EffectiveGenerator.from_generator` of the principal log of a
+    `TwirledChannel`'s blocks, written out as a dense 4^n x 4^n Liouville
+    matrix."""
+    log = TwirledChannel(logm_principal(channel.blocks), channel.cosets, channel.tau)
+    return EffectiveGenerator.from_generator(log.dense(), channel.tau)

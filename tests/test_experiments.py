@@ -85,9 +85,9 @@ class TestTable1:
             raise AssertionError("table1 reached a 4^n x 4^n path")
 
         for name in ("pst_realization", "enumerate_group", "_pauli_transfer",
-                     "unitary_superop", "hamiltonian_superop", "_from_coset_blocks"):
+                     "unitary_superop", "hamiltonian_superop"):
             monkeypatch.setattr(pst_core, name, refuse)
-        monkeypatch.setattr(experiments, "_from_coset_blocks", refuse)
+        monkeypatch.setattr(pst_core.TwirledChannel, "dense", refuse)
         monkeypatch.setattr(EffectiveGenerator, "from_generator", classmethod(refuse))
         report = run_table1(config)
         assert report.agreement_pct >= 99.0
@@ -188,8 +188,7 @@ class TestParitySweep:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep densified a channel")
 
-        monkeypatch.setattr(pst_core, "_from_coset_blocks", refuse)
-        monkeypatch.setattr(experiments, "_from_coset_blocks", refuse)
+        monkeypatch.setattr(pst_core.TwirledChannel, "dense", refuse)
         rows = run_parity_sweep(SMALL_SWEEP)
         assert max(abs(row.error - e) for row, e in zip(rows, expected)) <= 1e-14
 

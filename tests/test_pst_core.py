@@ -33,11 +33,13 @@ from pstlab.pauli import (
 )
 from pstlab.pst_core import (
     EffectiveGenerator,
+    TwirledChannel,
     calibrate_tau,
     effective_generator,
     ideal_channel,
     pst_channel,
     pst_realization,
+    twirled_channels,
 )
 
 TABLE1_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
@@ -104,11 +106,15 @@ def assert_coset_block_sparse(k, drive):
     assert np.abs(pauli_transfer_matrix(k)[outside]).max(initial=0.0) <= 1e-14
 
 
+def twirled(drive, err=None, noise=None):
+    """The twirled channel of one error spec, error-free by default."""
+    return twirled_channels(drive, [err if err is not None else CoherentErrorSpec()], noise)[0]
+
+
 def block_log_hamiltonian(drive, err=None, noise=None):
     """The twirled Hamiltonian `table1` reads: its channel's coset blocks,
     logged as one stack and read off the bands of <D>."""
-    blocks, cosets = pst_core._coset_blocks(drive, err, noise)
-    return pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+    return twirled(drive, err, noise).hamiltonian()
 
 
 def assert_block_log_matches_dense(drive, err=None, noise=None):
@@ -122,12 +128,10 @@ def assert_block_log_matches_dense(drive, err=None, noise=None):
         with pytest.raises(type(exc)):
             block_log_hamiltonian(drive, err, noise)
         return
-    blocks, cosets = pst_core._coset_blocks(drive, err, noise)
-    np.testing.assert_allclose(
-        pst_core._from_coset_blocks(logm_principal(blocks), cosets), logm_principal(k),
-        rtol=0, atol=1e-10,
-    )
-    h = block_log_hamiltonian(drive, err, noise)
+    channel = twirled(drive, err, noise)
+    block_log = TwirledChannel(logm_principal(channel.blocks), channel.cosets, channel.tau)
+    np.testing.assert_allclose(block_log.dense(), logm_principal(k), rtol=0, atol=1e-10)
+    h = channel.hamiltonian()
     for word, value in dense.hamiltonian_coeffs.items():
         assert abs(pst_core._pauli_weight(h, word) - value) <= 1e-10
 
@@ -415,12 +419,36 @@ class TestCosetBlocks:
     ], ids=["none", "pauli_z", "amplitude_damping"])
     def test_many_specs_equal_one_spec_at_a_time(self, drive, errors, noise):
         errs = [CoherentErrorSpec(errors, scale=s) for s in (-1.0, -0.25, 0.0, 0.5, 1.0)]
-        stacks, cosets = pst_core._coset_block_stacks(drive, errs, noise)
-        assert len(stacks) == len(errs)
-        for err, blocks in zip(errs, stacks):
-            single, single_cosets = pst_core._coset_blocks(drive, err, noise)
-            assert np.array_equal(blocks, single)
-            assert np.array_equal(cosets, single_cosets)
+        channels = twirled_channels(drive, errs, noise)
+        assert len(channels) == len(errs)
+        for err, channel in zip(errs, channels):
+            [single] = twirled_channels(drive, [err], noise)
+            assert np.array_equal(channel.blocks, single.blocks)
+            assert np.array_equal(channel.cosets, single.cosets)
+            assert channel.tau == single.tau == drive.tau
+
+
+class TestTwirledChannel:
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(), NoiseSpec("pauli_z", 3.0), NoiseSpec("amplitude_damping", 3.0, (0,)),
+    ], ids=["none", "pauli_z", "amplitude_damping"])
+    def test_dense_is_pst_channel(self, noise):
+        err = table1_error()
+        assert np.array_equal(twirled(drive_zx(), err, noise).dense(),
+                              pst_channel(drive_zx(), err, noise))
+
+    @pytest.mark.parametrize("other", [DriveSpec.single("XZ", 0.5), DriveSpec.single("ZXY", 0.5)],
+                             ids=["other-group", "other-register"])
+    def test_distance_refuses_another_drive_group(self, other):
+        with pytest.raises(ValueError, match="cosets of different drive groups"):
+            twirled(drive_zx()).distance(twirled(other))
+
+    def test_equality_is_identity(self):
+        first, second = twirled_channels(drive_zx(), [table1_error()] * 2)
+        assert np.array_equal(first.blocks, second.blocks)
+        assert first != second
+        assert first == first
+        assert len({first, second}) == 2
 
 
 class TestChannelValidation:

@@ -1,7 +1,8 @@
 """Property tests of the ensemble channel against the per-frame oracle,
 of its complete positivity (a PSD Choi matrix), of its coset-block log
 against the dense one, of the noiseless spectral blocks and band weights
-against dense oracles, and of the effective generator's Hamiltonian.
+against dense oracles, of its evenness in the error scale when one Pauli
+word flips the whole error, and of the effective generator's Hamiltonian.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -14,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from pst_oracles import (  # noqa: E402
     dense_noiseless_blocks,
@@ -41,8 +42,13 @@ from pstlab.liouville import (  # noqa: E402
     hamiltonian_superop,
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
-from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label  # noqa: E402
-from pstlab.pst_core import EffectiveGenerator, pst_channel  # noqa: E402
+from pstlab.pauli import (  # noqa: E402
+    commutation_sign,
+    enumerate_group,
+    matrix_of,
+    pauli_from_label,
+)
+from pstlab.pst_core import EffectiveGenerator, pst_channel, twirled_channels  # noqa: E402
 
 
 _LETTERS = st.sampled_from("IXYZ")
@@ -76,6 +82,12 @@ def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0, kinds=NOISE_KINDS
     noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, max_rate)),
                       targets)
     return drive, err, noise
+
+
+def assert_same_blocks(channel, expected):
+    """Two `TwirledChannel`s on the same cosets, with blocks equal to 1e-13."""
+    assert np.array_equal(channel.cosets, expected.cosets)
+    assert np.abs(channel.blocks - expected.blocks).max() <= 1e-13
 
 
 class TestChannelProperties:
@@ -138,18 +150,16 @@ class TestSpectralBlocks:
     ))
     def test_match_dense_oracles_and_band_weights(self, inputs):
         drive, err = inputs
-        blocks, cosets = pst_core._coset_blocks(drive, err, None)
+        [channel] = twirled_channels(drive, [err])
         for oracle in (dense_noiseless_blocks, frame_average_blocks):
-            expected, expected_cosets = oracle(drive, err)
-            assert np.array_equal(cosets, expected_cosets)
-            assert np.abs(blocks - expected).max() <= 1e-13
+            assert_same_blocks(channel, oracle(drive, err))
         try:
-            dense = densified_log_generator(blocks, cosets, drive.tau)
+            dense = densified_log_generator(channel)
         except (BranchCutError, DefectiveMatrixError) as exc:
             with pytest.raises(type(exc)):
-                pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+                channel.hamiltonian()
             return
-        h = pst_core._log_hamiltonian(blocks, cosets, drive.tau)
+        h = channel.hamiltonian()
         inside = drive_group(drive)
         for word in enumerate_group(drive.n_qubits):
             weight = pst_core._pauli_weight(h, word)
@@ -174,10 +184,50 @@ class TestPauliTransferGenerators:
               CoherentErrorSpec((("XXY", 0.2), ("YZI", 0.6), ("IIZ", -0.1))),
               NoiseSpec("amplitude_damping", 1.5, (0, 2))))
     def test_match_the_liouville_oracle(self, inputs):
-        blocks, cosets = pst_core._coset_blocks(*inputs)
-        expected, expected_cosets = liouville_noisy_blocks(*inputs)
-        assert np.array_equal(cosets, expected_cosets)
-        assert np.abs(blocks - expected).max() <= 1e-13
+        drive, err, noise = inputs
+        [channel] = twirled_channels(drive, [err], noise)
+        assert_same_blocks(channel, liouville_noisy_blocks(drive, err, noise))
+
+
+@st.composite
+def flippable_inputs(draw):
+    """A drive, an error set that one Pauli word Q anticommutes with term by
+    term, and noise that commutes with every Pauli frame (none or Z
+    dephasing), on up to 3 qubits."""
+    n = draw(st.integers(1, 3))
+    words = list(enumerate_group(n)[1:])
+    flip = draw(st.sampled_from(words))
+    drive_words = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3, unique=True))
+    pool = [word for word in words
+            if word not in drive_words and commutation_sign(word, flip) == -1]
+    assume(pool)
+    error_words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    amplitude = st.floats(-0.8, 0.8, allow_nan=False)
+    drive = DriveSpec(tuple((w, draw(amplitude)) for w in drive_words),
+                      draw(st.floats(0.05, 1.2)))
+    err = CoherentErrorSpec(tuple((w, draw(amplitude)) for w in error_words),
+                            scale=draw(st.floats(-1.5, 1.5)))
+    kind = draw(st.sampled_from(("none", "pauli_z")))
+    targets = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
+    ))
+    noise = NoiseSpec(kind, 0.0 if kind == "none" else draw(st.floats(0.0, 3.0)), targets)
+    return drive, err, noise
+
+
+class TestErrorScaleParity:
+    """Conjugating by Q negates the error and only relabels the frames, so
+    the twirled channel is even in the error scale; Pauli noise commutes
+    with Q.  Amplitude damping does not, and breaks the symmetry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(flippable_inputs())
+    @example((DriveSpec.single("ZX", 2.5), CoherentErrorSpec((("XX", 0.2), ("ZZ", 0.2))),
+              NoiseSpec("pauli_z", 3.0)))
+    def test_channel_is_even_in_the_error_scale(self, inputs):
+        drive, err, noise = inputs
+        plus, minus = twirled_channels(drive, [err, err.with_scale(-err.scale)], noise)
+        assert_same_blocks(plus, minus)
 
 
 class TestEffectiveGeneratorProperties:
