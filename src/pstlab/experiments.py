@@ -309,7 +309,8 @@ def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySwee
 
     U0 is the ideal noiseless gate channel, the twirl of the error-free
     drive, so both are `TwirledChannel`s on the cosets of one drive group,
-    and E is their `distance`, read off the blocks with no dense channel.
+    and E is their `distance`, read off the blocks with no dense channel,
+    for the whole grid of a noise kind in one stacked norm.
     Rows are emitted per kind in config order, deltas ascending.
     """
     config = config if config is not None else ParitySweepConfig()
@@ -320,7 +321,7 @@ def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySwee
     rows: list[ParitySweepRow] = []
     for kind in config.noise_kinds:
         channels = twirled_channels(drive, errors, config.noise_spec(kind))
-        deviations = {delta: k.distance(reference) for delta, k in zip(grid, channels)}
+        deviations = dict(zip(grid, reference.distances(channels)))
         for delta in grid:
             rows.append(
                 ParitySweepRow(

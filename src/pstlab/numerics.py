@@ -4,7 +4,10 @@ The general exponential `expm` is scaling and squaring with the
 degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): the
 input is halved s times until its 1-norm is at most theta_13, and its
 approximant is squared s times; a squaring that overflows raises
-``ResolutionError`` instead of returning inf or nan.  Only dissipative
+``ResolutionError`` instead of returning inf or nan.  It also takes a
+stack of matrices, shape (..., d, d): each matrix gets its own s, and
+the matrices that share s run as one batched stack, with the arithmetic
+each gets alone, bit for bit.  Only dissipative
 generators need it; a unitary exp(-i t h) of a Hermitian h comes from
 numpy's `eigh` instead (`expm_hermitian`).  The principal logarithm is
 an explicit eigendecomposition so that branch-cut proximity and
@@ -41,6 +44,7 @@ __all__ = [
     "interval_quadrature",
     "logm_principal",
     "op_norm",
+    "squarings_for",
     "triangle_quadrature",
 ]
 
@@ -48,7 +52,13 @@ QUADRATURE_ORDER = 8  # composite 4-point Gauss-Legendre per cell
 # Eigenvalues this close to the principal log's branch cut are rejected.
 BRANCH_TOL = 1e-8
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# The 4-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial's
+# leggauss(4) returns it, bit for bit; written out so that no command
+# imports numpy.polynomial.
+_GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                      0.33998104358485626, 0.8611363115940526])
+_GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                        0.6521451548625464, 0.34785484513745357])
 
 
 @dataclass(frozen=True)
@@ -92,26 +102,14 @@ _PADE_13 = tuple(
 _THETA_13 = 5.371920351148152
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential of a square complex matrix.
+def squarings_for(norm: float) -> int:
+    """The squaring count s = max(0, ceil(log2(norm / theta_13))) that
+    `expm` takes for a matrix of 1-norm ``norm``."""
+    return math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
 
-    Scaling and squaring with the degree-13 diagonal Pade approximant
-    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), taken of A / 2^s
-    with s = max(0, ceil(log2(||A||_1 / theta_13))) and squared s times.
-    A 1-norm or a squared result that overflows raises
-    ``ResolutionError``, naming the 1-norm and the squaring count.
-    """
-    a = _as_square_finite(m)
-    with np.errstate(over="ignore"):
-        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
-        raise ResolutionError(
-            f"matrix 1-norm {norm:.3e} overflows; its exponential cannot be"
-            " scaled and squared"
-        )
-    squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    if squarings:
-        a = a / 2.0**squarings
+
+def _pade_13(a: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant of exp at each matrix of a stack."""
     b = _PADE_13
     a2 = a @ a
     a4 = a2 @ a2
@@ -120,27 +118,66 @@ def expm(m) -> np.ndarray:
 
     def add(head, terms, identity=0.0):
         # head + sum c * power + identity * I, left to right, in place
-        # (head is fresh and contiguous, so the stride slice is its diagonal).
+        # (head is fresh and contiguous, so the stride slice of each
+        # flattened matrix is its diagonal).
         for c, power in terms:
             head += np.multiply(power, c, out=scratch)
         if identity:
-            head.reshape(-1)[:: a.shape[0] + 1] += identity
+            head.reshape(*head.shape[:-2], -1)[..., :: a.shape[-1] + 1] += identity
         return head
 
     u = a @ add(a6 @ add(b[13] * a6, ((b[11], a4), (b[9], a2))),
                 ((b[7], a6), (b[5], a4), (b[3], a2)), b[1])
     v = add(a6 @ add(b[12] * a6, ((b[10], a4), (b[8], a2))),
             ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
-    result = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
-    if not np.isfinite(result).all():
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential of one square complex matrix, or of each matrix
+    in a stack of shape (..., d, d).
+
+    Scaling and squaring with the degree-13 diagonal Pade approximant
+    (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), taken of A / 2^s
+    with s = max(0, ceil(log2(||A||_1 / theta_13))) and squared s times.
+    Each matrix of a stack has its own 1-norm and s; the matrices that
+    share s run as one stack through one Pade evaluation, one solve and
+    s squarings, with the same floating-point operations as alone.
+    A 1-norm or a squared result that overflows raises
+    ``ResolutionError``, naming the 1-norm and the squaring count of the
+    first such matrix.
+    """
+    a = _as_square_finite(m, stacked=True)
+    stack = a.reshape(-1, *a.shape[-2:])
+    with np.errstate(over="ignore"):
+        norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
+    for norm in norms:
+        if not math.isfinite(norm):
+            raise ResolutionError(
+                f"matrix 1-norm {norm:.3e} overflows; its exponential cannot be"
+                " scaled and squared"
+            )
+    squarings = [squarings_for(norm) for norm in norms]
+    result = np.empty_like(stack)
+    for count in sorted(set(squarings)):
+        share = [i for i, s in enumerate(squarings) if s == count]
+        part = stack[share]
+        if count:
+            part /= 2.0**count
+        part = _pade_13(part)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(count):
+                part = part @ part
+        result[share] = part
+    finite = np.isfinite(result).all(axis=(-2, -1))
+    if not finite.all():
+        first = int(np.argmin(finite))
         raise ResolutionError(
-            f"exponential of a matrix with 1-norm {norm:.3e} overflows in"
-            f" its {squarings} squarings; the input is too large to resolve"
+            f"exponential of a matrix with 1-norm {norms[first]:.3e} overflows"
+            f" in its {squarings[first]} squarings; the input is too large to"
+            " resolve"
         )
-    return result
+    return result.reshape(a.shape)
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:

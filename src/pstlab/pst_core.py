@@ -38,7 +38,12 @@ anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
 real, with entries +-2.  A pattern's generator is then
 D_PTM - i tau (sum_k c_k H_k + sum_j s_j d_j H_j), with D_PTM the
 dissipator taken to the basis; a sweep over error specs builds what
-depends on the drive and the noise alone, D_PTM included, once.
+depends on the drive and the noise alone, D_PTM included, once.  The
+generators of several specs go to `expm` as one stack, which keeps each
+matrix's arithmetic what it is alone, and the patterns are summed in one
+fixed order, so a channel is the same bits in any batch.  A pattern
+whose Hamiltonian part -i tau H(H_s) alone takes `expm` more than 26
+squarings is refused: its rounding, about 2^s eps, passes sqrt(eps).
 Without noise (kind "none" or rate 0) the pattern is the unitary
 U_s = exp(-i tau H_s) from `eigh`, and its bands follow from Pauli
 spectra alone: with a_k = tr(P_k U_s) / 2^n and b_k the same
@@ -88,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrixError
+from .errors import DefectiveMatrixError, ResolutionError
 from .liouville import (
     NoiseSpec,
     dissipator_superop,
@@ -100,7 +105,7 @@ from .magnus import (
     DriveSpec,
     check_drive_error_compat,
 )
-from .numerics import expm, expm_hermitian, logm_principal, op_norm
+from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
     PauliString,
     check_qubit_count,
@@ -124,6 +129,20 @@ __all__ = [
 # `effective_generator` refuses a log whose exponential misses the channel
 # by more than this times the channel's Frobenius norm (at least 1).
 _LOG_RECONSTRUCTION_TOL = 1e-12
+
+# Noisy patterns are exponentiated as stacks of whole error specs that hold
+# at most this many matrix entries, and at least one spec: eight specs of
+# two 16 x 16 patterns (n = 2), one spec from n = 3 on.  `expm` keeps about
+# ten arrays of a stack's size alive.
+_EXPM_STACK_ENTRIES = 4096
+
+# `expm` squares its Pade approximant s times, and each squaring can double
+# the rounding error, to about 2^s eps: the orthogonality defect
+# ||R R^T - I||_max of a noiseless pattern's transfer matrix R measures
+# 7.7e-12 at s = 14, 2.1e-8 at s = 27 and 4.6e-4 at s = 41.  Past
+# s = 26, 2^s eps exceeds sqrt(eps), about 1.5e-8: fewer than half of the
+# double-precision digits survive, and the channel is refused.
+_MAX_HAMILTONIAN_SQUARINGS = 26
 
 
 def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
@@ -238,15 +257,39 @@ def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     return group, position, cosets
 
 
-def _commutator_transfer(terms, n: int) -> np.ndarray:
-    """-i H(h) of h = sum_k c_k P_k in the Pauli-transfer basis, for
-    (word, c_k) ``terms``: a real 4^n x 4^n matrix (see the module notes)."""
+def _commutator_transfers(term_lists, n: int) -> np.ndarray:
+    """-i H(h) of h = sum_k c_k P_k in the Pauli-transfer basis, for each
+    list of (word, c_k) terms in ``term_lists``: a stack of real
+    4^n x 4^n matrices (see the module notes), written in one pass with
+    the product phases of the distinct words built once."""
     words = np.arange(4**n)
-    out = np.zeros((words.size,) * 2)
-    group = np.array([_word_index(word) for word, _ in terms], dtype=np.intp)
-    for g, (_, c), w in zip(group, terms, _product_phases(group, n).imag):
-        out[words ^ g, words] -= 2 * c * w
+    spec = np.array([k for k, terms in enumerate(term_lists) for _ in terms], dtype=np.intp)
+    index = [_word_index(word) for terms in term_lists for word, _ in terms]
+    twice = np.array([2 * c for terms in term_lists for _, c in terms])
+    # The distinct words, sorted in Python: numpy's sort would page in
+    # about 0.2 MB of code.
+    row = {g: r for r, g in enumerate(sorted(set(index)))}
+    phases = _product_phases(np.array(list(row), dtype=np.intp), n).imag
+    out = np.zeros((len(term_lists),) + (words.size,) * 2)
+    # No list repeats a word, so no entry is written twice.
+    out[spec[:, None], words ^ np.array(index, dtype=np.intp)[:, None], words] -= (
+        twice[:, None] * phases[[row[g] for g in index]])
     return out
+
+
+def _check_resolved(hamiltonians: np.ndarray) -> None:
+    """Refuse patterns whose Hamiltonian parts -i tau H(H_s), in the
+    Pauli-transfer basis, take `expm` more than _MAX_HAMILTONIAN_SQUARINGS
+    squarings; a dissipative part of any size loses nothing measurable."""
+    norm = float(np.abs(hamiltonians).sum(axis=-2).max())
+    squarings = squarings_for(norm)
+    if squarings > _MAX_HAMILTONIAN_SQUARINGS:
+        raise ResolutionError(
+            f"a drive-sign pattern's Hamiltonian part has 1-norm {norm:.3e}, which"
+            f" takes {squarings} squarings to exponentiate, past the"
+            f" {_MAX_HAMILTONIAN_SQUARINGS} that keep rounding below sqrt(eps);"
+            " reduce the error scale or tau"
+        )
 
 
 def _check_tau(tau: float) -> None:
@@ -296,9 +339,17 @@ class TwirledChannel:
     def distance(self, other: TwirledChannel) -> float:
         """||self - other||_op, the largest over the blocks (the Pauli-transfer
         basis is unitary); channels on different cosets raise ``ValueError``."""
-        if not np.array_equal(self.cosets, other.cosets):
+        return other.distances([self])[0]
+
+    def distances(self, others: list[TwirledChannel]) -> list[float]:
+        """`distance` from each channel of ``others`` to this one,
+        ||other - self||_op, from one norm of the stacked blocks."""
+        if any(not np.array_equal(other.cosets, self.cosets) for other in others):
             raise ValueError("the channels sit on the cosets of different drive groups")
-        return op_norm(self.blocks - other.blocks)
+        if not others:
+            return []
+        differences = np.stack([other.blocks for other in others]) - self.blocks
+        return np.linalg.norm(differences, 2, axis=(-2, -1)).max(axis=-1).tolist()
 
 
 def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
@@ -327,14 +378,16 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     characters = characters[np.lexsort(parities.T[::-1])]
     patterns = characters[:, position]
 
-    # bands(err)[c, p, i] is R_s[i, i XOR group[p]] of pattern c's
-    # Pauli-transfer matrix R_s, the only entries the twirl keeps.
+    # bands(chunk)[k, c, p, i] is R_s[i, i XOR group[p]] of pattern c's
+    # Pauli-transfer matrix R_s for the k-th spec of a chunk of
+    # ``chunk_size`` specs, the only entries the twirl keeps.
     if noise.kind == "none" or noise.rate == 0:
         phases = _product_phases(group, n)
         legs = [axis for q in range(n) for axis in (q, n + q)]
+        chunk_size = 1
 
-        def bands(err) -> list[np.ndarray]:
-            hamiltonian, out = _pattern_hamiltonian(drive, err), []
+        def bands(chunk) -> np.ndarray:
+            hamiltonian, out = _pattern_hamiltonian(drive, chunk[0]), []
             for signs in patterns:
                 # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
                 # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
@@ -343,27 +396,32 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
                              _PAULI_ROWS.conj() / 2)
                 b = np.conj(a * phases)[np.arange(group.size)[:, None], words ^ group[:, None]]
                 out.append(np.conj(phases) * _per_leg(a * b, _SIGNS))
-            return out
+            return np.stack(out)[None]
     else:
         dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
-        drive_words = np.stack([_commutator_transfer([term], n) for term in drive.terms])
+        drive_words = _commutator_transfers([[term] for term in drive.terms], n)
         # Summed elementwise: a real matmul here would page in the BLAS
         # library's real kernels, about 0.35 MB of resident code.
         flips = (patterns[:, :, None, None] * drive_words).sum(axis=1)
+        chunk_size = max(1, _EXPM_STACK_ENTRIES // flips.size)
 
-        def bands(err) -> list[np.ndarray]:
-            error = _commutator_transfer(err.scaled_terms(), n)
-            return [expm(dissipator + tau * (error + flip))[words, words ^ group[:, None]]
-                    for flip in flips]
+        def bands(chunk) -> np.ndarray:
+            errors = _commutator_transfers([err.scaled_terms() for err in chunk], n)
+            hamiltonians = tau * (errors[:, None] + flips)
+            exponentials = expm(dissipator + hamiltonians)  # an overflow raises here first
+            _check_resolved(hamiltonians)
+            return exponentials[..., words, words ^ group[:, None]]
 
     p = np.arange(group.size)
     channels = []
-    for err in errs:
-        average = np.zeros((group.size, words.size), dtype=complex)
-        for chi, band in zip(characters, bands(err)):
+    for start in range(0, len(errs), chunk_size):
+        kept = bands(errs[start:start + chunk_size])
+        average = np.zeros((kept.shape[0], group.size, words.size), dtype=complex)
+        for chi, band in zip(characters, kept.swapaxes(0, 1)):
             average += chi[:, None] * band
         average /= group.size
-        channels.append(TwirledChannel(average[p[:, None] ^ p, cosets[:, :, None]], cosets, tau))
+        channels += [TwirledChannel(blocks, cosets, tau)
+                     for blocks in average[:, p[:, None] ^ p, cosets[:, :, None]]]
     return channels
 
 

@@ -252,6 +252,29 @@ class TestParitySweepCommand:
         assert result.stderr.startswith("pstlab: numerical failure: exponential of a"
                                         " matrix with 1-norm 6.000e+20 overflows in its")
 
+    def test_unresolvable_error_scale_is_numerical_failure(self, capsys):
+        # A Hamiltonian part of 1-norm 6e17 takes 57 squarings: the
+        # exponential stays finite but has lost every digit (the sweep used
+        # to report an operator-norm distance of 478409).
+        code, out, err = run_cli(capsys, "parity-sweep", "--delta-points", "3",
+                                 "--delta-max", "1e17", "--noise-kinds", "pauli_z")
+        assert (code, out) == (2, "")
+        assert err.startswith("pstlab: numerical failure: a drive-sign pattern's"
+                              " Hamiltonian part has 1-norm 6.000e+17, which takes 57"
+                              " squarings")
+
+    def test_strong_noise_still_resolves(self, capsys):
+        # A dissipative part of any size squares without loss: at rate 1e14
+        # the generators take 47 squarings, and the channel reaches its
+        # dephased limit.
+        code, out, err = run_cli(capsys, "parity-sweep", "--zeta", "1e14",
+                                 "--delta-points", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:4] == [
+            f"{delta},1.4830248290540895,1.4830248290540895,pauli_z"
+            for delta in ("-1.0", "0.0", "1.0")
+        ]
+
 
 class TestMagnusCheckCommand:
     def test_quick_json_run(self, capsys):

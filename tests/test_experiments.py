@@ -1,6 +1,7 @@
 """Tests for the scripted experiment drivers and their reports."""
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -193,21 +194,26 @@ class TestParitySweep:
         assert max(abs(row.error - e) for row, e in zip(rows, expected)) <= 1e-14
 
     def test_builds_generators_in_the_pauli_transfer_basis(self, monkeypatch):
-        # The default sweep: 41 deltas x 2 kinds, one expm per drive-sign
-        # pattern of each point, and one change of basis per kind (of its
-        # dissipator), with no Liouville-basis generator at all.
+        # The default sweep: 41 deltas x 2 kinds, one exponential per
+        # drive-sign pattern of each point, stacked a chunk of specs per
+        # expm call, and one change of basis per kind (of its dissipator),
+        # with no Liouville-basis generator at all.
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep built a Liouville-basis generator")
 
         for name in ("pst_realization", "hamiltonian_superop"):
             monkeypatch.setattr(pst_core, name, refuse)
         monkeypatch.setattr(liouville, "hamiltonian_superop", refuse)
+        # One entry per matrix: a call on a stack (..., d, d) adds prod(...).
         calls = {"_pauli_transfer": [], "expm": []}
-        for name, calls_of in calls.items():
+        call_count = dict.fromkeys(calls, 0)
+        for name in calls:
             original = getattr(pst_core, name)
 
-            def recording(m, *args, original=original, calls_of=calls_of):
-                calls_of.append(np.shape(m))
+            def recording(m, *args, original=original, name=name):
+                shape = np.shape(m)
+                calls[name].extend([shape[-2:]] * math.prod(shape[:-2]))
+                call_count[name] += 1
                 return original(m, *args)
 
             monkeypatch.setattr(pst_core, name, recording)
@@ -216,6 +222,9 @@ class TestParitySweep:
         assert len(rows) == 82
         assert calls["_pauli_transfer"] == [(16, 16)] * len(config.noise_kinds)
         assert calls["expm"] == [(16, 16)] * 2 * 82
+        # One stacked expm per chunk of specs, two 16 x 16 patterns each.
+        chunks = -(-config.delta_points // (pst_core._EXPM_STACK_ENTRIES // (2 * 16**2)))
+        assert call_count["expm"] == len(config.noise_kinds) * chunks
 
     def test_noiseless_origin_is_exact(self):
         rows = run_parity_sweep(SMALL_SWEEP)

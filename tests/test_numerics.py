@@ -31,6 +31,7 @@ from pstlab.numerics import (
     logm_principal,
     op_norm,
     sinc,
+    squarings_for,
     triangle_quadrature,
 )
 from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label
@@ -82,6 +83,47 @@ class TestExpm:
         message = re.escape(f"1-norm {norm} overflows in its {squarings} squarings")
         with pytest.raises(ResolutionError, match=message):
             expm(m)
+
+    def test_stack_equals_one_matrix_at_a_time(self, monkeypatch):
+        # A stack that mixes squaring counts (a zero matrix, 1-norms just
+        # below and just above theta_13, and the default sweep's
+        # generators) gives each matrix the bits it gets alone.
+        generators = []
+
+        def recording(m):
+            generators.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
+            return expm(m)
+
+        monkeypatch.setattr(pst_core, "expm", recording)
+        run_parity_sweep(ParitySweepConfig())
+        assert len(generators) == 164
+        rng = np.random.default_rng(5)
+        edges = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        edges *= (np.array([1 - 1e-12, 1 + 1e-12]) * _THETA_13
+                  / np.abs(edges).sum(axis=-2).max(axis=-1))[:, None, None]
+        stack = np.concatenate([generators[:80], edges[:1], np.zeros((2, 16, 16)),
+                                generators[80:], edges[1:]])
+        counts = {squarings_for(np.abs(m).sum(axis=0).max()) for m in stack}
+        assert len(counts) >= 3 and 0 in counts and 1 in counts
+        got = expm(stack)
+        for m, exponential in zip(stack, got):
+            assert np.array_equal(exponential, expm(m))
+        assert np.array_equal(expm(stack.reshape(2, -1, 16, 16)), got.reshape(2, -1, 16, 16))
+
+    def test_stack_overflow_names_the_overflowing_matrix(self):
+        # exp(-1e4) underflows to 0 and resolves; exp(1000) overflows, and
+        # the message carries its norm and squarings, not the larger one's.
+        stack = np.array([[[0.5]], [[-1e4]], [[1000.0]], [[-3.0]]])
+        with pytest.raises(ResolutionError,
+                           match=re.escape("1-norm 1.000e+03 overflows in its 8 squarings")):
+            expm(stack)
+        with pytest.raises(ResolutionError, match="1-norm inf overflows"):
+            expm(np.stack([np.eye(2), np.full((2, 2), 1e308)]))
+
+    def test_squaring_count(self):
+        assert squarings_for(0.0) == squarings_for(_THETA_13) == 0
+        assert squarings_for(_THETA_13 * (1 + 1e-12)) == 1
+        assert squarings_for(6e17) == 57
 
     def test_norm_overflow_is_typed(self):
         with pytest.raises(ResolutionError, match="1-norm inf overflows"):
@@ -147,15 +189,31 @@ class TestExpmOracle:
         generators = []
 
         def recording(m):
-            generators.append(np.array(m))
+            generators.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
             return expm(m)
 
         monkeypatch.setattr(pst_core, "expm", recording)
         run_parity_sweep(ParitySweepConfig(deltas=(-1.0, 1.0)))
-        # Two noise kinds, two deltas, two drive-sign patterns each.
+        # Two noise kinds, two deltas, two drive-sign patterns each, counted
+        # matrix by matrix through the stacks.
         assert len(generators) == 8
         for m in generators:
             assert_matches_scipy(m, scipy_expm)
+
+    def test_stacked_input(self, scipy_expm):
+        # Norms on both sides of theta_13 and past it, in one (2, 4, d, d)
+        # stack, each matrix against scipy's exponential of it alone.
+        rng = np.random.default_rng(17)
+        norms = [0.1, 0.9 * _THETA_13, 1.1 * _THETA_13, 3.0, 20.0, 0.0, 50.0, 100.0]
+        stack = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+        stack *= (np.array(norms) / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+        got = expm(stack.reshape(2, 4, 4, 4))
+        assert got.shape == (2, 4, 4, 4)
+        for m, exponential in zip(stack, got.reshape(8, 4, 4)):
+            expected = scipy_expm(m)
+            np.testing.assert_allclose(
+                exponential, expected, rtol=0, atol=1e-13 * max(1.0, np.abs(expected).max())
+            )
 
     @pytest.mark.parametrize("drive", ["X", "ZX"])
     def test_exceptional_point_liouvillian(self, drive, scipy_expm):

@@ -79,13 +79,14 @@ def test_hand_listed_surface_is_kept():
     assert not missing
 
 
-# Runs in a fresh interpreter and prints, per step, which of numpy and
-# scipy are loaded.
+# Runs in a fresh interpreter and prints, per step, which of numpy,
+# numpy.polynomial and scipy are loaded.
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
     def loaded():
-        return {name: name in sys.modules for name in ("numpy", "scipy")}
+        return {name: name in sys.modules
+                for name in ("numpy", "numpy.polynomial", "scipy")}
 
     steps = {}
     import pstlab
@@ -128,6 +129,13 @@ def test_scipy_never_loads(import_steps):
     # the noisy parity sweep included, imports scipy.
     assert {step: loaded["scipy"] for step, loaded in import_steps.items()} == dict.fromkeys(
         import_steps, False)
+
+
+def test_numpy_polynomial_never_loads(import_steps):
+    # The quadrature's Gauss-Legendre rule is written out, so no command
+    # pays for importing numpy.polynomial.
+    assert {step: loaded["numpy.polynomial"] for step, loaded in import_steps.items()} == (
+        dict.fromkeys(import_steps, False))
 
 
 def test_only_numeric_work_loads_numpy(import_steps):

@@ -259,11 +259,13 @@ class TestChannel:
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Shapes of the matrices `pst_core` exponentiates during the test."""
+    """Shapes of the matrices `pst_core` exponentiates during the test, one
+    entry per matrix: a call on a stack (..., d, d) adds prod(...) of them."""
     calls = []
 
     def counting_expm(m):
-        calls.append(np.shape(m))
+        shape = np.shape(m)
+        calls.extend([shape[-2:]] * math.prod(shape[:-2]))
         return expm(m)
 
     monkeypatch.setattr(pst_core, "expm", counting_expm)
@@ -406,9 +408,13 @@ class TestCosetBlocks:
         terms = [(word, rng.normal()) for word in enumerate_group(n)]
         h = sum(c * matrix_of(word) for word, c in terms)
         expected = pst_core._pauli_transfer(-1j * hamiltonian_superop(h), n)
-        got = pst_core._commutator_transfer(terms, n)
+        got = pst_core._commutator_transfers([terms[::2], [], terms, terms[1::2]], n)
         assert got.dtype == float
-        assert np.abs(got - expected).max() <= 1e-13
+        assert np.abs(got[2] - expected).max() <= 1e-13
+        # Each list of the stack is its own transfer matrix: the terms are
+        # linear, and the empty list is the zero matrix.
+        assert np.array_equal(got[1], np.zeros_like(expected))
+        assert np.abs(got[0] + got[3] - got[2]).max() <= 1e-13
 
     @pytest.mark.parametrize("drive, errors", [
         (drive_zx(2.5), TABLE1_ERRORS),
@@ -418,7 +424,13 @@ class TestCosetBlocks:
         NoiseSpec(), NoiseSpec("pauli_z", 3.0), NoiseSpec("amplitude_damping", 3.0, (0,)),
     ], ids=["none", "pauli_z", "amplitude_damping"])
     def test_many_specs_equal_one_spec_at_a_time(self, drive, errors, noise):
-        errs = [CoherentErrorSpec(errors, scale=s) for s in (-1.0, -0.25, 0.0, 0.5, 1.0)]
+        # A stack holds at most E / (2 * 16^2) specs of two or more 16 x 16
+        # patterns, so the boundaries of the stacked exponentials fall inside
+        # this list; some specs carry fewer words.
+        count = 2 * (pst_core._EXPM_STACK_ENTRIES // (2 * 16**2)) + 3
+        errs = [CoherentErrorSpec(errors, scale=s) for s in np.linspace(-1.0, 1.0, count)]
+        errs[3] = CoherentErrorSpec()
+        errs[count // 2] = CoherentErrorSpec(errors[:1], scale=0.7)
         channels = twirled_channels(drive, errs, noise)
         assert len(channels) == len(errs)
         for err, channel in zip(errs, channels):
@@ -442,6 +454,15 @@ class TestTwirledChannel:
     def test_distance_refuses_another_drive_group(self, other):
         with pytest.raises(ValueError, match="cosets of different drive groups"):
             twirled(drive_zx()).distance(twirled(other))
+
+    def test_distances_are_one_distance_at_a_time(self):
+        reference = twirled(drive_zx())
+        channels = twirled_channels(drive_zx(), [table1_error(s) for s in (-1.0, 0.0, 0.5)],
+                                    NoiseSpec("amplitude_damping", 3.0))
+        assert reference.distances(channels) == [k.distance(reference) for k in channels]
+        assert reference.distances([]) == []
+        with pytest.raises(ValueError, match="cosets of different drive groups"):
+            reference.distances([*channels, twirled(DriveSpec.single("XZ", 0.5))])
 
     def test_equality_is_identity(self):
         first, second = twirled_channels(drive_zx(), [table1_error()] * 2)
