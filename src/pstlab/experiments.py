@@ -317,7 +317,8 @@ def run_parity_sweep(config: ParitySweepConfig | None = None) -> list[ParitySwee
     drive = config.drive_spec()
     grid = config.delta_grid()
     reference = twirled_channels(drive, [CoherentErrorSpec()])[0]
-    errors = [config.error_spec(delta) for delta in grid]
+    unscaled = config.error_spec(1.0)
+    errors = [unscaled.with_scale(delta) for delta in grid]
     rows: list[ParitySweepRow] = []
     for kind in config.noise_kinds:
         channels = twirled_channels(drive, errors, config.noise_spec(kind))
@@ -482,11 +483,12 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
     run continues.
     """
     config = config if config is not None else MagnusCheckConfig()
+    specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
+             for pairs in config.resolved_error_sets()]
     rows = []
     for tau in config.taus:
         drive = DriveSpec.single(config.drive, tau)
-        for pairs in config.resolved_error_sets():
-            err = CoherentErrorSpec.from_amplitudes(pairs)
+        for pairs, err in specs:
             try:
                 averaged = omega2_avg(drive, err, config.quadrature_tol,
                                       config.max_evaluations)
@@ -495,27 +497,11 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
                 omega1_norm = float(np.linalg.norm(omega1_avg(
                     drive, err, config.quadrature_tol, config.max_evaluations
                 )))
-                rows.append(
-                    MagnusCheckRow(
-                        tau=tau,
-                        errors=pairs,
-                        discrepancy=discrepancy,
-                        omega1_norm=omega1_norm,
-                        within_tolerance=(
-                            discrepancy <= config.tolerance
-                            and omega1_norm <= config.omega1_tolerance
-                        ),
-                    )
-                )
+                note = ""
             except QuadratureError as exc:
-                rows.append(
-                    MagnusCheckRow(
-                        tau=tau,
-                        errors=pairs,
-                        discrepancy=None,
-                        omega1_norm=None,
-                        within_tolerance=False,
-                        note=str(exc),
-                    )
-                )
+                discrepancy = omega1_norm = None
+                note = str(exc)
+            within = (discrepancy is not None and discrepancy <= config.tolerance
+                      and omega1_norm <= config.omega1_tolerance)
+            rows.append(MagnusCheckRow(tau, pairs, discrepancy, omega1_norm, within, note))
     return MagnusCheckReport(config=config, rows=tuple(rows))

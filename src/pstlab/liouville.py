@@ -15,7 +15,6 @@ already absorbed into L, so generators add them unscaled.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +67,7 @@ class NoiseSpec:
         if not math.isfinite(self.rate) or self.rate < 0:
             raise ValueError(f"noise rate must be finite and >= 0, got {self.rate}")
         if self.targets is not None:
-            # A tuple keeps the spec hashable, and so a cache key.
+            # A tuple keeps the frozen spec hashable.
             object.__setattr__(self, "targets", tuple(self.targets))
             if len(set(self.targets)) != len(self.targets):
                 raise ValueError(f"noise targets must be distinct, got {self.targets}")
@@ -152,18 +151,8 @@ def dissipator_superop(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     sqrt(rate) |0><1|.  exp of the result is completely positive and trace
     preserving, and the vectorized identity is a left null vector (trace
     preservation).
-
-    The result is cached per (spec, n_qubits) and read-only; the qubit
-    bound is checked on every call, so lowering it also refuses cached
-    generators.
     """
     check_qubit_count(n_qubits)
-    return _cached_dissipator(spec, n_qubits)
-
-
-# Bounded, unlike the Pauli-word cache: noise rates form a continuum.
-@functools.lru_cache(maxsize=16)
-def _cached_dissipator(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     if spec.kind != "none":
@@ -171,7 +160,6 @@ def _cached_dissipator(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
         root_rate = math.sqrt(spec.rate)
         for target in spec.resolved_targets(n_qubits):
             out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
-    out.setflags(write=False)
     return out
 
 

@@ -19,9 +19,10 @@ space.  In twirl frame alpha the dressed error sum is
 
 with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
 their i P_beta P_w, each weighted by its amplitude and the frame sign
-chi_alpha(P_w).  The frame signs are the rows of the sign table
-1 - 2 * commutation_parity, so one contraction builds c0, c1, c2 for all
-4^n frames.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the commutator
+chi_alpha(P_w).  The frame signs are the rows of `pauli.sign_table`
+against the error words, in group order, so one contraction builds c0,
+c1, c2 for all 4^n frames, and frame alpha's row is the one at
+``alpha.index``.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the commutator
 expands exactly as
 
     [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
@@ -70,11 +71,10 @@ from .liouville import hamiltonian_superop
 from .numerics import interval_quadrature, triangle_quadrature
 from .pauli import (
     PauliString,
-    commutation_parity,
     commutation_sign,
-    enumerate_group,
     matrix_of,
     pauli_from_label,
+    sign_table,
 )
 from .sinc_law import over_rotation_factor, sinc
 
@@ -195,9 +195,9 @@ def check_drive_error_compat(drive: DriveSpec, err: CoherentErrorSpec) -> None:
         raise ValueError(
             f"error terms act on {err.n_qubits} qubits but the drive on {drive.n_qubits}"
         )
-    drive_words = {word.label for word, _ in drive.terms}
+    drive_words = {word for word, _ in drive.terms}
     for word, _ in err.terms:
-        if word.label in drive_words:
+        if word in drive_words:
             raise ValueError(
                 f"error term {word.label} coincides with a drive Pauli"
                 " (controlled mis-rotation is excluded from this model)"
@@ -228,19 +228,19 @@ def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
     """(c0, c1, c2) of a(t) = c0 + cos(2t) c1 + sin(2t) c2 in every twirl
     frame, stacked (3, frames, 2^n, 2^n).
 
-    The frames are the rows of the sign table 1 - 2 * commutation_parity
-    against the error words, in group order, or only alpha's row.
+    The frames are the rows of `sign_table` against the error words, in
+    group order, or only alpha's row, the one at ``alpha.index``.
     """
     beta = drive.single_pauli()
     check_drive_error_compat(drive, err)
     n = drive.n_qubits
     terms = err.scaled_terms()
     words = [word for word, _ in terms]
-    signs = 1.0 - 2.0 * commutation_parity(n, words)
+    signs = sign_table(n, words)
     if alpha is not None:
         if alpha.n_qubits != n:
             raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
-        signs = signs[[enumerate_group(n).index(alpha)]]
+        signs = signs[[alpha.index]]
     weights = signs * [amplitude for _, amplitude in terms]
     return np.einsum("fw,kwij->kfij", weights, _dressed_parts(words, beta))
 

@@ -12,14 +12,17 @@ symplectic form runs on Python-int bit masks, one x and one z mask per
 word: a pair anticommutes when ((x_a & z_b) ^ (z_a & x_b)) has odd
 popcount.  `commutation_sign` and the ``sign-table`` command (its CSV
 from `sign_table_csv`, its JSON rows from `_sign_rows`) use the masks
-alone, so neither loads numpy.  numpy is imported only where arrays are
-built: by `matrix_of`, and by `commutation_parity` and `sign_table`,
-which evaluate the form for every group word at once on int8 bit arrays
-for the numeric layers.
+alone, so neither loads numpy.
 
-Group enumeration is lexicographic with I < X < Y < Z per qubit and the
-leftmost qubit most significant, which keeps sign tables and CSV exports
-bit-reproducible across runs.
+This module owns the group order that every other module indexes by:
+lexicographic with I < X < Y < Z per qubit and the leftmost qubit most
+significant, so `PauliString.index` has the base-4 digits I=0, X=1, Y=2,
+Z=3 (`word_at` inverts it).  In these digits one-qubit words multiply by
+XOR, P_a P_b = _PRODUCT_PHASE[a][b] P_(a XOR b), and the phase squares to
+the commutation sign.  Group order is a Kronecker order, so the numpy
+sign table (`sign_table`) and `pst_core`'s phases are Kronecker powers
+of these plain-tuple tables, with columns picked by word index.  numpy
+is imported only where arrays are built, by `matrix_of` and `sign_table`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "MAX_QUBITS_ENV",
     "PauliString",
     "check_qubit_count",
-    "commutation_parity",
     "commutation_sign",
     "enumerate_group",
     "identity_string",
@@ -50,11 +52,14 @@ __all__ = [
     "pauli_from_label",
     "sign_table",
     "sign_table_csv",
+    "word_at",
 ]
 
 MAX_QUBITS_ENV = "PSTLAB_MAX_QUBITS"
 DEFAULT_MAX_QUBITS = 4
 
+# The one-qubit words in group order.
+_LETTERS = "IXYZ"
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 
@@ -64,6 +69,9 @@ _SINGLE_QUBIT = {
     "Y": ((0, -1j), (1j, 0)),
     "Z": ((1, 0), (0, -1)),
 }
+# P_a P_b = _PRODUCT_PHASE[a][b] P_(a XOR b) for one-qubit words a, b in
+# group order; the phase squares to their commutation sign.
+_PRODUCT_PHASE = ((1, 1, 1, 1), (1, 1, 1j, -1j), (1, -1j, 1, 1j), (1, 1j, -1j, 1))
 
 
 def max_qubits() -> int:
@@ -134,6 +142,15 @@ class PauliString:
         z = sum(bit << k for k, bit in enumerate(self.z_bits))
         return x, z
 
+    @functools.cached_property
+    def index(self) -> int:
+        """Position in group order: base-4 digits I=0, X=1, Y=2, Z=3,
+        leftmost qubit most significant; `word_at` inverts it."""
+        index = 0
+        for x, z in zip(self.x_bits, self.z_bits):
+            index = 4 * index + 2 * z + (x ^ z)
+        return index
+
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
@@ -159,6 +176,13 @@ def pauli_from_label(label: str) -> PauliString:
 
 def identity_string(n: int) -> PauliString:
     return PauliString(n, (0,) * n, (0,) * n)
+
+
+def word_at(index: int, n: int) -> PauliString:
+    """The n-qubit word at ``index`` in group order (`PauliString.index`
+    inverted)."""
+    digits = ((index >> shift) & 3 for shift in range(2 * n - 2, -1, -2))
+    return pauli_from_label("".join(_LETTERS[digit] for digit in digits))
 
 
 def _require_same_size(a: PauliString, b: PauliString) -> None:
@@ -200,7 +224,7 @@ def enumerate_group(n: int) -> list[PauliString]:
     check_qubit_count(n)
     return [
         pauli_from_label("".join(letters))
-        for letters in itertools.product("IXYZ", repeat=n)
+        for letters in itertools.product(_LETTERS, repeat=n)
     ]
 
 
@@ -225,37 +249,33 @@ def _cached_matrix(p: PauliString) -> np.ndarray:
     return m
 
 
-def _symplectic_bits(words: list[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and z bits of ``words`` as int8 arrays of shape (len(words), n)."""
+def _kron_columns(table: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
+    """The ``columns`` (word indices) of the n-th Kronecker power of a
+    one-qubit 4 x 4 ``table`` in group order, built one qubit at a time."""
     import numpy as np
 
-    for word in words:
+    out = np.ones((1, columns.size), dtype=table.dtype)
+    for shift in range(2 * n - 2, -1, -2):
+        leg = table[:, (columns >> shift) & 3]
+        out = (out[:, None] * leg).reshape(4 * len(out), columns.size)
+    return out
+
+
+def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
+    """Commutation signs (+-1 ints) of every n-qubit word, the rows in
+    group order, against ``words`` (default: the whole group): the
+    columns of the n-th Kronecker power of the one-qubit sign table that
+    the words' indices pick."""
+    import numpy as np
+
+    check_qubit_count(n)
+    for word in words or ():
         if word.n_qubits != n:
-            raise ValueError(
-                f"word {word.label} acts on {word.n_qubits} qubits, expected {n}"
-            )
-    x = np.array([word.x_bits for word in words], dtype=np.int8).reshape(-1, n)
-    z = np.array([word.z_bits for word in words], dtype=np.int8).reshape(-1, n)
-    return x, z
-
-
-def commutation_parity(n: int, words: list[PauliString] | None = None) -> np.ndarray:
-    """Commutation parities of every n-qubit word against ``words``.
-
-    Rows run over the whole group in group order, columns over ``words``
-    (default: the whole group, giving a 4^n x 4^n table).  Entries are
-    int8 bits, 0 where the pair commutes and 1 where it anticommutes, so
-    the sign is 1 - 2 * parity.
-    """
-    group = enumerate_group(n)
-    x, z = _symplectic_bits(group, n)
-    word_x, word_z = (x, z) if words is None else _symplectic_bits(words, n)
-    return (x @ word_z.T + z @ word_x.T) & 1
-
-
-def sign_table(n: int) -> np.ndarray:
-    """4^n x 4^n matrix of commutation signs, rows/columns in group order."""
-    return 1 - 2 * commutation_parity(n).astype(int)
+            raise ValueError(f"word {word.label} acts on {word.n_qubits} qubits, expected {n}")
+    columns = (np.arange(4**n) if words is None
+               else np.array([word.index for word in words], dtype=np.intp))
+    phase = np.array(_PRODUCT_PHASE)
+    return _kron_columns((phase * phase).real.astype(int), columns, n)
 
 
 def _sign_rows(group: list[PauliString]) -> list[list[int]]:

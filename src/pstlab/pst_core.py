@@ -23,9 +23,10 @@ Pauli-transfer matrix is block diagonal over the cosets of <D>,
     K_PTM[i, j] = 2^-m sum_s chi_s(P_i P_j) R_s[i, j]   if P_i P_j in <D>,
 
 and 0 otherwise, with R_s the pattern channel's Pauli-transfer matrix:
-4^n / 2^m blocks of size 2^m (2 x 2 for one drive word).  In group order
-the index digits are I=0, X=1, Y=2, Z=3, so P_i P_g = w(i, g) P_(i XOR g)
-with a phase w, <D> is a set of indices closed under XOR and its cosets
+4^n / 2^m blocks of size 2^m (2 x 2 for one drive word).  Words are
+indexed in the group order of `pauli` (`PauliString.index`), where
+P_i P_g = w(i, g) P_(i XOR g) with w a Kronecker product of one-qubit
+phases, so <D> is a set of indices closed under XOR and its cosets
 are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix.
 
 Only the bands R_s[i, i XOR g], g in <D>, are needed.  With noise the
@@ -71,11 +72,12 @@ gate reads 1 on its drive word).  A channel has no generator of its
 own: `effective_generator` takes its principal log first, and so reads
 the generator back only while the channel eigenphases stay inside
 (-pi, pi); it refuses a log whose exponential does not give the channel
-back to 1e-12 of its norm.
+back to 1e-12 of its norm (`_checked_log`).
 
 `TwirledChannel.hamiltonian` never forms the dense log.  The log of a
 block-diagonal matrix is the block-diagonal matrix of the blocks' logs,
-so it logs the coset blocks as one stack of 2^m x 2^m matrices.  H_g
+so it logs the coset blocks as one stack of 2^m x 2^m matrices, refused
+by the same rule block by block, each against its own norm.  H_g
 has Pauli-transfer entries only at (g XOR j, j) (see above), so with
 X = log / (-i tau) the weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
@@ -107,12 +109,17 @@ from .magnus import (
 )
 from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
+    _LETTERS,
+    _kron_columns,
+    _PRODUCT_PHASE,
+    _SINGLE_QUBIT,
     PauliString,
     check_qubit_count,
     commutation_sign,
     enumerate_group,
     matrix_of,
     pauli_from_label,
+    word_at,
 )
 from .sinc_law import calibrate_tau
 
@@ -126,8 +133,8 @@ __all__ = [
     "twirled_channels",
 ]
 
-# `effective_generator` refuses a log whose exponential misses the channel
-# by more than this times the channel's Frobenius norm (at least 1).
+# `_checked_log` refuses a log whose exponential misses its matrix by more
+# than this times that matrix's Frobenius norm (at least 1).
 _LOG_RECONSTRUCTION_TOL = 1e-12
 
 # Noisy patterns are exponentiated as stacks of whole error specs that hold
@@ -174,9 +181,9 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
 
 
 # The one-qubit words in group order I, X, Y, Z: row k is vec(P_k), row-major.
-_PAULI_ROWS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+_PAULI_ROWS = np.array([_SINGLE_QUBIT[letter] for letter in _LETTERS]).reshape(4, 4)
 # P_a P_b = _PHASE[a, b] P_(a XOR b); the phase squares to the commutation sign.
-_PHASE = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
+_PHASE = np.array(_PRODUCT_PHASE)
 _SIGNS = (_PHASE * _PHASE).real
 
 
@@ -212,28 +219,10 @@ def _per_leg(t: np.ndarray, table: np.ndarray) -> np.ndarray:
     return t
 
 
-def _word_index(word: PauliString) -> int:
-    """Position of ``word`` in group order: base-4 digits I=0, X=1, Y=2,
-    Z=3, leftmost qubit most significant."""
-    index = 0
-    for x, z in zip(word.x_bits, word.z_bits):
-        index = 4 * index + 2 * z + (x ^ z)
-    return index
-
-
-def _word_at(index: int, n: int) -> PauliString:
-    """The n-qubit word at ``index`` in group order (`_word_index` inverted)."""
-    return pauli_from_label("".join("IXYZ"[(index >> s) & 3] for s in range(2 * n - 2, -1, -2)))
-
-
 def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
     """w[p, i] with P_i P_g = w[p, i] P_(i XOR g) for g = group[p] and
     every word i: a Kronecker product of one-qubit phase columns."""
-    phases = np.ones((group.size, 1), dtype=complex)
-    for shift in range(2 * n - 2, -1, -2):
-        leg = _PHASE[:, (group >> shift) & 3].T
-        phases = (phases[:, :, None] * leg[:, None, :]).reshape(group.size, 4 * phases.shape[1])
-    return phases
+    return _kron_columns(_PHASE, group, n).T
 
 
 def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -247,7 +236,7 @@ def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     """
     group, position = np.zeros(1, dtype=np.intp), []
     for word, _ in drive.terms:
-        index = _word_index(word)
+        index = word.index
         found = np.flatnonzero(group == index)
         position.append(found[0] if found.size else group.size)
         if not found.size:
@@ -264,7 +253,7 @@ def _commutator_transfers(term_lists, n: int) -> np.ndarray:
     the product phases of the distinct words built once."""
     words = np.arange(4**n)
     spec = np.array([k for k, terms in enumerate(term_lists) for _ in terms], dtype=np.intp)
-    index = [_word_index(word) for terms in term_lists for word, _ in terms]
+    index = [word.index for terms in term_lists for word, _ in terms]
     twice = np.array([2 * c for terms in term_lists for _, c in terms])
     # The distinct words, sorted in Python: numpy's sort would page in
     # about 0.2 MB of code.
@@ -290,6 +279,23 @@ def _check_resolved(hamiltonians: np.ndarray) -> None:
             f" {_MAX_HAMILTONIAN_SQUARINGS} that keep rounding below sqrt(eps);"
             " reduce the error scale or tau"
         )
+
+
+def _checked_log(k: np.ndarray) -> np.ndarray:
+    """The principal log of a matrix or of each matrix of a stack, refused
+    (``DefectiveMatrixError``) where its exponential misses a matrix by more
+    than _LOG_RECONSTRUCTION_TOL of that matrix's norm: near an exceptional
+    point the log can pass its own eigenbasis check and be off by 1e-9."""
+    log = logm_principal(k)
+    k = np.asarray(k, dtype=complex)
+    miss = np.linalg.norm(expm(log) - k, axis=(-2, -1))
+    bound = _LOG_RECONSTRUCTION_TOL * np.maximum(1.0, np.linalg.norm(k, axis=(-2, -1)))
+    if np.any(miss > bound):
+        raise DefectiveMatrixError(
+            f"the principal log reconstructs the channel only to {float(miss.max()):.3e};"
+            " the channel is defective or nearly so"
+        )
+    return log
 
 
 def _check_tau(tau: float) -> None:
@@ -323,17 +329,18 @@ class TwirledChannel:
         """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal
         log, read off the log's (i, i XOR g) bands for g in <D> (see the
         module notes); the same as `EffectiveGenerator.from_generator` of
-        the dense log."""
+        the dense log.  A block log that misses its block by more than
+        1e-12 of the block's norm raises ``DefectiveMatrixError``."""
         _check_tau(self.tau)
         cosets, n = self.cosets, self._n_qubits
-        group, log = cosets[0], logm_principal(self.blocks)
+        group, log = cosets[0], _checked_log(self.blocks)
         p = np.arange(group.size)
         bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
         terms = _product_phases(group, n).imag[:, cosets] * bands
         h = np.zeros((2**n,) * 2, dtype=complex)
         for g, row in zip(group[1:], terms[1:]):
             # fsum rounds each band's sum once, independent of its order.
-            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(_word_at(g, n))
+            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(word_at(g, n))
         return h
 
     def distance(self, other: TwirledChannel) -> float:
@@ -529,16 +536,7 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     weights are aliased.
 
     A log whose exponential misses the channel by more than 1e-12 times
-    its Frobenius norm (at least 1) raises ``DefectiveMatrixError``: near
-    an exceptional point the eigenbasis can pass the log's own residual
-    check and still give a log accurate only to about 1e-9.
+    its Frobenius norm (at least 1) raises ``DefectiveMatrixError``
+    (`_checked_log`).
     """
-    log = logm_principal(k)
-    k = np.asarray(k, dtype=complex)
-    miss = float(np.linalg.norm(expm(log) - k))
-    if miss > _LOG_RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(k))):
-        raise DefectiveMatrixError(
-            f"the principal log reconstructs the channel only to {miss:.3e};"
-            " the channel is defective or nearly so"
-        )
-    return EffectiveGenerator.from_generator(log, tau)
+    return EffectiveGenerator.from_generator(_checked_log(k), tau)

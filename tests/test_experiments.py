@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pstlab import experiments, liouville, pst_core
+from pstlab import experiments, liouville, magnus, pst_core
 from pstlab.errors import ConfigError, ResolutionError
 from pstlab.experiments import (
     MagnusCheckConfig,
@@ -226,6 +226,20 @@ class TestParitySweep:
         chunks = -(-config.delta_points // (pst_core._EXPM_STACK_ENTRIES // (2 * 16**2)))
         assert call_count["expm"] == len(config.noise_kinds) * chunks
 
+    def test_parses_the_error_terms_once(self, monkeypatch):
+        # Labels are parsed once per run, whatever the grid's size: each
+        # grid point rescales the parsed spec.
+        counts = []
+        for points in (3, 9):
+            config = ParitySweepConfig(delta_points=points, noise_kinds=("pauli_z",))
+            calls = []
+            monkeypatch.setattr(magnus, "pauli_from_label",
+                                lambda label: calls.append(label) or pauli_from_label(label))
+            run_parity_sweep(config)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 1 + len(ParitySweepConfig().errors)
+
     def test_noiseless_origin_is_exact(self):
         rows = run_parity_sweep(SMALL_SWEEP)
         origin = [r for r in rows if r.noise_kind == "none" and r.delta == 0.0]
@@ -324,6 +338,19 @@ class TestMagnusCrosscheck:
         for row in report.rows:
             assert "quadrature" in row.note
             assert row.discrepancy is None
+            assert row.omega1_norm is None
+            assert row.within_tolerance is False
+
+    def test_resolves_the_error_sets_once(self, monkeypatch):
+        # The random sets are drawn once per run, not once per tau.
+        config = MagnusCheckConfig(taus=(0.3, 0.5), random_sets=1)
+        calls = []
+        resolve = MagnusCheckConfig.resolved_error_sets
+        monkeypatch.setattr(MagnusCheckConfig, "resolved_error_sets",
+                            lambda self: calls.append(self) or resolve(self))
+        report = run_magnus_crosscheck(config)
+        assert len(calls) == 1
+        assert len(report.rows) == 2 * 2
 
     def test_random_sets_are_anticommuting_and_bounded(self):
         sets = _random_anticommuting_sets("ZX", 5, 20240, 0.6)

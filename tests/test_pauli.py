@@ -10,7 +10,6 @@ from pstlab.errors import PauliParseError, ResourceLimitError
 from pstlab.pauli import (
     MAX_QUBITS_ENV,
     PauliString,
-    commutation_parity,
     commutation_sign,
     enumerate_group,
     identity_string,
@@ -190,18 +189,26 @@ class TestSignTable:
 
 
 class TestVectorizedSigns:
-    def test_parity_against_chosen_words(self):
+    def test_signs_against_chosen_words(self):
         words = [pauli_from_label(label) for label in ("ZX", "XX", "IY")]
-        parity = commutation_parity(2, words)
-        assert parity.shape == (16, 3) and parity.dtype == np.int8
-        for row, alpha in zip(parity, enumerate_group(2)):
-            assert [1 - 2 * int(bit) for bit in row] == [
+        signs = sign_table(2, words)
+        assert signs.shape == (16, 3) and signs.dtype == int
+        for row, alpha in zip(signs, enumerate_group(2)):
+            assert [int(sign) for sign in row] == [
                 commutation_sign(alpha, word) for word in words
             ]
 
-    def test_parity_rejects_foreign_register(self):
+    def test_signs_reject_foreign_register(self):
         with pytest.raises(ValueError):
-            commutation_parity(2, [pauli_from_label("XYZ")])
+            sign_table(2, [pauli_from_label("XYZ")])
+        # A longer word must not be read at its index's low digits.
+        with pytest.raises(ValueError, match="IIX acts on 3 qubits, expected 2"):
+            sign_table(2, [pauli_from_label("IIX")])
+
+    def test_qubit_bound(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "1")
+        with pytest.raises(ResourceLimitError):
+            sign_table(2, [pauli_from_label("XX")])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_csv_is_byte_identical_to_pairwise_signs(self, n):
@@ -217,14 +224,12 @@ class TestVectorizedSigns:
 
 class TestBitMaskSigns:
     """The numpy-free sign table of the sign-table command against the
-    int8 parity matmul the numeric layers use, and pair by pair."""
+    Kronecker-power table the numeric layers use, and pair by pair."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_rows_equal_the_parity_matmul(self, n):
+    def test_rows_equal_the_kronecker_table(self, n):
         rows = _sign_rows(enumerate_group(n))
-        np.testing.assert_array_equal(
-            np.array(rows), 1 - 2 * commutation_parity(n).astype(int)
-        )
+        np.testing.assert_array_equal(np.array(rows), sign_table(n))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rows_equal_the_pairwise_and_matrix_signs(self, n):
@@ -238,7 +243,7 @@ class TestBitMaskSigns:
                 assert np.allclose(pa @ pb, sign * (pb @ pa))
 
     def test_four_qubit_csv_is_unchanged(self):
-        # SHA-256 of the 256 x 256 table as the int8 matmul printed it.
+        # SHA-256 of the 256 x 256 table as an int8 parity matmul printed it.
         text = sign_table_csv(4)
         assert len(text) == 166278
         assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -22,14 +22,21 @@ from pstlab.liouville import (
     vectorize,
 )
 from pstlab.experiments import Table1Config, run_table1
-from pstlab.magnus import CoherentErrorSpec, DriveSpec, over_rotation_factor
+from pstlab.magnus import (
+    CoherentErrorSpec,
+    DriveSpec,
+    check_drive_error_compat,
+    over_rotation_factor,
+)
 from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import (
     MAX_QUBITS_ENV,
+    PauliString,
     enumerate_group,
     identity_string,
     matrix_of,
     pauli_from_label,
+    word_at,
 )
 from pstlab.pst_core import (
     EffectiveGenerator,
@@ -362,7 +369,9 @@ def logm_calls(monkeypatch):
 class TestCosetBlocks:
     def test_word_index_is_the_group_position(self):
         for n in (1, 2, 3):
-            assert [pst_core._word_index(w) for w in enumerate_group(n)] == list(range(4**n))
+            group = enumerate_group(n)
+            assert [w.index for w in group] == list(range(4**n))
+            assert [word_at(index, n) for index in range(4**n)] == group
 
     @pytest.mark.parametrize(
         "drive, errors, noise",
@@ -481,6 +490,12 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="qubits"):
             pst_channel(drive_zx(), CoherentErrorSpec((("XXX", 0.1),)))
 
+    def test_compatible_words_are_compared_without_labels(self, monkeypatch):
+        drive, err = drive_zx(), table1_error()
+        monkeypatch.setattr(PauliString, "label",
+                            property(lambda self: pytest.fail("a label was built")))
+        check_drive_error_compat(drive, err)
+
     def test_noise_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             pst_channel(drive_zx(), table1_error(), NoiseSpec("pauli_z", 1.0, (2,)))
@@ -565,6 +580,23 @@ class TestEffectiveGenerator:
                         noise=NoiseSpec("amplitude_damping", 4.0))
         eff = effective_generator(k, 0.5)
         np.testing.assert_allclose(expm(eff.reconstructed()), k, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("label", ["X", "ZX"])
+    def test_block_log_refuses_the_exceptional_point(self, label):
+        # The block log `table1` reads misses these blocks by about 5e-10
+        # of their norm, past the 1e-12 that `effective_generator` allows.
+        channel = twirled(DriveSpec.single(label, 0.5), noise=NoiseSpec("amplitude_damping", 4.0))
+        with pytest.raises(DefectiveMatrixError, match="reconstructs the channel only to"):
+            channel.hamiltonian()
+
+    def test_log_check_judges_each_block_by_its_own_norm(self):
+        # Beside a block of norm 1e6 the exceptional blocks would pass a
+        # bound scaled by the stack's norm; each is judged by its own.
+        channel = twirled(DriveSpec.single("X", 0.5), noise=NoiseSpec("amplitude_damping", 4.0))
+        large = 1e6 * np.eye(2)[None]
+        np.testing.assert_allclose(pst_core._checked_log(large), np.log(1e6) * large / 1e6)
+        with pytest.raises(DefectiveMatrixError):
+            pst_core._checked_log(np.concatenate([channel.blocks, large]))
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 of its complete positivity (a PSD Choi matrix), of its coset-block log
 against the dense one, of the noiseless spectral blocks and band weights
 against dense oracles, of its evenness in the error scale when one Pauli
-word flips the whole error, and of the effective generator's Hamiltonian.
+word flips the whole error, of the effective generator's Hamiltonian, and
+of the group order that `pauli` owns and `pst_core` indexes by.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -47,6 +48,8 @@ from pstlab.pauli import (  # noqa: E402
     enumerate_group,
     matrix_of,
     pauli_from_label,
+    sign_table,
+    word_at,
 )
 from pstlab.pst_core import EffectiveGenerator, pst_channel, twirled_channels  # noqa: E402
 
@@ -260,3 +263,28 @@ class TestEffectiveGeneratorProperties:
         rebuilt = sum(c * matrix_of(word) for word, c in eff.hamiltonian_coeffs.items())
         assert np.abs(h - rebuilt).max() <= 1e-14
         assert np.abs(eff.reconstructed() - g).max() <= 1e-13
+
+
+class TestGroupOrder:
+    """`pauli` owns the group order: the word index, its inverse, the sign
+    table's columns and `pst_core`'s product phases all agree on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(_LETTERS, min_size=n, max_size=n).map("".join)))
+    @example("IIX")
+    @example("ZZZZ")
+    def test_index_signs_and_phases_agree(self, label):
+        word = pauli_from_label(label)
+        n = word.n_qubits
+        assert word_at(word.index, n) == word
+        group = enumerate_group(n)
+        column = sign_table(n, [word])[:, 0]
+        assert column.tolist() == [commutation_sign(alpha, word) for alpha in group]
+        phases = pst_core._product_phases(np.array([word.index]), n)[0]
+        np.testing.assert_array_equal((phases * phases).real, sign_table(n)[word.index])
+        # The phases themselves, which their squares leave open to a sign:
+        # P_i P_g = w(i, g) P_(i XOR g).
+        for i, (other, phase) in enumerate(zip(group, phases)):
+            np.testing.assert_array_equal(matrix_of(other) @ matrix_of(word),
+                                          phase * matrix_of(word_at(i ^ word.index, n)))
