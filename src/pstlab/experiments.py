@@ -49,7 +49,7 @@ from .magnus import (
     over_rotation_factor,
 )
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
-from .pst_core import TwirledChannel, _pattern_hamiltonian, _pauli_weight, twirled_channels
+from .pst_core import TwirledChannel, _pauli_weight, _terms_matrix, twirled_channels
 from .schema import (
     PauliLabel,
     _Config,
@@ -196,7 +196,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 
     channel = twirled_channels(drive, [err])[0]
     twirled = channel.hamiltonian()
-    untwirled = _pattern_hamiltonian(drive, err)([1] * len(drive.terms))
+    untwirled = _terms_matrix(err.scaled_terms() + drive.terms)
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = _pauli_weight(twirled, config.drive)

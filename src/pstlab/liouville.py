@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _as_square_finite
 from .pauli import PauliString, check_qubit_count, matrix_of
 
 __all__ = [
@@ -84,16 +85,17 @@ class NoiseSpec:
         return self.targets
 
 
-def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _finite_matrix(m) -> np.ndarray:
+    """`_as_square_finite` of one matrix, not a stack."""
+    m = _as_square_finite(m)
+    if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def vectorize(rho) -> np.ndarray:
     """Flatten a square matrix row-major into a length dim^2 vector."""
-    return _as_square(rho).reshape(-1)
+    return _finite_matrix(rho).reshape(-1)
 
 
 def devectorize(v) -> np.ndarray:
@@ -107,7 +109,7 @@ def devectorize(v) -> np.ndarray:
 
 def hamiltonian_superop(h) -> np.ndarray:
     """Commutator superoperator H kron I - I kron H^T of a Hermitian H."""
-    h = _as_square(h)
+    h = _finite_matrix(h)
     scale = np.abs(h).max()
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("Hamiltonian must be Hermitian to within 1e-12 (relative)")
@@ -117,7 +119,7 @@ def hamiltonian_superop(h) -> np.ndarray:
 
 def unitary_superop(u) -> np.ndarray:
     """Conjugation superoperator U kron U* of a unitary U."""
-    u = _as_square(u)
+    u = _finite_matrix(u)
     eye = np.eye(u.shape[0])
     if np.abs(u.conj().T @ u - eye).max() > UNITARITY_TOL:
         raise ValueError("input must be unitary to within 1e-10")

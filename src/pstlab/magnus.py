@@ -63,7 +63,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,6 +152,11 @@ class DriveSpec:
         return self.terms[0][0]
 
 
+def _check_scale(scale: float) -> None:
+    if not math.isfinite(scale):
+        raise ValueError("scale must be finite")
+
+
 @dataclass(frozen=True)
 class CoherentErrorSpec:
     """Coherent-error generator: distinct Pauli terms, plus a global scale.
@@ -165,8 +171,7 @@ class CoherentErrorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _as_terms(self.terms, "error"))
-        if not math.isfinite(self.scale):
-            raise ValueError("scale must be finite")
+        _check_scale(self.scale)
 
     @classmethod
     def from_amplitudes(cls, amplitudes, scale: float = 1.0) -> "CoherentErrorSpec":
@@ -179,7 +184,11 @@ class CoherentErrorSpec:
         return self.terms[0][0].n_qubits if self.terms else None
 
     def with_scale(self, scale: float) -> "CoherentErrorSpec":
-        return replace(self, scale=scale)
+        """These terms, valid already, at ``scale``: only the scale is checked."""
+        _check_scale(scale)
+        spec = copy(self)
+        object.__setattr__(spec, "scale", scale)
+        return spec
 
     def scaled_terms(self) -> tuple[tuple[PauliString, float], ...]:
         return tuple((word, self.scale * amp) for word, amp in self.terms)

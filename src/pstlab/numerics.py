@@ -1,20 +1,20 @@
 """Dense complex numerics: expm, principal logm, operator norm, quadrature.
 
-The general exponential `expm` is scaling and squaring with the
-degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): the
-input is halved s times until its 1-norm is at most theta_13, and its
-approximant is squared s times; a squaring that overflows raises
-``ResolutionError`` instead of returning inf or nan.  It also takes a
-stack of matrices, shape (..., d, d): each matrix gets its own s, and
-the matrices that share s run as one batched stack, with the arithmetic
-each gets alone, bit for bit.  Only dissipative
-generators need it; a unitary exp(-i t h) of a Hermitian h comes from
-numpy's `eigh` instead (`expm_hermitian`).  The principal logarithm is
-an explicit eigendecomposition so that branch-cut proximity and
-defective inputs surface as errors instead of silently degraded
-results.  It also takes a stack of matrices, shape (..., d, d), and
-logs each one in a single batched `eig`: a block-diagonal matrix is
-logged block by block, with the same checks as one dense matrix.
+Every matrix routine here (`expm`, `expm_hermitian`, `logm_principal`,
+`op_norm`) takes one square matrix or a stack of them, shape (..., d, d),
+treats each matrix of a stack as it would alone, and rejects non-finite
+entries.  The general exponential `expm` is scaling and squaring with the
+degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): each
+matrix is halved s times until its 1-norm is at most theta_13, and its
+approximant is squared s times; the matrices that share s run as one
+batched stack, bit for bit as alone, and a squaring that overflows
+raises ``ResolutionError`` instead of returning inf or nan.  Only
+dissipative generators need it; a unitary exp(-i t h) of a Hermitian h
+comes from one batched `eigh` instead (`expm_hermitian`).  The principal
+logarithm is an explicit, batched eigendecomposition, so that branch-cut
+proximity and defective inputs surface as errors instead of silently
+degraded results; a block-diagonal matrix is logged block by block, with
+the same checks as one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
@@ -76,13 +76,11 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
-def _as_square_finite(m, stacked: bool = False) -> np.ndarray:
-    """``m`` as a finite complex square matrix, or with ``stacked`` a
-    stack of them, shape (..., d, d)."""
+def _as_square_finite(m) -> np.ndarray:
+    """``m`` as a finite complex square matrix or stack of them, (..., d, d)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
-        stack = " or a stack of them" if stacked else ""
-        raise ValueError(f"expected a square matrix{stack}, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -147,7 +145,7 @@ def expm(m) -> np.ndarray:
     ``ResolutionError``, naming the 1-norm and the squaring count of the
     first such matrix.
     """
-    a = _as_square_finite(m, stacked=True)
+    a = _as_square_finite(m)
     stack = a.reshape(-1, *a.shape[-2:])
     with np.errstate(over="ignore"):
         norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
@@ -181,12 +179,15 @@ def expm(m) -> np.ndarray:
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:
-    """exp(-i t h) of a Hermitian h, from its eigendecomposition.
+    """exp(-i t h) of a Hermitian h, or of each matrix in a stack of shape
+    (..., d, d), from its eigendecomposition; ``t`` must be finite.
 
     Only the lower triangle of h is read, as by `np.linalg.eigh`.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     energies, basis = np.linalg.eigh(_as_square_finite(h))
-    return (basis * np.exp(-1.0j * t * energies)) @ basis.conj().T
+    return (basis * np.exp(-1.0j * t * energies)[..., None, :]) @ basis.conj().swapaxes(-1, -2)
 
 
 def logm_principal(m) -> np.ndarray:
@@ -200,7 +201,7 @@ def logm_principal(m) -> np.ndarray:
     reconstruction residual of each matrix, a stack's too, is judged
     against that matrix's own norm.
     """
-    m = _as_square_finite(m, stacked=True)
+    m = _as_square_finite(m)
     eigvals, eigvecs = np.linalg.eig(m)
     # Distance to the ray (-inf, 0]: |Im| beside it, |z| past its end.
     distance = np.where(eigvals.real < 0, np.abs(eigvals.imag), np.abs(eigvals))
@@ -240,7 +241,7 @@ def op_norm(m) -> float:
     """Largest singular value of one square matrix, or the largest over a
     stack of shape (..., d, d); of a block-diagonal matrix, the largest
     over its blocks."""
-    m = _as_square_finite(m, stacked=True)
+    m = _as_square_finite(m)
     return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 

@@ -10,8 +10,8 @@ The ensemble channel is the exact uniform average over all 4^n frames
 (no sampling), but it is not computed frame by frame.  A frame changes
 only the drive-sign pattern s, so the k drive terms realize at most 2^k
 distinct Hamiltonians H_s = error + sum_j s_j c_j P_j (dependent drive
-words realize fewer), each built once as a 2^n x 2^n matrix.  Pauli
-frames are diagonal in the Pauli-transfer basis: column i of B is
+words realize fewer), each exponentiated once.  Pauli frames are
+diagonal in the Pauli-transfer basis: column i of B is
 vec(P_i)/sqrt(2^n) (row-major), and B^dag (P_a kron P_a*) B = diag(chi_a),
 with chi_a(P_i) the commutation sign of the frame word and P_i.  The
 frames of one pattern form a coset of the centralizer of the drive
@@ -29,35 +29,33 @@ P_i P_g = w(i, g) P_(i XOR g) with w a Kronecker product of one-qubit
 phases, so <D> is a set of indices closed under XOR and its cosets
 are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix.
 
-Only the bands R_s[i, i XOR g], g in <D>, are needed.  With noise the
-pattern generator noise - i tau H(H_s) is built in the Pauli-transfer
-basis and exponentiated there; the basis is unitary, so that `expm` is
-R_s itself.  There the commutator superoperator
-H_g = P_g kron I - I kron P_g^T has the entry
+Only the bands R_s[i, i XOR g], g in <D>, are needed.  A pattern is one
+term list, the spec's scaled error terms and then the signed drive terms
+(`_pattern_terms`).  Both branches exponentiate a chunk of specs x
+patterns as one stack, each matrix with the arithmetic it gets alone,
+check one bound and average the bands in one fixed order, so a channel
+is the same bits in any batch.  With noise, `expm` of noise - i tau H(H_s)
+built in the Pauli-transfer basis is R_s itself (the basis is unitary).
+There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
 anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
-real, with entries +-2.  A pattern's generator is then
-D_PTM - i tau (sum_k c_k H_k + sum_j s_j d_j H_j), with D_PTM the
-dissipator taken to the basis; a sweep over error specs builds what
-depends on the drive and the noise alone, D_PTM included, once.  The
-generators of several specs go to `expm` as one stack, which keeps each
-matrix's arithmetic what it is alone, and the patterns are summed in one
-fixed order, so a channel is the same bits in any batch.  A pattern
-whose Hamiltonian part -i tau H(H_s) alone takes `expm` more than 26
-squarings is refused: its rounding, about 2^s eps, passes sqrt(eps).
-Without noise (kind "none" or rate 0) the pattern is the unitary
-U_s = exp(-i tau H_s) from `eigh`, and its bands follow from Pauli
-spectra alone: with a_k = tr(P_k U_s) / 2^n and b_k the same
-coefficients of P_g U_s^dag,
+real, with entries +-2.  Without noise (kind "none" or rate 0) the
+pattern is the unitary U_s = exp(-i tau H_s), from one stacked `eigh`,
+and its bands follow from Pauli spectra alone: with
+a_k = tr(P_k U_s) / 2^n and b_k the same coefficients of P_g U_s^dag,
 
     R_s[i, i XOR g] = conj(w(i, g)) sum_k chi(i, k) a_k b_k,
 
 where chi(i, k) is the commutation sign.  The coefficients, the sign sum
 (a symplectic Walsh-Hadamard transform) and w are Kronecker products of
 one 4 x 4 table per qubit, so each transform runs one qubit leg at a
-time, O(n 4^n), and no 4^n x 4^n array is formed.  `twirled_channels`
-returns a `TwirledChannel`; its `dense` takes the blocks to the row-major
-Liouville basis once, as B K_PTM B^dag, leg by leg as well.
+time, O(n 4^n), and no 4^n x 4^n array is formed.  The bound refuses a
+pattern whose Hamiltonian part -i tau H(H_s) takes `expm` more than 26
+squarings; by the entries above, its 1-norm is 2 tau max_j sum_k |c_k|
+over the words k that anticommute with j, from one sign table per call.
+`twirled_channels` returns a `TwirledChannel`; its `dense` takes the
+blocks to the row-major Liouville basis once, as B K_PTM B^dag, leg by
+leg as well.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 or a channel log) onto Pauli commutator superoperators
@@ -98,6 +96,7 @@ import numpy as np
 from .errors import DefectiveMatrixError, ResolutionError
 from .liouville import (
     NoiseSpec,
+    _finite_matrix,
     dissipator_superop,
     hamiltonian_superop,
     unitary_superop,
@@ -119,6 +118,7 @@ from .pauli import (
     enumerate_group,
     matrix_of,
     pauli_from_label,
+    sign_table,
     word_at,
 )
 from .sinc_law import calibrate_tau
@@ -137,10 +137,10 @@ __all__ = [
 # than this times that matrix's Frobenius norm (at least 1).
 _LOG_RECONSTRUCTION_TOL = 1e-12
 
-# Noisy patterns are exponentiated as stacks of whole error specs that hold
-# at most this many matrix entries, and at least one spec: eight specs of
-# two 16 x 16 patterns (n = 2), one spec from n = 3 on.  `expm` keeps about
-# ten arrays of a stack's size alive.
+# Patterns are exponentiated as stacks of whole error specs that hold at
+# most this many pattern-matrix entries, and at least one spec: at n = 2,
+# 8 specs of two 16 x 16 noisy patterns or 128 of two 4 x 4 noiseless
+# ones.  `expm` keeps about ten arrays of a stack's size alive.
 _EXPM_STACK_ENTRIES = 4096
 
 # `expm` squares its Pade approximant s times, and each squaring can double
@@ -148,21 +148,23 @@ _EXPM_STACK_ENTRIES = 4096
 # ||R R^T - I||_max of a noiseless pattern's transfer matrix R measures
 # 7.7e-12 at s = 14, 2.1e-8 at s = 27 and 4.6e-4 at s = 41.  Past
 # s = 26, 2^s eps exceeds sqrt(eps), about 1.5e-8: fewer than half of the
-# double-precision digits survive, and the channel is refused.
+# double-precision digits survive, and the channel is refused.  Noiseless
+# patterns degrade alike: an even sweep's +-delta rows part by 1e-8 at 27.
 _MAX_HAMILTONIAN_SQUARINGS = 26
 
 
-def _pattern_hamiltonian(drive: DriveSpec, err: CoherentErrorSpec):
-    """signs -> H_s = error + sum_j s_j c_j P_j, the 2^n x 2^n Hamiltonian
-    driven in a frame with drive signs s_j; the error sum is built once."""
-    zero = np.zeros((2**drive.n_qubits,) * 2, dtype=complex)
-    error = sum((c * matrix_of(word) for word, c in err.scaled_terms()), zero)
+def _pattern_terms(drive: DriveSpec, err: CoherentErrorSpec, signs) -> tuple:
+    """The (word, c) terms of H_s = error + sum_j s_j c_j P_j, the pattern
+    driven in a frame with drive signs s_j: the spec's scaled error terms,
+    then the signed drive terms."""
+    return err.scaled_terms() + tuple(
+        (word, s * c) for s, (word, c) in zip(signs, drive.terms))
 
-    def hamiltonian(signs) -> np.ndarray:
-        flipped = (s * c * matrix_of(word) for s, (word, c) in zip(signs, drive.terms))
-        return error + sum(flipped, zero)
 
-    return hamiltonian
+def _terms_matrix(terms) -> np.ndarray:
+    """sum_k c_k P_k of a nonempty term list, summed in list order."""
+    zero = np.zeros((2 ** terms[0][0].n_qubits,) * 2, dtype=complex)
+    return sum((c * matrix_of(word) for word, c in terms), zero)
 
 
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
@@ -175,7 +177,7 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
             f"frame word acts on {alpha.n_qubits} qubits, drive on {drive.n_qubits}"
         )
     signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
-    hamiltonian = _pattern_hamiltonian(drive, err)(signs)
+    hamiltonian = _terms_matrix(_pattern_terms(drive, err, signs))
     return (dissipator_superop(noise, drive.n_qubits)
             - 1.0j * drive.tau * hamiltonian_superop(hamiltonian))
 
@@ -266,11 +268,27 @@ def _commutator_transfers(term_lists, n: int) -> np.ndarray:
     return out
 
 
-def _check_resolved(hamiltonians: np.ndarray) -> None:
-    """Refuse patterns whose Hamiltonian parts -i tau H(H_s), in the
-    Pauli-transfer basis, take `expm` more than _MAX_HAMILTONIAN_SQUARINGS
-    squarings; a dissipative part of any size loses nothing measurable."""
-    norm = float(np.abs(hamiltonians).sum(axis=-2).max())
+def _commutator_norms(term_lists, n: int) -> np.ndarray:
+    """||-i H(h)||_1 in the Pauli-transfer basis of each term list's
+    h = sum_k c_k P_k (see the module notes), from one sign table against
+    the lists' distinct words."""
+    words = {word.index: word for terms in term_lists for word, _ in terms}
+    flat = [(k, word.index, c) for k, terms in enumerate(term_lists) for word, c in terms]
+    weights = np.zeros((len(term_lists), 4**n))
+    if flat:
+        spec, index, coefficient = zip(*flat)
+        weights[spec, index] = coefficient
+    anticommuting = (1 - sign_table(n, list(words.values()))) / 2
+    # Summed elementwise: einsum or a real matmul would page in 0.2 to
+    # 0.35 MB more of resident code.
+    return 2 * (anticommuting * np.abs(weights[:, None, list(words)])).sum(axis=-1).max(axis=1)
+
+
+def _check_resolved(norms: np.ndarray) -> None:
+    """Refuse patterns whose Hamiltonian parts, of 1-norms ``norms``, take
+    `expm` more than _MAX_HAMILTONIAN_SQUARINGS squarings; a dissipative
+    part of any size loses nothing measurable."""
+    norm = float(norms.max())
     squarings = squarings_for(norm)
     if squarings > _MAX_HAMILTONIAN_SQUARINGS:
         raise ResolutionError(
@@ -385,45 +403,40 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     characters = characters[np.lexsort(parities.T[::-1])]
     patterns = characters[:, position]
 
-    # bands(chunk)[k, c, p, i] is R_s[i, i XOR group[p]] of pattern c's
-    # Pauli-transfer matrix R_s for the k-th spec of a chunk of
-    # ``chunk_size`` specs, the only entries the twirl keeps.
-    if noise.kind == "none" or noise.rate == 0:
+    # bands(term_lists)[k, c, p, i] is R_s[i, i XOR group[p]] of pattern c's
+    # Pauli-transfer matrix R_s for the k-th spec of a chunk's specs x
+    # patterns term lists, the only entries the twirl keeps.
+    p, partners = np.arange(group.size), words ^ group[:, None]
+    noiseless = noise.kind == "none" or noise.rate == 0
+    if noiseless:
         phases = _product_phases(group, n)
-        legs = [axis for q in range(n) for axis in (q, n + q)]
-        chunk_size = 1
+        legs = [2 + axis for q in range(n) for axis in (q, n + q)]
 
-        def bands(chunk) -> np.ndarray:
-            hamiltonian, out = _pattern_hamiltonian(drive, chunk[0]), []
-            for signs in patterns:
-                # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
-                # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
-                u = expm_hermitian(hamiltonian(signs), tau)
-                a = _per_leg(u.reshape((2,) * (2 * n)).transpose(legs).reshape(-1),
-                             _PAULI_ROWS.conj() / 2)
-                b = np.conj(a * phases)[np.arange(group.size)[:, None], words ^ group[:, None]]
-                out.append(np.conj(phases) * _per_leg(a * b, _SIGNS))
-            return np.stack(out)[None]
+        def bands(term_lists) -> np.ndarray:
+            u = expm_hermitian(np.array([_terms_matrix(terms) for terms in term_lists]), tau)
+            # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
+            # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
+            u = u.reshape(-1, len(patterns), *(2,) * (2 * n)).transpose(0, 1, *legs)
+            a = _per_leg(u.reshape(*u.shape[:2], -1), _PAULI_ROWS.conj() / 2)[..., None, :]
+            b = np.conj(a * phases)[..., p[:, None], partners]
+            return np.conj(phases) * _per_leg(a * b, _SIGNS)
     else:
         dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
-        drive_words = _commutator_transfers([[term] for term in drive.terms], n)
-        # Summed elementwise: a real matmul here would page in the BLAS
-        # library's real kernels, about 0.35 MB of resident code.
-        flips = (patterns[:, :, None, None] * drive_words).sum(axis=1)
-        chunk_size = max(1, _EXPM_STACK_ENTRIES // flips.size)
 
-        def bands(chunk) -> np.ndarray:
-            errors = _commutator_transfers([err.scaled_terms() for err in chunk], n)
-            hamiltonians = tau * (errors[:, None] + flips)
-            exponentials = expm(dissipator + hamiltonians)  # an overflow raises here first
-            _check_resolved(hamiltonians)
-            return exponentials[..., words, words ^ group[:, None]]
+        def bands(term_lists) -> np.ndarray:
+            r = expm(dissipator + tau * _commutator_transfers(term_lists, n))
+            return r.reshape(-1, len(patterns), *r.shape[1:])[..., words, partners]
 
-    p = np.arange(group.size)
+    # Every pattern of a spec has the |c_k| of its identity-frame terms.
+    norms = tau * _commutator_norms([err.scaled_terms() + drive.terms for err in errs], n)
+    pattern_entries = (2**n if noiseless else 4**n) ** 2
+    chunk_size = max(1, _EXPM_STACK_ENTRIES // (len(patterns) * pattern_entries))
     channels = []
     for start in range(0, len(errs), chunk_size):
-        kept = bands(errs[start:start + chunk_size])
-        average = np.zeros((kept.shape[0], group.size, words.size), dtype=complex)
+        chunk = errs[start:start + chunk_size]
+        kept = bands([_pattern_terms(drive, err, s) for err in chunk for s in patterns])
+        _check_resolved(norms[start:start + chunk_size])  # an expm overflow raises first
+        average = np.zeros((len(chunk), group.size, words.size), dtype=complex)
         for chi, band in zip(characters, kept.swapaxes(0, 1)):
             average += chi[:, None] * band
         average /= group.size
@@ -445,8 +458,7 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
     """Noiseless, error-free gate channel exp(-i tau H_drive): the
     identity frame's realization, lifted from its 2^n x 2^n unitary."""
-    hamiltonian = _pattern_hamiltonian(drive, CoherentErrorSpec())([1] * len(drive.terms))
-    return unitary_superop(expm_hermitian(hamiltonian, drive.tau))
+    return unitary_superop(expm_hermitian(_terms_matrix(drive.terms), drive.tau))
 
 
 def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
@@ -490,9 +502,7 @@ class EffectiveGenerator:
         """Project a 4^n x 4^n generator onto the Pauli commutator
         superoperators (see the module notes); `reconstructed` inverts it."""
         _check_tau(tau)
-        generator = np.asarray(generator, dtype=complex)
-        if generator.ndim != 2 or generator.shape[0] != generator.shape[1]:
-            raise ValueError(f"expected a square generator, got shape {generator.shape}")
+        generator = _finite_matrix(generator)
         dim = generator.shape[0]
         n = (dim.bit_length() - 1) // 2
         if dim < 4 or 4**n != dim:

@@ -25,6 +25,12 @@ from pstlab.pauli import commutation_sign, enumerate_group
 from pstlab.pst_core import EffectiveGenerator, TwirledChannel
 
 
+def _pattern_matrix(drive, err, signs):
+    """H_s = error + sum_j s_j c_j P_j of drive signs ``signs``, the 2^n x 2^n
+    sum of the pattern's term list."""
+    return pst_core._terms_matrix(pst_core._pattern_terms(drive, err, signs))
+
+
 def _gathered_blocks(drive, pattern_channel):
     """Coset blocks of the twirl, gathered from the dense Pauli-transfer
     matrix of each realized pattern's Liouville channel
@@ -45,19 +51,17 @@ def dense_noiseless_blocks(drive, err=None):
     """Coset blocks of the noiseless twirl, gathered from each realized
     pattern's dense Pauli-transfer matrix B^dag (U kron U*) B."""
     err = err if err is not None else CoherentErrorSpec()
-    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
     return _gathered_blocks(drive, lambda signs: unitary_superop(
-        expm_hermitian(hamiltonian(signs), drive.tau)))
+        expm_hermitian(_pattern_matrix(drive, err, signs), drive.tau)))
 
 
 def liouville_noisy_blocks(drive, err, noise):
     """Coset blocks of the noisy twirl, gathered from each realized
     pattern's dense Pauli-transfer matrix B^dag expm(noise - i tau H(H_s)) B,
     exponentiated in the row-major Liouville basis."""
-    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
     dissipator = dissipator_superop(noise, drive.n_qubits)
     return _gathered_blocks(drive, lambda signs: expm(
-        dissipator - 1j * drive.tau * hamiltonian_superop(hamiltonian(signs))))
+        dissipator - 1j * drive.tau * hamiltonian_superop(_pattern_matrix(drive, err, signs))))
 
 
 def frame_average_blocks(drive, err=None):
@@ -66,13 +70,12 @@ def frame_average_blocks(drive, err=None):
     to the Pauli-transfer basis on its own."""
     err = err if err is not None else CoherentErrorSpec()
     n = drive.n_qubits
-    hamiltonian = pst_core._pattern_hamiltonian(drive, err)
     _, _, cosets = pst_core._coset_index(drive)
     total = np.zeros((4**n,) * 2, dtype=complex)
     for alpha in enumerate_group(n):
         signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
         frame = pauli_unitary_superop(alpha)
-        lift = unitary_superop(expm_hermitian(hamiltonian(signs), drive.tau))
+        lift = unitary_superop(expm_hermitian(_pattern_matrix(drive, err, signs), drive.tau))
         total += pst_core._pauli_transfer(frame @ lift @ frame, n)
     return TwirledChannel((total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets,
                           drive.tau)

@@ -135,6 +135,19 @@ class TestTable1Command:
         assert (code, out) == (2, "")
         assert err.startswith(f"pstlab: numerical failure: tau={float(tau)!r} is too short")
 
+    @pytest.mark.parametrize("amplitude, norm, squarings", [
+        ("1e10", "1.000e+10", 31), ("1e20", "1.000e+20", 65),
+    ])
+    def test_unresolvable_error_scale_is_numerical_failure(self, amplitude, norm, squarings,
+                                                             capsys):
+        # The noiseless twirl used to print a twirled ZX weight of -5.2e-11
+        # at XX = 1e10, and to read it as 0.0 at 1e20.
+        code, out, err = run_cli(capsys, "table1", "--error", f"XX={amplitude}")
+        assert (code, out) == (2, "")
+        assert err.startswith("pstlab: numerical failure: a drive-sign pattern's"
+                              f" Hamiltonian part has 1-norm {norm}, which takes"
+                              f" {squarings} squarings")
+
 
 class TestScalarCommands:
     def test_overrotation_prints_reference_value(self, capsys):
@@ -262,6 +275,28 @@ class TestParitySweepCommand:
         assert err.startswith("pstlab: numerical failure: a drive-sign pattern's"
                               " Hamiltonian part has 1-norm 6.000e+17, which takes 57"
                               " squarings")
+
+    @pytest.mark.parametrize("delta_max, norm, squarings", [
+        ("1e8", "6.000e+08", 27), ("1e9", "6.000e+09", 31),
+    ])
+    def test_unresolvable_noiseless_scale_is_numerical_failure(self, delta_max, norm,
+                                                               squarings, capsys):
+        # The noiseless sweep is even in delta, but its +-delta rows used to
+        # differ by 1.0e-8 at 1e8 and by 1.4e-7 at 1e9, with exit code 0.
+        code, out, err = run_cli(capsys, "parity-sweep", "--noise-kinds", "none",
+                                 "--delta-points", "3", "--delta-max", delta_max)
+        assert (code, out) == (2, "")
+        assert err.startswith("pstlab: numerical failure: a drive-sign pattern's"
+                              f" Hamiltonian part has 1-norm {norm}, which takes"
+                              f" {squarings} squarings")
+
+    def test_noiseless_scale_at_the_bound_resolves(self, capsys):
+        # 26 squarings: the +-delta rows agree to one rounding.
+        code, out, err = run_cli(capsys, "parity-sweep", "--noise-kinds", "none",
+                                 "--delta-points", "3", "--delta-max", "5e7")
+        assert (code, err) == (0, "")
+        minus, _, plus = (float(line.split(",")[1]) for line in out.splitlines()[1:])
+        assert abs(plus - minus) <= 2.3e-16
 
     def test_strong_noise_still_resolves(self, capsys):
         # A dissipative part of any size squares without loss: at rate 1e14

@@ -94,6 +94,13 @@ class TestHamiltonianSuperop:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hamiltonian_superop(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            hamiltonian_superop(np.zeros((2, 2, 2)))
+
+    def test_rejects_non_finite(self):
+        # A Hermiticity test on nan compares False, so nan used to pass.
+        with pytest.raises(ValueError, match="finite"):
+            hamiltonian_superop([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_mixed_anticommutation_zz_xz(self):
         h = hamiltonian_superop(matrix_of(pauli_from_label("ZZ")))
@@ -148,6 +155,13 @@ class TestUnitarySuperop:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             unitary_superop(np.diag([1.0, 2.0]))
+
+    def test_rejects_non_finite(self):
+        # A unitarity test on nan compares False, so nan used to pass.
+        with pytest.raises(ValueError, match="finite"):
+            unitary_superop([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            unitary_superop(np.eye(2)[None])
 
 
 class TestPauliUnitarySuperop:

@@ -130,6 +130,21 @@ class TestSpecs:
         assert spec.scaled_terms()[0][1] == pytest.approx(0.4)
         assert spec.with_scale(0.5).scaled_terms()[0][1] == pytest.approx(0.1)
 
+    def test_rescaling_keeps_the_validated_terms(self, monkeypatch):
+        spec = CoherentErrorSpec.from_amplitudes({"XX": 0.2, "YY": 0.6}, scale=2.0)
+        expected = CoherentErrorSpec(spec.terms, -0.5)
+
+        def refuse(*args):
+            raise AssertionError("with_scale validated the terms again")
+
+        monkeypatch.setattr(magnus, "_as_terms", refuse)
+        rescaled = spec.with_scale(-0.5)
+        assert rescaled == expected != spec
+        assert rescaled.terms is spec.terms and spec.scale == 2.0
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale must be finite"):
+                spec.with_scale(scale)
+
     def test_compat_rejects_drive_overlap(self):
         err = CoherentErrorSpec.from_amplitudes({"ZX": 0.1})
         with pytest.raises(ValueError, match="mis-rotation"):

@@ -136,6 +136,26 @@ class TestExpm:
             with pytest.raises(ValueError):
                 exponential(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_hermitian_exponential_rejects_a_non_finite_time(self, t):
+        # exp(-i t h) of a non-finite t would be nan without an error.
+        with pytest.raises(ValueError, match="time must be finite"):
+            expm_hermitian(SIGMA_Z, t)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 3, 8, 8)],
+                             ids=["2-D", "3-D", "4-D"])
+    def test_stacked_hermitian_exponential_is_one_call_per_matrix(self, shape):
+        # Degenerate spectra included: the stack is one batched eigh, and
+        # each matrix's arithmetic is what it is alone, bit for bit.
+        rng = np.random.default_rng(len(shape))
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h = a + np.conj(np.swapaxes(a, -1, -2))
+        h.reshape(-1, *shape[-2:])[0] = np.kron(SIGMA_Z, np.eye(shape[-1] // 2))
+        stacked = expm_hermitian(h, 0.7)
+        assert stacked.shape == shape
+        alone = [expm_hermitian(m, 0.7) for m in h.reshape(-1, *shape[-2:])]
+        assert np.array_equal(stacked, np.reshape(alone, shape))
+
 
 @pytest.fixture
 def scipy_expm():

@@ -264,15 +264,29 @@ class TestChannel:
         np.testing.assert_allclose(left @ k, left, atol=1e-12)
 
 
+class MatrixCalls(list):
+    """Shapes of exponentiated matrices, one entry per matrix (a call on a
+    stack (..., d, d) adds prod(...) of them); ``calls`` counts the calls."""
+
+    calls = 0
+
+    def record(self, m) -> None:
+        shape = np.shape(m)
+        self.extend([shape[-2:]] * math.prod(shape[:-2]))
+        self.calls += 1
+
+    def clear(self) -> None:
+        super().clear()
+        self.calls = 0
+
+
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Shapes of the matrices `pst_core` exponentiates during the test, one
-    entry per matrix: a call on a stack (..., d, d) adds prod(...) of them."""
-    calls = []
+    """The matrices `pst_core` exponentiates with `expm`, as `MatrixCalls`."""
+    calls = MatrixCalls()
 
     def counting_expm(m):
-        shape = np.shape(m)
-        calls.extend([shape[-2:]] * math.prod(shape[:-2]))
+        calls.record(m)
         return expm(m)
 
     monkeypatch.setattr(pst_core, "expm", counting_expm)
@@ -281,11 +295,12 @@ def expm_calls(monkeypatch):
 
 @pytest.fixture
 def hermitian_calls(monkeypatch):
-    """Shapes of the Hamiltonians `pst_core` exponentiates in Hilbert space."""
-    calls = []
+    """The Hamiltonians `pst_core` exponentiates with `expm_hermitian`, as
+    `MatrixCalls`."""
+    calls = MatrixCalls()
 
     def counting_expm_hermitian(h, t):
-        calls.append(np.shape(h))
+        calls.record(h)
         return expm_hermitian(h, t)
 
     monkeypatch.setattr(pst_core, "expm_hermitian", counting_expm_hermitian)
@@ -338,8 +353,8 @@ class TestChannelMatchesOracle:
 
     def test_single_drive_needs_two_expms(self, expm_calls, hermitian_calls):
         # Noise-free patterns (no noise, or a zero rate) exponentiate their
-        # 8x8 Hamiltonians and run no Liouville expm; a dissipative channel
-        # runs one 64x64 expm per realized pattern.
+        # 8x8 Hamiltonians as one stack and run no Liouville expm; a
+        # dissipative channel runs one 64x64 expm per realized pattern.
         drive = DriveSpec.single("ZXY", 0.5)
         err = CoherentErrorSpec((("XXY", 0.2),))
         for noise in (NoiseSpec(), NoiseSpec("amplitude_damping", 0.0)):
@@ -347,10 +362,19 @@ class TestChannelMatchesOracle:
             pst_channel(drive, err, noise)
             assert expm_calls == []
             assert hermitian_calls == [(8, 8), (8, 8)]
+            assert hermitian_calls.calls == 1
         hermitian_calls.clear()
         pst_channel(drive, err, NoiseSpec("amplitude_damping", 0.5))
         assert expm_calls == [(64, 64), (64, 64)]
         assert hermitian_calls == []
+
+    def test_noiseless_stacks_hold_whole_specs_up_to_the_entry_bound(self, hermitian_calls):
+        # Two 4 x 4 patterns per spec: E / 32 specs per stacked eigh.
+        per_stack = pst_core._EXPM_STACK_ENTRIES // (2 * 4**2)
+        errs = [table1_error(s) for s in np.linspace(-1.0, 1.0, 2 * per_stack + 3)]
+        twirled_channels(drive_zx(), errs)
+        assert hermitian_calls == [(4, 4)] * 2 * len(errs)
+        assert hermitian_calls.calls == 3
 
 
 @pytest.fixture
@@ -433,10 +457,12 @@ class TestCosetBlocks:
         NoiseSpec(), NoiseSpec("pauli_z", 3.0), NoiseSpec("amplitude_damping", 3.0, (0,)),
     ], ids=["none", "pauli_z", "amplitude_damping"])
     def test_many_specs_equal_one_spec_at_a_time(self, drive, errors, noise):
-        # A stack holds at most E / (2 * 16^2) specs of two or more 16 x 16
-        # patterns, so the boundaries of the stacked exponentials fall inside
-        # this list; some specs carry fewer words.
-        count = 2 * (pst_core._EXPM_STACK_ENTRIES // (2 * 16**2)) + 3
+        # A stack holds at most E / (2 * d^2) specs of two or more d x d
+        # patterns, 16 x 16 noisy ones or 4 x 4 noiseless ones, so the
+        # boundaries of the stacked exponentials fall inside this list; some
+        # specs carry fewer words.
+        side = 4 if noise.kind == "none" else 16
+        count = 2 * (pst_core._EXPM_STACK_ENTRIES // (2 * side**2)) + 3
         errs = [CoherentErrorSpec(errors, scale=s) for s in np.linspace(-1.0, 1.0, count)]
         errs[3] = CoherentErrorSpec()
         errs[count // 2] = CoherentErrorSpec(errors[:1], scale=0.7)
@@ -603,6 +629,15 @@ class TestEffectiveGenerator:
             effective_generator(np.eye(16), 0.0)
         with pytest.raises(ValueError):
             effective_generator(np.eye(8), 0.5)
+
+    def test_rejects_a_non_finite_generator(self):
+        # The projection of a nan generator used to be nan, without an error.
+        generator = np.zeros((16, 16), dtype=complex)
+        generator[3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveGenerator.from_generator(generator, 0.5)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            EffectiveGenerator.from_generator(np.zeros((2, 16, 16)), 0.5)
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 8])
     def test_rejects_dimensions_off_the_qubit_registers(self, dim):

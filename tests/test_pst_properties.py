@@ -1,9 +1,10 @@
 """Property tests of the ensemble channel against the per-frame oracle,
 of its complete positivity (a PSD Choi matrix), of its coset-block log
 against the dense one, of the noiseless spectral blocks and band weights
-against dense oracles, of its evenness in the error scale when one Pauli
-word flips the whole error, of the effective generator's Hamiltonian, and
-of the group order that `pauli` owns and `pst_core` indexes by.
+against dense oracles, of the resolution bound's term-list 1-norm, of its
+evenness in the error scale when one Pauli word flips the whole error, of
+the effective generator's Hamiltonian, and of the group order that
+`pauli` owns and `pst_core` indexes by.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -190,6 +191,35 @@ class TestPauliTransferGenerators:
         drive, err, noise = inputs
         [channel] = twirled_channels(drive, [err], noise)
         assert_same_blocks(channel, liouville_noisy_blocks(drive, err, noise))
+
+
+@st.composite
+def term_lists(draw):
+    """Up to four lists of distinct non-identity words on 1 to 3 qubits,
+    each with at most five coefficients of any sign and magnitude."""
+    n = draw(st.integers(1, 3))
+    words = st.integers(1, 4**n - 1).map(lambda index: word_at(index, n))
+    coefficient = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    lists = draw(st.lists(st.lists(words, max_size=5, unique=True), min_size=1, max_size=4))
+    return n, [[(word, draw(coefficient)) for word in terms] for terms in lists]
+
+
+class TestCommutatorNorms:
+    """The resolution bound's 1-norm of -i H(h) from a term list's |c_k|
+    and one sign table, against the transfer matrix's largest column sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_lists())
+    @example((2, [[(pauli_from_label("XX"), 0.2), (pauli_from_label("YY"), -0.6),
+                   (pauli_from_label("ZZ"), 0.2), (pauli_from_label("YX"), 0.4),
+                   (pauli_from_label("ZX"), -1.0)], []]))
+    def test_equals_the_transfer_column_sum(self, inputs):
+        n, lists = inputs
+        transfers = pst_core._commutator_transfers(lists, n)
+        expected = np.abs(transfers).sum(axis=-2).max(axis=-1)
+        # Sums of at most five |c_k| in two orders part by under 1e-15.
+        np.testing.assert_allclose(pst_core._commutator_norms(lists, n), expected,
+                                   rtol=1e-15, atol=0)
 
 
 @st.composite
