@@ -49,7 +49,13 @@ from .magnus import (
     over_rotation_factor,
 )
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
-from .pst_core import TwirledChannel, _pauli_weight, _terms_matrix, twirled_channels
+from .pst_core import (
+    TwirledChannel,
+    _check_tau,
+    _pauli_weight,
+    _terms_matrix,
+    twirled_channels,
+)
 from .schema import (
     PauliLabel,
     _Config,
@@ -127,6 +133,7 @@ class Table1Config(_Config):
         super().__post_init__()
         with _as_config_error():
             check_drive_error_compat(self.drive_spec(), self.error_spec())
+            _check_tau(self.tau)
 
     def drive_spec(self) -> DriveSpec:
         return DriveSpec.single(self.drive, self.tau)
@@ -185,7 +192,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
-    if 0 < drive.tau < TABLE1_MIN_TAU:  # tau = 0 fails as a ValueError below
+    if drive.tau < TABLE1_MIN_TAU:
         raise ResolutionError(
             f"tau={drive.tau!r} is too short: the channel log's roundoff,"
             f" about eps/tau = {sys.float_info.epsilon / drive.tau:.1e} relative,"
@@ -384,8 +391,9 @@ class MagnusCheckConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.random_sets < 0:
-            raise ConfigError("random_sets must be >= 0")
+        for name in ("random_sets", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("tolerance", "omega1_tolerance", "quadrature_tol", "max_evaluations"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -399,9 +407,9 @@ class MagnusCheckConfig(_Config):
         if self.error_sets is not None:
             _require_nonempty(self, "error_sets")
         with _as_config_error():
-            drive = DriveSpec.single(self.drive, 0.0)
+            drives = [DriveSpec.single(self.drive, tau) for tau in self.taus]
             for pairs in self.resolved_error_sets():
-                check_drive_error_compat(drive, CoherentErrorSpec.from_amplitudes(pairs))
+                check_drive_error_compat(drives[0], CoherentErrorSpec.from_amplitudes(pairs))
 
     def resolved_error_sets(self) -> tuple[tuple[tuple[str, float], ...], ...]:
         """Explicit sets if given, else the default amplitudes plus seeded
@@ -475,12 +483,25 @@ class MagnusCheckReport:
         return "\n".join(lines) + "\n"
 
 
+def _finite_norm(m: np.ndarray, name: str) -> float:
+    """The Frobenius norm of ``m``; one that is not finite raises
+    ``ResolutionError``."""
+    norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise ResolutionError(
+            f"the {name} norm overflows double precision; the error amplitudes"
+            " are too large to resolve"
+        )
+    return norm
+
+
 def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusCheckReport:
     """Compare the quadrature and closed-form second-order averages, and
     record the first-order cancellation norm, per (tau, error set) pair.
 
-    Quadrature convergence failures are recorded in the row's note and the
-    run continues.
+    Quadrature convergence failures and values that overflow
+    (``ResolutionError``) are recorded in the row's note and the run
+    continues.
     """
     config = config if config is not None else MagnusCheckConfig()
     specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
@@ -490,15 +511,16 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
         drive = DriveSpec.single(config.drive, tau)
         for pairs, err in specs:
             try:
-                averaged = omega2_avg(drive, err, config.quadrature_tol,
-                                      config.max_evaluations)
-                closed = omega2_avg_closed(drive, err)
-                discrepancy = float(np.linalg.norm(averaged - closed))
-                omega1_norm = float(np.linalg.norm(omega1_avg(
-                    drive, err, config.quadrature_tol, config.max_evaluations
-                )))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    averaged = omega2_avg(drive, err, config.quadrature_tol,
+                                          config.max_evaluations)
+                    closed = omega2_avg_closed(drive, err)
+                    discrepancy = _finite_norm(averaged - closed, "discrepancy")
+                    omega1_norm = _finite_norm(omega1_avg(
+                        drive, err, config.quadrature_tol, config.max_evaluations
+                    ), "first-order term")
                 note = ""
-            except QuadratureError as exc:
+            except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None
                 note = str(exc)
             within = (discrepancy is not None and discrepancy <= config.tolerance

@@ -31,10 +31,10 @@ expands exactly as
 so the time-ordered integral needs only the scalar kernel triple
 (K01, K02, K12) of those three trigonometric factors over the triangle
 0 <= t2 <= t1 <= tau, and the first-order term only the integrals
-(J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau].  Both depend on tau
-alone, so each is integrated once per (tau, tol, max_evaluations) and
-cached as a read-only array (a failed quadrature is not cached, so its
-error reaches every caller); each frame then costs three
+(J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau], numpy expressions in
+the time arrays that depend on tau alone: each is integrated once per
+(tau, tol, max_evaluations) and cached read-only (a failed quadrature is
+not cached, so its error reaches every caller); each frame then costs three
 2^n x 2^n commutators, batched over the frame axis.  The sum over all
 4^n frames is kept explicit rather than collapsed by sign orthogonality,
 so the crosscheck does not assume the cancellation the closed form
@@ -50,10 +50,15 @@ matrix, summed over its frames:
     Omega2 = -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])).
 
 ``tol`` and ``max_evaluations`` therefore bound the refinement of the
-kernel vector (Frobenius norm of the level difference, integrand calls),
+kernel vector (Frobenius norm of the level difference, integrand points),
 not of a matrix sum; a frame's matrix error is at most that kernel error
 times the summed norms of the fixed matrices the kernels multiply (half
 the lifted commutators for the second-order term).
+
+Amplitudes large enough that a frame sum, a commutator or a lift
+overflows double precision raise ``ResolutionError``, in the quadrature
+terms and in the closed form alike, with numpy's overflow warnings kept
+quiet.
 
 Closed-form operations require a single drive Pauli with coefficient 1
 (the duration tau carries the rotation angle); the general multi-term
@@ -68,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResolutionError
 from .liouville import hamiltonian_superop
 from .numerics import interval_quadrature, triangle_quadrature
 from .pauli import (
@@ -285,12 +291,25 @@ def _read_only(kernels: np.ndarray) -> np.ndarray:
     return kernels
 
 
+def _lift(generator: np.ndarray, term: str) -> np.ndarray:
+    """-i H(generator) of the ``term``; a generator or a lift that is not
+    finite raises ``ResolutionError``.  Callers build the generator and
+    call this with numpy's overflow warnings off."""
+    if np.isfinite(generator).all():
+        lift = -1.0j * hamiltonian_superop(generator)
+        if np.isfinite(lift).all():
+            return lift
+    raise ResolutionError(
+        f"the {term} overflows double precision; the error amplitudes are too"
+        " large to resolve"
+    )
+
+
 @functools.lru_cache(maxsize=256)
-def _omega1_kernels(tau: float, tol: float,
-                    max_evaluations: int = 2**20) -> np.ndarray:
+def _omega1_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     """Integrals of (1, cos 2t, sin 2t) over [0, tau]."""
     return _read_only(interval_quadrature(
-        lambda t: np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)]),
+        lambda t: np.array([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)]),
         tau, tol, max_evaluations,
     ).value)
 
@@ -298,11 +317,12 @@ def _omega1_kernels(tau: float, tol: float,
 def _omega1_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
     """Sum over the frames of -i H(J0 c0 + J1 c1 + J2 c2), with J the
     interval kernels of `_omega1_kernels`."""
-    c0, c1, c2 = _frame_parts(drive, err, alpha).sum(axis=1)
-    j0, j1, j2 = (
-        _omega1_kernels(drive.tau, tol, max_evaluations) if drive.tau else np.zeros(3)
-    )
-    return -1.0j * hamiltonian_superop(j0 * c0 + j1 * c1 + j2 * c2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c1, c2 = _frame_parts(drive, err, alpha).sum(axis=1)
+        j0, j1, j2 = (
+            _omega1_kernels(drive.tau, tol, max_evaluations) if drive.tau else np.zeros(3)
+        )
+        return _lift(j0 * c0 + j1 * c1 + j2 * c2, "first-order term")
 
 
 def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -327,11 +347,11 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     (cos 2t2 - cos 2t1, sin 2t2 - sin 2t1, sin 2(t2 - t1))
     over the time-ordered triangle 0 <= t2 <= t1 <= tau."""
 
-    def kernels(t1: float, t2: float) -> np.ndarray:
+    def kernels(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         return np.array([
-            math.cos(2.0 * t2) - math.cos(2.0 * t1),
-            math.sin(2.0 * t2) - math.sin(2.0 * t1),
-            math.sin(2.0 * (t2 - t1)),
+            np.cos(2.0 * t2) - np.cos(2.0 * t1),
+            np.sin(2.0 * t2) - np.sin(2.0 * t1),
+            np.sin(2.0 * (t2 - t1)),
         ])
 
     return _read_only(triangle_quadrature(kernels, tau, tol, max_evaluations).value)
@@ -341,15 +361,16 @@ def _omega2_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
     """Sum over the frames of
     -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])),
     the exact expansion of -(1/2) iint [A(t1), A(t2)]."""
-    c0, c1, c2 = _frame_parts(drive, err, alpha)
-    k01, k02, k12 = (
-        _omega2_kernels(drive.tau, tol, max_evaluations)
-        if drive.tau and err.terms else np.zeros(3)
-    )
-    commutators = (
-        k01 * _commutator(c0, c1) + k02 * _commutator(c0, c2) + k12 * _commutator(c1, c2)
-    )
-    return -1.0j * hamiltonian_superop(-0.5j * commutators.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c1, c2 = _frame_parts(drive, err, alpha)
+        k01, k02, k12 = (
+            _omega2_kernels(drive.tau, tol, max_evaluations)
+            if drive.tau and err.terms else np.zeros(3)
+        )
+        commutators = (
+            k01 * _commutator(c0, c1) + k02 * _commutator(c0, c2) + k12 * _commutator(c1, c2)
+        )
+        return _lift(-0.5j * commutators.sum(axis=0), "second-order term")
 
 
 def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -392,4 +413,5 @@ def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     beta = drive.single_pauli()
     prefactor = drive.tau * (1.0 - sinc(2.0 * drive.tau)) / 2.0
     weight = anticommuting_sum_h2(drive, err)
-    return -1.0j * prefactor * weight * hamiltonian_superop(matrix_of(beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lift(prefactor * weight * matrix_of(beta), "closed-form second-order term")

@@ -20,10 +20,11 @@ Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
 run through one refinement loop that doubles the cell count until two
 successive levels agree; the Frobenius norm of the difference between
-levels is the reported error estimate, and the evaluation budget counts
-integrand calls (4 nodes per cell on the interval, the product grid of
-those nodes on the triangle).  Everything is deterministic, with a fixed
-summation order.
+levels is the reported error estimate.  Each level calls the integrand
+once, on arrays holding all of the level's points (4 nodes per cell on
+the interval, the product grid of those nodes on the triangle), and the
+evaluation budget counts those points.  Everything is deterministic,
+with a fixed summation order.
 """
 
 from __future__ import annotations
@@ -249,19 +250,19 @@ def _composite_rule(cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule on [0, 1]."""
     width = 1.0 / cells
     offsets = width * (_GL_NODES + 1.0) / 2.0
-    nodes = np.concatenate([c * width + offsets for c in range(cells)])
+    nodes = (np.arange(cells)[:, None] * width + offsets).ravel()
     weights = np.tile(_GL_WEIGHTS * width / 2.0, cells)
     return nodes, weights
 
 
-def _refine(level_sum, dims: int, tol: float, max_evaluations: int,
-            name: str) -> QuadratureResult:
+def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureResult:
     """Cell-doubling refinement shared by both quadratures.
 
-    ``level_sum(nodes, weights)`` evaluates one level of the composite rule
-    in ``dims`` dimensions, ``nodes.size ** dims`` integrand calls; levels
-    double the cell count until two successive ones agree to ``tol`` in
-    Frobenius norm.
+    ``grid(cells)`` returns one level's points, a tuple of coordinate
+    arrays, and their weights; ``f`` is called once per level on those
+    arrays and returns its values with the point axis last (a scalar
+    broadcasts).  Levels double the cell count until two successive ones
+    agree to ``tol`` in Frobenius norm; the budget counts points.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -270,9 +271,8 @@ def _refine(level_sum, dims: int, tol: float, max_evaluations: int,
     evaluations = 0
     cells = 1
     while True:
-        nodes, weights = _composite_rule(cells)
-        count = nodes.size**dims
-        if evaluations + count > max_evaluations:
+        points, weights = grid(cells)
+        if evaluations + weights.size > max_evaluations:
             best = None
             if previous is not None and math.isfinite(estimate):
                 best = QuadratureResult(previous, estimate, evaluations)
@@ -282,8 +282,8 @@ def _refine(level_sum, dims: int, tol: float, max_evaluations: int,
                 f" {estimate:.3e})",
                 best=best,
             )
-        current = level_sum(nodes, weights)
-        evaluations += count
+        current = (np.asarray(f(*points), dtype=complex) * weights).sum(axis=-1)
+        evaluations += weights.size
         if previous is not None:
             estimate = float(np.linalg.norm(current - previous))
             if estimate <= tol:
@@ -294,18 +294,16 @@ def _refine(level_sum, dims: int, tol: float, max_evaluations: int,
 
 def interval_quadrature(f, upper: float, tol: float = 1e-9,
                         max_evaluations: int = 2**20) -> QuadratureResult:
-    """Integrate f(t) over [0, upper] by cell-doubling refinement."""
+    """Integrate f(t) over [0, upper] by cell-doubling refinement; ``f``
+    takes a level's time array and returns values on its last axis."""
     if upper <= 0:
         raise ValueError(f"upper limit must be positive, got {upper}")
 
-    def level_sum(nodes, weights):
-        total = None
-        for node, weight in zip(nodes, weights):
-            term = weight * np.asarray(f(upper * node), dtype=complex)
-            total = term if total is None else total + term
-        return upper * total
+    def grid(cells):
+        nodes, weights = _composite_rule(cells)
+        return (upper * nodes,), upper * weights
 
-    return _refine(level_sum, 1, tol, max_evaluations, "interval")
+    return _refine(f, grid, tol, max_evaluations, "interval")
 
 
 def triangle_quadrature(f, tau: float, tol: float = 1e-9,
@@ -315,21 +313,18 @@ def triangle_quadrature(f, tau: float, tol: float = 1e-9,
     The triangle maps onto the unit square through (t1, t2) =
     (tau u, tau u v) with Jacobian tau^2 u, then a composite 4-point
     Gauss-Legendre product rule is applied and the cell count doubled
-    until successive levels agree to ``tol`` in Frobenius norm.
+    until successive levels agree to ``tol`` in Frobenius norm.  ``f``
+    takes a level's (t1, t2) arrays and returns values on their last axis.
 
     Raises ``QuadratureError`` (carrying the best estimate) if ``tol``
-    is not reached within ``max_evaluations`` integrand calls.
+    is not reached within ``max_evaluations`` integrand points.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
 
-    def level_sum(nodes, weights):
-        total = None
-        for u, wu in zip(nodes, weights):
-            t1 = tau * u
-            for v, wv in zip(nodes, weights):
-                term = (wu * wv * u) * np.asarray(f(t1, t1 * v), dtype=complex)
-                total = term if total is None else total + term
-        return (tau * tau) * total
+    def grid(cells):
+        nodes, weights = _composite_rule(cells)
+        u, v = np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)
+        return (tau * u, tau * u * v), np.outer(weights, weights).ravel() * u * (tau * tau)
 
-    return _refine(level_sum, 2, tol, max_evaluations, "triangle")
+    return _refine(f, grid, tol, max_evaluations, "triangle")

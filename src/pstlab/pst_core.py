@@ -284,19 +284,21 @@ def _commutator_norms(term_lists, n: int) -> np.ndarray:
     return 2 * (anticommuting * np.abs(weights[:, None, list(words)])).sum(axis=-1).max(axis=1)
 
 
-def _check_resolved(norms: np.ndarray) -> None:
-    """Refuse patterns whose Hamiltonian parts, of 1-norms ``norms``, take
-    `expm` more than _MAX_HAMILTONIAN_SQUARINGS squarings; a dissipative
-    part of any size loses nothing measurable."""
-    norm = float(norms.max())
-    squarings = squarings_for(norm)
-    if squarings > _MAX_HAMILTONIAN_SQUARINGS:
-        raise ResolutionError(
-            f"a drive-sign pattern's Hamiltonian part has 1-norm {norm:.3e}, which"
-            f" takes {squarings} squarings to exponentiate, past the"
-            f" {_MAX_HAMILTONIAN_SQUARINGS} that keep rounding below sqrt(eps);"
-            " reduce the error scale or tau"
-        )
+def _check_resolved(norms: np.ndarray, errs: list[CoherentErrorSpec]) -> None:
+    """Refuse the specs ``errs`` if the Hamiltonian part of a pattern, of
+    1-norm ``norms[k]`` for spec k, takes `expm` more than
+    _MAX_HAMILTONIAN_SQUARINGS squarings, naming the first such spec's
+    scale; a dissipative part of any size loses nothing measurable."""
+    for norm, err in zip(norms.tolist(), errs):
+        squarings = squarings_for(norm)
+        if squarings > _MAX_HAMILTONIAN_SQUARINGS:
+            raise ResolutionError(
+                f"a drive-sign pattern's Hamiltonian part has 1-norm {norm:.3e}, which"
+                f" takes {squarings} squarings to exponentiate, past the"
+                f" {_MAX_HAMILTONIAN_SQUARINGS} that keep rounding below sqrt(eps)"
+                f" (the first refused spec has error scale {err.scale!r});"
+                " reduce the error scale or tau"
+            )
 
 
 def _checked_log(k: np.ndarray) -> np.ndarray:
@@ -435,7 +437,7 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     for start in range(0, len(errs), chunk_size):
         chunk = errs[start:start + chunk_size]
         kept = bands([_pattern_terms(drive, err, s) for err in chunk for s in patterns])
-        _check_resolved(norms[start:start + chunk_size])  # an expm overflow raises first
+        _check_resolved(norms[start:start + chunk_size], chunk)  # an expm overflow raises first
         average = np.zeros((len(chunk), group.size, words.size), dtype=complex)
         for chi, band in zip(characters, kept.swapaxes(0, 1)):
             average += chi[:, None] * band

@@ -338,6 +338,34 @@ class TestMagnusCheckCommand:
         payload = json.loads(out)  # report still emitted for triage
         assert payload["rows"][0]["note"] != ""
 
+    @pytest.mark.parametrize("amplitude, overflowing", [
+        ("1e150", "discrepancy norm"), ("1e160", "second-order term"),
+    ])
+    def test_overflow_is_recorded_as_numerical_failure(self, amplitude, overflowing,
+                                                       capsys):
+        # XX = 1e160 used to exit 1 as a config error after numpy
+        # RuntimeWarnings, and XX = 1e150 to write "discrepancy": Infinity.
+        code, out, err = run_cli(capsys, "magnus-check", "--taus", "0.5",
+                                 "--error-set", f"XX={amplitude};YY=0.2")
+        assert code == 2
+        assert "Warning" not in err
+        assert err == ("pstlab: numerical failure: 1 crosscheck row(s) exceeded"
+                       " tolerance or failed to converge\n")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        (row,) = json.loads(out, parse_constant=refuse)["rows"]
+        assert (row["discrepancy"], row["omega1_norm"]) == (None, None)
+        assert row["note"] == (f"the {overflowing} overflows double precision; the"
+                               " error amplitudes are too large to resolve")
+
+    def test_negative_seed_is_refused_by_name(self, capsys):
+        # numpy's own refusal, "expected non-negative integer", names no field.
+        code, out, err = run_cli(capsys, "magnus-check", "--seed=-1", "--dump-config")
+        assert (code, out) == (1, "")
+        assert err == "pstlab: config error: seed must be >= 0, got -1\n"
+
     def test_tolerance_failure_is_typed(self, capsys):
         argv = ["magnus-check", "--taus", "0.5", "--error-set", "XX=0.2",
                 "--tolerance", "1e-30"]
@@ -438,6 +466,11 @@ UNRUNNABLE_ARGV = [
     ["table1", "--drive", "ZXI", "--error", "XX=0.2"],
     ["magnus-check", "--drive", "X"],
     ["magnus-check", "--drive", "XX"],
+    ["magnus-check", "--taus=-1"],
+    ["magnus-check", "--taus=0.5,nan"],
+    ["magnus-check", "--taus=inf"],
+    ["magnus-check", "--seed=-1"],
+    ["table1", "--tau", "0"],
 ]
 
 # An empty list that would leave a run with nothing to do, and its field.

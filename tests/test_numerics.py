@@ -441,7 +441,7 @@ class TestTriangleQuadrature:
 
     def test_sine_integrand(self):
         # Analytic value integral sin(2(t2 - t1)) = (sin(2 tau) - 2 tau) / 4.
-        result = triangle_quadrature(lambda t1, t2: math.sin(2 * (t2 - t1)), 0.5)
+        result = triangle_quadrature(lambda t1, t2: np.sin(2 * (t2 - t1)), 0.5)
         assert complex(result.value).real == pytest.approx(
             (math.sin(1.0) - 1.0) / 4.0, abs=1e-10
         )
@@ -452,14 +452,14 @@ class TestTriangleQuadrature:
 
     def test_matrix_integrand(self):
         h = hamiltonian_superop(matrix_of(pauli_from_label("Z")))
-        result = triangle_quadrature(lambda t1, t2: (t1 + t2) * h, 1.0)
+        result = triangle_quadrature(lambda t1, t2: h[..., None] * (t1 + t2), 1.0)
         # integral of (t1 + t2) over the unit triangle is 1/2.
         np.testing.assert_allclose(result.value, 0.5 * h, atol=1e-10)
 
     def test_budget_failure_carries_best(self):
         with pytest.raises(QuadratureError) as excinfo:
             triangle_quadrature(
-                lambda t1, t2: math.sin(2 * (t2 - t1)), 2.5, tol=1e-30,
+                lambda t1, t2: np.sin(2 * (t2 - t1)), 2.5, tol=1e-30,
                 max_evaluations=500,
             )
         best = excinfo.value.best
@@ -492,12 +492,30 @@ class TestTriangleQuadrature:
 
 class TestIntervalQuadrature:
     def test_sine(self):
-        result = interval_quadrature(math.sin, 1.0, tol=1e-12)
+        result = interval_quadrature(np.sin, 1.0, tol=1e-12)
         assert complex(result.value).real == pytest.approx(1 - math.cos(1.0), abs=1e-11)
 
     def test_budget_failure(self):
         with pytest.raises(QuadratureError):
-            interval_quadrature(math.sin, 1.0, tol=1e-30, max_evaluations=10)
+            interval_quadrature(np.sin, 1.0, tol=1e-30, max_evaluations=10)
+
+
+@pytest.mark.parametrize("rule, arity", [
+    (interval_quadrature, 1), (triangle_quadrature, 2),
+], ids=["interval", "triangle"])
+def test_each_level_calls_the_integrand_once(rule, arity):
+    # Level k has 2^k cells of 4 nodes per axis, all passed in one call.
+    shapes = []
+
+    def integrand(*times):
+        shapes.append([t.shape for t in times])
+        return np.sin(sum(times))
+
+    result = rule(integrand, 1.0, tol=1e-12)
+    sizes = [(4 * 2**level) ** arity for level in range(len(shapes))]
+    assert len(shapes) >= 3
+    assert shapes == [[(size,)] * arity for size in sizes]
+    assert result.evaluations == sum(sizes)
 
 
 class TestQuadratureResult:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pstlab.errors import (
     BranchCutError,
     CalibrationError,
     DefectiveMatrixError,
+    ResolutionError,
     ResourceLimitError,
 )
 from pstlab.liouville import (
@@ -530,6 +532,17 @@ class TestChannelValidation:
         monkeypatch.setenv(MAX_QUBITS_ENV, "1")
         with pytest.raises(ResourceLimitError):
             pst_channel(drive_zx())
+
+    def test_resolution_refusal_names_the_first_refused_spec(self):
+        # One noiseless chunk: the spec at scale 1e8 (27 squarings) comes
+        # before the larger one at -1e9 (31 squarings), and is named.
+        errs = [table1_error(scale) for scale in (1.0, 1e8, -1e9)]
+        with pytest.raises(ResolutionError, match=re.escape(
+            "1-norm 6.000e+08, which takes 27 squarings to exponentiate, past the 26"
+            " that keep rounding below sqrt(eps) (the first refused spec has error"
+            " scale 100000000.0); reduce the error scale or tau"
+        )):
+            twirled_channels(drive_zx(2.5), errs)
 
 
 class TestEffectiveGenerator:

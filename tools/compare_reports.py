@@ -74,6 +74,17 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "table1-xx-1e20": ("table1", "--error", "XX=1e20"),
     "magnus-check": ("magnus-check",),
     "magnus-check-seed0": ("magnus-check", "--seed", "0"),
+    "magnus-check-csv": ("magnus-check", "--format", "csv"),
+    "magnus-check-seed3-csv": ("magnus-check", "--seed", "3", "--format", "csv"),
+    "magnus-check-budget": ("magnus-check", "--taus", "0.5,1.0", "--max-evaluations", "50"),
+    # The 4,096-point level of the triangle rule.
+    "magnus-check-tau2.5": ("magnus-check", "--taus", "2.5", "--error-set", "XX=0.2;YY=0.6"),
+    "magnus-check-xx-1e150": ("magnus-check", "--error-set", "XX=1e150;YY=0.2",
+                              "--taus", "0.5"),
+    "magnus-check-xx-1e160": ("magnus-check", "--error-set", "XX=1e160;YY=0.2",
+                              "--taus", "0.5"),
+    "magnus-check-negative-tau": ("magnus-check", "--taus=-1", "--dump-config"),
+    "table1-tau0": ("table1", "--tau", "0"),
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
     "sign-table": ("sign-table", "--qubits", "2"),
     "calibrate-text": ("calibrate", "--theta", "1.2", "--sum-h2", "0.24"),
