@@ -53,7 +53,6 @@ from .pst_core import (
     TwirledChannel,
     _check_tau,
     _pauli_weight,
-    _terms_matrix,
     twirled_channels,
 )
 from .schema import (
@@ -180,9 +179,10 @@ class Table1Report:
 def run_table1(config: Table1Config | None = None) -> Table1Report:
     """Compare effective Hamiltonian weights with and without the twirl.
 
-    The untwirled row reads the Pauli weights of the identity frame's
-    2^n x 2^n Hamiltonian directly, with no channel and no log, so it
-    reproduces the input amplitudes at every tau; the twirled row reads
+    The untwirled row reads each weight by label off the identity frame's
+    term list (scaled errors, then drive; no word repeats), with no
+    channel, no log and no rounding, so it is the input amplitudes at
+    every tau; the twirled row reads
     `TwirledChannel.hamiltonian` of the ensemble channel, the 2^n x 2^n
     Hamiltonian part of its principal log, with no 4^n x 4^n array.  The
     twirl zeroes the error words and amplifies the drive weight, which is
@@ -203,7 +203,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 
     channel = twirled_channels(drive, [err])[0]
     twirled = channel.hamiltonian()
-    untwirled = _terms_matrix(err.scaled_terms() + drive.terms)
+    untwirled = {word.label: c for word, c in err.scaled_terms() + drive.terms}
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
     numeric = _pauli_weight(twirled, config.drive)
@@ -215,7 +215,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     agreement = 100.0 * (1.0 - abs(numeric - theoretical) / numeric)
     return Table1Report(
         config=config,
-        no_pst={label: _pauli_weight(untwirled, label) for label in labels},
+        no_pst={label: untwirled[label] for label in labels},
         pst={label: _pauli_weight(twirled, label) for label in labels},
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,

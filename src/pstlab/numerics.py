@@ -11,10 +11,11 @@ batched stack, bit for bit as alone, and a squaring that overflows
 raises ``ResolutionError`` instead of returning inf or nan.  Only
 dissipative generators need it; a unitary exp(-i t h) of a Hermitian h
 comes from one batched `eigh` instead (`expm_hermitian`).  The principal
-logarithm is an explicit, batched eigendecomposition, so that branch-cut
-proximity and defective inputs surface as errors instead of silently
-degraded results; a block-diagonal matrix is logged block by block, with
-the same checks as one dense matrix.
+logarithm is an explicit, batched eigendecomposition under one rule for
+each matrix of a stack, the branch cut and then reconstruction, so that
+branch-cut proximity and defective inputs surface as errors instead of
+silently degraded results; a block-diagonal matrix is logged block by
+block, under the same rule as one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
@@ -195,12 +196,12 @@ def logm_principal(m) -> np.ndarray:
     """Principal matrix logarithm via eigendecomposition, of one square
     matrix or of each matrix in a stack of shape (..., d, d).
 
-    Requires diagonalizable inputs with every eigenvalue farther than
-    ``BRANCH_TOL`` from the closed negative real axis (the branch cut,
-    including 0).  Eigenvalue arguments of the result lie in (-pi, pi).
-    A near-defective eigenbasis raises instead of silently degrading: the
-    reconstruction residual of each matrix, a stack's too, is judged
-    against that matrix's own norm.
+    The one place a log is accepted, each matrix of a stack judged alone:
+    an eigenvalue within ``BRANCH_TOL`` of the closed negative real axis
+    (the branch cut, including 0) raises ``BranchCutError``; a singular
+    eigenbasis, or a log whose exponential misses its matrix by more than
+    1e-12 of that matrix's Frobenius norm (at least 1), raises
+    ``DefectiveMatrixError``.  Eigenvalue arguments lie in (-pi, pi).
     """
     m = _as_square_finite(m)
     eigvals, eigvecs = np.linalg.eig(m)
@@ -218,6 +219,7 @@ def logm_principal(m) -> np.ndarray:
             " branch cut of the principal logarithm; reduce the evolution"
             " time tau so the eigenphases stay inside (-pi, pi)"
         )
+    # LinAlgError is a ValueError, which the CLI reads as bad input.
     try:
         inverse = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:
@@ -225,17 +227,15 @@ def logm_principal(m) -> np.ndarray:
             "eigenbasis is singular; the matrix is defective and has no"
             " eigendecomposition logarithm"
         ) from None
-    # Frobenius residual of each matrix, against that matrix's own norm.
-    residual = np.linalg.norm((eigvecs * eigvals[..., None, :]) @ inverse - m,
-                              axis=(-2, -1))
-    bound = 1e-9 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if np.any(residual > bound):
+    log = (eigvecs * np.log(eigvals)[..., None, :]) @ inverse
+    miss = np.linalg.norm(expm(log) - m, axis=(-2, -1))
+    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if np.any(miss > bound):
         raise DefectiveMatrixError(
-            "eigenbasis too ill-conditioned for a reliable logarithm"
-            f" (reconstruction residual {residual[residual > bound].max():.3e});"
-            " the matrix is defective or nearly so"
+            f"the principal log reconstructs the channel only to {float(miss.max()):.3e};"
+            " the channel is defective or nearly so"
         )
-    return (eigvecs * np.log(eigvals)[..., None, :]) @ inverse
+    return log
 
 
 def op_norm(m) -> float:
@@ -317,10 +317,16 @@ def triangle_quadrature(f, tau: float, tol: float = 1e-9,
     takes a level's (t1, t2) arrays and returns values on their last axis.
 
     Raises ``QuadratureError`` (carrying the best estimate) if ``tol``
-    is not reached within ``max_evaluations`` integrand points.
+    is not reached within ``max_evaluations`` integrand points, and
+    ``ResolutionError`` up front where tau^2 overflows (above 1.3e154).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if not math.isfinite(tau * tau):
+        raise ResolutionError(
+            f"tau={tau!r} is too long: the triangle's Jacobian tau^2 overflows"
+            " double precision"
+        )
 
     def grid(cells):
         nodes, weights = _composite_rule(cells)

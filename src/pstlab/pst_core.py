@@ -69,20 +69,19 @@ part is the one traceless Hermitian matrix h = herm(L - R^T) / 2^(n+1)
 gate reads 1 on its drive word).  A channel has no generator of its
 own: `effective_generator` takes its principal log first, and so reads
 the generator back only while the channel eigenphases stay inside
-(-pi, pi); it refuses a log whose exponential does not give the channel
-back to 1e-12 of its norm (`_checked_log`).
+(-pi, pi).  `logm_principal` alone accepts the log, by one rule for every
+caller: the branch cut, then reconstruction to 1e-12 of the matrix's norm.
 
 `TwirledChannel.hamiltonian` never forms the dense log.  The log of a
 block-diagonal matrix is the block-diagonal matrix of the blocks' logs,
-so it logs the coset blocks as one stack of 2^m x 2^m matrices, refused
-by the same rule block by block, each against its own norm.  H_g
-has Pauli-transfer entries only at (g XOR j, j) (see above), so with
-X = log / (-i tau) the weight
+so it logs the coset blocks as one stack of 2^m x 2^m matrices, which
+`logm_principal` accepts or refuses block by block, each against its own
+norm.  H_g has Pauli-transfer entries only at (g XOR j, j) (see above),
+so with X = log / (-i tau) the weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
 reads the (i, i XOR g) band alone, and every word outside <D> weighs 0.
-The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads through
-the same tr(P h) / 2^n rule as its untwirled row, the identity frame's
-Hamiltonian.
+The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads back
+word by word as tr(P h) / 2^n.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrixError, ResolutionError
+from .errors import ResolutionError
 from .liouville import (
     NoiseSpec,
     _finite_matrix,
@@ -132,10 +131,6 @@ __all__ = [
     "pst_realization",
     "twirled_channels",
 ]
-
-# `_checked_log` refuses a log whose exponential misses its matrix by more
-# than this times that matrix's Frobenius norm (at least 1).
-_LOG_RECONSTRUCTION_TOL = 1e-12
 
 # Patterns are exponentiated as stacks of whole error specs that hold at
 # most this many pattern-matrix entries, and at least one spec: at n = 2,
@@ -301,23 +296,6 @@ def _check_resolved(norms: np.ndarray, errs: list[CoherentErrorSpec]) -> None:
             )
 
 
-def _checked_log(k: np.ndarray) -> np.ndarray:
-    """The principal log of a matrix or of each matrix of a stack, refused
-    (``DefectiveMatrixError``) where its exponential misses a matrix by more
-    than _LOG_RECONSTRUCTION_TOL of that matrix's norm: near an exceptional
-    point the log can pass its own eigenbasis check and be off by 1e-9."""
-    log = logm_principal(k)
-    k = np.asarray(k, dtype=complex)
-    miss = np.linalg.norm(expm(log) - k, axis=(-2, -1))
-    bound = _LOG_RECONSTRUCTION_TOL * np.maximum(1.0, np.linalg.norm(k, axis=(-2, -1)))
-    if np.any(miss > bound):
-        raise DefectiveMatrixError(
-            f"the principal log reconstructs the channel only to {float(miss.max()):.3e};"
-            " the channel is defective or nearly so"
-        )
-    return log
-
-
 def _check_tau(tau: float) -> None:
     """A log divided by -i tau reads a generator only for a positive tau."""
     if not math.isfinite(tau) or tau <= 0:
@@ -349,11 +327,12 @@ class TwirledChannel:
         """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal
         log, read off the log's (i, i XOR g) bands for g in <D> (see the
         module notes); the same as `EffectiveGenerator.from_generator` of
-        the dense log.  A block log that misses its block by more than
-        1e-12 of the block's norm raises ``DefectiveMatrixError``."""
+        the dense log.  `logm_principal` logs the blocks and refuses, by its
+        one rule, a block near the branch cut or whose log misses it by more
+        than 1e-12 of its norm (``BranchCutError``, ``DefectiveMatrixError``)."""
         _check_tau(self.tau)
         cosets, n = self.cosets, self._n_qubits
-        group, log = cosets[0], _checked_log(self.blocks)
+        group, log = cosets[0], logm_principal(self.blocks)
         p = np.arange(group.size)
         bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
         terms = _product_phases(group, n).imag[:, cosets] * bands
@@ -548,7 +527,7 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
     weights are aliased.
 
     A log whose exponential misses the channel by more than 1e-12 times
-    its Frobenius norm (at least 1) raises ``DefectiveMatrixError``
-    (`_checked_log`).
+    its Frobenius norm (at least 1) raises ``DefectiveMatrixError``; that
+    rule, like the branch cut's, is `logm_principal`'s.
     """
-    return EffectiveGenerator.from_generator(_checked_log(k), tau)
+    return EffectiveGenerator.from_generator(logm_principal(k), tau)

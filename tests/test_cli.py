@@ -360,6 +360,18 @@ class TestMagnusCheckCommand:
         assert row["note"] == (f"the {overflowing} overflows double precision; the"
                                " error amplitudes are too large to resolve")
 
+    def test_overflowing_triangle_jacobian_is_recorded(self, capsys):
+        # tau^2 overflows: the row records the refusal instead of spending
+        # the whole evaluation budget on nan levels.
+        code, out, err = run_cli(capsys, "magnus-check", "--taus", "1e300",
+                                 "--error-set", "XX=0.2")
+        assert code == 2
+        assert "Warning" not in err
+        (row,) = json.loads(out)["rows"]
+        assert (row["discrepancy"], row["omega1_norm"]) == (None, None)
+        assert row["note"] == ("tau=1e+300 is too long: the triangle's Jacobian tau^2"
+                               " overflows double precision")
+
     def test_negative_seed_is_refused_by_name(self, capsys):
         # numpy's own refusal, "expected non-negative integer", names no field.
         code, out, err = run_cli(capsys, "magnus-check", "--seed=-1", "--dump-config")

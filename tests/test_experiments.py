@@ -40,12 +40,16 @@ class TestTable1:
     @pytest.mark.parametrize("tau", [0.5, 0.95, 1.0])
     def test_untwirled_row_reproduces_inputs(self, tau):
         # Past tau = 0.93 the default terms push the raw gate's eigenphases
-        # beyond pi, where a log of its exponential would alias.
+        # beyond pi, where a log of its exponential would alias.  The row is
+        # read off the term list, so it is exact.
         report = run_table1(Table1Config(tau=tau))
         inputs = {"XX": 0.2, "YY": 0.6, "ZZ": 0.2, "YX": 0.4, "ZX": 1.0}
-        assert report.no_pst.keys() == inputs.keys()
-        for label, amplitude in inputs.items():
-            assert abs(report.no_pst[label] - amplitude) <= 1e-12
+        assert report.no_pst == inputs
+        assert list(report.no_pst) == list(inputs)
+
+    def test_untwirled_row_is_the_scaled_inputs(self):
+        config = Table1Config(drive="ZZZZ", errors=(("XIII", 0.25), ("IYZX", 0.1)), scale=-1.5)
+        assert run_table1(config).no_pst == {"XIII": -1.5 * 0.25, "IYZX": -1.5 * 0.1, "ZZZZ": 1.0}
 
     def test_zero_error_config(self):
         config = Table1Config(errors=(("XX", 0.0), ("YY", 0.0)))

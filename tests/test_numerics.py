@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ from pstlab.numerics import (
     triangle_quadrature,
 )
 from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without the `test` extra the log property is not collected
+    st = None
 
 SIGMA_Z = np.diag([1.0 + 0j, -1.0 + 0j])
 
@@ -347,9 +354,11 @@ class TestStackedLogm:
 
     def test_residual_is_judged_per_block(self):
         # Four well-conditioned blocks of norm about 140 and one nearly
-        # defective block of norm 0.84.  Its reconstruction residual fails
-        # its own bound 1e-9 but would pass one of 1e-9 times the norm of
-        # the whole stack.
+        # defective block of norm 0.84, whose eigenbasis misses it by more
+        # than 1e-9 of its own norm but less than 1e-9 of the stack's.  Its
+        # log's exponential must give it back to 1e-12 of its own norm,
+        # which that eigenbasis cannot; a bound scaled by the norm of the
+        # whole stack would let it pass.
         stack, _ = unitary_stack(5, 2, seed=16)
         stack *= 100.0
         similarity = np.array([[1.0, 0.3], [0.2, 1.0]])
@@ -369,6 +378,49 @@ class TestStackedLogm:
         for shape in ((3,), (4, 2, 3)):
             with pytest.raises(ValueError, match="square"):
                 logm_principal(np.ones(shape))
+
+
+if st is not None:
+    @st.composite
+    def log_stacks(draw):
+        """1-4 exponentials of small random d x d generators, d in 1..4.
+        A Jordan-like generator is a multiple of the identity plus a
+        strictly upper triangular (nilpotent) part of scale 1e-16..1, so
+        its exponential has one repeated eigenvalue and a nearly
+        defective or defective eigenbasis."""
+        d = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        generators = []
+        for _ in range(draw(st.integers(1, 4))):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            if draw(st.booleans()):
+                nilpotent = 10.0 ** draw(st.integers(-16, 0)) * np.triu(g, 1)
+                g = rng.normal() * np.eye(d) + nilpotent
+            generators.append(draw(st.floats(0.0, 1.5)) * g)
+        return expm(np.array(generators))
+
+    def refused(m) -> bool:
+        try:
+            logm_principal(m)
+        except (BranchCutError, DefectiveMatrixError):
+            return True
+        return False
+
+    class TestLogAcceptanceRule:
+        @settings(max_examples=200, deadline=None)
+        @given(log_stacks())
+        def test_a_stack_obeys_the_rule_matrix_by_matrix(self, stack):
+            # Any other exception fails the property.
+            alone = [refused(m) for m in stack]
+            if refused(stack):
+                assert any(alone)
+                return
+            assert not any(alone)
+            logs = logm_principal(stack)
+            for m, log in zip(stack, logs):
+                miss = np.linalg.norm(expm(log) - m)
+                assert miss <= 1e-12 * max(1.0, np.linalg.norm(m))
+                np.testing.assert_allclose(log, logm_principal(m), rtol=0, atol=1e-13)
 
 
 class TestOpNorm:
@@ -482,6 +534,17 @@ class TestTriangleQuadrature:
             errors.append(abs(total * 2.5**2 - exact))
         slopes = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(slopes) >= QUADRATURE_ORDER - 1
+
+    @pytest.mark.parametrize("tau", [1e155, 1e200, 1e300, math.inf])
+    def test_overflowing_jacobian_is_refused_up_front(self, tau):
+        # Past about 1.3e154, tau^2 is inf and so is every weight: each
+        # level would read nan until the budget ran out.
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="tau\\^2 overflows"):
+                triangle_quadrature(lambda t1, t2: calls.append(t1) or 1.0, tau)
+        assert calls == []
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):

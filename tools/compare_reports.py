@@ -83,6 +83,8 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
                               "--taus", "0.5"),
     "magnus-check-xx-1e160": ("magnus-check", "--error-set", "XX=1e160;YY=0.2",
                               "--taus", "0.5"),
+    # tau^2 overflows the triangle rule's Jacobian.
+    "magnus-check-tau-1e300": ("magnus-check", "--taus", "1e300", "--error-set", "XX=0.2"),
     "magnus-check-negative-tau": ("magnus-check", "--taus=-1", "--dump-config"),
     "table1-tau0": ("table1", "--tau", "0"),
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
