@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError, ResolutionError
+from .errors import BranchCutError, ConfigError, QuadratureError, ResolutionError
 from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
@@ -188,7 +188,10 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     twirl zeroes the error words and amplifies the drive weight, which is
     compared against the sinc-law prediction.
     A tau below ``TABLE1_MIN_TAU`` raises ``ResolutionError``: there the
-    log's roundoff swamps the weights.
+    log's roundoff swamps the weights.  A twirled drive rotation
+    2 tau f >= pi, f the sinc law's drive weight, raises ``BranchCutError``
+    after the log is accepted: past pi the principal log can only read an
+    aliased branch.
     """
     config = config if config is not None else Table1Config()
     drive = config.drive_spec()
@@ -206,6 +209,14 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     untwirled = {word.label: c for word, c in err.scaled_terms() + drive.terms}
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
+    rotation = 2.0 * drive.tau * theoretical
+    if rotation >= math.pi:
+        raise BranchCutError(
+            f"the twirled drive rotates the channel's eigenphases by 2 tau f ="
+            f" {rotation:.6g}, past pi: the principal log reads an aliased branch"
+            f" beyond its branch cut, so the {config.drive} weight is not the"
+            " generator's; reduce tau"
+        )
     numeric = _pauli_weight(twirled, config.drive)
     if numeric == 0:
         raise ResolutionError(

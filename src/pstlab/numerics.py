@@ -21,7 +21,8 @@ Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
 run through one refinement loop that doubles the cell count until two
 successive levels agree; the Frobenius norm of the difference between
-levels is the reported error estimate.  Each level calls the integrand
+levels, its entries scaled by a power of two so that no square
+overflows, is the reported error estimate.  Each level calls the integrand
 once, on arrays holding all of the level's points (4 nodes per cell on
 the interval, the product grid of those nodes on the triangle), and the
 evaluation budget counts those points.  Everything is deterministic,
@@ -255,6 +256,15 @@ def _composite_rule(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F without overflow in the squares: the entries are scaled by a
+    power of two near the largest magnitude, exactly, before they are
+    squared, so the norm keeps its bits wherever the plain sum fits."""
+    exponent = min(max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], -1000), 1000)
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a * 2.0**-exponent) * 2.0**exponent)
+
+
 def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureResult:
     """Cell-doubling refinement shared by both quadratures.
 
@@ -285,7 +295,7 @@ def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureR
         current = (np.asarray(f(*points), dtype=complex) * weights).sum(axis=-1)
         evaluations += weights.size
         if previous is not None:
-            estimate = float(np.linalg.norm(current - previous))
+            estimate = _frobenius(current - previous)
             if estimate <= tol:
                 return QuadratureResult(current, estimate, evaluations)
         previous = current

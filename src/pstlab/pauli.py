@@ -19,10 +19,14 @@ lexicographic with I < X < Y < Z per qubit and the leftmost qubit most
 significant, so `PauliString.index` has the base-4 digits I=0, X=1, Y=2,
 Z=3 (`word_at` inverts it).  In these digits one-qubit words multiply by
 XOR, P_a P_b = _PRODUCT_PHASE[a][b] P_(a XOR b), and the phase squares to
-the commutation sign.  Group order is a Kronecker order, so the numpy
-sign table (`sign_table`) and `pst_core`'s phases are Kronecker powers
-of these plain-tuple tables, with columns picked by word index.  numpy
-is imported only where arrays are built, by `matrix_of` and `sign_table`.
+the commutation sign.  Group order is a Kronecker order, so every table
+the twirl needs over n qubits is a Kronecker power of one one-qubit
+table.  `_per_leg` is the one routine that applies such a power: along
+the last axis of a stack, one leg at a time (4 for Pauli words, 2 for
+elements of a drive group), leftmost leg most significant.  The numpy
+sign table (`sign_table`) and `pst_core`'s product phases, Pauli spectra,
+twirl characters and Pauli-transfer basis all run through it.  numpy is
+imported only where arrays are built, by `matrix_of` and `sign_table`.
 """
 
 from __future__ import annotations
@@ -249,16 +253,24 @@ def _cached_matrix(p: PauliString) -> np.ndarray:
     return m
 
 
+def _per_leg(t: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """kron(table, ..., table) applied along the last axis of ``t``, one
+    leg of the table's size at a time (4 for Pauli words, 2 for elements
+    of a drive group), the leftmost leg most significant, so the Kronecker
+    power is never built.  A stack may be empty."""
+    head, size, leg = t.shape[:-1], t.shape[-1], len(table)
+    for _ in range((size.bit_length() - 1) // (leg.bit_length() - 1)):
+        # Transform the last leg and move it to the front.
+        t = (t.reshape(*head, size // leg, leg) @ table.T).swapaxes(-1, -2).reshape(*head, size)
+    return t
+
+
 def _kron_columns(table: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
     """The ``columns`` (word indices) of the n-th Kronecker power of a
-    one-qubit 4 x 4 ``table`` in group order, built one qubit at a time."""
+    one-qubit 4 x 4 ``table`` in group order, as rows: `_per_leg` of unit rows."""
     import numpy as np
 
-    out = np.ones((1, columns.size), dtype=table.dtype)
-    for shift in range(2 * n - 2, -1, -2):
-        leg = table[:, (columns >> shift) & 3]
-        out = (out[:, None] * leg).reshape(4 * len(out), columns.size)
-    return out
+    return _per_leg((columns[:, None] == np.arange(4**n)).astype(table.dtype), table)
 
 
 def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
@@ -275,7 +287,7 @@ def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
     columns = (np.arange(4**n) if words is None
                else np.array([word.index for word in words], dtype=np.intp))
     phase = np.array(_PRODUCT_PHASE)
-    return _kron_columns((phase * phase).real.astype(int), columns, n)
+    return _kron_columns((phase * phase).real.astype(int), columns, n).T
 
 
 def _sign_rows(group: list[PauliString]) -> list[list[int]]:

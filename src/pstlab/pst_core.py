@@ -27,7 +27,8 @@ and 0 otherwise, with R_s the pattern channel's Pauli-transfer matrix:
 indexed in the group order of `pauli` (`PauliString.index`), where
 P_i P_g = w(i, g) P_(i XOR g) with w a Kronecker product of one-qubit
 phases, so <D> is a set of indices closed under XOR and its cosets
-are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix.
+are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix,
+the m-th Kronecker power of the 2 x 2 one.
 
 Only the bands R_s[i, i XOR g], g in <D>, are needed.  A pattern is one
 term list, the spec's scaled error terms and then the signed drive terms
@@ -47,15 +48,19 @@ a_k = tr(P_k U_s) / 2^n and b_k the same coefficients of P_g U_s^dag,
     R_s[i, i XOR g] = conj(w(i, g)) sum_k chi(i, k) a_k b_k,
 
 where chi(i, k) is the commutation sign.  The coefficients, the sign sum
-(a symplectic Walsh-Hadamard transform) and w are Kronecker products of
-one 4 x 4 table per qubit, so each transform runs one qubit leg at a
-time, O(n 4^n), and no 4^n x 4^n array is formed.  The bound refuses a
-pattern whose Hamiltonian part -i tau H(H_s) takes `expm` more than 26
-squarings; by the entries above, its 1-norm is 2 tau max_j sum_k |c_k|
-over the words k that anticommute with j, from one sign table per call.
+(a symplectic Walsh-Hadamard transform) and w are Kronecker powers of
+one 4 x 4 table per qubit, so each transform is one pass of
+`pauli._per_leg`, O(n 4^n), and no 4^n x 4^n array is formed.  The
+change to the Pauli-transfer basis is one such pass per side, once
+`_qubit_legs`, the one place that fixes the leg order, groups each
+qubit's (row, column) bit pair of a row-major vec index into one leg.
+The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
+`expm` more than 26 squarings; by the entries above, its 1-norm is
+2 tau max_j sum_k |c_k| over the words k that anticommute with j, from
+one sign table per call.
 `twirled_channels` returns a `TwirledChannel`; its `dense` takes the
-blocks to the row-major Liouville basis once, as B K_PTM B^dag, leg by
-leg as well.
+blocks to the row-major Liouville basis once, as B K_PTM B^dag, by the
+same kernel.
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 or a channel log) onto Pauli commutator superoperators
@@ -110,6 +115,7 @@ from .pauli import (
     _LETTERS,
     _kron_columns,
     _PRODUCT_PHASE,
+    _per_leg,
     _SINGLE_QUBIT,
     PauliString,
     check_qubit_count,
@@ -184,42 +190,35 @@ _PHASE = np.array(_PRODUCT_PHASE)
 _SIGNS = (_PHASE * _PHASE).real
 
 
+def _qubit_legs(t: np.ndarray, n: int, back: bool = False) -> np.ndarray:
+    """``t`` with its last axis, a row-major 2^n x 2^n index, regrouped into
+    one leg of size 4 per qubit, its (row, column) bit pair, as `_per_leg`
+    reads legs; ``back`` regroups such legs into the row-major index."""
+    pairs = [axis - 2 * n for q in range(n) for axis in (q, n + q)]
+    ends = (range(-2 * n, 0), pairs) if back else (pairs, range(-2 * n, 0))
+    return np.moveaxis(t.reshape(*t.shape[:-1], *(2,) * (2 * n)), *ends).reshape(t.shape)
+
+
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     """B^dag m B (or B m B^dag with ``inverse``), where column i of B is
     vec(P_i) / sqrt(2^n), row-major, words in group order.
 
-    B is the n-th Kronecker power of the one-qubit basis once each qubit's
-    (row, column) index pair is grouped into one leg of size 4, so the
-    change of basis runs leg by leg and B is never built densely.
+    B is the n-th Kronecker power of the one-qubit basis once `_qubit_legs`
+    groups a vec index into qubit legs, so each side is one `_per_leg` pass
+    and a transpose, and B is never built densely.
     """
     one = _PAULI_ROWS.T / math.sqrt(2)
-    out_leg, in_leg = (one.T, one.conj().T) if inverse else (one.conj(), one)
-    grouped = [axis for q in range(n) for axis in (q, n + q)]
-    order = grouped + [2 * n + axis for axis in grouped]
-    bits, legs = (2,) * (4 * n), (4,) * (2 * n)
-    t = m.reshape(legs) if inverse else m.reshape(bits).transpose(order).reshape(legs)
-    for leg in range(2 * n):
-        # Contract the leading leg; the transformed leg moves to the back.
-        t = np.tensordot(t, out_leg if leg < n else in_leg, axes=(0, 0))
-    if inverse:
-        t = t.reshape(bits).transpose(np.argsort(order))
-    return t.reshape(m.shape)
-
-
-def _per_leg(t: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """kron(table, ..., table) applied along the last axis of t (size 4^n),
-    one 4 x 4 qubit leg at a time, so the Kronecker power is never built."""
-    head, size = t.shape[:-1], t.shape[-1]
-    for _ in range(size.bit_length() // 2):
-        # Transform the last leg and move it to the front.
-        t = (t.reshape(*head, -1, 4) @ table.T).swapaxes(-1, -2).reshape(*head, size)
-    return t
+    # The passes give (m B)^T, then B^dag m B; or (m B^dag)^T, then B m B^dag.
+    for table in (one.conj(), one) if inverse else (one.T, one.conj().T):
+        m = (_qubit_legs(_per_leg(m, table), n, back=True) if inverse
+             else _per_leg(_qubit_legs(m, n), table)).T
+    return m
 
 
 def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
     """w[p, i] with P_i P_g = w[p, i] P_(i XOR g) for g = group[p] and
     every word i: a Kronecker product of one-qubit phase columns."""
-    return _kron_columns(_PHASE, group, n).T
+    return _kron_columns(_PHASE, group, n)
 
 
 def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -373,15 +372,12 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     words = np.arange(4**n)
 
     # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
-    # matrix; character c is the drive-sign pattern chi_c[position], and
-    # chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
-    # Patterns are summed in one fixed order, ascending parity bits, so
-    # the channel is reproducible bit for bit.
-    characters = np.ones((1, 1))
-    while characters.shape[0] < group.size:
-        characters = np.block([[characters, characters], [characters, -characters]])
-    parities = characters[:, position] < 0
-    characters = characters[np.lexsort(parities.T[::-1])]
+    # matrix, a Kronecker power of one 2 x 2 table over the independent
+    # drive words; character c is the drive-sign pattern chi_c[position],
+    # and chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
+    # Patterns are summed in this fixed order, so the channel is
+    # reproducible bit for bit.
+    characters = _per_leg(np.eye(group.size), np.array([[1.0, 1.0], [1.0, -1.0]]))
     patterns = characters[:, position]
 
     # bands(term_lists)[k, c, p, i] is R_s[i, i XOR group[p]] of pattern c's
@@ -391,14 +387,13 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     noiseless = noise.kind == "none" or noise.rate == 0
     if noiseless:
         phases = _product_phases(group, n)
-        legs = [2 + axis for q in range(n) for axis in (q, n + q)]
 
         def bands(term_lists) -> np.ndarray:
             u = expm_hermitian(np.array([_terms_matrix(terms) for terms in term_lists]), tau)
             # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
             # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
-            u = u.reshape(-1, len(patterns), *(2,) * (2 * n)).transpose(0, 1, *legs)
-            a = _per_leg(u.reshape(*u.shape[:2], -1), _PAULI_ROWS.conj() / 2)[..., None, :]
+            u = _qubit_legs(u.reshape(-1, len(patterns), 4**n), n)
+            a = _per_leg(u, _PAULI_ROWS.conj() / 2)[..., None, :]
             b = np.conj(a * phases)[..., p[:, None], partners]
             return np.conj(phases) * _per_leg(a * b, _SIGNS)
     else:

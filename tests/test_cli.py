@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -128,6 +129,24 @@ class TestTable1Command:
         on_cut = eigvals[(eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-8)]
         assert np.abs(on_cut + 0.575).min() <= 1e-3
         assert np.abs(on_cut - named).min() <= 1e-6
+
+    @pytest.mark.parametrize("tau", ["1.5707963267948966", "2.0"])
+    def test_aliased_drive_weight_is_numerical_failure(self, capsys, tau):
+        # The log is accepted, but the twirled drive rotates the eigenphases
+        # by 2 tau f >= pi, so it reads an aliased branch (-1.2895 at pi/2).
+        code, out, err = run_cli(capsys, "table1", "--drive", "X", "--error", "Z=0.1",
+                                 "--tau", tau)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "branch cut" in err
+
+    @pytest.mark.parametrize("tau", ["1.54", "1.555"])
+    def test_drive_rotation_below_pi_prints(self, capsys, tau):
+        code, out, _ = run_cli(capsys, "table1", "--drive", "X", "--error", "Z=0.1",
+                               "--tau", tau)
+        assert code == 0
+        payload = json.loads(out)
+        assert 2 * float(tau) * payload["theoretical_drive_coeff"] < math.pi
 
     @pytest.mark.parametrize("tau", ["1e-300", "1e-20"])
     def test_unresolvable_duration_is_numerical_failure(self, tau, capsys):
@@ -371,6 +390,17 @@ class TestMagnusCheckCommand:
         assert (row["discrepancy"], row["omega1_norm"]) == (None, None)
         assert row["note"] == ("tau=1e+300 is too long: the triangle's Jacobian tau^2"
                                " overflows double precision")
+
+    def test_huge_tau_budget_failure_names_a_finite_estimate(self, capsys):
+        # tau^2 fits, but the level differences are too large to square.
+        code, out, err = run_cli(capsys, "magnus-check", "--taus", "1e100",
+                                 "--error-set", "XX=0.2")
+        assert code == 2
+        assert "Warning" not in err
+        (row,) = json.loads(out)["rows"]
+        estimate = re.fullmatch(r"triangle quadrature did not reach tol=1e-09 within"
+                                r" 1048576 evaluations \(best estimate (\S+)\)", row["note"])
+        assert math.isfinite(float(estimate.group(1)))
 
     def test_negative_seed_is_refused_by_name(self, capsys):
         # numpy's own refusal, "expected non-negative integer", names no field.

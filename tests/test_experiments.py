@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pstlab import experiments, liouville, magnus, pst_core
-from pstlab.errors import ConfigError, ResolutionError
+from pstlab.errors import BranchCutError, ConfigError, ResolutionError
 from pstlab.experiments import (
     MagnusCheckConfig,
     ParitySweepConfig,
@@ -46,6 +46,16 @@ class TestTable1:
         inputs = {"XX": 0.2, "YY": 0.6, "ZZ": 0.2, "YX": 0.4, "ZX": 1.0}
         assert report.no_pst == inputs
         assert list(report.no_pst) == list(inputs)
+
+    @pytest.mark.parametrize("tau", [math.pi / 2, 2.0])
+    def test_aliased_drive_weight_is_refused(self, tau):
+        # The block log is accepted, but the twirled drive rotates the
+        # eigenphases by 2 tau f >= pi, so the log is an aliased branch and
+        # reads the drive weight as -1.2895 (sinc law: 1.005) at pi / 2.
+        config = Table1Config(drive="X", errors=(("Z", 0.1),), tau=tau)
+        pst_core.twirled_channels(config.drive_spec(), [config.error_spec()])[0].hamiltonian()
+        with pytest.raises(BranchCutError, match="branch cut"):
+            run_table1(config)
 
     def test_untwirled_row_is_the_scaled_inputs(self):
         config = Table1Config(drive="ZZZZ", errors=(("XIII", 0.25), ("IYZX", 0.1)), scale=-1.5)

@@ -546,6 +546,20 @@ class TestTriangleQuadrature:
                 triangle_quadrature(lambda t1, t2: calls.append(t1) or 1.0, tau)
         assert calls == []
 
+    @pytest.mark.parametrize("tau", [1e100, 1e154])
+    def test_huge_level_differences_keep_a_finite_estimate(self, tau):
+        # Levels near tau^2 / 2 differ by far more than sqrt(max double), so
+        # squaring their difference would overflow; the estimate stays
+        # finite and the best level is kept.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=r"best estimate \d") as excinfo:
+                triangle_quadrature(lambda t1, t2: np.cos(2 * t2) - np.cos(2 * t1), tau,
+                                    max_evaluations=2000)
+        best = excinfo.value.best
+        assert best is not None
+        assert math.isfinite(best.estimated_error) and best.estimated_error > tau
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             triangle_quadrature(lambda t1, t2: 1.0, 0.0)

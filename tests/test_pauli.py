@@ -18,6 +18,7 @@ from pstlab.pauli import (
     pauli_from_label,
     sign_table,
     sign_table_csv,
+    _per_leg,
     _sign_rows,
 )
 
@@ -249,6 +250,25 @@ class TestBitMaskSigns:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3727a51376003bf07296086378886e5046a859dde0a8a8b0001122c124810bea"
         )
+
+
+class TestPerLeg:
+    """The one Kronecker-power kernel against the dense power."""
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    @pytest.mark.parametrize("head", [(), (3,), (2, 3), (0,), (0, 2)])
+    @pytest.mark.parametrize("table", [
+        np.random.default_rng(4).normal(size=(4, 4)) @ np.diag([1, 1j, -1, -1j]),
+        np.array([[1.0, 1.0], [1.0, -1.0]]),
+    ], ids=["random-4x4", "hadamard"])
+    def test_equals_the_dense_kronecker_power(self, table, head, legs):
+        power = np.ones((1, 1))
+        for _ in range(legs):
+            power = np.kron(power, table)
+        t = np.random.default_rng(legs).normal(size=(*head, len(power)))
+        got = _per_leg(t, table)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, t @ power.T, rtol=0, atol=1e-13)
 
 
 class TestMatrixCache:

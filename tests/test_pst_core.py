@@ -328,8 +328,21 @@ class TestChannelMatchesOracle:
         ],
         ids=["n1", "n2", "n3", "dependent"],
     )
-    def test_every_noise_kind(self, drive, errors, kind, rate):
+    def test_every_noise_kind(self, drive, errors, kind, rate, monkeypatch):
         assert_matches_oracle(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
+        # Pattern c is character c of the Sylvester matrix, (-1)^popcount(c & p),
+        # at the drive words' group elements p.
+        original, patterns = pst_core._pattern_terms, []
+
+        def recording(drive, err, signs):
+            patterns.append(tuple(signs))
+            return original(drive, err, signs)
+
+        monkeypatch.setattr(pst_core, "_pattern_terms", recording)
+        pst_channel(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
+        group, position, _ = pst_core._coset_index(drive)
+        assert patterns == [tuple((-1) ** (c & int(p)).bit_count() for p in position)
+                            for c in range(group.size)]
 
     @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
     def test_explicit_noise_targets(self, kind):
@@ -436,6 +449,16 @@ class TestCosetBlocks:
         drive = DriveSpec.single("ZX", math.pi / 2)
         with pytest.raises(BranchCutError):
             block_log_hamiltonian(drive)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_transfer_is_the_dense_change_of_basis(self, n):
+        # B^dag m B with B built densely; the inverse takes it back.
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(4**n,) * 2) + 1j * rng.normal(size=(4**n,) * 2)
+        ptm = pst_core._pauli_transfer(m, n)
+        np.testing.assert_allclose(ptm, pauli_transfer_matrix(m), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pst_core._pauli_transfer(ptm, n, inverse=True), m,
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_commutator_transfer_is_the_superoperator_in_the_pauli_basis(self, n):

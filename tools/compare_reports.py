@@ -51,11 +51,20 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "table1-n4-scale": ("table1", "--drive", "ZZZZ", "--error", "XIII=0.25",
                         "--error", "IYZX=0.1", "--scale", "-1.5"),
     "table1-dump-channel": ("table1", "--dump-channel", DUMP),
+    # The inverse Pauli-transfer change of basis at 256 x 256.
+    "table1-n4-dump-channel": ("table1", "--drive", "ZXII", "--error", "XXII=0.2",
+                               "--dump-channel", DUMP),
+    # The drive rotation 2 tau f passes pi: the log is an aliased branch.
+    "table1-aliased": ("table1", "--drive", "X", "--error", "Z=0.1",
+                       "--tau", "1.5707963267948966"),
     "parity-sweep-csv": ("parity-sweep",),
     "parity-sweep-json": ("parity-sweep", "--format", "json"),
     "parity-sweep-3q": ("parity-sweep", "--drive", "ZXY", "--error", "XXY=0.2",
                         "--error", "YZI=0.6", "--error", "IIZ=0.1", "--delta-points", "9",
                         "--noise-kinds", "none,pauli_z,amplitude_damping"),
+    # The forward Pauli-transfer change of basis at n = 4.
+    "parity-sweep-n4": ("parity-sweep", "--drive", "ZXII", "--error", "XXII=0.2",
+                        "--error", "IYZX=0.1", "--delta-points", "3"),
     "parity-sweep-none": ("parity-sweep", "--noise-kinds", "none", "--delta-points", "9"),
     "parity-sweep-none-5e7": ("parity-sweep", "--noise-kinds", "none",
                               "--delta-points", "3", "--delta-max", "5e7"),
@@ -85,6 +94,8 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
                               "--taus", "0.5"),
     # tau^2 overflows the triangle rule's Jacobian.
     "magnus-check-tau-1e300": ("magnus-check", "--taus", "1e300", "--error-set", "XX=0.2"),
+    # Level differences too large to square; tau^2 still fits.
+    "magnus-check-tau-1e100": ("magnus-check", "--taus", "1e100", "--error-set", "XX=0.2"),
     "magnus-check-negative-tau": ("magnus-check", "--taus=-1", "--dump-config"),
     "table1-tau0": ("table1", "--tau", "0"),
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
