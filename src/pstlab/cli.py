@@ -84,8 +84,7 @@ def _dump_channel(report, args) -> None:
     if args.dump_channel:
         from .liouville import matrix_to_json
 
-        with open(args.dump_channel, "w", encoding="utf-8") as handle:
-            json.dump({"channel": matrix_to_json(report.twirled.dense())}, handle)
+        _write(args.dump_channel, json.dumps({"channel": matrix_to_json(report.twirled.dense())}))
 
 
 def _check_tolerance(report, args) -> None:
@@ -221,10 +220,19 @@ def _resolve_config(cls, args):
     return cls.from_dict(merged)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; a path that cannot be written
+    is a config error, as an unreadable config file is."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

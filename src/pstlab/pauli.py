@@ -1,38 +1,40 @@
 """Symplectic n-qubit Pauli strings.
 
-A Pauli word is stored as two bit-vectors (x, z) of length n: qubit k
-carries sigma_x if x[k] is set, sigma_z if z[k] is set, sigma_y if both
-are set, and the identity if neither is.  Commutation signs then reduce
-to a symplectic form over GF(2), so no matrices are built until
+A Pauli word is its position `PauliString.index` in the group order that
+every other module indexes by: lexicographic with I < X < Y < Z per
+qubit and the leftmost qubit most significant, so the index has the
+base-4 digits I=0, X=1, Y=2, Z=3.  A digit is 2z + (x XOR z), so the
+word's symplectic (x, z) bits are read from its digits: z is a digit's
+high bit and x the XOR of its two bits.  Labels, products, signs and
+matrices are all read from the index, and no matrices are built until
 `matrix_of` is called explicitly.
 
 Products are tracked without phases: every operation here needs only
-commutation signs and conjugations, which are phase-free.  The
-symplectic form runs on Python-int bit masks, one x and one z mask per
-word: a pair anticommutes when ((x_a & z_b) ^ (z_a & x_b)) has odd
-popcount.  `commutation_sign` and the ``sign-table`` command (its CSV
-from `sign_table_csv`, its JSON rows from `_sign_rows`) use the masks
+commutation signs and conjugations, which are phase-free.  In these
+digits one-qubit words multiply by XOR, P_a P_b = _PRODUCT_PHASE[a][b]
+P_(a XOR b), and the phase squares to the commutation sign; so n-qubit
+words multiply by the XOR of their indices.  Commutation signs reduce
+to a symplectic form over GF(2): a pair anticommutes when
+((x_a & z_b) ^ (z_a & x_b)) has odd popcount, with the x and z bits of
+every qubit read from the index as two Python ints (`_anticommute`).
+`commutation_sign` and the ``sign-table`` command (its CSV from
+`sign_table_csv`, its JSON rows from `_sign_rows`) use the indices
 alone, so neither loads numpy.
 
-This module owns the group order that every other module indexes by:
-lexicographic with I < X < Y < Z per qubit and the leftmost qubit most
-significant, so `PauliString.index` has the base-4 digits I=0, X=1, Y=2,
-Z=3 (`word_at` inverts it).  In these digits one-qubit words multiply by
-XOR, P_a P_b = _PRODUCT_PHASE[a][b] P_(a XOR b), and the phase squares to
-the commutation sign.  Group order is a Kronecker order, so every table
-the twirl needs over n qubits is a Kronecker power of one one-qubit
-table.  `_per_leg` is the one routine that applies such a power: along
-the last axis of a stack, one leg at a time (4 for Pauli words, 2 for
-elements of a drive group), leftmost leg most significant.  The numpy
-sign table (`sign_table`) and `pst_core`'s product phases, Pauli spectra,
-twirl characters and Pauli-transfer basis all run through it.  numpy is
-imported only where arrays are built, by `matrix_of` and `sign_table`.
+Group order is a Kronecker order, so every table the twirl needs over n
+qubits is a Kronecker power of one one-qubit table.  `_per_leg` is the
+one routine that applies such a power: along the last axis of a stack,
+one leg at a time (4 for Pauli words, 2 for elements of a drive group),
+leftmost leg most significant.  The numpy sign table (`sign_table`) and
+`pst_core`'s product phases, Pauli spectra, twirl characters and
+Pauli-transfer basis all run through it.  numpy is imported only where
+arrays are built, by `matrix_of` and `sign_table`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,7 +58,6 @@ __all__ = [
     "pauli_from_label",
     "sign_table",
     "sign_table_csv",
-    "word_at",
 ]
 
 MAX_QUBITS_ENV = "PSTLAB_MAX_QUBITS"
@@ -64,8 +65,6 @@ DEFAULT_MAX_QUBITS = 4
 
 # The one-qubit words in group order.
 _LETTERS = "IXYZ"
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 
 _SINGLE_QUBIT = {
     "I": ((1, 0), (0, 1)),
@@ -112,48 +111,33 @@ def check_qubit_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli word in symplectic (x-bits, z-bits) form."""
+    """An n-qubit Pauli word, held as its ``index`` in group order (see
+    the module notes); its label, product, signs and matrix are read from
+    the index.  Any integer type is accepted and stored as an int, so a
+    numpy index hashes and compares like one."""
 
     n_qubits: int
-    x_bits: tuple[int, ...]
-    z_bits: tuple[int, ...]
+    index: int
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        if len(self.x_bits) != self.n_qubits or len(self.z_bits) != self.n_qubits:
-            raise ValueError("bit-vector lengths must equal n_qubits")
-        if not (set(self.x_bits) | set(self.z_bits)) <= {0, 1}:
-            raise ValueError("bit-vectors must contain only 0 and 1")
+        index = operator.index(self.index)
+        if not 0 <= index < 4**self.n_qubits:
+            raise ValueError(f"index {index} lies outside [0, 4^{self.n_qubits})")
+        object.__setattr__(self, "index", index)
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.x_bits) and not any(self.z_bits)
+        return self.index == 0
 
     @property
     def label(self) -> str:
-        return "".join(
-            _BITS_TO_LETTER[x, z] for x, z in zip(self.x_bits, self.z_bits)
-        )
+        shifts = range(2 * self.n_qubits - 2, -1, -2)
+        return "".join(_LETTERS[(self.index >> shift) & 3] for shift in shifts)
 
     def __str__(self) -> str:
         return self.label
-
-    @functools.cached_property
-    def _masks(self) -> tuple[int, int]:
-        """The x and z bits as two ints, qubit k at bit k."""
-        x = sum(bit << k for k, bit in enumerate(self.x_bits))
-        z = sum(bit << k for k, bit in enumerate(self.z_bits))
-        return x, z
-
-    @functools.cached_property
-    def index(self) -> int:
-        """Position in group order: base-4 digits I=0, X=1, Y=2, Z=3,
-        leftmost qubit most significant; `word_at` inverts it."""
-        index = 0
-        for x, z in zip(self.x_bits, self.z_bits):
-            index = 4 * index + 2 * z + (x ^ z)
-        return index
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -163,30 +147,20 @@ def pauli_from_label(label: str) -> PauliString:
     """Parse an uppercase label like "ZX" into a PauliString."""
     if not label:
         raise PauliParseError("Pauli label must be non-empty")
-    x_bits = []
-    z_bits = []
+    index = 0
     for position, letter in enumerate(label):
-        try:
-            x, z = _LETTER_TO_BITS[letter]
-        except KeyError:
+        digit = _LETTERS.find(letter)
+        if digit < 0:
             raise PauliParseError(
                 f"invalid Pauli character {letter!r} at position {position}"
                 f" in {label!r} (expected I, X, Y or Z)"
-            ) from None
-        x_bits.append(x)
-        z_bits.append(z)
-    return PauliString(len(label), tuple(x_bits), tuple(z_bits))
+            )
+        index = 4 * index + digit
+    return PauliString(len(label), index)
 
 
 def identity_string(n: int) -> PauliString:
-    return PauliString(n, (0,) * n, (0,) * n)
-
-
-def word_at(index: int, n: int) -> PauliString:
-    """The n-qubit word at ``index`` in group order (`PauliString.index`
-    inverted)."""
-    digits = ((index >> shift) & 3 for shift in range(2 * n - 2, -1, -2))
-    return pauli_from_label("".join(_LETTERS[digit] for digit in digits))
+    return PauliString(n, 0)
 
 
 def _require_same_size(a: PauliString, b: PauliString) -> None:
@@ -199,11 +173,7 @@ def _require_same_size(a: PauliString, b: PauliString) -> None:
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Group product of two Pauli words, discarding the +-1, +-i phase."""
     _require_same_size(a, b)
-    return PauliString(
-        a.n_qubits,
-        tuple(xa ^ xb for xa, xb in zip(a.x_bits, b.x_bits)),
-        tuple(za ^ zb for za, zb in zip(a.z_bits, b.z_bits)),
-    )
+    return PauliString(a.n_qubits, a.index ^ b.index)
 
 
 def commutation_sign(a: PauliString, b: PauliString) -> int:
@@ -213,23 +183,24 @@ def commutation_sign(a: PauliString, b: PauliString) -> int:
     (-1)^(sum_k x_a z_b + z_a x_b mod 2) with no matrices involved.
     """
     _require_same_size(a, b)
-    return -1 if _anticommute(a._masks, b._masks) else 1
+    return -1 if _anticommute(a.index, b.index, a.n_qubits) else 1
 
 
-def _anticommute(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Symplectic parity of two words given as (x, z) masks: 1 if they
-    anticommute, 0 if they commute."""
-    (xa, za), (xb, zb) = a, b
+def _anticommute(a: int, b: int, n: int) -> int:
+    """Symplectic parity of the n-qubit words at indices ``a`` and ``b``:
+    1 if they anticommute, 0 if they commute.  Each word's z bits are its
+    digits' high bits, shifted down, and its x bits the XOR of each
+    digit's two bits, both kept at the low bit of each digit."""
+    low = (4**n - 1) // 3  # binary 01...01, the low bit of every digit
+    za, zb = (a >> 1) & low, (b >> 1) & low
+    xa, xb = (a ^ (a >> 1)) & low, (b ^ (b >> 1)) & low
     return ((xa & zb) ^ (za & xb)).bit_count() & 1
 
 
 def enumerate_group(n: int) -> list[PauliString]:
     """All 4^n Pauli words, lexicographic (I < X < Y < Z), identity first."""
     check_qubit_count(n)
-    return [
-        pauli_from_label("".join(letters))
-        for letters in itertools.product(_LETTERS, repeat=n)
-    ]
+    return [PauliString(n, index) for index in range(4**n)]
 
 
 def matrix_of(p: PauliString) -> np.ndarray:
@@ -292,9 +263,9 @@ def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
 
 def _sign_rows(group: list[PauliString]) -> list[list[int]]:
     """Commutation signs of every pair of ``group``, as lists of +-1 ints,
-    from the bit masks alone."""
-    masks = [word._masks for word in group]
-    return [[1 - 2 * _anticommute(a, b) for b in masks] for a in masks]
+    from the indices alone."""
+    return [[1 - 2 * _anticommute(a.index, b.index, a.n_qubits) for b in group]
+            for a in group]
 
 
 def sign_table_csv(n: int) -> str:

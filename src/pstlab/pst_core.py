@@ -57,7 +57,8 @@ qubit's (row, column) bit pair of a row-major vec index into one leg.
 The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
 `expm` more than 26 squarings; by the entries above, its 1-norm is
 2 tau max_j sum_k |c_k| over the words k that anticommute with j, from
-one sign table per call.
+one sign table per call.  A spec whose 1-norm overflows double precision
+is refused before any pattern matrix is built.
 `twirled_channels` returns a `TwirledChannel`; its `dense` takes the
 blocks to the row-major Liouville basis once, as B K_PTM B^dag, by the
 same kernel.
@@ -124,7 +125,6 @@ from .pauli import (
     matrix_of,
     pauli_from_label,
     sign_table,
-    word_at,
 )
 from .sinc_law import calibrate_tau
 
@@ -338,7 +338,7 @@ class TwirledChannel:
         h = np.zeros((2**n,) * 2, dtype=complex)
         for g, row in zip(group[1:], terms[1:]):
             # fsum rounds each band's sum once, independent of its order.
-            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(word_at(g, n))
+            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(PauliString(n, g))
         return h
 
     def distance(self, other: TwirledChannel) -> float:
@@ -368,6 +368,18 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
         check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
     tau = drive.tau
+    # Every pattern of a spec has the |c_k| of its identity-frame terms.  A
+    # huge amplitude overflows a norm to inf, or to nan where an inf meets
+    # a 0; such a spec is refused before any pattern matrix is built.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = tau * _commutator_norms([err.scaled_terms() + drive.terms for err in errs], n)
+    for norm, err in zip(norms.tolist(), errs):
+        if not math.isfinite(norm):
+            raise ResolutionError(
+                f"a drive-sign pattern's Hamiltonian part overflows double precision"
+                f" (its 1-norm reads {norm}; the first refused spec has error scale"
+                f" {err.scale!r}); reduce the error scale or tau"
+            )
     group, position, cosets = _coset_index(drive)
     words = np.arange(4**n)
 
@@ -403,8 +415,6 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
             r = expm(dissipator + tau * _commutator_transfers(term_lists, n))
             return r.reshape(-1, len(patterns), *r.shape[1:])[..., words, partners]
 
-    # Every pattern of a spec has the |c_k| of its identity-frame terms.
-    norms = tau * _commutator_norms([err.scaled_terms() + drive.terms for err in errs], n)
     pattern_entries = (2**n if noiseless else 4**n) ** 2
     chunk_size = max(1, _EXPM_STACK_ENTRIES // (len(patterns) * pattern_entries))
     channels = []

@@ -168,6 +168,45 @@ class TestTable1Command:
                               f" {squarings} squarings")
 
 
+class TestOverflowingAmplitudes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, norm, scale", [
+        (("table1", "--error", "XX=1e308"), "inf", "1.0"),
+        (("table1", "--error", "XX=1e308", "--scale", "10"), "nan", "10.0"),
+        (("parity-sweep", "--error", "XX=1e307", "--delta-points", "3",
+          "--delta-max", "100"), "nan", "-100.0"),
+    ], ids=["table1", "table1-scaled", "parity-sweep"])
+    def test_overflowing_norm_is_numerical_failure(self, argv, norm, scale, capsys):
+        # Finite inputs whose scaled amplitudes overflow a pattern's 1-norm
+        # (to nan where an inf meets a 0) used to exit 1 as "matrix entries
+        # must be finite", or 2 with an OverflowError, after numpy
+        # RuntimeWarnings; a warning now raises here.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "Warning" not in err
+        assert err == ("pstlab: numerical failure: a drive-sign pattern's Hamiltonian part"
+                       f" overflows double precision (its 1-norm reads {norm}; the first"
+                       f" refused spec has error scale {scale}); reduce the error scale"
+                       " or tau\n")
+
+
+class TestUnwritablePaths:
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--output"),
+        ("overrotation", "--tau", "0.5", "--sum-h2", "0.24", "--output"),
+        ("table1", "--dump-config", "--output"),
+        ("table1", "--dump-channel"),
+    ], ids=["table1-output", "overrotation-output", "dump-config-output", "dump-channel"])
+    def test_write_failure_is_one_line_config_error(self, argv, tmp_path, capsys):
+        missing = tmp_path / "absent" / "file"
+        code, out, err = run_cli(capsys, *argv, str(missing))
+        assert code == 1
+        assert "Warning" not in err
+        assert err == f"pstlab: config error: cannot write {missing}: No such file or directory\n"
+        # The channel dump follows the report, which still reaches stdout.
+        assert (out != "") == ("--dump-channel" in argv)
+
+
 class TestScalarCommands:
     def test_overrotation_prints_reference_value(self, capsys):
         code, out, _ = run_cli(capsys, "overrotation", "--tau", "0.5", "--sum-h2", "0.24")

@@ -22,12 +22,17 @@ from pstlab.pauli import (
     _sign_rows,
 )
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without the `test` extra the index property is not collected
+    st = None
+
 
 class TestParsing:
     def test_zx_encoding(self):
         p = pauli_from_label("ZX")
-        assert p.x_bits == (0, 1)
-        assert p.z_bits == (1, 0)
+        assert p.index == 4 * 3 + 1
         assert p.label == "ZX"
 
     def test_identity(self):
@@ -36,9 +41,11 @@ class TestParsing:
         assert p == identity_string(2)
 
     def test_y_sets_both_bits(self):
+        # Digit 2 = 2z + (x XOR z) with x = z = 1: Y anticommutes with X and Z.
         p = pauli_from_label("Y")
-        assert p.x_bits == (1,)
-        assert p.z_bits == (1,)
+        assert p.index == 2
+        assert commutation_sign(p, pauli_from_label("X")) == -1
+        assert commutation_sign(p, pauli_from_label("Z")) == -1
 
     def test_empty_label_rejected(self):
         with pytest.raises(PauliParseError):
@@ -48,13 +55,47 @@ class TestParsing:
         with pytest.raises(PauliParseError, match="position 1"):
             pauli_from_label("ZQ")
 
-    def test_bit_vector_invariants(self):
+    def test_index_invariants(self):
+        with pytest.raises(ValueError, match="outside"):
+            PauliString(2, 16)
+        with pytest.raises(ValueError, match="outside"):
+            PauliString(2, -1)
         with pytest.raises(ValueError):
-            PauliString(2, (0,), (0, 0))
-        with pytest.raises(ValueError):
-            PauliString(2, (0, 2), (0, 0))
-        with pytest.raises(ValueError):
-            PauliString(0, (), ())
+            PauliString(0, 0)
+        with pytest.raises(TypeError):
+            PauliString(1, 1.0)
+
+    def test_numpy_index_is_an_int(self):
+        word = PauliString(2, np.intp(13))
+        assert word == pauli_from_label("ZX")
+        assert hash(word) == hash(pauli_from_label("ZX"))
+        assert type(word.index) is int
+
+
+if st is not None:
+    @st.composite
+    def index_pairs(draw):
+        """A register of 1 to 40 qubits, so indices pass 64 bits, and two
+        word indices on it, drawn digit by digit so high digits are set."""
+        n = draw(st.integers(1, 40))
+        digits = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        index = digits.map(lambda ds: int("".join(map(str, ds)), 4))
+        return n, draw(index), draw(index)
+
+    class TestIndexAlgebra:
+        """Labels, products and signs read from the index, against the
+        per-qubit rules, with no numpy and no qubit bound."""
+
+        @settings(max_examples=300, deadline=None)
+        @given(index_pairs())
+        def test_labels_products_and_signs(self, pair):
+            n, i, j = pair
+            a, b = PauliString(n, i), PauliString(n, j)
+            assert pauli_from_label(a.label) == a
+            assert multiply(a, b) == PauliString(n, i ^ j)
+            # Two different non-identity letters anticommute.
+            pairs = sum(x != y and "I" not in (x, y) for x, y in zip(a.label, b.label))
+            assert commutation_sign(a, b) == (-1) ** (pairs % 2)
 
 
 class TestCommutationSign:

@@ -1,5 +1,6 @@
 """Tests for twirl realizations, the ensemble channel, extraction, calibration."""
 
+import itertools
 import json
 import math
 import re
@@ -38,7 +39,6 @@ from pstlab.pauli import (
     identity_string,
     matrix_of,
     pauli_from_label,
-    word_at,
 )
 from pstlab.pst_core import (
     EffectiveGenerator,
@@ -410,7 +410,8 @@ class TestCosetBlocks:
         for n in (1, 2, 3):
             group = enumerate_group(n)
             assert [w.index for w in group] == list(range(4**n))
-            assert [word_at(index, n) for index in range(4**n)] == group
+            assert [w.label for w in group] == [
+                "".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
 
     @pytest.mark.parametrize(
         "drive, errors, noise",

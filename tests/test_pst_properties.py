@@ -45,12 +45,12 @@ from pstlab.liouville import (  # noqa: E402
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
 from pstlab.pauli import (  # noqa: E402
+    PauliString,
     commutation_sign,
     enumerate_group,
     matrix_of,
     pauli_from_label,
     sign_table,
-    word_at,
 )
 from pstlab.pst_core import EffectiveGenerator, pst_channel, twirled_channels  # noqa: E402
 
@@ -198,7 +198,7 @@ def term_lists(draw):
     """Up to four lists of distinct non-identity words on 1 to 3 qubits,
     each with at most five coefficients of any sign and magnitude."""
     n = draw(st.integers(1, 3))
-    words = st.integers(1, 4**n - 1).map(lambda index: word_at(index, n))
+    words = st.integers(1, 4**n - 1).map(lambda index: PauliString(n, index))
     coefficient = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
     lists = draw(st.lists(st.lists(words, max_size=5, unique=True), min_size=1, max_size=4))
     return n, [[(word, draw(coefficient)) for word in terms] for terms in lists]
@@ -307,7 +307,7 @@ class TestGroupOrder:
     def test_index_signs_and_phases_agree(self, label):
         word = pauli_from_label(label)
         n = word.n_qubits
-        assert word_at(word.index, n) == word
+        assert PauliString(n, word.index) == word
         group = enumerate_group(n)
         column = sign_table(n, [word])[:, 0]
         assert column.tolist() == [commutation_sign(alpha, word) for alpha in group]
@@ -317,4 +317,4 @@ class TestGroupOrder:
         # P_i P_g = w(i, g) P_(i XOR g).
         for i, (other, phase) in enumerate(zip(group, phases)):
             np.testing.assert_array_equal(matrix_of(other) @ matrix_of(word),
-                                          phase * matrix_of(word_at(i ^ word.index, n)))
+                                          phase * matrix_of(PauliString(n, i ^ word.index)))

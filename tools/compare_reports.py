@@ -81,6 +81,11 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
                               "--delta-points", "3", "--delta-max", "1e9"),
     "table1-xx-1e10": ("table1", "--error", "XX=1e10"),
     "table1-xx-1e20": ("table1", "--error", "XX=1e20"),
+    # Amplitudes that overflow a pattern's 1-norm, to inf or (inf times 0) nan.
+    "table1-xx-1e308": ("table1", "--error", "XX=1e308"),
+    "table1-xx-1e308-scale-10": ("table1", "--error", "XX=1e308", "--scale", "10"),
+    "parity-sweep-xx-1e307": ("parity-sweep", "--error", "XX=1e307", "--delta-points", "3",
+                              "--delta-max", "100"),
     "magnus-check": ("magnus-check",),
     "magnus-check-seed0": ("magnus-check", "--seed", "0"),
     "magnus-check-csv": ("magnus-check", "--format", "csv"),
@@ -100,6 +105,8 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "table1-tau0": ("table1", "--tau", "0"),
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
     "sign-table": ("sign-table", "--qubits", "2"),
+    "sign-table-3q": ("sign-table", "--qubits", "3"),
+    "sign-table-json": ("sign-table", "--qubits", "2", "--format", "json"),
     "calibrate-text": ("calibrate", "--theta", "1.2", "--sum-h2", "0.24"),
     "calibrate-json": ("calibrate", "--theta", "1.2", "--sum-h2", "0.24",
                        "--format", "json"),
