@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResolutionError
 from .numerics import _as_square_finite
 from .pauli import PauliString, check_qubit_count, matrix_of
 
@@ -152,7 +153,8 @@ def dissipator_superop(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     pauli_z uses sqrt(rate) sigma_z on each target; amplitude_damping uses
     sqrt(rate) |0><1|.  exp of the result is completely positive and trace
     preserving, and the vectorized identity is a left null vector (trace
-    preservation).
+    preservation).  A rate whose dissipator overflows double precision
+    raises ``ResolutionError``.
     """
     check_qubit_count(n_qubits)
     dim = 2**n_qubits
@@ -160,8 +162,14 @@ def dissipator_superop(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
     if spec.kind != "none":
         op = _SIGMA_Z if spec.kind == "pauli_z" else _LOWERING
         root_rate = math.sqrt(spec.rate)
-        for target in spec.resolved_targets(n_qubits):
-            out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for target in spec.resolved_targets(n_qubits):
+                out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
+        if not np.isfinite(out).all():
+            raise ResolutionError(
+                f"the {spec.kind} dissipator at rate {spec.rate!r} overflows double"
+                " precision; reduce the noise rate"
+            )
     return out
 
 

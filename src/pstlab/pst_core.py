@@ -30,14 +30,16 @@ phases, so <D> is a set of indices closed under XOR and its cosets
 are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix,
 the m-th Kronecker power of the 2 x 2 one.
 
-Only the bands R_s[i, i XOR g], g in <D>, are needed.  A pattern is one
-term list, the spec's scaled error terms and then the signed drive terms
-(`_pattern_terms`).  Both branches exponentiate a chunk of specs x
-patterns as one stack, each matrix with the arithmetic it gets alone,
-check one bound and average the bands in one fixed order, so a channel
-is the same bits in any batch.  With noise, `expm` of noise - i tau H(H_s)
-built in the Pauli-transfer basis is R_s itself (the basis is unitary).
-There H_g = P_g kron I - I kron P_g^T has the entry
+Only the bands R_s[i, i XOR g], g in <D>, are needed.  A Pauli sum is a row
+W of its 4^n word weights; pattern s of spec k is error_rows[k] +
+sum_j s_j drive_rows[j] (`_pattern_weights`).  The one Hilbert-space change
+of basis, a `_per_leg` pass each way, takes m to tr(P_k m) / 2^n
+(`_pauli_spectra`) and W to sum_k W_k P_k (`_pauli_sums`).  Both branches
+exponentiate a chunk of specs x patterns as one stack, each matrix with the
+arithmetic it gets alone, check one bound and average the bands in one fixed
+order, so a channel is the same bits in any batch.  With noise, `expm` of
+noise - i tau H(H_s) built in the Pauli-transfer basis is R_s itself (the
+basis is unitary).  There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
 anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
 real, with entries +-2.  Without noise (kind "none" or rate 0) the
@@ -56,7 +58,7 @@ change to the Pauli-transfer basis is one such pass per side, once
 qubit's (row, column) bit pair of a row-major vec index into one leg.
 The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
 `expm` more than 26 squarings; by the entries above, its 1-norm is
-2 tau max_j sum_k |c_k| over the words k that anticommute with j, from
+2 tau max_j sum_k |W_k| over the words k that anticommute with j, from
 one sign table per call.  A spec whose 1-norm overflows double precision
 is refused before any pattern matrix is built.
 `twirled_channels` returns a `TwirledChannel`; its `dense` takes the
@@ -122,9 +124,7 @@ from .pauli import (
     check_qubit_count,
     commutation_sign,
     enumerate_group,
-    matrix_of,
     pauli_from_label,
-    sign_table,
 )
 from .sinc_law import calibrate_tau
 
@@ -154,18 +154,18 @@ _EXPM_STACK_ENTRIES = 4096
 _MAX_HAMILTONIAN_SQUARINGS = 26
 
 
-def _pattern_terms(drive: DriveSpec, err: CoherentErrorSpec, signs) -> tuple:
-    """The (word, c) terms of H_s = error + sum_j s_j c_j P_j, the pattern
-    driven in a frame with drive signs s_j: the spec's scaled error terms,
-    then the signed drive terms."""
-    return err.scaled_terms() + tuple(
-        (word, s * c) for s, (word, c) in zip(signs, drive.terms))
+def _weight_rows(term_lists, n: int) -> np.ndarray:
+    """W[k, g], the weight of word g in the k-th list of (word, c) terms."""
+    rows = np.zeros((len(term_lists), 4**n))
+    for k, terms in enumerate(term_lists):
+        rows[k, [word.index for word, _ in terms]] = [c for _, c in terms]
+    return rows
 
 
-def _terms_matrix(terms) -> np.ndarray:
-    """sum_k c_k P_k of a nonempty term list, summed in list order."""
-    zero = np.zeros((2 ** terms[0][0].n_qubits,) * 2, dtype=complex)
-    return sum((c * matrix_of(word) for word, c in terms), zero)
+def _pattern_weights(error_rows, patterns, drive_rows) -> np.ndarray:
+    """Row c of spec k: error_rows[k] + sum_j patterns[c, j] drive_rows[j]."""
+    # Summed elementwise: a real matmul would page in about 0.14 MB more code.
+    return error_rows[:, None] + (patterns[:, :, None] * drive_rows).sum(axis=1)
 
 
 def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
@@ -177,10 +177,11 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
         raise ValueError(
             f"frame word acts on {alpha.n_qubits} qubits, drive on {drive.n_qubits}"
         )
-    signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
-    hamiltonian = _terms_matrix(_pattern_terms(drive, err, signs))
+    signs = np.array([[commutation_sign(alpha, word) for word, _ in drive.terms]], dtype=float)
+    rows = _weight_rows([err.scaled_terms()] + [[term] for term in drive.terms], drive.n_qubits)
+    [[weights]] = _pattern_weights(rows[:1], signs, rows[1:])  # the error row, the drive rows
     return (dissipator_superop(noise, drive.n_qubits)
-            - 1.0j * drive.tau * hamiltonian_superop(hamiltonian))
+            - 1.0j * drive.tau * hamiltonian_superop(_pauli_sums(weights)))
 
 
 # The one-qubit words in group order I, X, Y, Z: row k is vec(P_k), row-major.
@@ -197,6 +198,19 @@ def _qubit_legs(t: np.ndarray, n: int, back: bool = False) -> np.ndarray:
     pairs = [axis - 2 * n for q in range(n) for axis in (q, n + q)]
     ends = (range(-2 * n, 0), pairs) if back else (pairs, range(-2 * n, 0))
     return np.moveaxis(t.reshape(*t.shape[:-1], *(2,) * (2 * n)), *ends).reshape(t.shape)
+
+
+def _pauli_spectra(m: np.ndarray) -> np.ndarray:
+    """tr(P_k m) / 2^n of every word k, for each 2^n x 2^n matrix of a stack."""
+    n = m.shape[-1].bit_length() - 1
+    return _per_leg(_qubit_legs(m.reshape(*m.shape[:-2], 4**n), n), _PAULI_ROWS.conj() / 2)
+
+
+def _pauli_sums(weights: np.ndarray) -> np.ndarray:
+    """sum_k W_k P_k of each weight row W of a stack; inverts `_pauli_spectra`."""
+    n = (weights.shape[-1].bit_length() - 1) // 2
+    m = _qubit_legs(_per_leg(weights, _PAULI_ROWS.T), n, back=True)
+    return m.reshape(*weights.shape[:-1], 2**n, 2**n)
 
 
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
@@ -242,40 +256,26 @@ def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
     return group, position, cosets
 
 
-def _commutator_transfers(term_lists, n: int) -> np.ndarray:
-    """-i H(h) of h = sum_k c_k P_k in the Pauli-transfer basis, for each
-    list of (word, c_k) terms in ``term_lists``: a stack of real
-    4^n x 4^n matrices (see the module notes), written in one pass with
-    the product phases of the distinct words built once."""
+def _commutator_transfers(weights: np.ndarray, n: int) -> np.ndarray:
+    """-i H(sum_g W_g P_g) in the Pauli-transfer basis, real 4^n x 4^n (see
+    the module notes), for each weight row W of a stack."""
     words = np.arange(4**n)
-    spec = np.array([k for k, terms in enumerate(term_lists) for _ in terms], dtype=np.intp)
-    index = [word.index for terms in term_lists for word, _ in terms]
-    twice = np.array([2 * c for terms in term_lists for _, c in terms])
-    # The distinct words, sorted in Python: numpy's sort would page in
-    # about 0.2 MB of code.
-    row = {g: r for r, g in enumerate(sorted(set(index)))}
-    phases = _product_phases(np.array(list(row), dtype=np.intp), n).imag
-    out = np.zeros((len(term_lists),) + (words.size,) * 2)
-    # No list repeats a word, so no entry is written twice.
-    out[spec[:, None], words ^ np.array(index, dtype=np.intp)[:, None], words] -= (
-        twice[:, None] * phases[[row[g] for g in index]])
+    support = np.flatnonzero(weights.reshape(-1, words.size).any(axis=0))
+    phases = _product_phases(support, n).imag
+    out = np.zeros(weights.shape[:-1] + (words.size,) * 2)
+    # Distinct words write distinct entries (g XOR j, j).
+    out[..., words ^ support[:, None], words] -= 2 * weights[..., support, None] * phases
     return out
 
 
-def _commutator_norms(term_lists, n: int) -> np.ndarray:
-    """||-i H(h)||_1 in the Pauli-transfer basis of each term list's
-    h = sum_k c_k P_k (see the module notes), from one sign table against
-    the lists' distinct words."""
-    words = {word.index: word for terms in term_lists for word, _ in terms}
-    flat = [(k, word.index, c) for k, terms in enumerate(term_lists) for word, c in terms]
-    weights = np.zeros((len(term_lists), 4**n))
-    if flat:
-        spec, index, coefficient = zip(*flat)
-        weights[spec, index] = coefficient
-    anticommuting = (1 - sign_table(n, list(words.values()))) / 2
+def _commutator_norms(weights: np.ndarray, n: int) -> np.ndarray:
+    """||-i H(sum_g W_g P_g)||_1 in the Pauli-transfer basis for each weight
+    row W (see the module notes), from one sign table."""
+    support = np.flatnonzero(weights.any(axis=0))
+    anticommuting = (1 - _kron_columns(_SIGNS, support, n).T) / 2
     # Summed elementwise: einsum or a real matmul would page in 0.2 to
     # 0.35 MB more of resident code.
-    return 2 * (anticommuting * np.abs(weights[:, None, list(words)])).sum(axis=-1).max(axis=1)
+    return 2 * (anticommuting * np.abs(weights[:, None, support])).sum(axis=-1).max(axis=1)
 
 
 def _check_resolved(norms: np.ndarray, errs: list[CoherentErrorSpec]) -> None:
@@ -335,11 +335,10 @@ class TwirledChannel:
         p = np.arange(group.size)
         bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
         terms = _product_phases(group, n).imag[:, cosets] * bands
-        h = np.zeros((2**n,) * 2, dtype=complex)
-        for g, row in zip(group[1:], terms[1:]):
-            # fsum rounds each band's sum once, independent of its order.
-            h += math.fsum(row.ravel()) / (self.tau * cosets.size) * matrix_of(PauliString(n, g))
-        return h
+        weights = np.zeros(cosets.size)
+        # fsum rounds each band's sum once, independent of its order.
+        weights[group[1:]] = [math.fsum(row.ravel()) for row in terms[1:]]
+        return _pauli_sums(weights / (self.tau * cosets.size))
 
     def distance(self, other: TwirledChannel) -> float:
         """||self - other||_op, the largest over the blocks (the Pauli-transfer
@@ -368,11 +367,13 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
         check_drive_error_compat(drive, err)
     n = check_qubit_count(drive.n_qubits)
     tau = drive.tau
-    # Every pattern of a spec has the |c_k| of its identity-frame terms.  A
+    error_rows = _weight_rows([err.scaled_terms() for err in errs], n)
+    drive_rows = _weight_rows([[term] for term in drive.terms], n)
+    # Every pattern of a spec has the |W_g| of the identity frame's row.  A
     # huge amplitude overflows a norm to inf, or to nan where an inf meets
     # a 0; such a spec is refused before any pattern matrix is built.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = tau * _commutator_norms([err.scaled_terms() + drive.terms for err in errs], n)
+        norms = tau * _commutator_norms(error_rows + drive_rows.sum(axis=0), n)
     for norm, err in zip(norms.tolist(), errs):
         if not math.isfinite(norm):
             raise ResolutionError(
@@ -392,35 +393,32 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     characters = _per_leg(np.eye(group.size), np.array([[1.0, 1.0], [1.0, -1.0]]))
     patterns = characters[:, position]
 
-    # bands(term_lists)[k, c, p, i] is R_s[i, i XOR group[p]] of pattern c's
-    # Pauli-transfer matrix R_s for the k-th spec of a chunk's specs x
-    # patterns term lists, the only entries the twirl keeps.
+    # bands(weights)[k, c, p, i] is R_s[i, i XOR group[p]] of the
+    # Pauli-transfer matrix R_s of weight row weights[k, c], the only
+    # entries the twirl keeps.
     p, partners = np.arange(group.size), words ^ group[:, None]
     noiseless = noise.kind == "none" or noise.rate == 0
     if noiseless:
         phases = _product_phases(group, n)
 
-        def bands(term_lists) -> np.ndarray:
-            u = expm_hermitian(np.array([_terms_matrix(terms) for terms in term_lists]), tau)
+        def bands(weights) -> np.ndarray:
             # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
             # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
-            u = _qubit_legs(u.reshape(-1, len(patterns), 4**n), n)
-            a = _per_leg(u, _PAULI_ROWS.conj() / 2)[..., None, :]
+            a = _pauli_spectra(expm_hermitian(_pauli_sums(weights), tau))[..., None, :]
             b = np.conj(a * phases)[..., p[:, None], partners]
             return np.conj(phases) * _per_leg(a * b, _SIGNS)
     else:
         dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
 
-        def bands(term_lists) -> np.ndarray:
-            r = expm(dissipator + tau * _commutator_transfers(term_lists, n))
-            return r.reshape(-1, len(patterns), *r.shape[1:])[..., words, partners]
+        def bands(weights) -> np.ndarray:
+            return expm(dissipator + tau * _commutator_transfers(weights, n))[..., words, partners]
 
     pattern_entries = (2**n if noiseless else 4**n) ** 2
     chunk_size = max(1, _EXPM_STACK_ENTRIES // (len(patterns) * pattern_entries))
     channels = []
     for start in range(0, len(errs), chunk_size):
         chunk = errs[start:start + chunk_size]
-        kept = bands([_pattern_terms(drive, err, s) for err in chunk for s in patterns])
+        kept = bands(_pattern_weights(error_rows[start:start + chunk_size], patterns, drive_rows))
         _check_resolved(norms[start:start + chunk_size], chunk)  # an expm overflow raises first
         average = np.zeros((len(chunk), group.size, words.size), dtype=complex)
         for chi, band in zip(characters, kept.swapaxes(0, 1)):
@@ -444,7 +442,8 @@ def pst_channel(drive: DriveSpec, err: CoherentErrorSpec | None = None,
 def ideal_channel(drive: DriveSpec) -> np.ndarray:
     """Noiseless, error-free gate channel exp(-i tau H_drive): the
     identity frame's realization, lifted from its 2^n x 2^n unitary."""
-    return unitary_superop(expm_hermitian(_terms_matrix(drive.terms), drive.tau))
+    [weights] = _weight_rows([drive.terms], drive.n_qubits)
+    return unitary_superop(expm_hermitian(_pauli_sums(weights), drive.tau))
 
 
 def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
@@ -456,7 +455,7 @@ def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
         raise ValueError(f"word {word.label} has {word.n_qubits} qubits, the Hamiltonian {n}")
     if word.is_identity:
         return 0.0
-    return float(np.vdot(matrix_of(word), h).real) / h.shape[0]
+    return float(_pauli_spectra(h)[word.index].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +477,8 @@ class EffectiveGenerator:
     def hamiltonian_coeffs(self) -> dict[PauliString, float]:
         """c_g for every non-identity word, in group order."""
         n = self.hamiltonian.shape[0].bit_length() - 1
-        return {word: self.coefficient(word) for word in enumerate_group(n)[1:]}
+        weights = _pauli_spectra(self.hamiltonian).real.tolist()
+        return dict(zip(enumerate_group(n)[1:], weights[1:]))
 
     def remainder_norm(self) -> float:
         return op_norm(self.dissipative_remainder)

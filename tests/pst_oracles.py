@@ -21,14 +21,16 @@ from pstlab.liouville import (
 )
 from pstlab.magnus import CoherentErrorSpec
 from pstlab.numerics import expm, expm_hermitian, logm_principal
-from pstlab.pauli import commutation_sign, enumerate_group
+from pstlab.pauli import commutation_sign, enumerate_group, matrix_of
 from pstlab.pst_core import EffectiveGenerator, TwirledChannel
 
 
 def _pattern_matrix(drive, err, signs):
-    """H_s = error + sum_j s_j c_j P_j of drive signs ``signs``, the 2^n x 2^n
-    sum of the pattern's term list."""
-    return pst_core._terms_matrix(pst_core._pattern_terms(drive, err, signs))
+    """H_s = error + sum_j s_j c_j P_j of drive signs ``signs``, summed
+    word by word from `matrix_of`."""
+    terms = err.scaled_terms() + tuple(
+        (word, s * c) for s, (word, c) in zip(signs, drive.terms))
+    return sum(c * matrix_of(word) for word, c in terms)
 
 
 def _gathered_blocks(drive, pattern_channel):

@@ -323,6 +323,19 @@ class TestParitySweepCommand:
         assert result.stderr.startswith("pstlab: numerical failure: exponential of a"
                                         " matrix with 1-norm 6.000e+20 overflows in its")
 
+    @pytest.mark.parametrize("targets", [(), ("--noise-targets", "0")], ids=["all", "one"])
+    def test_overflowing_noise_rate_is_one_line_numerical_failure(self, targets):
+        # The config accepts the rate, but its dissipator overflows; under
+        # warnings as errors no numpy RuntimeWarning escapes before the refusal.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pstlab", "parity-sweep",
+             "--zeta", "1e308", "--delta-points", "3", *targets],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == ("pstlab: numerical failure: the pauli_z dissipator at rate"
+                                 " 1e+308 overflows double precision; reduce the noise rate\n")
+
     def test_unresolvable_error_scale_is_numerical_failure(self, capsys):
         # A Hamiltonian part of 1-norm 6e17 takes 57 squarings: the
         # exponential stays finite but has lost every digit (the sweep used

@@ -1,11 +1,12 @@
 """Tests for vectorization, superoperator constructors, and dissipators."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from pstlab.errors import ResourceLimitError
+from pstlab.errors import ResolutionError, ResourceLimitError
 from pstlab.liouville import (
     NoiseSpec,
     devectorize,
@@ -258,6 +259,20 @@ class TestDissipator:
             out = devectorize(channel @ vectorize(rho))
             assert abs(np.trace(out) - 1.0) < 1e-12
             assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
+
+
+    @pytest.mark.parametrize("targets", [None, (0,)])
+    @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
+    def test_overflowing_rate_is_a_resolution_error(self, kind, targets):
+        # L^dag L plus its transpose overflows at a rate of 1e308, with one
+        # jump operator or with one per qubit; 1e307 still fits.
+        assert np.isfinite(dissipator_superop(NoiseSpec(kind, 1e307, targets), 2)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match=(
+                f"the {kind} dissipator at rate 1e[+]308 overflows double precision"
+            )):
+                dissipator_superop(NoiseSpec(kind, 1e308, targets), 2)
 
 
 class TestDissipatorSpecs:

@@ -332,17 +332,17 @@ class TestChannelMatchesOracle:
         assert_matches_oracle(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
         # Pattern c is character c of the Sylvester matrix, (-1)^popcount(c & p),
         # at the drive words' group elements p.
-        original, patterns = pst_core._pattern_terms, []
+        original, patterns = pst_core._pattern_weights, []
 
-        def recording(drive, err, signs):
-            patterns.append(tuple(signs))
-            return original(drive, err, signs)
+        def recording(error_rows, signs, drive_rows):
+            patterns.append(signs.tolist())
+            return original(error_rows, signs, drive_rows)
 
-        monkeypatch.setattr(pst_core, "_pattern_terms", recording)
+        monkeypatch.setattr(pst_core, "_pattern_weights", recording)
         pst_channel(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
         group, position, _ = pst_core._coset_index(drive)
-        assert patterns == [tuple((-1) ** (c & int(p)).bit_count() for p in position)
-                            for c in range(group.size)]
+        assert patterns == [[[(-1) ** (c & int(p)).bit_count() for p in position]
+                             for c in range(group.size)]]
 
     @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
     def test_explicit_noise_targets(self, kind):
@@ -464,14 +464,16 @@ class TestCosetBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_commutator_transfer_is_the_superoperator_in_the_pauli_basis(self, n):
         rng = np.random.default_rng(n)
-        terms = [(word, rng.normal()) for word in enumerate_group(n)]
-        h = sum(c * matrix_of(word) for word, c in terms)
+        weights = rng.normal(size=4**n)
+        h = sum(c * matrix_of(word) for word, c in zip(enumerate_group(n), weights))
         expected = pst_core._pauli_transfer(-1j * hamiltonian_superop(h), n)
-        got = pst_core._commutator_transfers([terms[::2], [], terms, terms[1::2]], n)
+        rows = np.zeros((4, 4**n))
+        rows[0, ::2], rows[2], rows[3, 1::2] = weights[::2], weights, weights[1::2]
+        got = pst_core._commutator_transfers(rows, n)
         assert got.dtype == float
         assert np.abs(got[2] - expected).max() <= 1e-13
-        # Each list of the stack is its own transfer matrix: the terms are
-        # linear, and the empty list is the zero matrix.
+        # Each row of the stack is its own transfer matrix: the weights are
+        # linear, and the zero row is the zero matrix.
         assert np.array_equal(got[1], np.zeros_like(expected))
         assert np.abs(got[0] + got[3] - got[2]).max() <= 1e-13
 

@@ -1,7 +1,7 @@
 """Property tests of the ensemble channel against the per-frame oracle,
 of its complete positivity (a PSD Choi matrix), of its coset-block log
 against the dense one, of the noiseless spectral blocks and band weights
-against dense oracles, of the resolution bound's term-list 1-norm, of its
+against dense oracles, of the resolution bound's weight-row 1-norm, of its
 evenness in the error scale when one Pauli word flips the whole error, of
 the effective generator's Hamiltonian, and of the group order that
 `pauli` owns and `pst_core` indexes by.
@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 from pst_oracles import (  # noqa: E402
     dense_noiseless_blocks,
     densified_log_generator,
@@ -194,32 +195,110 @@ class TestPauliTransferGenerators:
 
 
 @st.composite
-def term_lists(draw):
-    """Up to four lists of distinct non-identity words on 1 to 3 qubits,
-    each with at most five coefficients of any sign and magnitude."""
+def weight_rows(draw):
+    """Up to four rows of Pauli weights on 1 to 3 qubits, each weighing at
+    most five non-identity words with coefficients of any sign and
+    magnitude."""
     n = draw(st.integers(1, 3))
-    words = st.integers(1, 4**n - 1).map(lambda index: PauliString(n, index))
+    words = st.lists(st.integers(1, 4**n - 1), max_size=5, unique=True)
     coefficient = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
-    lists = draw(st.lists(st.lists(words, max_size=5, unique=True), min_size=1, max_size=4))
-    return n, [[(word, draw(coefficient)) for word in terms] for terms in lists]
+    rows = np.zeros((draw(st.integers(1, 4)), 4**n))
+    for row in rows:
+        for index in draw(words):
+            row[index] = draw(coefficient)
+    return n, rows
+
+
+def label_row(n, **weights):
+    """A weight row from label=weight pairs."""
+    row = np.zeros(4**n)
+    for label, c in weights.items():
+        row[pauli_from_label(label).index] = c
+    return row
 
 
 class TestCommutatorNorms:
-    """The resolution bound's 1-norm of -i H(h) from a term list's |c_k|
+    """The resolution bound's 1-norm of -i H(h) from a weight row's |W_g|
     and one sign table, against the transfer matrix's largest column sum."""
 
     @settings(max_examples=60, deadline=None)
-    @given(term_lists())
-    @example((2, [[(pauli_from_label("XX"), 0.2), (pauli_from_label("YY"), -0.6),
-                   (pauli_from_label("ZZ"), 0.2), (pauli_from_label("YX"), 0.4),
-                   (pauli_from_label("ZX"), -1.0)], []]))
+    @given(weight_rows())
+    @example((2, np.array([label_row(2, XX=0.2, YY=-0.6, ZZ=0.2, YX=0.4, ZX=-1.0),
+                           np.zeros(16)])))
     def test_equals_the_transfer_column_sum(self, inputs):
-        n, lists = inputs
-        transfers = pst_core._commutator_transfers(lists, n)
+        n, rows = inputs
+        transfers = pst_core._commutator_transfers(rows, n)
         expected = np.abs(transfers).sum(axis=-2).max(axis=-1)
-        # Sums of at most five |c_k| in two orders part by under 1e-15.
-        np.testing.assert_allclose(pst_core._commutator_norms(lists, n), expected,
+        # Sums of at most five |W_g| in two orders part by under 1e-15.
+        np.testing.assert_allclose(pst_core._commutator_norms(rows, n), expected,
                                    rtol=1e-15, atol=0)
+
+
+@st.composite
+def complex_weight_rows(draw):
+    """One to three rows of complex Pauli weights on 1 to 3 qubits, and a
+    complex 2^n x 2^n matrix, every part in [-1, 1]."""
+    n, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    part = st.floats(-1.0, 1.0, allow_subnormal=False)
+    weights, m = (draw(arrays(float, (2, *shape), elements=part))
+                  for shape in ((rows, 4**n), (2**n, 2**n)))
+    return n, weights[0] + 1j * weights[1], m[0] + 1j * m[1]
+
+
+class TestPauliBasisChange:
+    """`_pauli_sums` and `_pauli_spectra` against the word-by-word sums of
+    `matrix_of` and the one-word projections they replace.  An entry sums
+    at most 4^n terms of magnitude at most sqrt(2), so each side rounds by
+    well under 4^n * 1e-15."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(complex_weight_rows())
+    def test_sums_and_spectra_are_the_word_by_word_references(self, inputs):
+        n, weights, m = inputs
+        tolerance = 4**n * 1e-15
+        words = enumerate_group(n)
+        sums = pst_core._pauli_sums(weights)
+        assert sums.shape == (len(weights), 2**n, 2**n)
+        expected = np.array([sum(c * matrix_of(word) for word, c in zip(words, row))
+                             for row in weights])
+        assert np.abs(sums - expected).max() <= tolerance
+        assert np.abs(pst_core._pauli_spectra(sums) - weights).max() <= tolerance
+        spectrum = [np.vdot(matrix_of(word), m) / 2**n for word in words]
+        assert np.abs(pst_core._pauli_spectra(m) - spectrum).max() <= tolerance
+
+
+class TestPatternWeights:
+    """Every row that `twirled_channels` exponentiates is the spec's scaled
+    error plus the drive terms signed by one realized frame, and every
+    frame's sign pattern is among them once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs(max_qubits=3, noise=False))
+    @example((DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS, scale=-0.7)))
+    def test_rows_are_error_plus_signed_drive(self, inputs):
+        drive, err = inputs
+        n, calls = drive.n_qubits, []
+        original = pst_core._pattern_weights
+
+        def recording(error_rows, patterns, drive_rows):
+            weights = original(error_rows, patterns, drive_rows)
+            calls.append((patterns, weights))
+            return weights
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pst_core, "_pattern_weights", recording)
+            twirled_channels(drive, [err])
+        [(patterns, [weights])] = calls
+        frames = {tuple(commutation_sign(alpha, word) for word, _ in drive.terms)
+                  for alpha in enumerate_group(n)}
+        assert sorted(map(tuple, patterns.tolist())) == sorted(frames)
+        for signs, row in zip(patterns, weights):
+            expected = np.zeros(4**n)
+            for word, c in err.terms:
+                expected[word.index] = err.scale * c
+            for s, (word, c) in zip(signs, drive.terms):
+                expected[word.index] = s * c
+            assert np.array_equal(row, expected)
 
 
 @st.composite

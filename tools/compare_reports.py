@@ -71,6 +71,10 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "parity-sweep-overflow": ("parity-sweep", "--delta-points", "3", "--delta-max", "1e20"),
     "parity-sweep-refusal": ("parity-sweep", "--delta-points", "3", "--delta-max", "1e17"),
     "parity-sweep-zeta-1e14": ("parity-sweep", "--zeta", "1e14", "--delta-points", "3"),
+    # A noise rate whose dissipator overflows, on every qubit and on one.
+    "parity-sweep-zeta-1e308": ("parity-sweep", "--zeta", "1e308", "--delta-points", "3"),
+    "parity-sweep-zeta-1e308-one-target": ("parity-sweep", "--zeta", "1e308",
+                                           "--delta-points", "3", "--noise-targets", "0"),
     "parity-sweep-exceptional-point": ("parity-sweep", "--drive", "X", "--tau", "0.5",
                                        "--zeta", "4.0", "--error", "Z=0.3",
                                        "--delta-points", "5"),
