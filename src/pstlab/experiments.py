@@ -16,7 +16,9 @@ run):
 Default parameters: a ZX drive with duration 0.5 and error amplitudes
 XX 0.2, YY 0.6, ZZ 0.2, YX 0.4 for the weight table; duration 2.5 and
 rate 3 for the parity sweep (extreme decay makes the damping asymmetry
-visible).  No sampling anywhere; reports are bit-identical across runs.
+visible).  The one draw is ``magnus-check``'s random error sets, from
+``random.Random(seed)``; identical invocations give identical reports
+for a given Python.
 
 Each study has a frozen config dataclass on the numpy-free schema of
 `pstlab.schema` (field coercion, flags, ``from_dict``/``to_dict``), which
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -381,7 +384,10 @@ class MagnusCheckConfig(_Config):
         5, help="seeded random anticommuting error sets run after the default"
                 " set, unless --error-set is given (default 5)",
     )
-    seed: int = _field(20240, help="seed of the random error sets (default 20240)")
+    seed: int = _field(
+        20240, help="seed of the random error sets, drawn with Python's random.Random"
+                    " (default 20240)",
+    )
     max_amplitude: float = _field(
         0.6, help="largest random error amplitude (default 0.6)"
     )
@@ -415,8 +421,10 @@ class MagnusCheckConfig(_Config):
                 f" the smallest random amplitude; got {self.max_amplitude}"
             )
         _require_nonempty(self, "taus")
+        _require_distinct("taus", self.taus)
         if self.error_sets is not None:
             _require_nonempty(self, "error_sets")
+            _require_distinct("error_sets", self.error_sets)
         with _as_config_error():
             drives = [DriveSpec.single(self.drive, tau) for tau in self.taus]
             for pairs in self.resolved_error_sets():
@@ -441,15 +449,14 @@ def _random_anticommuting_sets(drive_label: str, count: int, seed: int,
         for word in enumerate_group(beta.n_qubits)
         if commutation_sign(word, beta) == -1
     ]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     sets = []
     for _ in range(count):
-        size = int(rng.integers(2, min(4, len(pool)) + 1))
-        chosen = rng.choice(len(pool), size=size, replace=False)
-        amplitudes = rng.uniform(RANDOM_AMPLITUDE_FLOOR, max_amplitude, size=size)
-        sets.append(
-            tuple((pool[int(i)], float(a)) for i, a in zip(chosen, amplitudes))
-        )
+        size = rng.randint(2, min(4, len(pool)))
+        chosen = rng.sample(range(len(pool)), size)
+        sets.append(tuple(
+            (pool[i], rng.uniform(RANDOM_AMPLITUDE_FLOOR, max_amplitude)) for i in chosen
+        ))
     return tuple(sets)
 
 

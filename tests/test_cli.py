@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -455,10 +456,37 @@ class TestMagnusCheckCommand:
         assert math.isfinite(float(estimate.group(1)))
 
     def test_negative_seed_is_refused_by_name(self, capsys):
-        # numpy's own refusal, "expected non-negative integer", names no field.
+        # random.Random would draw seed -1 as seed 1; the refusal names the field.
         code, out, err = run_cli(capsys, "magnus-check", "--seed=-1", "--dump-config")
         assert (code, out) == (1, "")
         assert err == "pstlab: config error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--taus", "0.5,0.5"], "taus repeats [0.5]"),
+        (["--error-set", "XX=0.2;YY=0.6", "--error-set", "XX=0.2;YY=0.6"],
+         "error_sets repeats [(('XX', 0.2), ('YY', 0.6))]"),
+    ], ids=["taus", "error-sets"])
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+    def test_repeated_value_is_refused_by_name(self, argv, refusal, dump, capsys):
+        # A repeated value would run again and print its rows twice.
+        code, out, err = run_cli(capsys, "magnus-check", *argv, *dump)
+        assert (code, out) == (1, "")
+        assert err == f"pstlab: config error: {refusal}; each value must appear once\n"
+
+    def test_reports_are_identical_across_hash_seeds(self):
+        # The draw must not depend on a hash-ordered set, so interpreters
+        # with different string hashing print the same bytes.
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "pstlab", "magnus-check", "--seed", "3",
+                 "--taus", "0.5"],
+                capture_output=True, timeout=120, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["rows"]) == 1 + 5
 
     def test_tolerance_failure_is_typed(self, capsys):
         argv = ["magnus-check", "--taus", "0.5", "--error-set", "XX=0.2",

@@ -80,13 +80,13 @@ def test_hand_listed_surface_is_kept():
 
 
 # Runs in a fresh interpreter and prints, per step, which of numpy,
-# numpy.polynomial and scipy are loaded.
+# numpy.polynomial, numpy.random and scipy are loaded.
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
     def loaded():
         return {name: name in sys.modules
-                for name in ("numpy", "numpy.polynomial", "scipy")}
+                for name in ("numpy", "numpy.polynomial", "numpy.random", "scipy")}
 
     steps = {}
     import pstlab
@@ -135,6 +135,13 @@ def test_numpy_polynomial_never_loads(import_steps):
     # The quadrature's Gauss-Legendre rule is written out, so no command
     # pays for importing numpy.polynomial.
     assert {step: loaded["numpy.polynomial"] for step, loaded in import_steps.items()} == (
+        dict.fromkeys(import_steps, False))
+
+
+def test_numpy_random_never_loads(import_steps):
+    # magnus-check draws its seeded error sets with random.Random, so no
+    # command pays for importing numpy.random and its extension modules.
+    assert {step: loaded["numpy.random"] for step, loaded in import_steps.items()} == (
         dict.fromkeys(import_steps, False))
 
 

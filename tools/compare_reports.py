@@ -95,6 +95,11 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-csv": ("magnus-check", "--format", "csv"),
     "magnus-check-seed3-csv": ("magnus-check", "--seed", "3", "--format", "csv"),
     "magnus-check-budget": ("magnus-check", "--taus", "0.5,1.0", "--max-evaluations", "50"),
+    # Runs that draw no random error set, so a new draw leaves them byte-identical.
+    "magnus-check-no-random-sets": ("magnus-check", "--random-sets", "0"),
+    "magnus-check-error-sets-csv": ("magnus-check", "--taus", "0.3,0.5,1.0",
+                                    "--error-set", "XX=0.2;YY=0.6;ZZ=0.2;YX=0.4",
+                                    "--error-set", "XI=0.3;IY=0.1", "--format", "csv"),
     # The 4,096-point level of the triangle rule.
     "magnus-check-tau2.5": ("magnus-check", "--taus", "2.5", "--error-set", "XX=0.2;YY=0.6"),
     "magnus-check-xx-1e150": ("magnus-check", "--error-set", "XX=1e150;YY=0.2",
