@@ -55,7 +55,6 @@ from .pauli import commutation_sign, enumerate_group, pauli_from_label
 from .pst_core import (
     TwirledChannel,
     _check_tau,
-    _pauli_weight,
     twirled_channels,
 )
 from .schema import (
@@ -185,9 +184,9 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     The untwirled row reads each weight by label off the identity frame's
     term list (scaled errors, then drive; no word repeats), with no
     channel, no log and no rounding, so it is the input amplitudes at
-    every tau; the twirled row reads
-    `TwirledChannel.hamiltonian` of the ensemble channel, the 2^n x 2^n
-    Hamiltonian part of its principal log, with no 4^n x 4^n array.  The
+    every tau; the twirled row reads each weight by index off
+    `TwirledChannel.weights` of the ensemble channel, the Pauli weights of
+    the Hamiltonian part of its principal log, with no 4^n x 4^n array.  The
     twirl zeroes the error words and amplifies the drive weight, which is
     compared against the sinc-law prediction.
     A tau below ``TABLE1_MIN_TAU`` raises ``ResolutionError``: there the
@@ -205,10 +204,9 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
             f" cannot resolve the weights (needs tau >= {TABLE1_MIN_TAU:.3g})"
         )
     err = config.error_spec()
-    labels = [label for label, _ in config.errors] + [config.drive]
-
     channel = twirled_channels(drive, [err])[0]
-    twirled = channel.hamiltonian()
+    weights = channel.weights().tolist()
+    twirled = {word.label: weights[word.index] for word, _ in err.terms + drive.terms}
     untwirled = {word.label: c for word, c in err.scaled_terms() + drive.terms}
 
     theoretical = over_rotation_factor(drive.tau, anticommuting_sum_h2(drive, err))
@@ -220,7 +218,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
             f" beyond its branch cut, so the {config.drive} weight is not the"
             " generator's; reduce tau"
         )
-    numeric = _pauli_weight(twirled, config.drive)
+    numeric = twirled[config.drive]
     if numeric == 0:
         raise ResolutionError(
             f"the twirled {config.drive} weight reads {numeric!r}, so its agreement"
@@ -229,8 +227,8 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
     agreement = 100.0 * (1.0 - abs(numeric - theoretical) / numeric)
     return Table1Report(
         config=config,
-        no_pst={label: untwirled[label] for label in labels},
-        pst={label: _pauli_weight(twirled, label) for label in labels},
+        no_pst=untwirled,
+        pst=twirled,
         theoretical_drive_coeff=theoretical,
         agreement_pct=agreement,
         twirled=channel,

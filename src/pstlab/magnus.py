@@ -20,10 +20,10 @@ space.  In twirl frame alpha the dressed error sum is
 with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
 their i P_beta P_w, each weighted by its amplitude and the frame sign
 chi_alpha(P_w).  The frame signs are the rows of `pauli.sign_table`
-against the error words, in group order, so one contraction builds c0,
-c1, c2 for all 4^n frames, and frame alpha's row is the one at
-``alpha.index``.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the commutator
-expands exactly as
+against the error words, in group order (frame alpha's at
+``alpha.index``); c0, c1, c2 of every frame are built as Pauli weight
+rows, then as matrices by one `pauli._pauli_sums` pass.  Writing
+c_k = cos 2t_k and s_k = sin 2t_k, the commutator expands exactly as
 
     [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
                      + sin 2(t2 - t1) [c1,c2],
@@ -78,8 +78,9 @@ from .liouville import hamiltonian_superop
 from .numerics import interval_quadrature, triangle_quadrature
 from .pauli import (
     PauliString,
+    _pauli_sums,
+    _product_phases,
     commutation_sign,
-    matrix_of,
     pauli_from_label,
     sign_table,
 )
@@ -219,23 +220,23 @@ def check_drive_error_compat(drive: DriveSpec, err: CoherentErrorSpec) -> None:
             )
 
 
-def _dressed_parts(words, beta: PauliString) -> np.ndarray:
-    """Hilbert-space parts of the dressed ``words``, stacked (3, words, 2^n, 2^n).
-
-    A word commuting with the drive beta contributes P_w to part 0; an
-    anticommuting one contributes P_w to part 1 and the Hermitian
-    i P_beta P_w to part 2.  Word w dressed at time t is then the lift of
-    parts[0, w] + cos(2t) parts[1, w] + sin(2t) parts[2, w].
+def _dressed_sums(beta: PauliString, words: list[int], weights: np.ndarray) -> np.ndarray:
+    """(c0, c1, c2) for each row of ``weights``, the weights of the words
+    at indices ``words``, stacked (3, rows, 2^n, 2^n): weight rows summed
+    in one `_pauli_sums` pass.  A word w with a real phase w(w, beta) = +-1
+    commutes with the drive beta and goes to c0; one with w(w, beta) = +-i
+    goes to c1, and as i P_beta P_w = i w(beta, w) P_(beta XOR w) to c2,
+    with the factor i w(beta, w) = i conj(w(w, beta)) = Im w(w, beta) = +-1.
     """
-    dim = 2**beta.n_qubits
-    parts = np.zeros((3, len(words), dim, dim), dtype=complex)
-    for index, word in enumerate(words):
-        if commutation_sign(word, beta) == 1:
-            parts[0, index] = matrix_of(word)
-        else:
-            parts[1, index] = matrix_of(word)
-            parts[2, index] = 1.0j * matrix_of(beta) @ matrix_of(word)
-    return parts
+    n = beta.n_qubits
+    words = np.array(words, dtype=np.intp)
+    factors = _product_phases(np.array([beta.index]), n)[0].imag[words]
+    anti = factors != 0  # the words that anticommute with beta
+    rows = np.zeros((3, len(weights), 4**n))
+    rows[0][:, words[~anti]] = weights[:, ~anti]
+    rows[1][:, words[anti]] = weights[:, anti]
+    rows[2][:, words[anti] ^ beta.index] = weights[:, anti] * factors[anti]
+    return _pauli_sums(rows)
 
 
 def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
@@ -248,16 +249,14 @@ def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
     """
     beta = drive.single_pauli()
     check_drive_error_compat(drive, err)
-    n = drive.n_qubits
-    terms = err.scaled_terms()
-    words = [word for word, _ in terms]
-    signs = sign_table(n, words)
+    n, terms = drive.n_qubits, err.scaled_terms()
+    signs = sign_table(n, [word for word, _ in terms])
     if alpha is not None:
         if alpha.n_qubits != n:
             raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
         signs = signs[[alpha.index]]
     weights = signs * [amplitude for _, amplitude in terms]
-    return np.einsum("fw,kwij->kfij", weights, _dressed_parts(words, beta))
+    return _dressed_sums(beta, [word.index for word, _ in terms], weights)
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,7 +279,9 @@ def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np
     beta = drive.single_pauli()
     if err_term.n_qubits != drive.n_qubits:
         raise ValueError("error word and drive act on different registers")
-    constant, cos_part, sin_part = _dressed_parts([err_term], beta)[:, 0]
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    constant, cos_part, sin_part = _dressed_sums(beta, [err_term.index], np.ones((1, 1)))[:, 0]
     return hamiltonian_superop(
         constant + math.cos(2.0 * t) * cos_part + math.sin(2.0 * t) * sin_part
     )
@@ -411,7 +412,7 @@ def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     -i tau (1 - sinc(2 tau))/2 * (sum of anticommuting amplitudes squared)
     times the drive superoperator."""
     beta = drive.single_pauli()
-    prefactor = drive.tau * (1.0 - sinc(2.0 * drive.tau)) / 2.0
-    weight = anticommuting_sum_h2(drive, err)
+    weight = drive.tau * (1.0 - sinc(2.0 * drive.tau)) / 2.0 * anticommuting_sum_h2(drive, err)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _lift(prefactor * weight * matrix_of(beta), "closed-form second-order term")
+        unit = np.eye(1, 4**drive.n_qubits, beta.index)[0]  # the drive's weight row
+        return _lift(_pauli_sums(weight * unit), "closed-form second-order term")

@@ -25,10 +25,14 @@ Group order is a Kronecker order, so every table the twirl needs over n
 qubits is a Kronecker power of one one-qubit table.  `_per_leg` is the
 one routine that applies such a power: along the last axis of a stack,
 one leg at a time (4 for Pauli words, 2 for elements of a drive group),
-leftmost leg most significant.  The numpy sign table (`sign_table`) and
-`pst_core`'s product phases, Pauli spectra, twirl characters and
-Pauli-transfer basis all run through it.  numpy is imported only where
-arrays are built, by `matrix_of` and `sign_table`.
+leftmost leg most significant.  The numpy sign table, the product phases
+and `pst_core`'s twirl characters and Pauli-transfer basis run through
+it, and so does the one change of basis between rows W of 4^n Pauli
+weights and 2^n x 2^n matrices m: `_pauli_sums` (W to sum_k W_k P_k, the
+only builder of Pauli matrices, `matrix_of` included) and
+`_pauli_spectra` (m to tr(P_k m) / 2^n), on the qubit legs that
+`_qubit_legs` alone fixes.  numpy is imported only inside the functions
+that build arrays.
 """
 
 from __future__ import annotations
@@ -66,15 +70,22 @@ DEFAULT_MAX_QUBITS = 4
 # The one-qubit words in group order.
 _LETTERS = "IXYZ"
 
-_SINGLE_QUBIT = {
-    "I": ((1, 0), (0, 1)),
-    "X": ((0, 1), (1, 0)),
-    "Y": ((0, -1j), (1j, 0)),
-    "Z": ((1, 0), (0, -1)),
-}
+# Row k is vec(P_k), row-major, for the one-qubit words in group order.
+_PAULI_ROWS = ((1, 0, 0, 1), (0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1))
 # P_a P_b = _PRODUCT_PHASE[a][b] P_(a XOR b) for one-qubit words a, b in
-# group order; the phase squares to their commutation sign.
+# group order; the phase squares to their commutation sign, _SIGNS[a][b].
 _PRODUCT_PHASE = ((1, 1, 1, 1), (1, 1, 1j, -1j), (1, -1j, 1, 1j), (1, 1j, -1j, 1))
+_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+@functools.cache
+def _numpy_table(table: tuple) -> np.ndarray:
+    """A one-qubit table as a read-only numpy array, built on first use."""
+    import numpy as np
+
+    array = np.array(table)
+    array.setflags(write=False)
+    return array
 
 
 def max_qubits() -> int:
@@ -204,7 +215,8 @@ def enumerate_group(n: int) -> list[PauliString]:
 
 
 def matrix_of(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the word (Kronecker product of factors).
+    """Dense 2^n x 2^n matrix of the word: `_pauli_sums` of its unit
+    weight row.
 
     The result is cached per word and read-only; the qubit bound is
     checked on every call, so lowering it also refuses cached words.
@@ -217,9 +229,7 @@ def matrix_of(p: PauliString) -> np.ndarray:
 def _cached_matrix(p: PauliString) -> np.ndarray:
     import numpy as np
 
-    m = np.array([[1.0 + 0.0j]])
-    for letter in p.label:
-        m = np.kron(m, np.array(_SINGLE_QUBIT[letter], dtype=complex))
+    m = _pauli_sums(np.eye(1, 4**p.n_qubits, p.index))[0]  # the unit row of the word
     m.setflags(write=False)
     return m
 
@@ -244,6 +254,36 @@ def _kron_columns(table: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
     return _per_leg((columns[:, None] == np.arange(4**n)).astype(table.dtype), table)
 
 
+def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
+    """w[p, i] with P_i P_g = w[p, i] P_(i XOR g) for g = group[p] and
+    every word i: a Kronecker product of one-qubit phase columns."""
+    return _kron_columns(_numpy_table(_PRODUCT_PHASE), group, n)
+
+
+def _qubit_legs(t: np.ndarray, n: int, back: bool = False) -> np.ndarray:
+    """``t`` with its last axis, a row-major 2^n x 2^n index, regrouped into
+    one leg of size 4 per qubit, its (row, column) bit pair, as `_per_leg`
+    reads legs; ``back`` regroups such legs into the row-major index."""
+    import numpy as np
+
+    pairs = [axis - 2 * n for q in range(n) for axis in (q, n + q)]
+    ends = (range(-2 * n, 0), pairs) if back else (pairs, range(-2 * n, 0))
+    return np.moveaxis(t.reshape(*t.shape[:-1], *(2,) * (2 * n)), *ends).reshape(t.shape)
+
+
+def _pauli_spectra(m: np.ndarray) -> np.ndarray:
+    """tr(P_k m) / 2^n of every word k, for each 2^n x 2^n matrix of a stack."""
+    n, rows = m.shape[-1].bit_length() - 1, _numpy_table(_PAULI_ROWS)
+    return _per_leg(_qubit_legs(m.reshape(*m.shape[:-2], 4**n), n), rows.conj() / 2)
+
+
+def _pauli_sums(weights: np.ndarray) -> np.ndarray:
+    """sum_k W_k P_k of each weight row W of a stack; inverts `_pauli_spectra`."""
+    n = (weights.shape[-1].bit_length() - 1) // 2
+    m = _qubit_legs(_per_leg(weights, _numpy_table(_PAULI_ROWS).T), n, back=True)
+    return m.reshape(*weights.shape[:-1], 2**n, 2**n)
+
+
 def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
     """Commutation signs (+-1 ints) of every n-qubit word, the rows in
     group order, against ``words`` (default: the whole group): the
@@ -257,8 +297,7 @@ def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:
             raise ValueError(f"word {word.label} acts on {word.n_qubits} qubits, expected {n}")
     columns = (np.arange(4**n) if words is None
                else np.array([word.index for word in words], dtype=np.intp))
-    phase = np.array(_PRODUCT_PHASE)
-    return _kron_columns((phase * phase).real.astype(int), columns, n).T
+    return _kron_columns(_numpy_table(_SIGNS), columns, n).T
 
 
 def _sign_rows(group: list[PauliString]) -> list[list[int]]:

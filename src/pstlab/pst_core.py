@@ -32,12 +32,12 @@ the m-th Kronecker power of the 2 x 2 one.
 
 Only the bands R_s[i, i XOR g], g in <D>, are needed.  A Pauli sum is a row
 W of its 4^n word weights; pattern s of spec k is error_rows[k] +
-sum_j s_j drive_rows[j] (`_pattern_weights`).  The one Hilbert-space change
-of basis, a `_per_leg` pass each way, takes m to tr(P_k m) / 2^n
-(`_pauli_spectra`) and W to sum_k W_k P_k (`_pauli_sums`).  Both branches
-exponentiate a chunk of specs x patterns as one stack, each matrix with the
-arithmetic it gets alone, check one bound and average the bands in one fixed
-order, so a channel is the same bits in any batch.  With noise, `expm` of
+sum_j s_j drive_rows[j] (`_pattern_weights`), and `pauli` owns the
+change of basis between rows and matrices (`_pauli_sums`,
+`_pauli_spectra`).  Both branches exponentiate a chunk of specs x
+patterns as one stack, each matrix with the arithmetic it gets alone,
+check one bound and average the bands in one fixed order, so a channel
+is the same bits in any batch.  With noise, `expm` of
 noise - i tau H(H_s) built in the Pauli-transfer basis is R_s itself (the
 basis is unitary).  There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
@@ -53,9 +53,8 @@ where chi(i, k) is the commutation sign.  The coefficients, the sign sum
 (a symplectic Walsh-Hadamard transform) and w are Kronecker powers of
 one 4 x 4 table per qubit, so each transform is one pass of
 `pauli._per_leg`, O(n 4^n), and no 4^n x 4^n array is formed.  The
-change to the Pauli-transfer basis is one such pass per side, once
-`_qubit_legs`, the one place that fixes the leg order, groups each
-qubit's (row, column) bit pair of a row-major vec index into one leg.
+change to the Pauli-transfer basis is one such pass per side, on the
+qubit legs of `pauli._qubit_legs`.
 The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
 `expm` more than 26 squarings; by the entries above, its 1-norm is
 2 tau max_j sum_k |W_k| over the words k that anticommute with j, from
@@ -80,16 +79,15 @@ the generator back only while the channel eigenphases stay inside
 (-pi, pi).  `logm_principal` alone accepts the log, by one rule for every
 caller: the branch cut, then reconstruction to 1e-12 of the matrix's norm.
 
-`TwirledChannel.hamiltonian` never forms the dense log.  The log of a
+`TwirledChannel.weights` never forms the dense log.  The log of a
 block-diagonal matrix is the block-diagonal matrix of the blocks' logs,
 so it logs the coset blocks as one stack of 2^m x 2^m matrices, which
 `logm_principal` accepts or refuses block by block, each against its own
 norm.  H_g has Pauli-transfer entries only at (g XOR j, j) (see above),
 so with X = log / (-i tau) the weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
-reads the (i, i XOR g) band alone, and every word outside <D> weighs 0.
-The weights make h = sum_{g in <D>} c_g P_g, which `table1` reads back
-word by word as tr(P h) / 2^n.
+reads the (i, i XOR g) band alone, and every word outside <D> weighs 0;
+`table1` reads its twirled row off these weights by word index.
 """
 
 from __future__ import annotations
@@ -115,11 +113,15 @@ from .magnus import (
 )
 from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
-    _LETTERS,
     _kron_columns,
-    _PRODUCT_PHASE,
+    _numpy_table,
+    _PAULI_ROWS,
+    _pauli_spectra,
+    _pauli_sums,
     _per_leg,
-    _SINGLE_QUBIT,
+    _product_phases,
+    _qubit_legs,
+    _SIGNS,
     PauliString,
     check_qubit_count,
     commutation_sign,
@@ -184,35 +186,6 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
             - 1.0j * drive.tau * hamiltonian_superop(_pauli_sums(weights)))
 
 
-# The one-qubit words in group order I, X, Y, Z: row k is vec(P_k), row-major.
-_PAULI_ROWS = np.array([_SINGLE_QUBIT[letter] for letter in _LETTERS]).reshape(4, 4)
-# P_a P_b = _PHASE[a, b] P_(a XOR b); the phase squares to the commutation sign.
-_PHASE = np.array(_PRODUCT_PHASE)
-_SIGNS = (_PHASE * _PHASE).real
-
-
-def _qubit_legs(t: np.ndarray, n: int, back: bool = False) -> np.ndarray:
-    """``t`` with its last axis, a row-major 2^n x 2^n index, regrouped into
-    one leg of size 4 per qubit, its (row, column) bit pair, as `_per_leg`
-    reads legs; ``back`` regroups such legs into the row-major index."""
-    pairs = [axis - 2 * n for q in range(n) for axis in (q, n + q)]
-    ends = (range(-2 * n, 0), pairs) if back else (pairs, range(-2 * n, 0))
-    return np.moveaxis(t.reshape(*t.shape[:-1], *(2,) * (2 * n)), *ends).reshape(t.shape)
-
-
-def _pauli_spectra(m: np.ndarray) -> np.ndarray:
-    """tr(P_k m) / 2^n of every word k, for each 2^n x 2^n matrix of a stack."""
-    n = m.shape[-1].bit_length() - 1
-    return _per_leg(_qubit_legs(m.reshape(*m.shape[:-2], 4**n), n), _PAULI_ROWS.conj() / 2)
-
-
-def _pauli_sums(weights: np.ndarray) -> np.ndarray:
-    """sum_k W_k P_k of each weight row W of a stack; inverts `_pauli_spectra`."""
-    n = (weights.shape[-1].bit_length() - 1) // 2
-    m = _qubit_legs(_per_leg(weights, _PAULI_ROWS.T), n, back=True)
-    return m.reshape(*weights.shape[:-1], 2**n, 2**n)
-
-
 def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     """B^dag m B (or B m B^dag with ``inverse``), where column i of B is
     vec(P_i) / sqrt(2^n), row-major, words in group order.
@@ -221,18 +194,12 @@ def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
     groups a vec index into qubit legs, so each side is one `_per_leg` pass
     and a transpose, and B is never built densely.
     """
-    one = _PAULI_ROWS.T / math.sqrt(2)
+    one = _numpy_table(_PAULI_ROWS).T / math.sqrt(2)
     # The passes give (m B)^T, then B^dag m B; or (m B^dag)^T, then B m B^dag.
     for table in (one.conj(), one) if inverse else (one.T, one.conj().T):
         m = (_qubit_legs(_per_leg(m, table), n, back=True) if inverse
              else _per_leg(_qubit_legs(m, n), table)).T
     return m
-
-
-def _product_phases(group: np.ndarray, n: int) -> np.ndarray:
-    """w[p, i] with P_i P_g = w[p, i] P_(i XOR g) for g = group[p] and
-    every word i: a Kronecker product of one-qubit phase columns."""
-    return _kron_columns(_PHASE, group, n)
 
 
 def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -272,7 +239,7 @@ def _commutator_norms(weights: np.ndarray, n: int) -> np.ndarray:
     """||-i H(sum_g W_g P_g)||_1 in the Pauli-transfer basis for each weight
     row W (see the module notes), from one sign table."""
     support = np.flatnonzero(weights.any(axis=0))
-    anticommuting = (1 - _kron_columns(_SIGNS, support, n).T) / 2
+    anticommuting = (1 - _kron_columns(_numpy_table(_SIGNS), support, n).T) / 2
     # Summed elementwise: einsum or a real matmul would page in 0.2 to
     # 0.35 MB more of resident code.
     return 2 * (anticommuting * np.abs(weights[:, None, support])).sum(axis=-1).max(axis=1)
@@ -322,13 +289,14 @@ class TwirledChannel:
         ptm[self.cosets[:, :, None], self.cosets[:, None, :]] = self.blocks
         return _pauli_transfer(ptm, self._n_qubits, inverse=True)
 
-    def hamiltonian(self) -> np.ndarray:
-        """The Hamiltonian part sum_g c_g P_g (2^n x 2^n) of the principal
-        log, read off the log's (i, i XOR g) bands for g in <D> (see the
-        module notes); the same as `EffectiveGenerator.from_generator` of
-        the dense log.  `logm_principal` logs the blocks and refuses, by its
-        one rule, a block near the branch cut or whose log misses it by more
-        than 1e-12 of its norm (``BranchCutError``, ``DefectiveMatrixError``)."""
+    def weights(self) -> np.ndarray:
+        """The row of Pauli weights c_g, over all 4^n words, of the principal
+        log's Hamiltonian part: read off the log's (i, i XOR g) bands for g
+        in <D>, 0 elsewhere (see the module notes), as
+        `EffectiveGenerator.from_generator` reads them from the dense log.
+        `logm_principal` refuses, by its one rule, a block near the branch cut
+        or whose log misses it by more than 1e-12 of its norm
+        (``BranchCutError``, ``DefectiveMatrixError``)."""
         _check_tau(self.tau)
         cosets, n = self.cosets, self._n_qubits
         group, log = cosets[0], logm_principal(self.blocks)
@@ -338,7 +306,7 @@ class TwirledChannel:
         weights = np.zeros(cosets.size)
         # fsum rounds each band's sum once, independent of its order.
         weights[group[1:]] = [math.fsum(row.ravel()) for row in terms[1:]]
-        return _pauli_sums(weights / (self.tau * cosets.size))
+        return weights / (self.tau * cosets.size)
 
     def distance(self, other: TwirledChannel) -> float:
         """||self - other||_op, the largest over the blocks (the Pauli-transfer
@@ -406,7 +374,7 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
             # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
             a = _pauli_spectra(expm_hermitian(_pauli_sums(weights), tau))[..., None, :]
             b = np.conj(a * phases)[..., p[:, None], partners]
-            return np.conj(phases) * _per_leg(a * b, _SIGNS)
+            return np.conj(phases) * _per_leg(a * b, _numpy_table(_SIGNS))
     else:
         dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
 
@@ -446,18 +414,6 @@ def ideal_channel(drive: DriveSpec) -> np.ndarray:
     return unitary_superop(expm_hermitian(_pauli_sums(weights), drive.tau))
 
 
-def _pauli_weight(h: np.ndarray, word: str | PauliString) -> float:
-    """tr(P_word h) / 2^n, the weight of ``word`` in a Hermitian h; the
-    identity has none, its commutator superoperator vanishes."""
-    word = pauli_from_label(word) if isinstance(word, str) else word
-    n = h.shape[0].bit_length() - 1
-    if word.n_qubits != n:
-        raise ValueError(f"word {word.label} has {word.n_qubits} qubits, the Hamiltonian {n}")
-    if word.is_identity:
-        return 0.0
-    return float(_pauli_spectra(h)[word.index].real)
-
-
 @dataclass(frozen=True, eq=False)
 class EffectiveGenerator:
     """Decomposition of a generator into Pauli-Hamiltonian weights plus a
@@ -471,7 +427,12 @@ class EffectiveGenerator:
     dissipative_remainder: np.ndarray
 
     def coefficient(self, word: str | PauliString) -> float:
-        return _pauli_weight(self.hamiltonian, word)
+        """tr(P_word h) / 2^n; the identity, whose commutator vanishes, weighs 0."""
+        word = pauli_from_label(word) if isinstance(word, str) else word
+        n = self.hamiltonian.shape[0].bit_length() - 1
+        if word.n_qubits != n:
+            raise ValueError(f"word {word.label} has {word.n_qubits} qubits, the Hamiltonian {n}")
+        return 0.0 if word.is_identity else float(_pauli_spectra(self.hamiltonian)[word.index].real)
 
     @property
     def hamiltonian_coeffs(self) -> dict[PauliString, float]:

@@ -8,6 +8,10 @@ or exponentiate its row-major Liouville generator noise - i tau H(H_s),
 transform the whole channel to the Pauli-transfer basis and gather the
 blocks; or average every one of the 4^n frames one Pauli-transfer matrix
 at a time.  Each oracle returns the twirl as a `TwirledChannel`.
+
+`magnus` builds the dressed error parts of every twirl frame as Pauli
+weight rows; `dressed_parts` and `frame_parts` build them word by word
+from `matrix_of` and frame by frame from `commutation_sign`.
 """
 
 import numpy as np
@@ -81,6 +85,36 @@ def frame_average_blocks(drive, err=None):
         total += pst_core._pauli_transfer(frame @ lift @ frame, n)
     return TwirledChannel((total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets,
                           drive.tau)
+
+
+def dressed_parts(words, beta):
+    """Hilbert-space parts of the dressed ``words``, stacked (3, words, 2^n, 2^n).
+
+    A word commuting with the drive beta contributes P_w to part 0; an
+    anticommuting one contributes P_w to part 1 and the Hermitian
+    i P_beta P_w to part 2.  Word w dressed at time t is then the lift of
+    parts[0, w] + cos(2t) parts[1, w] + sin(2t) parts[2, w].
+    """
+    dim = 2**beta.n_qubits
+    parts = np.zeros((3, len(words), dim, dim), dtype=complex)
+    for index, word in enumerate(words):
+        if commutation_sign(word, beta) == 1:
+            parts[0, index] = matrix_of(word)
+        else:
+            parts[1, index] = matrix_of(word)
+            parts[2, index] = 1.0j * matrix_of(beta) @ matrix_of(word)
+    return parts
+
+
+def frame_parts(drive, err):
+    """(c0, c1, c2) of the dressed error sum in every twirl frame, in group
+    order, stacked (3, 4^n, 2^n, 2^n): the `dressed_parts` weighted by each
+    frame's signs chi_alpha(P_w), one word at a time."""
+    n, terms = drive.n_qubits, err.scaled_terms()
+    weights = np.array([[commutation_sign(alpha, word) * amplitude for word, amplitude in terms]
+                        for alpha in enumerate_group(n)]).reshape(4**n, -1)
+    parts = dressed_parts([word for word, _ in terms], drive.single_pauli())
+    return np.einsum("fw,kwij->kfij", weights, parts)
 
 
 def densified_log_generator(channel):

@@ -54,7 +54,7 @@ class TestTable1:
         # eigenphases by 2 tau f >= pi, so the log is an aliased branch and
         # reads the drive weight as -1.2895 (sinc law: 1.005) at pi / 2.
         config = Table1Config(drive="X", errors=(("Z", 0.1),), tau=tau)
-        pst_core.twirled_channels(config.drive_spec(), [config.error_spec()])[0].hamiltonian()
+        pst_core.twirled_channels(config.drive_spec(), [config.error_spec()])[0].weights()
         with pytest.raises(BranchCutError, match="branch cut"):
             run_table1(config)
 
@@ -115,9 +115,8 @@ class TestTable1:
         # The agreement percentage would divide by a zero twirled weight.  A
         # weight of exactly 0.0 appears only from about XX = 1e18, far past
         # the resolution bound (test_cli's XX = 1e20 case), so a zero
-        # Hamiltonian stands in for it.
-        monkeypatch.setattr(pst_core.TwirledChannel, "hamiltonian",
-                            lambda self: np.zeros((4, 4), dtype=complex))
+        # weight row stands in for it.
+        monkeypatch.setattr(pst_core.TwirledChannel, "weights", lambda self: np.zeros(16))
         with pytest.raises(ResolutionError, match="the twirled ZX weight reads 0.0"):
             run_table1()
 

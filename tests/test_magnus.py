@@ -217,6 +217,16 @@ class TestInteractionDressed:
             dressed, brute_force_dressed("XX", "ZX", 0.3), atol=1e-12
         )
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_refused(self, t):
+        # Before the check, inf failed in math.cos and nan in the lift.
+        with pytest.raises(ValueError, match=f"^time must be finite, got {t}$"):
+            interaction_dressed(pauli_from_label("XX"), drive_zx(), t)
+
+    def test_identity_word_is_an_exact_zero(self):
+        dressed = interaction_dressed(identity_string(2), drive_zx(), 0.7)
+        assert dressed.shape == (16, 16) and not dressed.any()
+
     def test_multi_term_drive_rejected(self):
         drive = DriveSpec((("ZX", 1.0), ("XI", 0.3)), 0.5)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Property test of the quadrature twirl averages against the closed form.
+"""Property tests of the quadrature twirl averages against the closed form,
+and of the row-built dressed parts against their `matrix_of` oracle.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -9,9 +10,12 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+from pst_oracles import dressed_parts, frame_parts  # noqa: E402
 
+from pstlab import magnus  # noqa: E402
 from pstlab.magnus import (  # noqa: E402
     CoherentErrorSpec,
     DriveSpec,
@@ -19,7 +23,7 @@ from pstlab.magnus import (  # noqa: E402
     omega2_avg,
     omega2_avg_closed,
 )
-from pstlab.pauli import enumerate_group  # noqa: E402
+from pstlab.pauli import PauliString, enumerate_group, pauli_from_label  # noqa: E402
 
 _WORDS = [p.label for p in enumerate_group(2)[1:]]
 
@@ -47,3 +51,67 @@ class TestCrosscheckProperties:
         discrepancy = np.linalg.norm(omega2_avg(drive, err) - omega2_avg_closed(drive, err))
         assert discrepancy <= 1e-6
         assert np.linalg.norm(omega1_avg(drive, err)) <= 1e-9
+
+
+@st.composite
+def dressed_inputs(draw):
+    """A drive word on 1 to 3 qubits, distinct words of its register (the
+    identity and the drive word allowed) and a stack of weight rows."""
+    n = draw(st.integers(1, 3))
+    beta = PauliString(n, draw(st.integers(1, 4**n - 1)))
+    indices = draw(st.lists(st.integers(0, 4**n - 1), max_size=6, unique=True))
+    weights = draw(arrays(float, (draw(st.integers(1, 3)), len(indices)),
+                          elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    return beta, [PauliString(n, index) for index in indices], weights
+
+
+@st.composite
+def frame_inputs(draw):
+    """A one-word drive on 1 to 3 qubits with an error set, possibly empty,
+    of words commuting and anticommuting with it."""
+    n = draw(st.integers(1, 3))
+    beta = draw(st.integers(1, 4**n - 1))
+    words = draw(st.lists(st.integers(1, 4**n - 1).filter(lambda w: w != beta),
+                          max_size=5, unique=True))
+    amplitude = st.floats(-0.8, 0.8, allow_subnormal=False)
+    err = CoherentErrorSpec(tuple((PauliString(n, w), draw(amplitude)) for w in words))
+    return DriveSpec(((PauliString(n, beta), 1.0),), 0.5), err
+
+
+class TestRowBuiltFrameParts:
+    """`magnus` builds the dressed parts as weight rows summed by one
+    `_pauli_sums` pass; the oracles add `matrix_of` products word by word.
+    An entry sums at most one term of magnitude at most 1 per word, so the
+    two summation orders part by a few ulps per word at most."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dressed_inputs())
+    @example((pauli_from_label("ZX"), [], np.zeros((2, 0))))
+    @example((pauli_from_label("ZX"), [pauli_from_label("II")], np.array([[0.7]])))
+    @example((pauli_from_label("ZXY"),
+              [pauli_from_label(w) for w in ("ZII", "XXI", "IZZ", "YYY", "ZXY", "III")],
+              np.array([[0.2, -0.3, 0.1, 0.15, 0.4, 0.5], [1.0, 1.0, -1.0, 1.0, -1.0, 1.0]])))
+    def test_match_the_matrix_parts(self, inputs):
+        beta, words, weights = inputs
+        got = magnus._dressed_sums(beta, [word.index for word in words], weights)
+        expected = np.einsum("fw,kwij->kfij", weights, dressed_parts(words, beta))
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-15 * max(1, len(words))
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame_inputs())
+    @example((DriveSpec.single("Z", 0.5), CoherentErrorSpec()))
+    @example((DriveSpec.single("ZXY", 0.5),
+              CoherentErrorSpec.from_amplitudes({"ZII": 0.3, "XXI": 0.2, "IZZ": -0.1})))
+    def test_every_frame_matches_the_oracle(self, inputs):
+        drive, err = inputs
+        expected = frame_parts(drive, err)
+        got = magnus._frame_parts(drive, err, None)
+        tolerance = 1e-15 * max(1, len(err.terms))
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= tolerance
+        if not err.terms:
+            assert not got.any()
+        alpha = PauliString(drive.n_qubits, 4**drive.n_qubits - 1)
+        one = magnus._frame_parts(drive, err, alpha)
+        assert np.abs(one[:, 0] - expected[:, alpha.index]).max() <= tolerance

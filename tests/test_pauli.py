@@ -179,6 +179,18 @@ class TestMatrices:
         expected = np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(m, expected.astype(complex))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_word_is_the_kronecker_product_of_its_letters(self, n):
+        one = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+               "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+        for word in enumerate_group(n):
+            expected = np.ones((1, 1), dtype=complex)
+            for letter in word.label:
+                expected = np.kron(expected, one[letter])
+            m = matrix_of(word)
+            assert m.dtype == complex
+            np.testing.assert_array_equal(m, expected)
+
     def test_involution_and_hermitian(self):
         for p in enumerate_group(2):
             m = matrix_of(p)

@@ -120,29 +120,30 @@ def twirled(drive, err=None, noise=None):
     return twirled_channels(drive, [err if err is not None else CoherentErrorSpec()], noise)[0]
 
 
-def block_log_hamiltonian(drive, err=None, noise=None):
-    """The twirled Hamiltonian `table1` reads: its channel's coset blocks,
+def block_log_weights(drive, err=None, noise=None):
+    """The twirled weight row `table1` reads: its channel's coset blocks,
     logged as one stack and read off the bands of <D>."""
-    return twirled(drive, err, noise).hamiltonian()
+    return twirled(drive, err, noise).weights()
 
 
 def assert_block_log_matches_dense(drive, err=None, noise=None):
     """The block log equals the dense log of `pst_channel` to 1e-10, and
-    the Hamiltonian read off its bands equals the dense log's projection
+    the weight row read off its bands equals the dense log's projection
     to 1e-10, or both raise the same typed error."""
     k = pst_channel(drive, err, noise)
     try:
         dense = effective_generator(k, drive.tau)
     except (BranchCutError, DefectiveMatrixError) as exc:
         with pytest.raises(type(exc)):
-            block_log_hamiltonian(drive, err, noise)
+            block_log_weights(drive, err, noise)
         return
     channel = twirled(drive, err, noise)
     block_log = TwirledChannel(logm_principal(channel.blocks), channel.cosets, channel.tau)
     np.testing.assert_allclose(block_log.dense(), logm_principal(k), rtol=0, atol=1e-10)
-    h = channel.hamiltonian()
+    weights = channel.weights()
+    assert weights.shape == (4**drive.n_qubits,) and weights[0] == 0.0
     for word, value in dense.hamiltonian_coeffs.items():
-        assert abs(pst_core._pauli_weight(h, word) - value) <= 1e-10
+        assert abs(weights[word.index] - value) <= 1e-10
 
 
 def superop_projection(log_k, tau):
@@ -443,13 +444,13 @@ class TestCosetBlocks:
 
     def test_dependent_drive_logs_blocks_of_four(self, logm_calls):
         # XI, IX and XX generate a group of 4 words: 4 cosets of 4.
-        block_log_hamiltonian(DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS))
+        block_log_weights(DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS))
         assert logm_calls == [(4, 4, 4)]
 
     def test_branch_failure_propagates(self):
         drive = DriveSpec.single("ZX", math.pi / 2)
         with pytest.raises(BranchCutError):
-            block_log_hamiltonian(drive)
+            block_log_weights(drive)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_transfer_is_the_dense_change_of_basis(self, n):
@@ -652,7 +653,7 @@ class TestEffectiveGenerator:
         # of their norm, past the 1e-12 that `effective_generator` allows.
         channel = twirled(DriveSpec.single(label, 0.5), noise=NoiseSpec("amplitude_damping", 4.0))
         with pytest.raises(DefectiveMatrixError, match="reconstructs the channel only to"):
-            channel.hamiltonian()
+            channel.weights()
 
     def test_log_check_judges_each_block_by_its_own_norm(self):
         # Beside a block of norm 1e6 the exceptional blocks would pass a

@@ -100,6 +100,14 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-error-sets-csv": ("magnus-check", "--taus", "0.3,0.5,1.0",
                                     "--error-set", "XX=0.2;YY=0.6;ZZ=0.2;YX=0.4",
                                     "--error-set", "XI=0.3;IY=0.1", "--format", "csv"),
+    # Drives on one and three qubits.  A one-qubit drive has no error word
+    # that commutes with it (I and the drive itself are refused); the
+    # three-qubit set mixes commuting (ZII, IZZ, YYY) and anticommuting words.
+    "magnus-check-one-qubit": ("magnus-check", "--drive", "X",
+                               "--error-set", "Z=0.3;Y=0.2", "--error-set", "Y=0.5"),
+    "magnus-check-3q": ("magnus-check", "--drive", "ZXY",
+                        "--error-set", "XXI=0.2;ZII=0.3;IZZ=0.1;YYY=0.15",
+                        "--error-set", "IIZ=0.4;XII=0.2", "--format", "csv"),
     # The 4,096-point level of the triangle rule.
     "magnus-check-tau2.5": ("magnus-check", "--taus", "2.5", "--error-set", "XX=0.2;YY=0.6"),
     "magnus-check-xx-1e150": ("magnus-check", "--error-set", "XX=1e150;YY=0.2",
