@@ -8,9 +8,13 @@ P acts as the involution P kron P*.  Every module in this package
 assumes row-major stacking; the round-trip and conjugation tests in
 ``test_liouville`` guard it.
 
-Dissipators are standard vectorized Lindblad terms,
-L kron L* - (1/2)(L^dag L kron I + I kron (L^dag L)^T), with the rate
-already absorbed into L, so generators add them unscaled.
+Each noise kind is defined once, as the exact real 4 x 4 Pauli-transfer
+generator of its Lindblad term on one qubit at unit rate,
+T[i, j] = tr(P_i D(P_j)) / 2 with D(rho) = L rho L^dag - (1/2){L^dag L, rho}
+(`_NOISE_TABLES`).  The noise on n qubits is the Kronecker sum of
+``rate * T`` over the target qubits (`_noise_transfer`), in the
+Pauli-transfer basis that `pst_core` works in; `dissipator_superop` is
+its row-major Liouville view, for callers that want that basis.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .numerics import _as_square_finite
-from .pauli import PauliString, check_qubit_count, matrix_of
+from .pauli import PauliString, _liouville_view, check_qubit_count, matrix_of
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -43,10 +47,17 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 
-NOISE_KINDS = ("none", "pauli_z", "amplitude_damping")
-
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+# T[i, j] = tr(P_i D(P_j)) / 2 of one qubit's Lindblad term D at unit rate,
+# rows and columns in group order I, X, Y, Z.
+_NOISE_TABLES = {
+    "none": ((0,) * 4,) * 4,
+    # L = sigma_z: D(P) = Z P Z - P is -2 P on X and Y, 0 on I and Z.
+    "pauli_z": ((0, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (0, 0, 0, 0)),
+    # L = |0><1|, L^dag L = |1><1|: D(I) = Z, D(X) = -X/2, D(Y) = -Y/2,
+    # D(Z) = -Z, so row Z reads +1 at I and -1 at Z.
+    "amplitude_damping": ((0, 0, 0, 0), (0, -0.5, 0, 0), (0, 0, -0.5, 0), (1, 0, 0, -1)),
+}
+NOISE_KINDS = tuple(_NOISE_TABLES)
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,7 @@ class NoiseSpec:
     """Incoherent-noise description: kind, dimensionless rate, target qubits.
 
     ``targets=None`` places one jump operator on every qubit, all sharing
-    the same rate; pass explicit indices to localize the noise.
+    the same rate; pass explicit indices (at least one) to localize the noise.
     """
 
     kind: str = "none"
@@ -71,6 +82,8 @@ class NoiseSpec:
         if self.targets is not None:
             # A tuple keeps the frozen spec hashable.
             object.__setattr__(self, "targets", tuple(self.targets))
+            if not self.targets:
+                raise ValueError("noise targets must name at least one qubit, got ()")
             if len(set(self.targets)) != len(self.targets):
                 raise ValueError(f"noise targets must be distinct, got {self.targets}")
             if any(t < 0 for t in self.targets):
@@ -133,44 +146,31 @@ def pauli_unitary_superop(p: PauliString) -> np.ndarray:
     return np.kron(m, m.conj())
 
 
-def _embed_single(op: np.ndarray, target: int, n_qubits: int) -> np.ndarray:
-    m = np.array([[1.0 + 0.0j]])
-    for k in range(n_qubits):
-        m = np.kron(m, op if k == target else np.eye(2))
-    return m
-
-
-def _lindblad_term(jump: np.ndarray) -> np.ndarray:
-    dim = jump.shape[0]
-    eye = np.eye(dim)
-    jj = jump.conj().T @ jump
-    return np.kron(jump, jump.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+def _noise_transfer(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
+    """The real 4^n x 4^n Pauli-transfer generator of the noise: the
+    Kronecker sum of ``rate * T`` over the resolved targets, T the kind's
+    one-qubit table.  A rate whose generator overflows double precision
+    raises ``ResolutionError``."""
+    check_qubit_count(n_qubits)
+    out = np.zeros((4**n_qubits,) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = spec.rate * np.array(_NOISE_TABLES[spec.kind])
+        for target in spec.resolved_targets(n_qubits):
+            out += np.kron(np.kron(np.eye(4**target), table), np.eye(4 ** (n_qubits - 1 - target)))
+        finite = math.isfinite(np.abs(out).sum(axis=1).max())
+    if not finite:
+        raise ResolutionError(
+            f"the {spec.kind} dissipator at rate {spec.rate!r} overflows double"
+            " precision; reduce the noise rate"
+        )
+    return out
 
 
 def dissipator_superop(spec: NoiseSpec, n_qubits: int) -> np.ndarray:
-    """Vectorized Lindblad generator for the given noise spec.
-
-    pauli_z uses sqrt(rate) sigma_z on each target; amplitude_damping uses
-    sqrt(rate) |0><1|.  exp of the result is completely positive and trace
-    preserving, and the vectorized identity is a left null vector (trace
-    preservation).  A rate whose dissipator overflows double precision
-    raises ``ResolutionError``.
-    """
-    check_qubit_count(n_qubits)
-    dim = 2**n_qubits
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if spec.kind != "none":
-        op = _SIGMA_Z if spec.kind == "pauli_z" else _LOWERING
-        root_rate = math.sqrt(spec.rate)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for target in spec.resolved_targets(n_qubits):
-                out += _lindblad_term(root_rate * _embed_single(op, target, n_qubits))
-        if not np.isfinite(out).all():
-            raise ResolutionError(
-                f"the {spec.kind} dissipator at rate {spec.rate!r} overflows double"
-                " precision; reduce the noise rate"
-            )
-    return out
+    """Vectorized Lindblad generator of the noise spec, the row-major
+    Liouville view of `_noise_transfer`; exp of it is completely positive
+    and trace preserving.  An overflowing rate raises ``ResolutionError``."""
+    return _liouville_view(_noise_transfer(spec, n_qubits))
 
 
 def matrix_to_json(m) -> list:

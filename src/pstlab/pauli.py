@@ -26,18 +26,19 @@ qubits is a Kronecker power of one one-qubit table.  `_per_leg` is the
 one routine that applies such a power: along the last axis of a stack,
 one leg at a time (4 for Pauli words, 2 for elements of a drive group),
 leftmost leg most significant.  The numpy sign table, the product phases
-and `pst_core`'s twirl characters and Pauli-transfer basis run through
-it, and so does the one change of basis between rows W of 4^n Pauli
-weights and 2^n x 2^n matrices m: `_pauli_sums` (W to sum_k W_k P_k, the
-only builder of Pauli matrices, `matrix_of` included) and
-`_pauli_spectra` (m to tr(P_k m) / 2^n), on the qubit legs that
-`_qubit_legs` alone fixes.  numpy is imported only inside the functions
-that build arrays.
+and `pst_core`'s twirl characters run through it, and so do the changes
+of basis, on the qubit legs that `_qubit_legs` alone fixes: between rows
+W of 4^n Pauli weights and 2^n x 2^n matrices m, `_pauli_sums` (W to
+sum_k W_k P_k, the only builder of Pauli matrices, `matrix_of` included)
+and `_pauli_spectra` (m to tr(P_k m) / 2^n); and from a 4^n x 4^n
+Pauli-transfer matrix to the row-major Liouville basis, `_liouville_view`.
+numpy is imported only inside the functions that build arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -282,6 +283,19 @@ def _pauli_sums(weights: np.ndarray) -> np.ndarray:
     n = (weights.shape[-1].bit_length() - 1) // 2
     m = _qubit_legs(_per_leg(weights, _numpy_table(_PAULI_ROWS).T), n, back=True)
     return m.reshape(*weights.shape[:-1], 2**n, 2**n)
+
+
+def _liouville_view(ptm: np.ndarray) -> np.ndarray:
+    """B m B^dag, a 4^n x 4^n Pauli-transfer matrix m in the row-major
+    Liouville basis, where column i of B is vec(P_i) / sqrt(2^n): one
+    `_per_leg` pass of the one-qubit basis and a transpose per side, on
+    the legs of `_qubit_legs`, so B is never built densely."""
+    n = (ptm.shape[-1].bit_length() - 1) // 2
+    one = _numpy_table(_PAULI_ROWS).T / math.sqrt(2)
+    # The passes give (m B^dag)^T, then B m B^dag.
+    for table in (one.conj(), one):
+        ptm = _qubit_legs(_per_leg(ptm, table), n, back=True).T
+    return ptm
 
 
 def sign_table(n: int, words: list[PauliString] | None = None) -> np.ndarray:

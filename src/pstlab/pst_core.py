@@ -42,7 +42,9 @@ noise - i tau H(H_s) built in the Pauli-transfer basis is R_s itself (the
 basis is unitary).  There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
 anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
-real, with entries +-2.  Without noise (kind "none" or rate 0) the
+real, with entries +-2.  The noise is real there too, and built there
+(`liouville._noise_transfer`), so the whole generator is real and no
+change of basis is made.  Without noise (kind "none" or rate 0) the
 pattern is the unitary U_s = exp(-i tau H_s), from one stacked `eigh`,
 and its bands follow from Pauli spectra alone: with
 a_k = tr(P_k U_s) / 2^n and b_k the same coefficients of P_g U_s^dag,
@@ -52,17 +54,15 @@ a_k = tr(P_k U_s) / 2^n and b_k the same coefficients of P_g U_s^dag,
 where chi(i, k) is the commutation sign.  The coefficients, the sign sum
 (a symplectic Walsh-Hadamard transform) and w are Kronecker powers of
 one 4 x 4 table per qubit, so each transform is one pass of
-`pauli._per_leg`, O(n 4^n), and no 4^n x 4^n array is formed.  The
-change to the Pauli-transfer basis is one such pass per side, on the
-qubit legs of `pauli._qubit_legs`.
+`pauli._per_leg`, O(n 4^n), and no 4^n x 4^n array is formed.
 The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
 `expm` more than 26 squarings; by the entries above, its 1-norm is
 2 tau max_j sum_k |W_k| over the words k that anticommute with j, from
 one sign table per call.  A spec whose 1-norm overflows double precision
 is refused before any pattern matrix is built.
 `twirled_channels` returns a `TwirledChannel`; its `dense` takes the
-blocks to the row-major Liouville basis once, as B K_PTM B^dag, by the
-same kernel.
+blocks to the row-major Liouville basis once, as B K_PTM B^dag
+(`pauli._liouville_view`, one `_per_leg` pass per side).
 
 `EffectiveGenerator.from_generator` projects a generator (a Liouvillian
 or a channel log) onto Pauli commutator superoperators
@@ -102,6 +102,7 @@ from .errors import ResolutionError
 from .liouville import (
     NoiseSpec,
     _finite_matrix,
+    _noise_transfer,
     dissipator_superop,
     hamiltonian_superop,
     unitary_superop,
@@ -114,13 +115,12 @@ from .magnus import (
 from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
     _kron_columns,
+    _liouville_view,
     _numpy_table,
-    _PAULI_ROWS,
     _pauli_spectra,
     _pauli_sums,
     _per_leg,
     _product_phases,
-    _qubit_legs,
     _SIGNS,
     PauliString,
     check_qubit_count,
@@ -184,22 +184,6 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
     [[weights]] = _pattern_weights(rows[:1], signs, rows[1:])  # the error row, the drive rows
     return (dissipator_superop(noise, drive.n_qubits)
             - 1.0j * drive.tau * hamiltonian_superop(_pauli_sums(weights)))
-
-
-def _pauli_transfer(m: np.ndarray, n: int, inverse: bool = False) -> np.ndarray:
-    """B^dag m B (or B m B^dag with ``inverse``), where column i of B is
-    vec(P_i) / sqrt(2^n), row-major, words in group order.
-
-    B is the n-th Kronecker power of the one-qubit basis once `_qubit_legs`
-    groups a vec index into qubit legs, so each side is one `_per_leg` pass
-    and a transpose, and B is never built densely.
-    """
-    one = _numpy_table(_PAULI_ROWS).T / math.sqrt(2)
-    # The passes give (m B)^T, then B^dag m B; or (m B^dag)^T, then B m B^dag.
-    for table in (one.conj(), one) if inverse else (one.T, one.conj().T):
-        m = (_qubit_legs(_per_leg(m, table), n, back=True) if inverse
-             else _per_leg(_qubit_legs(m, n), table)).T
-    return m
 
 
 def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -287,7 +271,7 @@ class TwirledChannel:
         """The 4^n x 4^n row-major Liouville matrix."""
         ptm = np.zeros((self.cosets.size,) * 2, dtype=complex)
         ptm[self.cosets[:, :, None], self.cosets[:, None, :]] = self.blocks
-        return _pauli_transfer(ptm, self._n_qubits, inverse=True)
+        return _liouville_view(ptm)
 
     def weights(self) -> np.ndarray:
         """The row of Pauli weights c_g, over all 4^n words, of the principal
@@ -376,7 +360,7 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
             b = np.conj(a * phases)[..., p[:, None], partners]
             return np.conj(phases) * _per_leg(a * b, _numpy_table(_SIGNS))
     else:
-        dissipator = _pauli_transfer(dissipator_superop(noise, n), n)
+        dissipator = _noise_transfer(noise, n)
 
         def bands(weights) -> np.ndarray:
             return expm(dissipator + tau * _commutator_transfers(weights, n))[..., words, partners]

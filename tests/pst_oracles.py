@@ -7,18 +7,23 @@ oracles here take the long way: lift each pattern unitary to U kron U*,
 or exponentiate its row-major Liouville generator noise - i tau H(H_s),
 transform the whole channel to the Pauli-transfer basis and gather the
 blocks; or average every one of the 4^n frames one Pauli-transfer matrix
-at a time.  Each oracle returns the twirl as a `TwirledChannel`.
+at a time.  Each oracle returns the twirl as a `TwirledChannel`.  The
+change of basis is `pauli_transfer_matrix`, with B built densely, and the
+noise is `jump_dissipator`, the vectorized Lindblad terms of the jump
+operators, where `liouville` writes the noise as a Kronecker sum of
+one-qubit Pauli-transfer tables.
 
 `magnus` builds the dressed error parts of every twirl frame as Pauli
 weight rows; `dressed_parts` and `frame_parts` build them word by word
 from `matrix_of` and frame by frame from `commutation_sign`.
 """
 
+import math
+
 import numpy as np
 
 from pstlab import pst_core
 from pstlab.liouville import (
-    dissipator_superop,
     hamiltonian_superop,
     pauli_unitary_superop,
     unitary_superop,
@@ -27,6 +32,47 @@ from pstlab.magnus import CoherentErrorSpec
 from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import commutation_sign, enumerate_group, matrix_of
 from pstlab.pst_core import EffectiveGenerator, TwirledChannel
+
+
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+
+
+def pauli_transfer_matrix(k):
+    """B^dag K B, with column i of B vec(P_i) / sqrt(2^n), words in group order."""
+    n = round(math.log(k.shape[0], 4))
+    basis = np.stack(
+        [matrix_of(word).reshape(-1) for word in enumerate_group(n)], axis=1
+    ) / math.sqrt(2**n)
+    return basis.conj().T @ k @ basis
+
+
+def _embed_single(op, target, n_qubits):
+    m = np.array([[1.0 + 0.0j]])
+    for k in range(n_qubits):
+        m = np.kron(m, op if k == target else np.eye(2))
+    return m
+
+
+def _lindblad_term(jump):
+    """L kron L* - (1/2)(L^dag L kron I + I kron (L^dag L)^T), row-major."""
+    dim = jump.shape[0]
+    eye = np.eye(dim)
+    jj = jump.conj().T @ jump
+    return np.kron(jump, jump.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+
+
+def jump_dissipator(spec, n_qubits):
+    """The row-major Liouville Lindblad generator of a `NoiseSpec`, summed
+    over its targets from the embedded jump operators: sqrt(rate) sigma_z
+    for pauli_z, sqrt(rate) |0><1| for amplitude_damping."""
+    dim = 2**n_qubits
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    if spec.kind != "none":
+        op = _SIGMA_Z if spec.kind == "pauli_z" else _LOWERING
+        for target in spec.resolved_targets(n_qubits):
+            out += _lindblad_term(math.sqrt(spec.rate) * _embed_single(op, target, n_qubits))
+    return out
 
 
 def _pattern_matrix(drive, err, signs):
@@ -48,7 +94,7 @@ def _gathered_blocks(drive, pattern_channel):
     rows, cols = cosets[:, :, None], cosets[:, None, :]
     blocks = np.zeros((len(cosets), group.size, group.size), dtype=complex)
     for chi in characters:
-        ptm = pst_core._pauli_transfer(pattern_channel(chi[position]), drive.n_qubits)
+        ptm = pauli_transfer_matrix(pattern_channel(chi[position]))
         blocks += ptm[rows, cols] * np.outer(chi, chi)
     return TwirledChannel(blocks / group.size, cosets, drive.tau)
 
@@ -65,7 +111,7 @@ def liouville_noisy_blocks(drive, err, noise):
     """Coset blocks of the noisy twirl, gathered from each realized
     pattern's dense Pauli-transfer matrix B^dag expm(noise - i tau H(H_s)) B,
     exponentiated in the row-major Liouville basis."""
-    dissipator = dissipator_superop(noise, drive.n_qubits)
+    dissipator = jump_dissipator(noise, drive.n_qubits)
     return _gathered_blocks(drive, lambda signs: expm(
         dissipator - 1j * drive.tau * hamiltonian_superop(_pattern_matrix(drive, err, signs))))
 
@@ -82,7 +128,7 @@ def frame_average_blocks(drive, err=None):
         signs = [commutation_sign(alpha, word) for word, _ in drive.terms]
         frame = pauli_unitary_superop(alpha)
         lift = unitary_superop(expm_hermitian(_pattern_matrix(drive, err, signs), drive.tau))
-        total += pst_core._pauli_transfer(frame @ lift @ frame, n)
+        total += pauli_transfer_matrix(frame @ lift @ frame)
     return TwirledChannel((total / 4**n)[cosets[:, :, None], cosets[:, None, :]], cosets,
                           drive.tau)
 

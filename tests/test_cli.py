@@ -580,6 +580,7 @@ QUICK_ARGV = {
 UNRUNNABLE_ARGV = [
     ["parity-sweep", "--deltas=0.5,0"],
     ["parity-sweep", "--noise-targets", "3"],
+    ["parity-sweep", "--noise-targets=,"],
     ["parity-sweep", "--zeta=-1"],
     ["parity-sweep", "--deltas=0.5,-0.5,0.5"],
     ["parity-sweep", "--deltas=0,-0"],
@@ -805,6 +806,22 @@ class TestConfigRejectsWhatTheRunRejects:
         assert code == 1
         assert out == ""
         assert "config error: error_sets must hold at least one value" in err
+
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_noise_targets_are_config_error(self, source, dump, tmp_path, capsys):
+        # An empty target list would run every noise kind on no qubit.
+        if source == "flag":
+            argv = ["parity-sweep", "--noise-targets=,"]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"noise_targets": []}))
+            argv = ["parity-sweep", "--config", str(config_path)]
+        code, out, err = run_cli(capsys, *argv, *dump)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pstlab: config error: noise targets must name at least one")
 
 
 def test_module_entry_point():

@@ -100,8 +100,8 @@ class TestTable1:
         def refuse(*args, **kwargs):
             raise AssertionError("table1 reached a 4^n x 4^n path")
 
-        for name in ("pst_realization", "enumerate_group", "_pauli_transfer",
-                     "unitary_superop", "hamiltonian_superop"):
+        for name in ("pst_realization", "enumerate_group", "_liouville_view",
+                     "unitary_superop", "hamiltonian_superop", "dissipator_superop"):
             monkeypatch.setattr(pst_core, name, refuse)
         monkeypatch.setattr(pst_core.TwirledChannel, "dense", refuse)
         monkeypatch.setattr(EffectiveGenerator, "from_generator", classmethod(refuse))
@@ -214,16 +214,26 @@ class TestParitySweep:
     def test_builds_generators_in_the_pauli_transfer_basis(self, monkeypatch):
         # The default sweep: 41 deltas x 2 kinds, one exponential per
         # drive-sign pattern of each point, stacked a chunk of specs per
-        # expm call, and one change of basis per kind (of its dissipator),
-        # with no Liouville-basis generator at all.
+        # expm call, and one noise generator per kind, built in the
+        # Pauli-transfer basis, with no change of basis and no
+        # Liouville-basis generator at all.
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep built a Liouville-basis generator")
 
-        for name in ("pst_realization", "hamiltonian_superop"):
+        for name in ("pst_realization", "hamiltonian_superop", "dissipator_superop",
+                     "_liouville_view"):
             monkeypatch.setattr(pst_core, name, refuse)
-        monkeypatch.setattr(liouville, "hamiltonian_superop", refuse)
+        for name in ("hamiltonian_superop", "dissipator_superop", "_liouville_view"):
+            monkeypatch.setattr(liouville, name, refuse)
+        noise_transfers = []
+
+        def noise_transfer(spec, n, original=pst_core._noise_transfer):
+            noise_transfers.append(original(spec, n))
+            return noise_transfers[-1]
+
+        monkeypatch.setattr(pst_core, "_noise_transfer", noise_transfer)
         # One entry per matrix: a call on a stack (..., d, d) adds prod(...).
-        calls = {"_pauli_transfer": [], "expm": []}
+        calls = {"expm": []}
         call_count = dict.fromkeys(calls, 0)
         for name in calls:
             original = getattr(pst_core, name)
@@ -238,7 +248,8 @@ class TestParitySweep:
         config = ParitySweepConfig()
         rows = run_parity_sweep(config)
         assert len(rows) == 82
-        assert calls["_pauli_transfer"] == [(16, 16)] * len(config.noise_kinds)
+        assert [(m.shape, m.dtype) for m in noise_transfers] == (
+            [((16, 16), np.dtype(float))] * len(config.noise_kinds))
         assert calls["expm"] == [(16, 16)] * 2 * 82
         # One stacked expm per chunk of specs, two 16 x 16 patterns each.
         chunks = -(-config.delta_points // (pst_core._EXPM_STACK_ENTRIES // (2 * 16**2)))

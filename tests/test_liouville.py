@@ -9,6 +9,7 @@ import pytest
 from pstlab.errors import ResolutionError, ResourceLimitError
 from pstlab.liouville import (
     NoiseSpec,
+    _noise_transfer,
     devectorize,
     dissipator_superop,
     hamiltonian_superop,
@@ -211,6 +212,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="out of range"):
             dissipator_superop(NoiseSpec("pauli_z", 1.0, (3,)), 2)
 
+    def test_empty_targets_are_refused(self):
+        # No qubit would carry the noise the spec names.
+        with pytest.raises(ValueError, match="noise targets must name at least one qubit"):
+            NoiseSpec("pauli_z", 1.0, ())
+
     def test_default_targets_all_qubits(self):
         assert NoiseSpec("pauli_z", 1.0).resolved_targets(3) == (0, 1, 2)
 
@@ -273,6 +279,26 @@ class TestDissipator:
                 f"the {kind} dissipator at rate 1e[+]308 overflows double precision"
             )):
                 dissipator_superop(NoiseSpec(kind, 1e308, targets), 2)
+
+
+# tr(P_i D(P_j)) / 2 of one qubit's Lindblad term at unit rate, in the
+# order I, X, Y, Z: sigma_z dephases X and Y at rate 2; |0><1| damps them
+# at 1/2 and sends Z to -Z and I to Z.
+UNIT_RATE_TRANSFERS = {
+    "none": np.zeros((4, 4)),
+    "pauli_z": np.diag([0.0, -2.0, -2.0, 0.0]),
+    "amplitude_damping": np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0],
+                                   [0.0, 0.0, -0.5, 0.0], [1.0, 0.0, 0.0, -1.0]]),
+}
+
+
+class TestNoiseTransfer:
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 3.0, 1e300])
+    @pytest.mark.parametrize("kind", sorted(UNIT_RATE_TRANSFERS))
+    def test_one_qubit_generator_is_the_exact_table(self, kind, rate):
+        transfer = _noise_transfer(NoiseSpec(kind, rate), 1)
+        assert transfer.dtype == float
+        assert np.array_equal(transfer, rate * UNIT_RATE_TRANSFERS[kind])
 
 
 class TestDissipatorSpecs:

@@ -7,8 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from pst_oracles import jump_dissipator, pauli_transfer_matrix
 
-from pstlab import pst_core, sinc_law
+from pstlab import pauli, pst_core, sinc_law
 from pstlab.errors import (
     BranchCutError,
     CalibrationError,
@@ -91,15 +92,6 @@ def assert_trace_preserving(k):
     np.testing.assert_allclose(left @ (k - np.eye(k.shape[0])), 0.0, atol=1e-12)
 
 
-def pauli_transfer_matrix(k):
-    """B^dag K B, with column i of B vec(P_i) / sqrt(2^n), words in group order."""
-    n = round(math.log(k.shape[0], 4))
-    basis = np.stack(
-        [matrix_of(word).reshape(-1) for word in enumerate_group(n)], axis=1
-    ) / math.sqrt(2**n)
-    return basis.conj().T @ k @ basis
-
-
 def drive_group(drive):
     """The words of the group <D> that the drive words generate."""
     group = {identity_string(drive.n_qubits)}
@@ -170,7 +162,7 @@ def lab_frame_generator(drive, err, noise, alpha):
     return (
         -1j * drive.tau * raw_drive
         - 1j * drive.tau * (frame @ error @ frame)
-        + frame @ dissipator_superop(noise, drive.n_qubits) @ frame
+        + frame @ jump_dissipator(noise, drive.n_qubits) @ frame
     )
 
 
@@ -183,7 +175,7 @@ class TestRealization:
         expected = (
             -1j * 0.5 * word_superop("ZX")
             - 1j * 0.5 * sum(a * word_superop(l) for l, a in TABLE1_ERRORS)
-            + dissipator_superop(noise, 2)
+            + jump_dissipator(noise, 2)
         )
         np.testing.assert_allclose(g, expected, atol=1e-13)
 
@@ -454,12 +446,12 @@ class TestCosetBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_transfer_is_the_dense_change_of_basis(self, n):
-        # B^dag m B with B built densely; the inverse takes it back.
+        # B m B^dag inverts B^dag m B with B built densely, either way round.
         rng = np.random.default_rng(n)
         m = rng.normal(size=(4**n,) * 2) + 1j * rng.normal(size=(4**n,) * 2)
-        ptm = pst_core._pauli_transfer(m, n)
-        np.testing.assert_allclose(ptm, pauli_transfer_matrix(m), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(pst_core._pauli_transfer(ptm, n, inverse=True), m,
+        np.testing.assert_allclose(pauli._liouville_view(pauli_transfer_matrix(m)), m,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pauli_transfer_matrix(pauli._liouville_view(m)), m,
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -467,12 +459,14 @@ class TestCosetBlocks:
         rng = np.random.default_rng(n)
         weights = rng.normal(size=4**n)
         h = sum(c * matrix_of(word) for word, c in zip(enumerate_group(n), weights))
-        expected = pst_core._pauli_transfer(-1j * hamiltonian_superop(h), n)
+        superop = -1j * hamiltonian_superop(h)
+        expected = pauli_transfer_matrix(superop)
         rows = np.zeros((4, 4**n))
         rows[0, ::2], rows[2], rows[3, 1::2] = weights[::2], weights, weights[1::2]
         got = pst_core._commutator_transfers(rows, n)
         assert got.dtype == float
         assert np.abs(got[2] - expected).max() <= 1e-13
+        assert np.abs(pauli._liouville_view(got[2]) - superop).max() <= 1e-13
         # Each row of the stack is its own transfer matrix: the weights are
         # linear, and the zero row is the zero matrix.
         assert np.array_equal(got[1], np.zeros_like(expected))

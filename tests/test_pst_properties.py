@@ -3,8 +3,9 @@ of its complete positivity (a PSD Choi matrix), of its coset-block log
 against the dense one, of the noiseless spectral blocks and band weights
 against dense oracles, of the resolution bound's weight-row 1-norm, of its
 evenness in the error scale when one Pauli word flips the whole error, of
-the effective generator's Hamiltonian, and of the group order that
-`pauli` owns and `pst_core` indexes by.
+the effective generator's Hamiltonian, of the noise generator against its
+jump operators, and of the group order that `pauli` owns and `pst_core`
+indexes by.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
@@ -24,7 +25,9 @@ from pst_oracles import (  # noqa: E402
     dense_noiseless_blocks,
     densified_log_generator,
     frame_average_blocks,
+    jump_dissipator,
     liouville_noisy_blocks,
+    pauli_transfer_matrix,
 )
 from test_pst_core import (  # noqa: E402
     DEPENDENT_DRIVE,
@@ -41,6 +44,7 @@ from pstlab.errors import BranchCutError, DefectiveMatrixError  # noqa: E402
 from pstlab.liouville import (  # noqa: E402
     NOISE_KINDS,
     NoiseSpec,
+    _noise_transfer,
     dissipator_superop,
     hamiltonian_superop,
 )
@@ -192,6 +196,39 @@ class TestPauliTransferGenerators:
         drive, err, noise = inputs
         [channel] = twirled_channels(drive, [err], noise)
         assert_same_blocks(channel, liouville_noisy_blocks(drive, err, noise))
+
+
+@st.composite
+def noise_specs(draw):
+    """A noise spec of either kind on 1 to 3 qubits, with a rate in [0, 10]
+    and every qubit or any nonempty subset of them as targets."""
+    n = draw(st.integers(1, 3))
+    targets = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
+    ))
+    kind = draw(st.sampled_from(("pauli_z", "amplitude_damping")))
+    return NoiseSpec(kind, draw(st.floats(0.0, 10.0)), targets), n
+
+
+class TestNoiseTransfer:
+    """The noise as a Kronecker sum of one-qubit Pauli-transfer tables
+    against the vectorized Lindblad terms of its jump operators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(noise_specs())
+    @example((NoiseSpec("amplitude_damping", 3.0), 3))
+    @example((NoiseSpec("pauli_z", 10.0, (2, 0)), 3))
+    def test_matches_the_jump_operator_dissipator(self, inputs):
+        noise, n = inputs
+        transfer = _noise_transfer(noise, n)
+        tolerance = 1e-14 * max(1.0, noise.rate)
+        assert transfer.dtype == float
+        assert np.abs(pauli_transfer_matrix(dissipator_superop(noise, n)) - transfer).max() \
+            <= tolerance
+        assert np.abs(pauli_transfer_matrix(jump_dissipator(noise, n)) - transfer).max() \
+            <= tolerance
+        assert np.abs(dissipator_superop(noise, n) - jump_dissipator(noise, n)).max() \
+            <= tolerance
 
 
 @st.composite

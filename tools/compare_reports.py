@@ -62,7 +62,7 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "parity-sweep-3q": ("parity-sweep", "--drive", "ZXY", "--error", "XXY=0.2",
                         "--error", "YZI=0.6", "--error", "IIZ=0.1", "--delta-points", "9",
                         "--noise-kinds", "none,pauli_z,amplitude_damping"),
-    # The forward Pauli-transfer change of basis at n = 4.
+    # The noise generator's Kronecker sum at n = 4.
     "parity-sweep-n4": ("parity-sweep", "--drive", "ZXII", "--error", "XXII=0.2",
                         "--error", "IYZX=0.1", "--delta-points", "3"),
     "parity-sweep-none": ("parity-sweep", "--noise-kinds", "none", "--delta-points", "9"),
@@ -71,7 +71,11 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "parity-sweep-overflow": ("parity-sweep", "--delta-points", "3", "--delta-max", "1e20"),
     "parity-sweep-refusal": ("parity-sweep", "--delta-points", "3", "--delta-max", "1e17"),
     "parity-sweep-zeta-1e14": ("parity-sweep", "--zeta", "1e14", "--delta-points", "3"),
-    # A noise rate whose dissipator overflows, on every qubit and on one.
+    # Noise on two of three qubits at a moderate rate, both kinds.
+    "parity-sweep-3q-two-targets": ("parity-sweep", "--drive", "ZXY", "--error", "XXI=0.2",
+                                    "--error", "IYZ=0.3", "--noise-targets", "0,2",
+                                    "--zeta", "1.5", "--delta-points", "5"),
+    # A noise rate whose generator overflows, on every qubit and on one.
     "parity-sweep-zeta-1e308": ("parity-sweep", "--zeta", "1e308", "--delta-points", "3"),
     "parity-sweep-zeta-1e308-one-target": ("parity-sweep", "--zeta", "1e308",
                                            "--delta-points", "3", "--noise-targets", "0"),
