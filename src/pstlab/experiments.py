@@ -275,8 +275,8 @@ class ParitySweepConfig(_Config):
                     "delta_points must be odd so the grid mirrors around 0,"
                     f" got {self.delta_points}"
                 )
-            if not self.delta_max > 0:
-                raise ConfigError(f"delta_max must be positive, got {self.delta_max}")
+            if not 0 < self.delta_max < math.inf:
+                raise ConfigError(f"delta_max must be finite and positive, got {self.delta_max}")
         else:
             values = set(self.deltas)
             missing = [d for d in sorted(values) if -d not in values]
@@ -285,7 +285,13 @@ class ParitySweepConfig(_Config):
                     f"delta grid lacks the mirror of {missing}; the symmetrized"
                     " reference needs +-delta pairs"
                 )
-        _require_distinct("delta grid", self.delta_grid())
+        grid = self.delta_grid()
+        infinite = [d for d in grid if not math.isfinite(d)]
+        if infinite:
+            # delta_max * k / half overflows before it divides where
+            # delta_max * (delta_points - 1) / 2 passes the largest double.
+            raise ConfigError(f"delta grid holds {infinite}; each delta must be finite")
+        _require_distinct("delta grid", grid)
         _require_distinct("noise_kinds", self.noise_kinds)
         with _as_config_error():
             drive = self.drive_spec()

@@ -6,16 +6,17 @@ treats each matrix of a stack as it would alone, and rejects non-finite
 entries.  The general exponential `expm` is scaling and squaring with the
 degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): each
 matrix is halved s times until its 1-norm is at most theta_13, and its
-approximant is squared s times; the matrices that share s run as one
-batched stack, bit for bit as alone, and a squaring that overflows
-raises ``ResolutionError`` instead of returning inf or nan.  Only
-dissipative generators need it; a unitary exp(-i t h) of a Hermitian h
-comes from one batched `eigh` instead (`expm_hermitian`).  The principal
-logarithm is an explicit, batched eigendecomposition under one rule for
-each matrix of a stack, the branch cut and then reconstruction, so that
-branch-cut proximity and defective inputs surface as errors instead of
-silently degraded results; a block-diagonal matrix is logged block by
-block, under the same rule as one dense matrix.
+approximant is squared s times.  A stack takes one Pade evaluation for
+all of its matrices, each with its own s, bit for bit as alone, and a
+squaring that overflows raises ``ResolutionError`` instead of returning
+inf or nan.  Only dissipative generators need it; a unitary exp(-i t h)
+of a Hermitian h comes from one batched `eigh` instead
+(`expm_hermitian`).  The principal logarithm is an explicit, batched
+eigendecomposition under one rule for each matrix of a stack, the
+branch cut and then reconstruction, so that branch-cut proximity and
+defective inputs surface as errors instead of silently degraded results;
+a block-diagonal matrix is logged block by block, under the same rule as
+one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
@@ -115,22 +116,14 @@ def _pade_13(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    scratch = np.empty_like(a)
-
-    def add(head, terms, identity=0.0):
-        # head + sum c * power + identity * I, left to right, in place
-        # (head is fresh and contiguous, so the stride slice of each
-        # flattened matrix is its diagonal).
-        for c, power in terms:
-            head += np.multiply(power, c, out=scratch)
-        if identity:
-            head.reshape(*head.shape[:-2], -1)[..., :: a.shape[-1] + 1] += identity
-        return head
-
-    u = a @ add(a6 @ add(b[13] * a6, ((b[11], a4), (b[9], a2))),
-                ((b[7], a6), (b[5], a4), (b[3], a2)), b[1])
-    v = add(a6 @ add(b[12] * a6, ((b[10], a4), (b[8], a2))),
-            ((b[6], a6), (b[4], a4), (b[2], a2)), b[0])
+    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    # b_1 I and b_0 I touch the diagonal only: adding a full identity
+    # would turn each off-diagonal -0.0 into +0.0.
+    diagonal = np.arange(a.shape[-1])
+    u[..., diagonal, diagonal] += b[1]
+    v[..., diagonal, diagonal] += b[0]
+    u = a @ u
     return np.linalg.solve(v - u, v + u)
 
 
@@ -141,9 +134,10 @@ def expm(m) -> np.ndarray:
     Scaling and squaring with the degree-13 diagonal Pade approximant
     (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), taken of A / 2^s
     with s = max(0, ceil(log2(||A||_1 / theta_13))) and squared s times.
-    Each matrix of a stack has its own 1-norm and s; the matrices that
-    share s run as one stack through one Pade evaluation, one solve and
-    s squarings, with the same floating-point operations as alone.
+    Each matrix of a stack has its own 1-norm and s: every matrix is
+    divided by its own 2^s, the whole stack goes through one Pade
+    evaluation and one solve, and squaring step t squares the matrices
+    whose s exceeds t, with the same floating-point operations as alone.
     A 1-norm or a squared result that overflows raises
     ``ResolutionError``, naming the 1-norm and the squaring count of the
     first such matrix.
@@ -158,18 +152,13 @@ def expm(m) -> np.ndarray:
                 f"matrix 1-norm {norm:.3e} overflows; its exponential cannot be"
                 " scaled and squared"
             )
-    squarings = [squarings_for(norm) for norm in norms]
-    result = np.empty_like(stack)
-    for count in sorted(set(squarings)):
-        share = [i for i, s in enumerate(squarings) if s == count]
-        part = stack[share]
-        if count:
-            part /= 2.0**count
-        part = _pade_13(part)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(count):
-                part = part @ part
-        result[share] = part
+    squarings = np.array([squarings_for(norm) for norm in norms], dtype=int)
+    result = _pade_13(stack / 2.0 ** squarings[:, None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(squarings.max(initial=0)):
+            live = squarings > t
+            part = result[live]
+            result[live] = part @ part
     finite = np.isfinite(result).all(axis=(-2, -1))
     if not finite.all():
         first = int(np.argmin(finite))

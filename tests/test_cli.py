@@ -585,6 +585,9 @@ UNRUNNABLE_ARGV = [
     ["parity-sweep", "--deltas=0.5,-0.5,0.5"],
     ["parity-sweep", "--deltas=0,-0"],
     ["parity-sweep", "--noise-kinds", "pauli_z,pauli_z"],
+    ["parity-sweep", "--delta-max", "inf", "--delta-points", "3"],
+    ["parity-sweep", "--deltas=1e400,-1e400"],
+    ["parity-sweep", "--delta-max", "1e308", "--delta-points", "5"],
     ["table1", "--error", "ZX=0.1"],
     ["table1", "--drive", "ZXI", "--error", "XX=0.2"],
     ["magnus-check", "--drive", "X"],
@@ -807,6 +810,15 @@ class TestConfigRejectsWhatTheRunRejects:
         assert out == ""
         assert "config error: error_sets must hold at least one value" in err
 
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+    def test_infinite_delta_max_in_file_is_config_error(self, dump, tmp_path, capsys):
+        # json reads Infinity as a float; it is refused by name, as the flag is.
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"delta_max": Infinity, "delta_points": 3}')
+        code, out, err = run_cli(capsys, "parity-sweep", "--config", str(config_path), *dump)
+        assert (code, out) == (1, "")
+        assert err == "pstlab: config error: delta_max must be finite and positive, got inf\n"
 
     @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
     @pytest.mark.parametrize("source", ["flag", "file"])

@@ -309,6 +309,23 @@ class TestParitySweep:
         with pytest.raises(ConfigError, match=re.escape(repeated)):
             ParitySweepConfig(**config)
 
+    @pytest.mark.parametrize("config, message", [
+        # Refused before the repeat check, which would name [-inf, inf].
+        (dict(delta_max=math.inf), "delta_max must be finite and positive, got inf"),
+        (dict(delta_max=math.inf, delta_points=3),
+         "delta_max must be finite and positive, got inf"),
+        (dict(deltas=(math.inf, -math.inf)), "delta grid holds [-inf, inf]"),
+        # delta_max * 2 / 2 overflows before it divides.
+        (dict(delta_max=1e308, delta_points=5), "delta grid holds [-inf, inf]"),
+    ], ids=["max", "max-3-points", "explicit", "overflowing-step"])
+    def test_infinite_grid_rejected(self, config, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ParitySweepConfig(**config)
+
+    def test_largest_finite_grid_is_kept(self):
+        assert ParitySweepConfig(delta_max=1e308, delta_points=3).delta_grid() == (
+            -1e308, 0.0, 1e308)
+
     def test_even_point_count_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             ParitySweepConfig(delta_points=40)

@@ -270,8 +270,11 @@ class TestDissipator:
     @pytest.mark.parametrize("targets", [None, (0,)])
     @pytest.mark.parametrize("kind", ["pauli_z", "amplitude_damping"])
     def test_overflowing_rate_is_a_resolution_error(self, kind, targets):
-        # L^dag L plus its transpose overflows at a rate of 1e308, with one
-        # jump operator or with one per qubit; 1e307 still fits.
+        # _noise_transfer refuses a generator whose largest absolute row sum
+        # overflows.  That sum is 2 x rate per targeted qubit for both kinds
+        # (pauli_z's -2 on X and Y; amplitude damping's Z row, +1 at I and
+        # -1 at Z), so a rate of 1e308 overflows with one target or with
+        # both, and 1e307 still fits.
         assert np.isfinite(dissipator_superop(NoiseSpec(kind, 1e307, targets), 2)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

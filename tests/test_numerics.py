@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pstlab import pst_core
+from pstlab import numerics, pst_core
 from pstlab.errors import (
     BranchCutError,
     DefectiveMatrixError,
@@ -116,6 +116,34 @@ class TestExpm:
         for m, exponential in zip(stack, got):
             assert np.array_equal(exponential, expm(m))
         assert np.array_equal(expm(stack.reshape(2, -1, 16, 16)), got.reshape(2, -1, 16, 16))
+
+    def test_mixed_counts_take_one_pade_evaluation(self, monkeypatch):
+        # The stack of test_stack_equals_one_matrix_at_a_time goes through
+        # one Pade evaluation, however many squaring counts it mixes.
+        generators = []
+
+        def recording(m):
+            generators.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
+            return expm(m)
+
+        monkeypatch.setattr(pst_core, "expm", recording)
+        run_parity_sweep(ParitySweepConfig())
+        rng = np.random.default_rng(5)
+        edges = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        edges *= (np.array([1 - 1e-12, 1 + 1e-12]) * _THETA_13
+                  / np.abs(edges).sum(axis=-2).max(axis=-1))[:, None, None]
+        stack = np.concatenate([generators[:80], edges[:1], np.zeros((2, 16, 16)),
+                                generators[80:], edges[1:]])
+        assert len({squarings_for(np.abs(m).sum(axis=0).max()) for m in stack}) >= 3
+        pade, evaluated = numerics._pade_13, []
+
+        def counting(a):
+            evaluated.append(len(a))
+            return pade(a)
+
+        monkeypatch.setattr(numerics, "_pade_13", counting)
+        expm(stack)
+        assert evaluated == [len(stack)]
 
     def test_stack_overflow_names_the_overflowing_matrix(self):
         # exp(-1e4) underflows to 0 and resolves; exp(1000) overflows, and

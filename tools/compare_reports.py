@@ -66,6 +66,9 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "parity-sweep-n4": ("parity-sweep", "--drive", "ZXII", "--error", "XXII=0.2",
                         "--error", "IYZX=0.1", "--delta-points", "3"),
     "parity-sweep-none": ("parity-sweep", "--noise-kinds", "none", "--delta-points", "9"),
+    # expm stacks that mix the squaring counts 2, 4, 5 and 6.
+    "parity-sweep-mixed-squarings": ("parity-sweep", "--delta-max", "40",
+                                     "--delta-points", "9"),
     "parity-sweep-none-5e7": ("parity-sweep", "--noise-kinds", "none",
                               "--delta-points", "3", "--delta-max", "5e7"),
     "parity-sweep-overflow": ("parity-sweep", "--delta-points", "3", "--delta-max", "1e20"),
