@@ -143,7 +143,8 @@ def expm(m) -> np.ndarray:
     first such matrix.
     """
     a = _as_square_finite(m)
-    stack = a.reshape(-1, *a.shape[-2:])
+    # The stack size is named, not -1, which numpy refuses for 0 x 0 matrices.
+    stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
     with np.errstate(over="ignore"):
         norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
     for norm in norms:

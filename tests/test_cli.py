@@ -1,13 +1,18 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
 
 import argparse
+import ast
+import gc
+import importlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from pstlab.experiments import MagnusCheckConfig, ParitySweepConfig, Table1Confi
 from pstlab.liouville import matrix_from_json
 from pstlab.pst_core import calibrate_tau, pst_channel
 from pstlab.schema import CalibrateConfig, OverRotationConfig, SignTableConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _subparsers(parser) -> dict:
@@ -846,3 +853,48 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1.019023"
+
+
+class TestProcessEntry:
+    """`pstlab.__main__.run` freezes the collector for the exit; `main`
+    leaves it alone."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("table1",), 0),
+        (("sign-table", "--qubits", "9"), 1),
+        (("magnus-check", "--taus", "0.5,1.0", "--max-evaluations", "50"), 2),
+    ], ids=["success", "config-error", "numerical-failure"])
+    def test_main_leaves_the_collector_as_it_found_it(self, argv, expected, capsys):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert run_cli(capsys, *argv)[0] == expected
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_entry_freezes_the_collector_after_the_run(self):
+        probe = textwrap.dedent("""
+            import gc, sys
+            from pstlab.__main__ import run
+            sys.argv = ["pstlab", "table1"]
+            before = gc.get_freeze_count()
+            code = run()
+            print(code, before, gc.get_freeze_count())
+        """)
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        *report, probed = result.stdout.splitlines()
+        assert json.loads("\n".join(report))["config"]["drive"]
+        code, before, after = map(int, probed.split())
+        assert (code, before) == (0, 0)
+        assert after > 0
+
+    def test_console_script_is_the_module_entry(self):
+        # Read as text: tomllib is missing on Python 3.10.
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        module, function = re.search(
+            r'^\[project\.scripts\]\npstlab = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        tree = ast.parse((ROOT / "src" / "pstlab" / "__main__.py").read_text())
+        guard = next(node for node in tree.body if isinstance(node, ast.If))
+        assert ast.unparse(guard.test) == "__name__ == '__main__'"
+        assert [ast.unparse(node) for node in guard.body] == [f"sys.exit({function}())"]
+        assert module == "pstlab.__main__"
+        assert callable(getattr(importlib.import_module(module), function))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_reports.py"
 
@@ -48,16 +50,22 @@ def test_a_differing_tree_fails(tmp_path):
     ]
 
 
-def test_dump_files_are_compared(tmp_path):
-    # Same streams and exit code; only the --dump-channel file differs.
-    dump = "import sys\nopen(sys.argv[sys.argv.index('--dump-channel') + 1], 'w').write({!r})\n"
+@pytest.mark.parametrize("name, flag, code", [
+    ("table1-dump-channel", "--dump-channel", 0),
+    # magnus-check writes its report, then exits 2 when its budget runs out.
+    ("magnus-check-budget-output", "--output", 2),
+])
+def test_dump_files_are_compared(name, flag, code, tmp_path):
+    # Same streams and exit code; only the file written as {dump} differs.
+    dump = (f"import sys\nopen(sys.argv[sys.argv.index({flag!r}) + 1], 'w').write({{!r}})\n"
+            f"sys.exit({code})\n")
     old = fake_tree(tmp_path / "old", dump.format("[[1.0, 0.0]]"))
     new = fake_tree(tmp_path / "new", dump.format("[[1.0, 0.5]]"))
-    result = run_tool(old, new, "table1-dump-channel")
+    result = run_tool(old, new, name)
     assert result.returncode == 1
     assert result.stdout.splitlines()[0] == (
-        "DIFF  table1-dump-channel: dump file differs (largest number difference 5.000e-01)")
-    assert run_tool(old, old, "table1-dump-channel").returncode == 0
+        f"DIFF  {name}: dump file differs (largest number difference 5.000e-01)")
+    assert run_tool(old, old, name).returncode == 0
 
 
 def test_bad_arguments_are_refused(tmp_path):

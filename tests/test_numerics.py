@@ -408,6 +408,16 @@ class TestStackedLogm:
                 logm_principal(np.ones(shape))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (1, 0, 0)],
+                         ids=["0x0", "two-0x0", "one-0x0"])
+@pytest.mark.parametrize("function", [expm, logm_principal, lambda m: expm_hermitian(m, 1.0)],
+                         ids=["expm", "logm_principal", "expm_hermitian"])
+def test_empty_matrices_give_empty_complex_results(function, shape):
+    # The 0 x 0 shapes that the square-matrix check accepts.
+    result = function(np.zeros(shape))
+    assert (result.shape, result.dtype) == (shape, np.complex128)
+
+
 if st is not None:
     @st.composite
     def log_stacks(draw):

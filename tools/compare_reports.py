@@ -7,10 +7,11 @@ Each tree is a checkout holding ``src/pstlab``.  Every named invocation
 (default: all of ``INVOCATIONS``) runs once per tree, as
 ``python -m pstlab ...`` with ``PYTHONPATH=<tree>/src`` and one BLAS
 thread, in a fresh working directory.  Its stdout, stderr, exit code and
-any ``--dump-channel`` file must match byte for byte.  Where a JSON or
-CSV report differs, the largest absolute difference between its numbers
-is printed too.  Exits 0 if every invocation matches, 1 if any differs
-and 2 on bad arguments.  Standard library only.
+any file it writes as ``{dump}``, from ``--dump-channel`` or ``--output``,
+must match byte for byte.  Where a JSON or CSV report differs, the largest
+absolute difference between its numbers is printed too.  Exits 0 if every
+invocation matches, 1 if any differs and 2 on bad arguments.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-# "{dump}" stands for a file in the run's working directory; its contents
-# are compared along with the streams.
+# "{dump}" stands for a file in the run's working directory, a dumped
+# channel or a report written with --output; its contents are compared
+# along with the streams.
 DUMP = "{dump}"
 
 _N4_TABLES = {
@@ -51,6 +53,7 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "table1-n4-scale": ("table1", "--drive", "ZZZZ", "--error", "XIII=0.25",
                         "--error", "IYZX=0.1", "--scale", "-1.5"),
     "table1-dump-channel": ("table1", "--dump-channel", DUMP),
+    "table1-output-json": ("table1", "--output", DUMP),
     # The inverse Pauli-transfer change of basis at 256 x 256.
     "table1-n4-dump-channel": ("table1", "--drive", "ZXII", "--error", "XXII=0.2",
                                "--dump-channel", DUMP),
@@ -59,6 +62,7 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
                        "--tau", "1.5707963267948966"),
     "parity-sweep-csv": ("parity-sweep",),
     "parity-sweep-json": ("parity-sweep", "--format", "json"),
+    "parity-sweep-output-csv": ("parity-sweep", "--output", DUMP),
     "parity-sweep-3q": ("parity-sweep", "--drive", "ZXY", "--error", "XXY=0.2",
                         "--error", "YZI=0.6", "--error", "IIZ=0.1", "--delta-points", "9",
                         "--noise-kinds", "none,pauli_z,amplitude_damping"),
@@ -102,6 +106,9 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-csv": ("magnus-check", "--format", "csv"),
     "magnus-check-seed3-csv": ("magnus-check", "--seed", "3", "--format", "csv"),
     "magnus-check-budget": ("magnus-check", "--taus", "0.5,1.0", "--max-evaluations", "50"),
+    # Writes its report, then exits 2.
+    "magnus-check-budget-output": ("magnus-check", "--taus", "0.5,1.0",
+                                   "--max-evaluations", "50", "--output", DUMP),
     # Runs that draw no random error set, so a new draw leaves them byte-identical.
     "magnus-check-no-random-sets": ("magnus-check", "--random-sets", "0"),
     "magnus-check-error-sets-csv": ("magnus-check", "--taus", "0.3,0.5,1.0",
@@ -130,6 +137,8 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
     "sign-table": ("sign-table", "--qubits", "2"),
     "sign-table-3q": ("sign-table", "--qubits", "3"),
+    # The largest stdout of any invocation, about 166 kB.
+    "sign-table-4q": ("sign-table", "--qubits", "4"),
     "sign-table-json": ("sign-table", "--qubits", "2", "--format", "json"),
     "calibrate-text": ("calibrate", "--theta", "1.2", "--sum-h2", "0.24"),
     "calibrate-json": ("calibrate", "--theta", "1.2", "--sum-h2", "0.24",
@@ -144,7 +153,7 @@ def run(tree: Path, argv: tuple[str, ...]) -> dict[str, bytes | int | None]:
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     env.update(dict.fromkeys(_ONE_THREAD, "1"))
     with tempfile.TemporaryDirectory() as workdir:
-        dump = Path(workdir) / "channel.json"
+        dump = Path(workdir) / "dump"
         args = [str(dump) if arg == DUMP else arg for arg in argv]
         done = subprocess.run([sys.executable, "-m", "pstlab", *args], cwd=workdir,
                               env=env, capture_output=True, timeout=600)
