@@ -30,7 +30,6 @@ computed.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import random
@@ -59,6 +58,7 @@ from .pst_core import (
 )
 from .schema import (
     PauliLabel,
+    _as_config_error,
     _Config,
     _field,
     _parse_error_pairs,
@@ -88,15 +88,6 @@ DEFAULT_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
 TABLE1_MIN_TAU = sys.float_info.epsilon / 1e-6
 # Random magnus-check amplitudes are drawn from [floor, max_amplitude].
 RANDOM_AMPLITUDE_FLOOR = 0.05
-
-
-@contextlib.contextmanager
-def _as_config_error():
-    """Re-raise a spec's ValueError as a ConfigError, message unchanged."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _require_nonempty(config, name: str) -> None:
@@ -269,23 +260,21 @@ class ParitySweepConfig(_Config):
     def __post_init__(self):
         super().__post_init__()
         _require_nonempty(self, "noise_kinds")
-        if self.deltas is None:
-            if self.delta_points < 1 or self.delta_points % 2 == 0:
-                raise ConfigError(
-                    "delta_points must be odd so the grid mirrors around 0,"
-                    f" got {self.delta_points}"
-                )
-            if not 0 < self.delta_max < math.inf:
-                raise ConfigError(f"delta_max must be finite and positive, got {self.delta_max}")
-        else:
-            values = set(self.deltas)
-            missing = [d for d in sorted(values) if -d not in values]
-            if missing:
-                raise ConfigError(
-                    f"delta grid lacks the mirror of {missing}; the symmetrized"
-                    " reference needs +-delta pairs"
-                )
+        if self.delta_points < 1 or self.delta_points % 2 == 0:
+            raise ConfigError(
+                "delta_points must be odd so the grid mirrors around 0,"
+                f" got {self.delta_points}"
+            )
+        if not 0 < self.delta_max < math.inf:
+            raise ConfigError(f"delta_max must be finite and positive, got {self.delta_max}")
         grid = self.delta_grid()
+        values = set(grid)
+        missing = [d for d in sorted(values) if -d not in values]
+        if missing:
+            raise ConfigError(
+                f"delta grid lacks the mirror of {missing}; the symmetrized"
+                " reference needs +-delta pairs"
+            )
         infinite = [d for d in grid if not math.isfinite(d)]
         if infinite:
             # delta_max * k / half overflows before it divides where
@@ -314,7 +303,7 @@ class ParitySweepConfig(_Config):
         return CoherentErrorSpec.from_amplitudes(self.errors, scale=delta)
 
     def noise_spec(self, kind: str) -> NoiseSpec:
-        return NoiseSpec(kind, self.zeta if kind != "none" else 0.0, self.noise_targets)
+        return NoiseSpec(kind, self.zeta, self.noise_targets)
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,26 @@ type (``ConfigError`` names a field that does not fit; a ``PauliLabel``
 is also stripped and upper-cased), ``from_dict`` rejects unknown fields,
 and ``to_dict`` is ``dataclasses.asdict`` (JSON writes its tuples as
 lists).  Each field also declares its command-line flag (`_field`), from
-which `pstlab.cli` derives every subcommand's options.
+which `pstlab.cli` derives every subcommand's options.  A config then
+applies its run's own checks, so a config that cannot run raises
+``ConfigError`` with the run's message (`_as_config_error`) before
+``--dump-config`` prints it.
 
-This module imports only the standard library and `pstlab.errors`, so
-the scalar commands parse, validate and dump their configs without
-loading numpy.
+This module imports only the standard library, `pstlab.errors` and
+`pstlab.sinc_law` (`SignTableConfig` imports `pstlab.pauli` when it is
+built), so the scalar commands parse, validate and dump their configs
+without loading numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigError
+from .sinc_law import _check_calibration_domain, over_rotation_factor
 
 __all__ = [
     "CalibrateConfig",
@@ -127,6 +133,13 @@ class _Config:
             raise ConfigError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _as_config_error():
+    """Re-raise a run's ValueError as a ConfigError, message unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +150,14 @@ class _Config:
 class SignTableConfig(_Config):
     qubits: int = _field(2, help="register size (default 2)")
 
+    def __post_init__(self):
+        super().__post_init__()
+        # Imported here, so that `import pstlab.cli` loads no `pauli`.
+        from .pauli import check_qubit_count
+
+        with _as_config_error():
+            check_qubit_count(self.qubits)
+
 
 @dataclass(frozen=True)
 class OverRotationConfig(_Config):
@@ -145,6 +166,11 @@ class OverRotationConfig(_Config):
         help="sum of squared anticommuting error amplitudes (no default)"
     )
 
+    def __post_init__(self):
+        super().__post_init__()
+        with _as_config_error():
+            over_rotation_factor(self.tau, self.sum_h2)
+
 
 @dataclass(frozen=True)
 class CalibrateConfig(_Config):
@@ -152,3 +178,8 @@ class CalibrateConfig(_Config):
     sum_h2: float = _field(
         help="sum of squared anticommuting error amplitudes (no default)"
     )
+
+    def __post_init__(self):
+        super().__post_init__()
+        with _as_config_error():
+            _check_calibration_domain(self.theta, self.sum_h2)

@@ -44,6 +44,17 @@ def over_rotation_factor(tau: float, sum_h2: float) -> float:
     return 1.0 + (1.0 - sinc(2.0 * tau)) / 2.0 * sum_h2
 
 
+def _check_calibration_domain(theta: float, sum_h2: float) -> None:
+    """Raise ValueError unless `calibrate_tau` accepts ``theta`` and ``sum_h2``."""
+    if not math.isfinite(theta) or theta <= 0 or theta > math.pi:
+        raise ValueError(
+            f"target angle must satisfy 0 < theta <= pi so theta/2 lands in"
+            f" (0, pi/2]; got {theta}"
+        )
+    if not math.isfinite(sum_h2) or sum_h2 < 0:
+        raise ValueError(f"sum_h2 must be finite and >= 0, got {sum_h2}")
+
+
 def calibrate_tau(theta: float, sum_h2: float) -> float:
     """Invert the calibration relation tau * factor(tau, sum_h2) = theta / 2.
 
@@ -53,14 +64,7 @@ def calibrate_tau(theta: float, sum_h2: float) -> float:
     level, far below the 1e-12 contract.  Without errors the result is
     exactly theta / 2.
     """
-    if not math.isfinite(theta) or theta <= 0 or theta > math.pi:
-        raise ValueError(
-            f"target angle must satisfy 0 < theta <= pi so theta/2 lands in"
-            f" (0, pi/2]; got {theta}"
-        )
-    if not math.isfinite(sum_h2) or sum_h2 < 0:
-        raise ValueError(f"sum_h2 must be finite and >= 0, got {sum_h2}")
-
+    _check_calibration_domain(theta, sum_h2)
     target = theta / 2.0
 
     def residual(tau: float) -> float:

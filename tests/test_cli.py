@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from pstlab.cli import _build_parser, _run_command, main
-from pstlab.errors import ToleranceError
+from pstlab.errors import ConfigError, ToleranceError
 from pstlab.experiments import MagnusCheckConfig, ParitySweepConfig, Table1Config
 from pstlab.liouville import matrix_from_json
 from pstlab.pst_core import calibrate_tau, pst_channel
@@ -570,6 +570,17 @@ class TestConfigFiles:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("text, refusal", [
+        ("{not json", "is not valid JSON: "),
+        ("[0.5]", "must hold a JSON object\n"),
+    ], ids=["not-json", "array"])
+    def test_malformed_config_file_rejected(self, text, refusal, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        code, out, err = run_cli(capsys, "table1", "--config", str(config_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"pstlab: config error: config file {config_path} {refusal}")
+
 
 # Flags of a quick run of every subcommand.
 QUICK_ARGV = {
@@ -588,6 +599,7 @@ UNRUNNABLE_ARGV = [
     ["parity-sweep", "--deltas=0.5,0"],
     ["parity-sweep", "--noise-targets", "3"],
     ["parity-sweep", "--noise-targets=,"],
+    ["parity-sweep", "--noise-targets=-1"],
     ["parity-sweep", "--zeta=-1"],
     ["parity-sweep", "--deltas=0.5,-0.5,0.5"],
     ["parity-sweep", "--deltas=0,-0"],
@@ -604,6 +616,16 @@ UNRUNNABLE_ARGV = [
     ["magnus-check", "--taus=inf"],
     ["magnus-check", "--seed=-1"],
     ["table1", "--tau", "0"],
+    ["parity-sweep", "--noise-kinds", "none", "--zeta", "nan"],
+    ["parity-sweep", "--noise-kinds", "none", "--zeta=-1"],
+    ["parity-sweep", "--deltas=-1,1", "--delta-max", "nan"],
+    ["parity-sweep", "--deltas=-1,1", "--delta-points", "4"],
+    ["overrotation", "--tau", "nan", "--sum-h2", "0.1"],
+    ["overrotation", "--tau=-1", "--sum-h2", "0.1"],
+    ["calibrate", "--theta", "9", "--sum-h2", "0.1"],
+    ["calibrate", "--theta", "1", "--sum-h2", "inf"],
+    ["sign-table", "--qubits=-3"],
+    ["sign-table", "--qubits", "9"],
 ]
 
 # An empty list that would leave a run with nothing to do, and its field.
@@ -650,6 +672,9 @@ class TestConfigSchema:
         ("table1", {"tau": "abc"}, "tau"),
         ("sign-table", {"qubits": 2.7}, "qubits"),
         ("calibrate", {"theta": True, "sum_h2": 0.0}, "theta"),
+        ("table1", {"errors": 3}, "errors"),
+        ("table1", {"errors": [["XX"]]}, "errors"),
+        ("table1", {"drive": 5}, "drive"),
     ])
     def test_uncoercible_value_is_config_error(self, command, data, name, tmp_path,
                                                capsys):
@@ -672,6 +697,20 @@ class TestConfigSchema:
         )
         assert from_file == from_flags
         assert json.loads(from_file)["tau"] == 1.0
+
+    def test_error_object_reports_as_the_pair_list(self, tmp_path, capsys):
+        # An object's items are the pairs, in file order.
+        config_path = tmp_path / "config.json"
+        reports = []
+        for errors in ({"XX": 0.1, "YX": 0.3}, [["XX", 0.1], ["YX", 0.3]]):
+            config_path.write_text(json.dumps({"errors": errors}))
+            reports.append(run_cli(capsys, "table1", "--config", str(config_path)))
+        assert reports[0][0] == 0
+        assert reports[0] == reports[1]
+
+    def test_missing_field_in_dict_is_config_error(self):
+        with pytest.raises(ConfigError, match="missing 2 required"):
+            OverRotationConfig.from_dict({})
 
     @pytest.mark.parametrize("command, flags, data, normalized", [
         ("table1", ["--drive", "zx", "--error", "xx=0.1", "--error", " yx =0.3"],

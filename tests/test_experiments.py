@@ -14,6 +14,7 @@ from pstlab.experiments import (
     RANDOM_AMPLITUDE_FLOOR,
     MagnusCheckConfig,
     ParitySweepConfig,
+    ParitySweepRow,
     Table1Config,
     _random_anticommuting_sets,
     parity_rows_to_csv,
@@ -333,6 +334,17 @@ class TestParitySweep:
     def test_unknown_noise_kind_rejected(self):
         with pytest.raises(ConfigError):
             ParitySweepConfig(noise_kinds=("thermal",))
+
+    def test_none_rows_ignore_the_rate(self):
+        # Kind none is noiseless at any valid rate, so its rows keep their bits.
+        rows = [run_parity_sweep(ParitySweepConfig(noise_kinds=("none",), zeta=zeta,
+                                                   delta_points=3))
+                for zeta in (0.0, 0.5, 1e308)]
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_negative_deviation_rejected(self):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            ParitySweepRow(delta=0.5, error=-1e-17, symmetrized=0.0, noise_kind="none")
 
     def test_csv_format_and_round_trip(self):
         rows = run_parity_sweep(SMALL_SWEEP)

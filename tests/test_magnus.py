@@ -223,6 +223,10 @@ class TestInteractionDressed:
         with pytest.raises(ValueError, match=f"^time must be finite, got {t}$"):
             interaction_dressed(pauli_from_label("XX"), drive_zx(), t)
 
+    def test_word_on_another_register_is_refused(self):
+        with pytest.raises(ValueError, match="different registers"):
+            interaction_dressed(pauli_from_label("XXX"), drive_zx(), 0.1)
+
     def test_identity_word_is_an_exact_zero(self):
         dressed = interaction_dressed(identity_string(2), drive_zx(), 0.7)
         assert dressed.shape == (16, 16) and not dressed.any()

@@ -614,6 +614,10 @@ class TestIntervalQuadrature:
         with pytest.raises(QuadratureError):
             interval_quadrature(np.sin, 1.0, tol=1e-30, max_evaluations=10)
 
+    def test_validates_upper_limit(self):
+        with pytest.raises(ValueError, match="^upper limit must be positive, got 0.0$"):
+            interval_quadrature(np.sin, 0.0)
+
 
 @pytest.mark.parametrize("rule, arity", [
     (interval_quadrature, 1), (triangle_quadrature, 2),

@@ -164,6 +164,11 @@ class TestGroupEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_group(1)
 
+    def test_env_bound_below_one_rejected(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "0")
+        with pytest.raises(ResourceLimitError, match=f"^{MAX_QUBITS_ENV} must be >= 1, got 0$"):
+            enumerate_group(1)
+
 
 class TestMatrices:
     def test_z_diagonal(self):

@@ -70,6 +70,12 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "parity-sweep-n4": ("parity-sweep", "--drive", "ZXII", "--error", "XXII=0.2",
                         "--error", "IYZX=0.1", "--delta-points", "3"),
     "parity-sweep-none": ("parity-sweep", "--noise-kinds", "none", "--delta-points", "9"),
+    # Kind none is noiseless whatever the rate it is given.
+    "parity-sweep-none-zeta": ("parity-sweep", "--noise-kinds", "none", "--zeta", "0.5",
+                               "--delta-points", "3"),
+    # An explicit grid echoes the default delta_points and delta_max.
+    "parity-sweep-explicit-grid-json": ("parity-sweep", "--deltas=-0.5,0,0.5",
+                                        "--format", "json"),
     # expm stacks that mix the squaring counts 2, 4, 5 and 6.
     "parity-sweep-mixed-squarings": ("parity-sweep", "--delta-max", "40",
                                      "--delta-points", "9"),
