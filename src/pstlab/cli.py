@@ -5,7 +5,7 @@ calibrate.  Each accepts --config FILE (JSON) with flags overriding file
 fields, --dump-config to echo the fully resolved config (which re-parses
 to an identical run), and --output/--format to direct the report.
 
-Every subcommand's options come from the fields of its config dataclass
+Every subcommand's options come from the fields of its config record
 (`pstlab.schema` for the scalar commands, `pstlab.experiments` for the
 numeric ones): a field's flag is its name with _ -> - unless the field
 renames it.  A config file may set only those fields (unknown ones are
@@ -25,11 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, asdict, fields
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ToleranceError
-from .schema import CalibrateConfig, OverRotationConfig, SignTableConfig
+from .schema import MISSING, CalibrateConfig, OverRotationConfig, SignTableConfig, asdict, fields
 from .sinc_law import calibrate_tau, over_rotation_factor
 
 _SCALAR_FORMAT = "{:.7g}"

@@ -20,7 +20,7 @@ visible).  The one draw is ``magnus-check``'s random error sets, from
 ``random.Random(seed)``; identical invocations give identical reports
 for a given Python.
 
-Each study has a frozen config dataclass on the numpy-free schema of
+Each study has a frozen config record on the numpy-free schema of
 `pstlab.schema` (field coercion, flags, ``from_dict``/``to_dict``), which
 also holds the configs of the three scalar commands.  Construction also
 builds the drive, error and noise specs the run would build, so a config
@@ -34,7 +34,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,12 +57,15 @@ from .pst_core import (
 )
 from .schema import (
     PauliLabel,
+    Record,
     _as_config_error,
     _Config,
     _field,
     _parse_error_pairs,
     _parse_error_sets,
     _split_csv,
+    asdict,
+    field,
 )
 
 __all__ = [
@@ -110,7 +112,6 @@ def _require_distinct(name: str, values) -> None:
 # Effective-weight table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Table1Config(_Config):
     drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     tau: float = _field(0.5, help="gate duration (default 0.5)")
@@ -134,8 +135,7 @@ class Table1Config(_Config):
         return CoherentErrorSpec.from_amplitudes(self.errors, self.scale)
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(Record):
     """Weight rows keyed by Pauli label, restricted to the error words plus
     the drive word, with and without the twirl ensemble.
 
@@ -230,7 +230,6 @@ def run_table1(config: Table1Config | None = None) -> Table1Report:
 # Parity sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ParitySweepConfig(_Config):
     drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     tau: float = _field(2.5, help="gate duration (default 2.5)")
@@ -260,6 +259,8 @@ class ParitySweepConfig(_Config):
     def __post_init__(self):
         super().__post_init__()
         _require_nonempty(self, "noise_kinds")
+        if self.deltas is not None:
+            _require_nonempty(self, "deltas")
         if self.delta_points < 1 or self.delta_points % 2 == 0:
             raise ConfigError(
                 "delta_points must be odd so the grid mirrors around 0,"
@@ -306,8 +307,7 @@ class ParitySweepConfig(_Config):
         return NoiseSpec(kind, self.zeta, self.noise_targets)
 
 
-@dataclass(frozen=True)
-class ParitySweepRow:
+class ParitySweepRow(Record):
     delta: float
     error: float
     symmetrized: float
@@ -361,7 +361,6 @@ def parity_rows_to_csv(rows: list[ParitySweepRow]) -> str:
 # Second-order crosscheck
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MagnusCheckConfig(_Config):
     drive: PauliLabel = _field("ZX", help="drive Pauli label (default ZX)")
     taus: tuple[float, ...] = _field(
@@ -453,8 +452,7 @@ def _random_anticommuting_sets(drive_label: str, count: int, seed: int,
     return tuple(sets)
 
 
-@dataclass(frozen=True)
-class MagnusCheckRow:
+class MagnusCheckRow(Record):
     tau: float
     errors: tuple[tuple[str, float], ...]
     discrepancy: float | None
@@ -463,8 +461,7 @@ class MagnusCheckRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class MagnusCheckReport:
+class MagnusCheckReport(Record):
     config: MagnusCheckConfig
     rows: tuple[MagnusCheckRow, ...]
 

@@ -20,13 +20,13 @@ its row-major Liouville view, for callers that want that basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResolutionError
 from .numerics import _as_square_finite
 from .pauli import PauliString, _liouville_view, check_qubit_count, matrix_of
+from .schema import Record
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -60,8 +60,7 @@ _NOISE_TABLES = {
 NOISE_KINDS = tuple(_NOISE_TABLES)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Record):
     """Incoherent-noise description: kind, dimensionless rate, target qubits.
 
     ``targets=None`` places one jump operator on every qubit, all sharing

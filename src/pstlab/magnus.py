@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import math
 from copy import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +83,7 @@ from .pauli import (
     pauli_from_label,
     sign_table,
 )
+from .schema import Record
 from .sinc_law import over_rotation_factor, sinc
 
 __all__ = [
@@ -126,8 +126,7 @@ def _as_terms(terms, role: str) -> tuple[tuple[PauliString, float], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DriveSpec:
+class DriveSpec(Record):
     """Ideal gate generator: Pauli terms with real coefficients, duration tau."""
 
     terms: tuple[tuple[PauliString, float], ...]
@@ -164,8 +163,7 @@ def _check_scale(scale: float) -> None:
         raise ValueError("scale must be finite")
 
 
-@dataclass(frozen=True)
-class CoherentErrorSpec:
+class CoherentErrorSpec(Record):
     """Coherent-error generator: distinct Pauli terms, plus a global scale.
 
     The scale multiplies every amplitude uniformly so parameter sweeps can

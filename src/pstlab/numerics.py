@@ -33,11 +33,11 @@ with a fixed summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchCutError, DefectiveMatrixError, QuadratureError, ResolutionError
+from .schema import Record
 from .sinc_law import sinc
 
 __all__ = [
@@ -65,8 +65,7 @@ _GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
                         0.6521451548625464, 0.34785484513745357])
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Value of an adaptive quadrature plus its error estimate and cost."""
 
     value: np.ndarray

@@ -41,10 +41,10 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import PauliParseError, ResourceLimitError
+from .schema import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,8 +121,7 @@ def check_qubit_count(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(Record):
     """An n-qubit Pauli word, held as its ``index`` in group order (see
     the module notes); its label, product, signs and matrix are read from
     the index.  Any integer type is accepted and stored as an int, so a

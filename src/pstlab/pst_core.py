@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,6 +127,7 @@ from .pauli import (
     enumerate_group,
     pauli_from_label,
 )
+from .schema import Record
 from .sinc_law import calibrate_tau
 
 __all__ = [
@@ -253,8 +253,7 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and positive, got {tau}")
 
 
-@dataclass(frozen=True, eq=False)
-class TwirledChannel:
+class TwirledChannel(Record, eq=False):
     """A twirled channel in block form (see the module notes): its 2^m x 2^m
     Pauli-transfer ``blocks[b]`` on the b-th coset ``cosets[b]`` of <D>, 0
     elsewhere, and the gate duration ``tau`` its log is read at.
@@ -399,8 +398,7 @@ def ideal_channel(drive: DriveSpec) -> np.ndarray:
     return unitary_superop(expm_hermitian(_pauli_sums(weights), drive.tau))
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveGenerator:
+class EffectiveGenerator(Record, eq=False):
     """Decomposition of a generator into Pauli-Hamiltonian weights plus a
     dissipative remainder: G = -i tau H(hamiltonian) + remainder, with
     hamiltonian = sum_g c_g P_g traceless Hermitian (2^n x 2^n).

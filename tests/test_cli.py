@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from pstlab.errors import ConfigError, ToleranceError
 from pstlab.experiments import MagnusCheckConfig, ParitySweepConfig, Table1Config
 from pstlab.liouville import matrix_from_json
 from pstlab.pst_core import calibrate_tau, pst_channel
-from pstlab.schema import CalibrateConfig, OverRotationConfig, SignTableConfig
+from pstlab.schema import CalibrateConfig, OverRotationConfig, SignTableConfig, fields
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -632,6 +631,7 @@ UNRUNNABLE_ARGV = [
 EMPTY_LIST_ARGV = [
     (["magnus-check", "--taus="], "taus"),
     (["parity-sweep", "--noise-kinds="], "noise_kinds"),
+    (["parity-sweep", "--deltas="], "deltas"),
 ]
 
 COMMON_OPTIONS = {"-h", "--help", "--config", "--dump-config", "--output", "--format"}
@@ -855,6 +855,14 @@ class TestConfigRejectsWhatTheRunRejects:
         assert code == 1
         assert out == ""
         assert "config error: error_sets must hold at least one value" in err
+
+    def test_empty_deltas_in_file_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"deltas": []}))
+        code, out, err = run_cli(capsys, "parity-sweep", "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert "config error: deltas must hold at least one value" in err
 
 
     @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])

@@ -80,13 +80,14 @@ def test_hand_listed_surface_is_kept():
 
 
 # Runs in a fresh interpreter and prints, per step, which of numpy,
-# numpy.polynomial, numpy.random and scipy are loaded.
+# numpy.polynomial, numpy.random, scipy, dataclasses and inspect are loaded.
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
     def loaded():
         return {name: name in sys.modules
-                for name in ("numpy", "numpy.polynomial", "numpy.random", "scipy")}
+                for name in ("numpy", "numpy.polynomial", "numpy.random", "scipy",
+                             "dataclasses", "inspect")}
 
     steps = {}
     import pstlab
@@ -162,3 +163,17 @@ def test_only_numeric_work_loads_numpy(import_steps):
         "parity-sweep": True,
         "amplitude_damping channel": True,
     }
+
+
+def test_dataclasses_never_loads(import_steps):
+    # pstlab's value types are records (`pstlab.schema.Record`), which
+    # generate no code, so no step pays for importing dataclasses.
+    assert {step: loaded["dataclasses"] for step, loaded in import_steps.items()} == (
+        dict.fromkeys(import_steps, False))
+
+
+def test_only_numpy_loads_inspect(import_steps):
+    # With dataclasses gone, the package, the CLI and the scalar commands
+    # stop short of inspect; numpy still imports it.
+    assert {step: loaded["inspect"] for step, loaded in import_steps.items()} == {
+        step: loaded["numpy"] for step, loaded in import_steps.items()}
