@@ -159,7 +159,10 @@ def _build_parser(argv: Sequence[str]) -> _Parser:
     ``argv`` names (its first non-option argument, as the top level takes
     no option values) gets its flags."""
     chosen = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = _Parser(prog="pstlab", description=__doc__)
+    parser = _Parser(prog="pstlab", description=(
+        "Exact pseudo-twirl channels of Pauli-generated gates under coherent errors"
+        " and noise, and the sinc-law over-rotation.  Exit codes: 0 success, 1 config"
+        " or usage error, 2 numerical failure."))
     commands = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)

@@ -42,6 +42,7 @@ from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
+    _resolved,
     anticommuting_sum_h2,
     check_drive_error_compat,
     omega1_avg,
@@ -491,18 +492,6 @@ class MagnusCheckReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _finite_norm(m: np.ndarray, name: str) -> float:
-    """The Frobenius norm of ``m``; one that is not finite raises
-    ``ResolutionError``."""
-    norm = float(np.linalg.norm(m))
-    if not math.isfinite(norm):
-        raise ResolutionError(
-            f"the {name} norm overflows double precision; the error amplitudes"
-            " are too large to resolve"
-        )
-    return norm
-
-
 def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusCheckReport:
     """Compare the quadrature and closed-form second-order averages, and
     record the first-order cancellation norm, per (tau, error set) pair.
@@ -523,10 +512,11 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
                     averaged = omega2_avg(drive, err, config.quadrature_tol,
                                           config.max_evaluations)
                     closed = omega2_avg_closed(drive, err)
-                    discrepancy = _finite_norm(averaged - closed, "discrepancy")
-                    omega1_norm = _finite_norm(omega1_avg(
+                    discrepancy = _resolved(float(np.linalg.norm(averaged - closed)),
+                                            "discrepancy norm")
+                    omega1_norm = _resolved(float(np.linalg.norm(omega1_avg(
                         drive, err, config.quadrature_tol, config.max_evaluations
-                    ), "first-order term")
+                    ))), "first-order term norm")
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None

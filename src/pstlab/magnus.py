@@ -58,7 +58,8 @@ the lifted commutators for the second-order term).
 Amplitudes large enough that a frame sum, a commutator or a lift
 overflows double precision raise ``ResolutionError``, in the quadrature
 terms and in the closed form alike, with numpy's overflow warnings kept
-quiet.
+quiet; `_resolved` is the one check, which `experiments` also applies to
+the norms it reports.
 
 Closed-form operations require a single drive Pauli with coefficient 1
 (the duration tau carries the rotation angle); the general multi-term
@@ -84,7 +85,7 @@ from .pauli import (
     sign_table,
 )
 from .schema import Record
-from .sinc_law import over_rotation_factor, sinc
+from .sinc_law import _sinc_coefficient, over_rotation_factor
 
 __all__ = [
     "CoherentErrorSpec",
@@ -290,18 +291,21 @@ def _read_only(kernels: np.ndarray) -> np.ndarray:
     return kernels
 
 
-def _lift(generator: np.ndarray, term: str) -> np.ndarray:
-    """-i H(generator) of the ``term``; a generator or a lift that is not
-    finite raises ``ResolutionError``.  Callers build the generator and
-    call this with numpy's overflow warnings off."""
-    if np.isfinite(generator).all():
-        lift = -1.0j * hamiltonian_superop(generator)
-        if np.isfinite(lift).all():
-            return lift
+def _resolved(value, term: str):
+    """``value``, an array or a scalar of the ``term``, if it is finite;
+    otherwise ``ResolutionError``: the term overflows double precision."""
+    if np.isfinite(value).all():
+        return value
     raise ResolutionError(
         f"the {term} overflows double precision; the error amplitudes are too"
         " large to resolve"
     )
+
+
+def _lift(generator: np.ndarray, term: str) -> np.ndarray:
+    """-i H(generator) of the ``term``, `_resolved` before and after the
+    lift.  Callers build the generator with numpy's overflow warnings off."""
+    return _resolved(-1.0j * hamiltonian_superop(_resolved(generator, term)), term)
 
 
 @functools.lru_cache(maxsize=256)
@@ -408,9 +412,9 @@ def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:
 def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     """Closed form of the averaged second-order term:
     -i tau (1 - sinc(2 tau))/2 * (sum of anticommuting amplitudes squared)
-    times the drive superoperator."""
+    times the drive superoperator, the coefficient from `sinc_law`."""
     beta = drive.single_pauli()
-    weight = drive.tau * (1.0 - sinc(2.0 * drive.tau)) / 2.0 * anticommuting_sum_h2(drive, err)
+    weight = drive.tau * _sinc_coefficient(drive.tau) * anticommuting_sum_h2(drive, err)
     with np.errstate(over="ignore", invalid="ignore"):
         unit = np.eye(1, 4**drive.n_qubits, beta.index)[0]  # the drive's weight row
         return _lift(_pauli_sums(weight * unit), "closed-form second-order term")

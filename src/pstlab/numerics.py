@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import BranchCutError, DefectiveMatrixError, QuadratureError, ResolutionError
 from .schema import Record
-from .sinc_law import sinc
 
 __all__ = [
     "QUADRATURE_ORDER",

@@ -34,10 +34,10 @@ Only the bands R_s[i, i XOR g], g in <D>, are needed.  A Pauli sum is a row
 W of its 4^n word weights; pattern s of spec k is error_rows[k] +
 sum_j s_j drive_rows[j] (`_pattern_weights`), and `pauli` owns the
 change of basis between rows and matrices (`_pauli_sums`,
-`_pauli_spectra`).  Both branches exponentiate a chunk of specs x
-patterns as one stack, each matrix with the arithmetic it gets alone,
-check one bound and average the bands in one fixed order, so a channel
-is the same bits in any batch.  With noise, `expm` of
+`_pauli_spectra`).  `_pattern_bands` exponentiates a chunk of specs x
+patterns as one stack, each matrix with the arithmetic it gets alone, and
+`_character_average` sums their bands over the characters in one fixed
+order, so a channel is the same bits in any batch.  With noise, `expm` of
 noise - i tau H(H_s) built in the Pauli-transfer basis is R_s itself (the
 basis is unitary).  There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
@@ -180,9 +180,8 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
         raise ValueError(
             f"frame word acts on {alpha.n_qubits} qubits, drive on {drive.n_qubits}"
         )
-    signs = np.array([[commutation_sign(alpha, word) for word, _ in drive.terms]], dtype=float)
-    rows = _weight_rows([err.scaled_terms()] + [[term] for term in drive.terms], drive.n_qubits)
-    [[weights]] = _pattern_weights(rows[:1], signs, rows[1:])  # the error row, the drive rows
+    flipped = tuple((word, commutation_sign(alpha, word) * c) for word, c in drive.terms)
+    [weights] = _weight_rows([err.scaled_terms() + flipped], drive.n_qubits)
     return (dissipator_superop(noise, drive.n_qubits)
             - 1.0j * drive.tau * hamiltonian_superop(_pauli_sums(weights)))
 
@@ -308,6 +307,35 @@ class TwirledChannel(Record, eq=False):
         return np.linalg.norm(differences, 2, axis=(-2, -1)).max(axis=-1).tolist()
 
 
+def _pattern_bands(weights, tau, group, n, noise_transfer) -> np.ndarray:
+    """bands[..., p, i] = R_s[i, i XOR group[p]], the entries the twirl keeps
+    of each weight row's Pauli-transfer matrix R_s: from Pauli spectra of U_s
+    if ``noise_transfer`` is None, else read off expm(noise_transfer - i tau H(H_s))."""
+    words, p = np.arange(4**n), np.arange(group.size)
+    partners = words ^ group[:, None]
+    if noise_transfer is not None:
+        return expm(noise_transfer + tau * _commutator_transfers(weights, n))[..., words, partners]
+    # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
+    # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
+    phases = _product_phases(group, n)
+    a = _pauli_spectra(expm_hermitian(_pauli_sums(weights), tau))[..., None, :]
+    b = np.conj(a * phases)[..., p[:, None], partners]
+    return np.conj(phases) * _per_leg(a * b, _numpy_table(_SIGNS))
+
+
+def _character_average(bands, characters, cosets, tau) -> list[TwirledChannel]:
+    """The twirl of each spec k from its patterns' ``bands[k, c]``: summed over
+    the characters c in their fixed order, so a channel is the same bits in
+    any batch, and gathered into the coset blocks."""
+    average = np.zeros(bands[:, 0].shape, dtype=complex)
+    for chi, band in zip(characters, bands.swapaxes(0, 1)):
+        average += chi[:, None] * band
+    average /= len(characters)
+    p = np.arange(len(characters))
+    return [TwirledChannel(blocks, cosets, tau)
+            for blocks in average[:, p[:, None] ^ p, cosets[:, :, None]]]
+
+
 def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
                      noise: NoiseSpec | None = None) -> list[TwirledChannel]:
     """The twirled channel of each error spec in ``errs``, exact over all
@@ -334,50 +362,22 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
                 f" {err.scale!r}); reduce the error scale or tau"
             )
     group, position, cosets = _coset_index(drive)
-    words = np.arange(4**n)
-
     # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
     # matrix, a Kronecker power of one 2 x 2 table over the independent
     # drive words; character c is the drive-sign pattern chi_c[position],
     # and chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
-    # Patterns are summed in this fixed order, so the channel is
-    # reproducible bit for bit.
     characters = _per_leg(np.eye(group.size), np.array([[1.0, 1.0], [1.0, -1.0]]))
     patterns = characters[:, position]
-
-    # bands(weights)[k, c, p, i] is R_s[i, i XOR group[p]] of the
-    # Pauli-transfer matrix R_s of weight row weights[k, c], the only
-    # entries the twirl keeps.
-    p, partners = np.arange(group.size), words ^ group[:, None]
-    noiseless = noise.kind == "none" or noise.rate == 0
-    if noiseless:
-        phases = _product_phases(group, n)
-
-        def bands(weights) -> np.ndarray:
-            # Pauli spectra a of U_s and b of P_g U_s^dag; the latter is
-            # sum_l conj(a_l) w(g, l) P_(g XOR l), with w(g, l) = conj(w(l, g)).
-            a = _pauli_spectra(expm_hermitian(_pauli_sums(weights), tau))[..., None, :]
-            b = np.conj(a * phases)[..., p[:, None], partners]
-            return np.conj(phases) * _per_leg(a * b, _numpy_table(_SIGNS))
-    else:
-        dissipator = _noise_transfer(noise, n)
-
-        def bands(weights) -> np.ndarray:
-            return expm(dissipator + tau * _commutator_transfers(weights, n))[..., words, partners]
-
-    pattern_entries = (2**n if noiseless else 4**n) ** 2
+    noise_transfer = None if noise.kind == "none" or noise.rate == 0 else _noise_transfer(noise, n)
+    pattern_entries = (2**n if noise_transfer is None else 4**n) ** 2
     chunk_size = max(1, _EXPM_STACK_ENTRIES // (len(patterns) * pattern_entries))
     channels = []
     for start in range(0, len(errs), chunk_size):
-        chunk = errs[start:start + chunk_size]
-        kept = bands(_pattern_weights(error_rows[start:start + chunk_size], patterns, drive_rows))
-        _check_resolved(norms[start:start + chunk_size], chunk)  # an expm overflow raises first
-        average = np.zeros((len(chunk), group.size, words.size), dtype=complex)
-        for chi, band in zip(characters, kept.swapaxes(0, 1)):
-            average += chi[:, None] * band
-        average /= group.size
-        channels += [TwirledChannel(blocks, cosets, tau)
-                     for blocks in average[:, p[:, None] ^ p, cosets[:, :, None]]]
+        chunk = slice(start, start + chunk_size)
+        weights = _pattern_weights(error_rows[chunk], patterns, drive_rows)
+        bands = _pattern_bands(weights, tau, group, n, noise_transfer)
+        _check_resolved(norms[chunk], errs[chunk])  # an expm overflow raises first
+        channels += _character_average(bands, characters, cosets, tau)
     return channels
 
 

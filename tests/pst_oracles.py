@@ -13,12 +13,19 @@ noise is `jump_dissipator`, the vectorized Lindblad terms of the jump
 operators, where `liouville` writes the noise as a Kronecker sum of
 one-qubit Pauli-transfer tables.
 
+`dense_pattern_bands` is the band step `pst_core._pattern_bands` taken
+the same long way, one weight row at a time.
+
 `magnus` builds the dressed error parts of every twirl frame as Pauli
 weight rows; `dressed_parts` and `frame_parts` build them word by word
 from `matrix_of` and frame by frame from `commutation_sign`.
+
+`sinc_law` sums a Taylor series for (1 - sinc(2 tau)) / 2 at small tau;
+`exact_sinc_coefficient` sums more of its terms in rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -116,6 +123,22 @@ def liouville_noisy_blocks(drive, err, noise):
         dissipator - 1j * drive.tau * hamiltonian_superop(_pattern_matrix(drive, err, signs))))
 
 
+def dense_pattern_bands(weights, tau, group, n, dissipator=None):
+    """bands[..., p, i] = R[i, i XOR group[p]] of the dense Pauli-transfer
+    matrix R of each weight row W of ``weights``, with H = sum_g W_g P_g
+    summed word by word: of U kron U*, U = exp(-i tau H), without a
+    ``dissipator``, else of expm(dissipator - i tau H(H)) in the row-major
+    Liouville basis."""
+    words, partners = enumerate_group(n), np.arange(4**n) ^ group[:, None]
+    bands = []
+    for row in np.reshape(weights, (-1, 4**n)):
+        h = sum(w * matrix_of(word) for w, word in zip(row, words))
+        channel = (unitary_superop(expm_hermitian(h, tau)) if dissipator is None
+                   else expm(dissipator - 1j * tau * hamiltonian_superop(h)))
+        bands.append(pauli_transfer_matrix(channel)[np.arange(4**n), partners])
+    return np.reshape(bands, np.shape(weights)[:-1] + partners.shape)
+
+
 def frame_average_blocks(drive, err=None):
     """Coset blocks of the noiseless twirl as the plain average over all
     4^n frames of P_a U_a P_a, each frame's channel lifted and transformed
@@ -169,3 +192,16 @@ def densified_log_generator(channel):
     matrix."""
     log = TwirledChannel(logm_principal(channel.blocks), channel.cosets, channel.tau)
     return EffectiveGenerator.from_generator(log.dense(), channel.tau)
+
+
+def exact_sinc_coefficient(tau):
+    """(1 - sin(x)/x) / 2 at x = 2 tau, |x| <= 1, as a `Fraction`: 20 terms of
+    its Taylor series sum_k (-1)^(k+1) x^(2k) / (2 (2k+1)!), whose first
+    omitted term is below 1e-50 of the first."""
+    x2 = Fraction(2 * tau) ** 2
+    assert x2 <= 1
+    term, total = x2 / 12, Fraction(0)
+    for k in range(1, 21):
+        total += term
+        term *= -x2 / ((2 * k + 2) * (2 * k + 3))
+    return total

@@ -233,6 +233,17 @@ class TestScalarCommands:
         assert code == 1
         assert "sum-h2" in err
 
+    def test_overrotation_at_tiny_tau_keeps_its_digits(self, capsys):
+        # 1 + (2 tau)^2 / 12 * sum_h2 to rounding; (1 - sinc(2 tau)) / 2 taken
+        # by subtraction gives 333067.9 here.
+        assert run_cli(capsys, "overrotation", "--tau", "1e-7", "--sum-h2", "1e20") == (
+            0, "333334.3\n", "")
+
+    def test_calibrate_at_huge_error_weight(self, capsys):
+        # The root; a coefficient taken by subtraction puts it at 3.612187e-07.
+        assert run_cli(capsys, "calibrate", "--theta", "3.141592653589793",
+                       "--sum-h2", "1e20") == (0, "3.611994e-07\n", "")
+
     def test_overrotation_at_overflowing_tau_reads_the_limit(self, capsys):
         code, out, err = run_cli(capsys, "overrotation", "--tau", "1e308",
                                  "--sum-h2", "1")
@@ -805,6 +816,14 @@ class TestParserParity:
         assert code == 0
         for command in CONFIG_CLASSES:
             assert re.search(rf"^\s+{re.escape(command)}\s", out, re.MULTILINE), command
+
+    def test_top_level_help_carries_no_developer_notes(self, capsys):
+        # The module docstring says which module owns which config; the
+        # help describes the program instead.
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        for note in ("pstlab.schema", "pstlab.experiments", "Command-line front end"):
+            assert note not in out
 
     def test_no_command_message(self, capsys):
         assert run_cli(capsys) == (1, "", f"pstlab: config error: {USAGE}\n")

@@ -3,11 +3,13 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from pst_oracles import exact_sinc_coefficient
 
-from pstlab import magnus
+from pstlab import magnus, sinc_law
 from pstlab.errors import QuadratureError, ResolutionError
 from pstlab.liouville import hamiltonian_superop
 from pstlab.magnus import (
@@ -427,6 +429,16 @@ class TestOverRotationFactor:
         assert over_rotation_factor(math.pi / 2, 0.24) == pytest.approx(
             1.12, abs=1e-15
         )
+
+    def test_coefficient_is_exact_to_rounding(self):
+        # Below 2 tau = 0.5 the Taylor series keeps every digit; by
+        # subtraction, 1 - sinc(2 tau) loses all of them below 2 tau = 3e-8.
+        # Above, the direct formula's cancellation stays below 1e-14.
+        assert sinc_law._sinc_coefficient(0.0) == 0.0
+        for tau in [*np.logspace(-150, math.log10(0.5), 201).tolist(), math.nextafter(0.25, 0)]:
+            exact = exact_sinc_coefficient(tau)
+            error = abs(Fraction(sinc_law._sinc_coefficient(tau)) - exact)
+            assert error <= (4.5e-16 if tau < 0.25 else 1e-14) * exact, tau
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(17)

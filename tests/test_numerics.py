@@ -31,11 +31,11 @@ from pstlab.numerics import (
     interval_quadrature,
     logm_principal,
     op_norm,
-    sinc,
     squarings_for,
     triangle_quadrature,
 )
 from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label
+from pstlab.sinc_law import sinc
 
 try:
     from hypothesis import given, settings

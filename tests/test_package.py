@@ -1,10 +1,12 @@
 """The package surface: every module's ``__all__``, re-exported once and
 resolved on first access, and the imports it costs."""
 
+import ast
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +179,28 @@ def test_only_numpy_loads_inspect(import_steps):
     # stop short of inspect; numpy still imports it.
     assert {step: loaded["inspect"] for step, loaded in import_steps.items()} == {
         step: loaded["numpy"] for step, loaded in import_steps.items()}
+
+
+# Names a module imports only for others to import from it: the
+# acceptance tests read these two through the modules named.
+REEXPORTS = {("magnus", "over_rotation_factor"), ("pst_core", "calibrate_tau")}
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names that the import statements of ``tree`` bind, anywhere in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(Path(pstlab.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name for name in _imported_names(tree) - read if (path.stem, name) not in REEXPORTS}
+    assert not unused

@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from pst_oracles import jump_dissipator, pauli_transfer_matrix
+from pst_oracles import exact_sinc_coefficient, jump_dissipator, pauli_transfer_matrix
 
 from pstlab import pauli, pst_core, sinc_law
 from pstlab.errors import (
@@ -723,6 +724,16 @@ class TestCalibration:
         tau = calibrate_tau(1.0, 0.24)
         assert tau < 0.5
         assert abs(tau * over_rotation_factor(tau, 0.24) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("sum_h2", [1e20, 1e150, 1e200, 1.7e308])
+    @pytest.mark.parametrize("theta", [math.pi, 1.0, 1e-3, 1e-9])
+    def test_residual_contract_at_huge_error_weight(self, theta, sum_h2):
+        # The root lies on the coefficient's Taylor branch, and past
+        # sum_h2 ~ 1e150 more than 200 halvings below theta / 2.
+        tau = calibrate_tau(theta, sum_h2)
+        target = Fraction(theta) / 2
+        residual = Fraction(tau) * (1 + exact_sinc_coefficient(tau) * Fraction(sum_h2)) - target
+        assert abs(residual) <= 1e-15 * target
 
     def test_nonlinearity_witness(self):
         # Halving the target angle does not halve the calibrated duration.

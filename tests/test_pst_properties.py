@@ -23,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 from pst_oracles import (  # noqa: E402
     dense_noiseless_blocks,
+    dense_pattern_bands,
     densified_log_generator,
     frame_average_blocks,
     jump_dissipator,
@@ -175,6 +176,47 @@ class TestSpectralBlocks:
             assert abs(weight - dense.coefficient(word)) <= 1e-12
             if word not in inside:
                 assert weight == 0.0
+
+
+class TestPatternBands:
+    """The band step against the dense Pauli-transfer oracle, pattern by
+    pattern in both branches, and the twirl rebuilt on that oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(twirl_inputs())
+    @example((DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS), NoiseSpec()))
+    @example((DEPENDENT_DRIVE, CoherentErrorSpec(DEPENDENT_ERRORS, scale=-0.8),
+              NoiseSpec("amplitude_damping", 1.5, (1,))))
+    def test_match_the_dense_oracle(self, inputs):
+        drive, err, noise = inputs
+        n, tau = drive.n_qubits, drive.tau
+        group, _, _ = pst_core._coset_index(drive)
+        noisy = noise.kind != "none" and noise.rate != 0
+        dissipator = jump_dissipator(noise, n) if noisy else None
+        # One weight row per realized frame sign pattern: the scaled error
+        # plus the signed drive.
+        patterns = sorted({tuple(commutation_sign(alpha, word) for word, _ in drive.terms)
+                           for alpha in enumerate_group(n)})
+        weights = np.zeros((1, len(patterns), 4**n))
+        for c, signs in enumerate(patterns):
+            for word, amplitude in err.scaled_terms():
+                weights[0, c, word.index] = amplitude
+            for s, (word, amplitude) in zip(signs, drive.terms):
+                weights[0, c, word.index] = s * amplitude
+        bands = pst_core._pattern_bands(weights, tau, group, n,
+                                        _noise_transfer(noise, n) if noisy else None)
+        expected = dense_pattern_bands(weights, tau, group, n, dissipator)
+        assert np.abs(bands - expected).max() <= 1e-13
+
+        def oracle(weights, tau, group, n, noise_transfer):
+            assert (noise_transfer is not None) == noisy
+            return dense_pattern_bands(weights, tau, group, n, dissipator)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pst_core, "_pattern_bands", oracle)
+            [rebuilt] = twirled_channels(drive, [err], noise)
+        assert_same_blocks(rebuilt, twirled_channels(drive, [err], noise)[0])
+        assert np.abs(rebuilt.dense() - brute_force_channel(drive, err, noise)).max() <= 1e-13
 
 
 class TestPauliTransferGenerators:
