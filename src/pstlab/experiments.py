@@ -42,12 +42,13 @@ from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
+    _closed_sum,
+    _frame_work,
+    _omega1_sum,
+    _omega2_sum,
     _resolved,
     anticommuting_sum_h2,
     check_drive_error_compat,
-    omega1_avg,
-    omega2_avg,
-    omega2_avg_closed,
     over_rotation_factor,
 )
 from .pauli import commutation_sign, enumerate_group, pauli_from_label
@@ -501,22 +502,24 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
     continues.
     """
     config = config if config is not None else MagnusCheckConfig()
-    specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
-             for pairs in config.resolved_error_sets()]
+    # The frame work of a set does not depend on tau: built once, reweighted per row.
+    drive = DriveSpec.single(config.drive, config.taus[0])
+    frames = 4**drive.n_qubits
+    sets = [(pairs, _frame_work(drive, CoherentErrorSpec.from_amplitudes(pairs), None))
+            for pairs in config.resolved_error_sets()]
+    quadrature = (config.quadrature_tol, config.max_evaluations)
     rows = []
     for tau in config.taus:
-        drive = DriveSpec.single(config.drive, tau)
-        for pairs, err in specs:
+        for pairs, work in sets:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = omega2_avg(drive, err, config.quadrature_tol,
-                                          config.max_evaluations)
-                    closed = omega2_avg_closed(drive, err)
+                    averaged = _omega2_sum(work, tau, *quadrature) / frames
+                    closed = _closed_sum(tau, work.sum_h2, work.drive_matrix)
                     discrepancy = _resolved(float(np.linalg.norm(averaged - closed)),
                                             "discrepancy norm")
-                    omega1_norm = _resolved(float(np.linalg.norm(omega1_avg(
-                        drive, err, config.quadrature_tol, config.max_evaluations
-                    ))), "first-order term norm")
+                    omega1_norm = _resolved(float(np.linalg.norm(
+                        _omega1_sum(work, tau, *quadrature) / frames
+                    )), "first-order term norm")
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None

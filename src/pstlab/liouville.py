@@ -121,13 +121,23 @@ def devectorize(v) -> np.ndarray:
 
 
 def hamiltonian_superop(h) -> np.ndarray:
-    """Commutator superoperator H kron I - I kron H^T of a Hermitian H."""
+    """Commutator superoperator H kron I - I kron H^T of a Hermitian H.
+
+    Written by index into a zeroed (d, d, d, d) array, row (i, j) and
+    column (k, l): H kron I puts h[i, k] where j = l, I kron H^T subtracts
+    h[l, j] where i = k.  No Kronecker product is formed, and the entries
+    are those of the formula; only the sign of an exact zero may differ.
+    """
     h = _finite_matrix(h)
     scale = np.abs(h).max()
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("Hamiltonian must be Hermitian to within 1e-12 (relative)")
-    eye = np.eye(h.shape[0])
-    return np.kron(h, eye) - np.kron(eye, h.T)
+    d = h.shape[0]
+    r = np.arange(d)
+    out = np.zeros((d, d, d, d), dtype=h.dtype)
+    out[:, r, :, r] = h
+    out[r, :, r, :] -= h.T
+    return out.reshape(d * d, d * d)
 
 
 def unitary_superop(u) -> np.ndarray:

@@ -40,6 +40,15 @@ not cached, so its error reaches every caller); each frame then costs three
 so the crosscheck does not assume the cancellation the closed form
 relies on.
 
+Only the kernels depend on tau.  The per-set work is therefore done
+once: `_frame_work` builds, for an error set in its frames, the three
+commutator stacks, the frame sums of c0, c1 and c2, and the closed form's
+`anticommuting_sum_h2` and drive matrix.  Each tau then reweights it:
+`_omega1_sum` and `_omega2_sum` scale by the kernels, sum the frames and
+lift, and `_closed_sum` scales the drive matrix by the sinc coefficient.
+The public terms are these two steps in one call; `experiments` keeps the
+per-set work across its taus.
+
 The Liouville form is an output format only.  The commutator
 superoperator H(x) = x kron I - I kron x^T of `liouville` is linear and a
 Lie homomorphism, [H(a), H(b)] = H([a, b]), so the interaction-frame
@@ -70,6 +79,7 @@ from __future__ import annotations
 import functools
 import math
 from copy import copy
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,6 +277,37 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product - product.conj().swapaxes(-1, -2)
 
 
+class _FrameWork(NamedTuple):
+    """The part of the Magnus terms of one error set that no tau changes,
+    in the frames of `_frame_parts`: the commutators ([c0,c1], [c0,c2],
+    [c1,c2]) of each frame, each stacked (frames, 2^n, 2^n); c0, c1 and c2
+    summed over the frames, (3, 2^n, 2^n); whether the set has an error
+    word; and, for the closed form, `anticommuting_sum_h2` and the drive
+    word's matrix."""
+
+    commutators: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sums: np.ndarray
+    has_terms: bool
+    sum_h2: float
+    drive_matrix: np.ndarray
+
+
+def _frame_work(drive: DriveSpec, err: CoherentErrorSpec,
+                alpha: PauliString | None) -> _FrameWork:
+    """`_FrameWork` of ``err`` in every frame, or in alpha's alone, under
+    the drive word of ``drive``; its tau is not read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _frame_parts(drive, err, alpha)
+        c0, c1, c2 = parts
+        return _FrameWork(
+            (_commutator(c0, c1), _commutator(c0, c2), _commutator(c1, c2)),
+            parts.sum(axis=1),
+            bool(err.terms),
+            anticommuting_sum_h2(drive, err),
+            _drive_matrix(drive),
+        )
+
+
 def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np.ndarray:
     """Dressed error generator U(t)^dag H_gamma U(t) for a single-Pauli drive.
 
@@ -317,21 +358,20 @@ def _omega1_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     ).value)
 
 
-def _omega1_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
+def _omega1_sum(work: _FrameWork, tau: float, tol: float,
+                max_evaluations: int) -> np.ndarray:
     """Sum over the frames of -i H(J0 c0 + J1 c1 + J2 c2), with J the
-    interval kernels of `_omega1_kernels`."""
+    interval kernels of `_omega1_kernels` at ``tau`` (zero at tau 0)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = _frame_parts(drive, err, alpha).sum(axis=1)
-        j0, j1, j2 = (
-            _omega1_kernels(drive.tau, tol, max_evaluations) if drive.tau else np.zeros(3)
-        )
+        c0, c1, c2 = work.sums
+        j0, j1, j2 = _omega1_kernels(tau, tol, max_evaluations) if tau else np.zeros(3)
         return _lift(j0 * c0 + j1 * c1 + j2 * c2, "first-order term")
 
 
 def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
                  tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
     """First-order term -i * integral of the twirled dressed error over [0, tau]."""
-    return _omega1_sum(drive, err, alpha, tol, max_evaluations)
+    return _omega1_sum(_frame_work(drive, err, alpha), drive.tau, tol, max_evaluations)
 
 
 def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -341,7 +381,8 @@ def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
     Sign orthogonality cancels it exactly; the near-zero matrix is
     returned so callers can assert how close to zero it lands.
     """
-    return _omega1_sum(drive, err, None, tol, max_evaluations) / 4**drive.n_qubits
+    return (_omega1_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
+            / 4**drive.n_qubits)
 
 
 @functools.lru_cache(maxsize=256)
@@ -360,19 +401,20 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     return _read_only(triangle_quadrature(kernels, tau, tol, max_evaluations).value)
 
 
-def _omega2_sum(drive, err, alpha, tol, max_evaluations) -> np.ndarray:
+def _omega2_sum(work: _FrameWork, tau: float, tol: float,
+                max_evaluations: int) -> np.ndarray:
     """Sum over the frames of
     -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])),
-    the exact expansion of -(1/2) iint [A(t1), A(t2)]."""
+    the exact expansion of -(1/2) iint [A(t1), A(t2)], with K the triangle
+    kernels of `_omega2_kernels` at ``tau`` (zero at tau 0 or for an
+    empty error set)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = _frame_parts(drive, err, alpha)
+        c01, c02, c12 = work.commutators
         k01, k02, k12 = (
-            _omega2_kernels(drive.tau, tol, max_evaluations)
-            if drive.tau and err.terms else np.zeros(3)
+            _omega2_kernels(tau, tol, max_evaluations)
+            if tau and work.has_terms else np.zeros(3)
         )
-        commutators = (
-            k01 * _commutator(c0, c1) + k02 * _commutator(c0, c2) + k12 * _commutator(c1, c2)
-        )
+        commutators = k01 * c01 + k02 * c02 + k12 * c12
         return _lift(-0.5j * commutators.sum(axis=0), "second-order term")
 
 
@@ -381,7 +423,7 @@ def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
     """Second-order term for one twirl word: the time-ordered double
     commutator integral -(1/2) iint [A(t1), A(t2)] with both error
     insertions conjugated by the twirl."""
-    return _omega2_sum(drive, err, alpha, tol, max_evaluations)
+    return _omega2_sum(_frame_work(drive, err, alpha), drive.tau, tol, max_evaluations)
 
 
 def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -394,7 +436,8 @@ def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
     triple is integrated once and every frame is summed explicitly, so
     this check does not rely on that cancellation.
     """
-    return _omega2_sum(drive, err, None, tol, max_evaluations) / 4**drive.n_qubits
+    return (_omega2_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
+            / 4**drive.n_qubits)
 
 
 def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:
@@ -413,8 +456,17 @@ def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     """Closed form of the averaged second-order term:
     -i tau (1 - sinc(2 tau))/2 * (sum of anticommuting amplitudes squared)
     times the drive superoperator, the coefficient from `sinc_law`."""
-    beta = drive.single_pauli()
-    weight = drive.tau * _sinc_coefficient(drive.tau) * anticommuting_sum_h2(drive, err)
+    return _closed_sum(drive.tau, anticommuting_sum_h2(drive, err), _drive_matrix(drive))
+
+
+def _drive_matrix(drive: DriveSpec) -> np.ndarray:
+    """The 2^n x 2^n matrix of the drive word: `_pauli_sums` of its weight row."""
+    return _pauli_sums(np.eye(1, 4**drive.n_qubits, drive.single_pauli().index)[0])
+
+
+def _closed_sum(tau: float, sum_h2: float, drive_matrix: np.ndarray) -> np.ndarray:
+    """-i H(tau (1 - sinc(2 tau))/2 * sum_h2 * P_beta), the closed-form
+    second-order term of `omega2_avg_closed`."""
+    weight = tau * _sinc_coefficient(tau) * sum_h2
     with np.errstate(over="ignore", invalid="ignore"):
-        unit = np.eye(1, 4**drive.n_qubits, beta.index)[0]  # the drive's weight row
-        return _lift(_pauli_sums(weight * unit), "closed-form second-order term")
+        return _lift(weight * drive_matrix, "closed-form second-order term")

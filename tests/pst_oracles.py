@@ -20,6 +20,11 @@ the same long way, one weight row at a time.
 weight rows; `dressed_parts` and `frame_parts` build them word by word
 from `matrix_of` and frame by frame from `commutation_sign`.
 
+`experiments.run_magnus_crosscheck` builds each error set's frame work
+once and reweights it per tau; `magnus_crosscheck_rows` is the row loop
+that calls the public `omega2_avg`, `omega2_avg_closed` and `omega1_avg`
+afresh for every (tau, error set) pair.
+
 `sinc_law` sums a Taylor series for (1 - sinc(2 tau)) / 2 at small tau;
 `exact_sinc_coefficient` sums more of its terms in rational arithmetic.
 """
@@ -30,12 +35,21 @@ from fractions import Fraction
 import numpy as np
 
 from pstlab import pst_core
+from pstlab.errors import QuadratureError, ResolutionError
+from pstlab.experiments import MagnusCheckRow
 from pstlab.liouville import (
     hamiltonian_superop,
     pauli_unitary_superop,
     unitary_superop,
 )
-from pstlab.magnus import CoherentErrorSpec
+from pstlab.magnus import (
+    CoherentErrorSpec,
+    DriveSpec,
+    _resolved,
+    omega1_avg,
+    omega2_avg,
+    omega2_avg_closed,
+)
 from pstlab.numerics import expm, expm_hermitian, logm_principal
 from pstlab.pauli import commutation_sign, enumerate_group, matrix_of
 from pstlab.pst_core import EffectiveGenerator, TwirledChannel
@@ -205,3 +219,32 @@ def exact_sinc_coefficient(tau):
         total += term
         term *= -x2 / ((2 * k + 2) * (2 * k + 3))
     return total
+
+
+def magnus_crosscheck_rows(config):
+    """The rows of `run_magnus_crosscheck(config)`, one public call per
+    term for every (tau, error set) pair, tau-major."""
+    specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
+             for pairs in config.resolved_error_sets()]
+    rows = []
+    for tau in config.taus:
+        drive = DriveSpec.single(config.drive, tau)
+        for pairs, err in specs:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    averaged = omega2_avg(drive, err, config.quadrature_tol,
+                                          config.max_evaluations)
+                    closed = omega2_avg_closed(drive, err)
+                    discrepancy = _resolved(float(np.linalg.norm(averaged - closed)),
+                                            "discrepancy norm")
+                    omega1_norm = _resolved(float(np.linalg.norm(omega1_avg(
+                        drive, err, config.quadrature_tol, config.max_evaluations
+                    ))), "first-order term norm")
+                note = ""
+            except (QuadratureError, ResolutionError) as exc:
+                discrepancy = omega1_norm = None
+                note = str(exc)
+            within = (discrepancy is not None and discrepancy <= config.tolerance
+                      and omega1_norm <= config.omega1_tolerance)
+            rows.append(MagnusCheckRow(tau, pairs, discrepancy, omega1_norm, within, note))
+    return tuple(rows)

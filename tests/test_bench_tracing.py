@@ -3,23 +3,34 @@
 `perfbench/tracing.py` rebinds every (module, name) listed in its `WRAPPED`
 table, and a traced benchmark run fails if one of them is gone.  Loading the
 table here turns a rename into a tier-1 failure.
+
+A traced run (``perfbench/run.py --trace 1``) exits 1 on any exception the
+tracer raises: a ``KeyError`` if a command no longer loads one of the
+wrapped modules, an ``AttributeError`` if a wrapped name is gone or a
+result lacks the attribute a counter reads.  Each workload's passes are
+therefore also run here as that run makes them, in a fresh interpreter.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from pstlab import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -27,6 +38,11 @@ def tracing():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load(TRACING, "perfbench_tracing")
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +74,43 @@ def test_traced_cli_run_counts_its_runner(tracing, capsys):
     metrics = tracer.metrics()
     assert metrics["experiments.run_table1.calls"] == 1
     assert metrics["cli.main.calls"] == 1
+
+
+# One untraced pass, then one under the tracer, through the benchmark's own
+# `call_main` and `gate`, as `run_traced` makes them.
+_TRACED_PASSES = textwrap.dedent("""
+    import json, sys
+    sys.path[:0] = sys.argv[1:3]
+    import run, tracing
+    import pstlab.cli as cli
+    from workloads import WORKLOADS
+
+    invocations = WORKLOADS[sys.argv[3]](0)
+    untraced = [run.call_main(cli, inv.argv) for inv in invocations]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = [run.call_main(cli, inv.argv) for inv in invocations]
+    json.dump({
+        "untraced": untraced,
+        "traced": traced,
+        "gates": [run.gate(inv, *out) for inv, out in zip(invocations, traced)],
+        "main_calls": tracer.metrics()["cli.main.calls"],
+    }, sys.stdout)
+""")
+
+
+@pytest.mark.parametrize("workload", sorted(_load(PERFBENCH / "workloads.py",
+                                                  "perfbench_workloads").WORKLOADS))
+def test_traced_passes_of_each_workload_in_a_fresh_process(workload):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_PASSES, str(PERFBENCH), str(ROOT / "src"), workload],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert [code for code, _ in result["untraced"]] == [0] * len(result["untraced"])
+    assert result["traced"] == result["untraced"]
+    assert result["gates"] == [None] * len(result["traced"])
+    assert result["main_calls"] == len(result["traced"])

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pst_oracles import magnus_crosscheck_rows
+
 from pstlab import experiments, liouville, magnus, pst_core
 from pstlab.errors import BranchCutError, ConfigError, ResolutionError
 from pstlab.experiments import (
@@ -409,6 +411,36 @@ class TestMagnusCrosscheck:
         report = run_magnus_crosscheck(config)
         assert len(calls) == 1
         assert len(report.rows) == 2 * 2
+
+    def test_builds_each_sets_frame_work_once(self, monkeypatch):
+        # Only the kernels depend on tau: each set's frame parts are built
+        # once per run, not once per term and tau.
+        config = MagnusCheckConfig(taus=(0.3, 0.5), random_sets=1)
+        calls = []
+        frame_parts = magnus._frame_parts
+        monkeypatch.setattr(magnus, "_frame_parts",
+                            lambda *args: calls.append(args) or frame_parts(*args))
+        report = run_magnus_crosscheck(config)
+        assert len(calls) == 2
+        assert len(report.rows) == 2 * 2
+
+    @pytest.mark.parametrize("config, noted", [
+        *((MagnusCheckConfig(seed=seed), 0) for seed in range(3)),
+        (MagnusCheckConfig(drive="X", error_sets=((("Z", 0.3), ("Y", 0.2)), (("Y", 0.5),))),
+         0),
+        (MagnusCheckConfig(drive="ZXY", error_sets=(
+            (("XXI", 0.2), ("ZII", 0.3), ("IZZ", 0.1), ("YYY", 0.15)),
+            (("IIZ", 0.4), ("XII", 0.2)))), 0),
+        # The budget fails every tau, for all six sets.
+        (MagnusCheckConfig(taus=(0.5, 1.0), max_evaluations=50), 12),
+        # An overflowing set at a converging tau; both sets at a refused tau.
+        (MagnusCheckConfig(taus=(0.3, 1e300),
+                           error_sets=((("XX", 1e150), ("YY", 0.2)), (("XX", 0.2),))), 3),
+    ], ids=["seed0", "seed1", "seed2", "one-qubit", "3q", "budget", "overflow"])
+    def test_rows_match_the_public_term_oracle(self, config, noted):
+        rows = run_magnus_crosscheck(config).rows
+        assert rows == magnus_crosscheck_rows(config)
+        assert sum(bool(row.note) for row in rows) == noted
 
     def test_default_random_sets_are_pinned(self):
         # The default run's sets, drawn by random.Random(20240): a change of

@@ -89,6 +89,20 @@ class TestHamiltonianSuperop:
         )
         assert not hamiltonian_superop(np.eye(dim)).any()
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_equals_the_kronecker_formula(self, dim):
+        # Built by index, entry for entry the formula on the complex input.
+        rng = np.random.default_rng(60 + dim)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        eye = np.eye(dim)
+        for h in (m.real + m.real.T, m + m.conj().T, np.diag(rng.normal(size=dim)),
+                  np.zeros((dim, dim))):
+            hc = np.asarray(h, dtype=complex)
+            formula = np.kron(hc, eye) - np.kron(eye, hc.T)
+            lifted = hamiltonian_superop(h)
+            assert lifted.dtype == formula.dtype
+            assert np.array_equal(lifted, formula)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hamiltonian_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))

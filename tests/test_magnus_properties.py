@@ -13,9 +13,10 @@ import numpy as np  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
-from pst_oracles import dressed_parts, frame_parts  # noqa: E402
+from pst_oracles import dressed_parts, frame_parts, magnus_crosscheck_rows  # noqa: E402
 
 from pstlab import magnus  # noqa: E402
+from pstlab.experiments import MagnusCheckConfig, run_magnus_crosscheck  # noqa: E402
 from pstlab.magnus import (  # noqa: E402
     CoherentErrorSpec,
     DriveSpec,
@@ -51,6 +52,42 @@ class TestCrosscheckProperties:
         discrepancy = np.linalg.norm(omega2_avg(drive, err) - omega2_avg_closed(drive, err))
         assert discrepancy <= 1e-6
         assert np.linalg.norm(omega1_avg(drive, err)) <= 1e-9
+
+
+@st.composite
+def crosscheck_configs(draw):
+    """A `MagnusCheckConfig` on one or two qubits: explicit error sets, or
+    the default set and seeded random ones; taus up to 3, and budgets and
+    amplitudes that may fail or overflow a row."""
+    n = draw(st.integers(1, 2))
+    words = [p.label for p in enumerate_group(n)[1:]]
+    drive = draw(st.sampled_from(words))
+    amplitude = st.one_of(st.floats(-0.8, 0.8, allow_subnormal=False),
+                          st.sampled_from([1e150, -1e160, 1e300]))
+    error_set = st.lists(st.tuples(st.sampled_from([w for w in words if w != drive]),
+                                   amplitude),
+                         min_size=1, max_size=4, unique_by=lambda pair: pair[0]).map(tuple)
+    # The default set, run ahead of the random ones, is on two qubits and
+    # holds XX, YY, ZZ and YX.
+    explicit = n == 1 or drive in ("XX", "YY", "ZZ", "YX") or draw(st.booleans())
+    return MagnusCheckConfig(
+        drive=drive,
+        taus=tuple(draw(st.lists(st.floats(0.0, 3.0, allow_subnormal=False),
+                                 min_size=1, max_size=3, unique=True))),
+        error_sets=draw(st.lists(error_set, min_size=1, max_size=3, unique=True).map(tuple)
+                        if explicit else st.none()),
+        random_sets=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**16)),
+        quadrature_tol=draw(st.sampled_from([1e-9, 1e-6])),
+        max_evaluations=draw(st.sampled_from([50, 400, 2**20])),
+    )
+
+
+class TestCrosscheckRows:
+    @settings(max_examples=25, deadline=None)
+    @given(crosscheck_configs())
+    def test_rows_match_the_public_term_oracle(self, config):
+        assert run_magnus_crosscheck(config).rows == magnus_crosscheck_rows(config)
 
 
 @st.composite

@@ -138,6 +138,13 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-tau-1e300": ("magnus-check", "--taus", "1e300", "--error-set", "XX=0.2"),
     # Level differences too large to square; tau^2 still fits.
     "magnus-check-tau-1e100": ("magnus-check", "--taus", "1e100", "--error-set", "XX=0.2"),
+    # Rows that fail and rows that pass share one set's frame work: the first
+    # tau converges and the second runs out of budget; an overflowing set
+    # next to a clean one, at a converging tau and at a refused one.
+    "magnus-check-mixed-budget": ("magnus-check", "--taus", "0.05,2.5", "--random-sets", "0",
+                                  "--max-evaluations", "100"),
+    "magnus-check-mixed-overflow": ("magnus-check", "--taus", "0.3,1e300",
+                                    "--error-set", "XX=1e150;YY=0.2", "--error-set", "XX=0.2"),
     "magnus-check-negative-tau": ("magnus-check", "--taus=-1", "--dump-config"),
     "table1-tau0": ("table1", "--tau", "0"),
     "overrotation": ("overrotation", "--tau", "0.5", "--sum-h2", "0.24"),
