@@ -504,7 +504,6 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
     config = config if config is not None else MagnusCheckConfig()
     # The frame work of a set does not depend on tau: built once, reweighted per row.
     drive = DriveSpec.single(config.drive, config.taus[0])
-    frames = 4**drive.n_qubits
     sets = [(pairs, _frame_work(drive, CoherentErrorSpec.from_amplitudes(pairs), None))
             for pairs in config.resolved_error_sets()]
     quadrature = (config.quadrature_tol, config.max_evaluations)
@@ -513,13 +512,12 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
         for pairs, work in sets:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = _omega2_sum(work, tau, *quadrature) / frames
+                    averaged = _omega2_sum(work, tau, *quadrature)
                     closed = _closed_sum(tau, work.sum_h2, work.drive_matrix)
                     discrepancy = _resolved(float(np.linalg.norm(averaged - closed)),
                                             "discrepancy norm")
                     omega1_norm = _resolved(float(np.linalg.norm(
-                        _omega1_sum(work, tau, *quadrature) / frames
-                    )), "first-order term norm")
+                        _omega1_sum(work, tau, *quadrature))), "first-order term norm")
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None

@@ -34,19 +34,20 @@ so the time-ordered integral needs only the scalar kernel triple
 (J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau], numpy expressions in
 the time arrays that depend on tau alone: each is integrated once per
 (tau, tol, max_evaluations) and cached read-only (a failed quadrature is
-not cached, so its error reaches every caller); each frame then costs three
-2^n x 2^n commutators, batched over the frame axis.  The sum over all
-4^n frames is kept explicit rather than collapsed by sign orthogonality,
-so the crosscheck does not assume the cancellation the closed form
-relies on.
+not cached, so its error reaches every caller).  The sum over all 4^n
+frames is kept explicit rather than collapsed by sign orthogonality, so
+the crosscheck does not assume the cancellation the closed form relies on.
 
-Only the kernels depend on tau.  The per-set work is therefore done
-once: `_frame_work` builds, for an error set in its frames, the three
-commutator stacks, the frame sums of c0, c1 and c2, and the closed form's
-`anticommuting_sum_h2` and drive matrix.  Each tau then reweights it:
-`_omega1_sum` and `_omega2_sum` scale by the kernels, sum the frames and
-lift, and `_closed_sum` scales the drive matrix by the sinc coefficient.
-The public terms are these two steps in one call; `experiments` keeps the
+Only the kernels depend on tau, and the terms are linear in the frame
+matrices.  `_frame_work` therefore sums an error set's frames once: it
+builds each frame's three 2^n x 2^n commutators, batched over the frame
+axis, and keeps only the frame sums of c0, c1, c2 and the commutators,
+the frame count, and the closed form's `anticommuting_sum_h2` and drive
+matrix.  Each tau then weights six matrices: `_omega1_sum` and
+`_omega2_sum` pick kernels and a triple for one lift, `_frame_average`
+(zero, with no quadrature, at tau 0 or for an empty set), and
+`_closed_sum` scales the drive matrix by the sinc coefficient.  The
+public terms are these two steps in one call; `experiments` keeps the
 per-set work across its taus.
 
 The Liouville form is an output format only.  The commutator
@@ -91,6 +92,7 @@ from .pauli import (
     _pauli_sums,
     _product_phases,
     commutation_sign,
+    matrix_of,
     pauli_from_label,
     sign_table,
 )
@@ -279,14 +281,15 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _FrameWork(NamedTuple):
     """The part of the Magnus terms of one error set that no tau changes,
-    in the frames of `_frame_parts`: the commutators ([c0,c1], [c0,c2],
-    [c1,c2]) of each frame, each stacked (frames, 2^n, 2^n); c0, c1 and c2
-    summed over the frames, (3, 2^n, 2^n); whether the set has an error
-    word; and, for the closed form, `anticommuting_sum_h2` and the drive
-    word's matrix."""
+    summed over the frames of `_frame_parts`: c0, c1 and c2, and the
+    Hermitian -(i/2) ([c0,c1], [c0,c2], [c1,c2]), each stacked
+    (3, 2^n, 2^n); the number of frames summed; whether the set has an
+    error word; and, for the closed form, `anticommuting_sum_h2` and the
+    drive word's matrix."""
 
-    commutators: tuple[np.ndarray, np.ndarray, np.ndarray]
     sums: np.ndarray
+    commutators: np.ndarray
+    frames: int
     has_terms: bool
     sum_h2: float
     drive_matrix: np.ndarray
@@ -295,17 +298,15 @@ class _FrameWork(NamedTuple):
 def _frame_work(drive: DriveSpec, err: CoherentErrorSpec,
                 alpha: PauliString | None) -> _FrameWork:
     """`_FrameWork` of ``err`` in every frame, or in alpha's alone, under
-    the drive word of ``drive``; its tau is not read."""
+    the drive word of ``drive``; its tau is not read.  The commutators of
+    each frame are summed here and not kept."""
     with np.errstate(over="ignore", invalid="ignore"):
         parts = _frame_parts(drive, err, alpha)
         c0, c1, c2 = parts
-        return _FrameWork(
-            (_commutator(c0, c1), _commutator(c0, c2), _commutator(c1, c2)),
-            parts.sum(axis=1),
-            bool(err.terms),
-            anticommuting_sum_h2(drive, err),
-            _drive_matrix(drive),
-        )
+        commutators = np.array([_commutator(a, b).sum(axis=0)
+                                for a, b in ((c0, c1), (c0, c2), (c1, c2))])
+        return _FrameWork(parts.sum(axis=1), -0.5j * commutators, len(c0), bool(err.terms),
+                          anticommuting_sum_h2(drive, err), matrix_of(drive.single_pauli()))
 
 
 def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np.ndarray:
@@ -358,14 +359,24 @@ def _omega1_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     ).value)
 
 
+def _frame_average(kernels, matrices: np.ndarray, work: _FrameWork, tau: float,
+                   tol: float, max_evaluations: int, term: str) -> np.ndarray:
+    """Frame average -i H(k0 m0 + k1 m1 + k2 m2) / frames of the ``term``,
+    for frame sums (m0, m1, m2) of ``work`` and k the ``kernels`` at
+    ``tau``: zero, with no quadrature, at tau 0 or for an empty error set."""
+    k0, k1, k2 = (kernels(tau, tol, max_evaluations) if tau > 0 and work.has_terms
+                  else np.zeros(3))
+    m0, m1, m2 = matrices
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lift(k0 * m0 + k1 * m1 + k2 * m2, term) / work.frames
+
+
 def _omega1_sum(work: _FrameWork, tau: float, tol: float,
                 max_evaluations: int) -> np.ndarray:
-    """Sum over the frames of -i H(J0 c0 + J1 c1 + J2 c2), with J the
-    interval kernels of `_omega1_kernels` at ``tau`` (zero at tau 0)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1, c2 = work.sums
-        j0, j1, j2 = _omega1_kernels(tau, tol, max_evaluations) if tau else np.zeros(3)
-        return _lift(j0 * c0 + j1 * c1 + j2 * c2, "first-order term")
+    """Frame average of -i H(J0 c0 + J1 c1 + J2 c2), with J the interval
+    kernels of `_omega1_kernels` at ``tau``."""
+    return _frame_average(_omega1_kernels, work.sums, work, tau, tol, max_evaluations,
+                          "first-order term")
 
 
 def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -381,8 +392,7 @@ def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
     Sign orthogonality cancels it exactly; the near-zero matrix is
     returned so callers can assert how close to zero it lands.
     """
-    return (_omega1_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
-            / 4**drive.n_qubits)
+    return _omega1_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
 
 
 @functools.lru_cache(maxsize=256)
@@ -403,19 +413,12 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
 
 def _omega2_sum(work: _FrameWork, tau: float, tol: float,
                 max_evaluations: int) -> np.ndarray:
-    """Sum over the frames of
+    """Frame average of
     -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])),
     the exact expansion of -(1/2) iint [A(t1), A(t2)], with K the triangle
-    kernels of `_omega2_kernels` at ``tau`` (zero at tau 0 or for an
-    empty error set)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c01, c02, c12 = work.commutators
-        k01, k02, k12 = (
-            _omega2_kernels(tau, tol, max_evaluations)
-            if tau and work.has_terms else np.zeros(3)
-        )
-        commutators = k01 * c01 + k02 * c02 + k12 * c12
-        return _lift(-0.5j * commutators.sum(axis=0), "second-order term")
+    kernels of `_omega2_kernels` at ``tau``."""
+    return _frame_average(_omega2_kernels, work.commutators, work, tau, tol,
+                          max_evaluations, "second-order term")
 
 
 def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -436,8 +439,7 @@ def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
     triple is integrated once and every frame is summed explicitly, so
     this check does not rely on that cancellation.
     """
-    return (_omega2_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
-            / 4**drive.n_qubits)
+    return _omega2_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
 
 
 def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:
@@ -456,12 +458,8 @@ def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     """Closed form of the averaged second-order term:
     -i tau (1 - sinc(2 tau))/2 * (sum of anticommuting amplitudes squared)
     times the drive superoperator, the coefficient from `sinc_law`."""
-    return _closed_sum(drive.tau, anticommuting_sum_h2(drive, err), _drive_matrix(drive))
-
-
-def _drive_matrix(drive: DriveSpec) -> np.ndarray:
-    """The 2^n x 2^n matrix of the drive word: `_pauli_sums` of its weight row."""
-    return _pauli_sums(np.eye(1, 4**drive.n_qubits, drive.single_pauli().index)[0])
+    return _closed_sum(drive.tau, anticommuting_sum_h2(drive, err),
+                       matrix_of(drive.single_pauli()))
 
 
 def _closed_sum(tau: float, sum_h2: float, drive_matrix: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from pstlab.errors import BranchCutError, ConfigError, ResolutionError
 from pstlab.experiments import (
     RANDOM_AMPLITUDE_FLOOR,
     MagnusCheckConfig,
+    MagnusCheckRow,
     ParitySweepConfig,
     ParitySweepRow,
     Table1Config,
@@ -384,6 +385,14 @@ class TestMagnusCrosscheck:
         report = run_magnus_crosscheck(config)
         assert report.rows[0].discrepancy == 0.0
         assert report.rows[0].omega1_norm <= 1e-12
+
+    def test_empty_set_is_exact_without_a_quadrature(self):
+        # Both orders are zero for a set with no error word, so a budget
+        # too small for any quadrature still gives a clean row.
+        config = MagnusCheckConfig(taus=(0.5,), error_sets=((),), max_evaluations=3)
+        assert run_magnus_crosscheck(config).rows == (
+            MagnusCheckRow(0.5, (), 0.0, 0.0, True, ""),
+        )
 
     def test_convergence_failure_noted_and_run_continues(self):
         # Each tau's rows share its kernels; a failure reaches every row.

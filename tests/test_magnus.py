@@ -381,6 +381,26 @@ class TestOverflow:
             omega2_avg_closed(drive_zx(), err)
 
 
+class TestFrameWork:
+    @pytest.mark.parametrize("drive, errors", [
+        ("X", {"Z": 0.3, "Y": 0.2}),
+        ("ZX", dict(MIXED_ERRORS)),
+        ("ZXY", {"XXI": 0.2, "ZII": 0.3, "IZZ": 0.1, "YYY": 0.15}),
+    ])
+    def test_state_does_not_grow_with_the_frames(self, drive, errors):
+        # Every frame sum is (3, 2^n, 2^n): the state of all 4^n frames
+        # takes the bytes of one frame's.
+        drive = DriveSpec.single(drive, 0.5)
+        err = CoherentErrorSpec.from_amplitudes(errors)
+        alpha = pauli_from_label("Y" * drive.n_qubits)
+        every, one = (magnus._frame_work(drive, err, frame) for frame in (None, alpha))
+        assert (every.frames, one.frames) == (4**drive.n_qubits, 1)
+        assert sum(np.asarray(value).nbytes for value in every) == sum(
+            np.asarray(value).nbytes for value in one)
+        for matrices in (every.sums, every.commutators):
+            assert matrices.shape == (3, 2**drive.n_qubits, 2**drive.n_qubits)
+
+
 class TestFrameRegister:
     @pytest.mark.parametrize("omega", [omega1_alpha, omega2_alpha])
     def test_frame_on_another_register_is_rejected(self, omega):
@@ -559,3 +579,10 @@ class TestQuadratureBudget:
         drive = DriveSpec.single("ZX", 0.5)
         with pytest.raises(QuadratureError, match="interval quadrature"):
             omega1_avg(drive, CoherentErrorSpec(TABLE1_ERRORS), max_evaluations=3)
+
+    @pytest.mark.parametrize("omega", [omega1_avg, omega2_avg])
+    def test_empty_set_needs_no_quadrature(self, omega):
+        # Both orders are exactly zero without an error word: no budget applies.
+        value = omega(DriveSpec.single("ZX", 0.5), CoherentErrorSpec(), max_evaluations=3)
+        assert value.shape == (16, 16)
+        assert not value.any()

@@ -20,7 +20,9 @@ from pstlab.experiments import MagnusCheckConfig, run_magnus_crosscheck  # noqa:
 from pstlab.magnus import (  # noqa: E402
     CoherentErrorSpec,
     DriveSpec,
+    omega1_alpha,
     omega1_avg,
+    omega2_alpha,
     omega2_avg,
     omega2_avg_closed,
 )
@@ -52,6 +54,40 @@ class TestCrosscheckProperties:
         discrepancy = np.linalg.norm(omega2_avg(drive, err) - omega2_avg_closed(drive, err))
         assert discrepancy <= 1e-6
         assert np.linalg.norm(omega1_avg(drive, err)) <= 1e-9
+
+
+@st.composite
+def average_inputs(draw):
+    """A one-word drive on one or two qubits, of duration up to 1.5, with
+    an error set, possibly empty, of words commuting and anticommuting
+    with it."""
+    n = draw(st.integers(1, 2))
+    beta = draw(st.integers(1, 4**n - 1))
+    words = draw(st.lists(st.integers(1, 4**n - 1).filter(lambda w: w != beta),
+                          max_size=4, unique=True))
+    amplitude = st.floats(-0.8, 0.8, allow_subnormal=False)
+    err = CoherentErrorSpec(tuple((PauliString(n, w), draw(amplitude)) for w in words))
+    tau = draw(st.floats(0.0, 1.5, allow_subnormal=False))
+    return DriveSpec(((PauliString(n, beta), 1.0),), tau), err
+
+
+class TestFrameAverages:
+    """The averages sum the frames before weighting and lifting; the
+    frame-by-frame terms lift each frame alone.  Both orders of the sum
+    agree to rounding."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(average_inputs())
+    @example((DriveSpec.single("ZX", 0.5), CoherentErrorSpec()))
+    @example((DriveSpec.single("ZX", 0.5), CoherentErrorSpec.from_amplitudes(
+        {"XX": 0.3, "YY": 0.5, "IZ": -0.2, "ZI": 0.4, "YX": 0.25})))
+    def test_average_is_the_mean_of_the_frames(self, inputs):
+        drive, err = inputs
+        frames = enumerate_group(drive.n_qubits)
+        for average, alpha_term in ((omega1_avg, omega1_alpha), (omega2_avg, omega2_alpha)):
+            value = average(drive, err)
+            mean = np.mean([alpha_term(drive, err, alpha) for alpha in frames], axis=0)
+            assert np.abs(value - mean).max() <= 1e-14 * max(1.0, np.abs(value).max())
 
 
 @st.composite
