@@ -493,6 +493,14 @@ class MagnusCheckReport(Record):
         return "\n".join(lines) + "\n"
 
 
+def _frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F from numpy's pairwise sums of the squared real and imaginary
+    parts, so that its bits do not depend on the BLAS thread count, as
+    those of `np.linalg.norm` (a BLAS dot, split by thread) do.  Squares
+    that overflow give inf, as there."""
+    return float(np.sqrt(np.sum(a.real**2) + np.sum(a.imag**2)))
+
+
 def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusCheckReport:
     """Compare the quadrature and closed-form second-order averages, and
     record the first-order cancellation norm, per (tau, error set) pair.
@@ -514,10 +522,10 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
                 with np.errstate(over="ignore", invalid="ignore"):
                     averaged = _omega2_sum(work, tau, *quadrature)
                     closed = _closed_sum(tau, work.sum_h2, work.drive_matrix)
-                    discrepancy = _resolved(float(np.linalg.norm(averaged - closed)),
+                    discrepancy = _resolved(_frobenius_norm(averaged - closed),
                                             "discrepancy norm")
-                    omega1_norm = _resolved(float(np.linalg.norm(
-                        _omega1_sum(work, tau, *quadrature))), "first-order term norm")
+                    omega1_norm = _resolved(_frobenius_norm(
+                        _omega1_sum(work, tau, *quadrature)), "first-order term norm")
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None

@@ -1,4 +1,4 @@
-"""Dense complex numerics: expm, principal logm, operator norm, quadrature.
+"""Dense numerics: expm, principal logm, operator norm, quadrature.
 
 Every matrix routine here (`expm`, `expm_hermitian`, `logm_principal`,
 `op_norm`) takes one square matrix or a stack of them, shape (..., d, d),
@@ -6,10 +6,12 @@ treats each matrix of a stack as it would alone, and rejects non-finite
 entries.  The general exponential `expm` is scaling and squaring with the
 degree-13 diagonal Pade approximant, in numpy alone (Higham 2005): each
 matrix is halved s times until its 1-norm is at most theta_13, and its
-approximant is squared s times.  A stack takes one Pade evaluation for
-all of its matrices, each with its own s, bit for bit as alone, and a
-squaring that overflows raises ``ResolutionError`` instead of returning
-inf or nan.  Only dissipative generators need it; a unitary exp(-i t h)
+approximant is squared s times, in the field of the input: a real
+generator, such as every noisy pattern generator of `pst_core`, is
+exponentiated in real arithmetic, and only the result is complex.  A
+stack takes one Pade evaluation for all of its matrices, each with its
+own s, bit for bit as alone, and a squaring that overflows raises
+``ResolutionError`` instead of returning inf or nan.  Only dissipative generators need it; a unitary exp(-i t h)
 of a Hermitian h comes from one batched `eigh` instead
 (`expm_hermitian`).  The principal logarithm is an explicit, batched
 eigendecomposition under one rule for each matrix of a stack, the
@@ -78,9 +80,10 @@ class QuadratureResult(Record):
             raise ValueError("evaluations must be positive")
 
 
-def _as_square_finite(m) -> np.ndarray:
-    """``m`` as a finite complex square matrix or stack of them, (..., d, d)."""
-    m = np.asarray(m, dtype=complex)
+def _as_square_finite(m, dtype=complex) -> np.ndarray:
+    """``m`` as a finite square matrix or stack of them, (..., d, d), of
+    ``dtype``."""
+    m = np.asarray(m, dtype=dtype)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -126,8 +129,8 @@ def _pade_13(a: np.ndarray) -> np.ndarray:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential of one square complex matrix, or of each matrix
-    in a stack of shape (..., d, d).
+    """Matrix exponential of one square matrix, or of each matrix in a
+    stack of shape (..., d, d), returned as complex128.
 
     Scaling and squaring with the degree-13 diagonal Pade approximant
     (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), taken of A / 2^s
@@ -138,9 +141,13 @@ def expm(m) -> np.ndarray:
     whose s exceeds t, with the same floating-point operations as alone.
     A 1-norm or a squared result that overflows raises
     ``ResolutionError``, naming the 1-norm and the squaring count of the
-    first such matrix.
+    first such matrix.  A real (or integer) input is exponentiated in
+    float64 arithmetic, with the same steps as a complex one, and only the
+    result is cast to complex: real Pade products and a real solve cost
+    about 2.5 times less.
     """
-    a = _as_square_finite(m)
+    m = np.asarray(m)
+    a = _as_square_finite(m, float if m.dtype.kind in "biuf" else complex)
     # The stack size is named, not -1, which numpy refuses for 0 x 0 matrices.
     stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
     with np.errstate(over="ignore"):
@@ -166,7 +173,7 @@ def expm(m) -> np.ndarray:
             f" in its {squarings[first]} squarings; the input is too large to"
             " resolve"
         )
-    return result.reshape(a.shape)
+    return result.reshape(a.shape).astype(complex, copy=False)
 
 
 def expm_hermitian(h, t: float) -> np.ndarray:

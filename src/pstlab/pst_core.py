@@ -43,10 +43,11 @@ basis is unitary).  There H_g = P_g kron I - I kron P_g^T has the entry
 2 w(g, j) = conj(w(j, g)) - w(j, g) at (g XOR j, j) for each j that
 anticommutes with g, and no other; w(j, g) is +-i there, so -i H_g is
 real, with entries +-2.  The noise is real there too, and built there
-(`liouville._noise_transfer`), so the whole generator is real and no
-change of basis is made.  Without noise (kind "none" or rate 0) the
-pattern is the unitary U_s = exp(-i tau H_s), from one stacked `eigh`,
-and its bands follow from Pauli spectra alone: with
+(`liouville._noise_transfer`), so the whole generator is real, `expm`
+keeps it real until its result, and no change of basis is made.
+Without noise (kind "none" or rate 0) the pattern is the unitary
+U_s = exp(-i tau H_s), from one stacked `eigh`, and its bands follow
+from Pauli spectra alone: with
 a_k = tr(P_k U_s) / 2^n and b_k the same coefficients of P_g U_s^dag,
 
     R_s[i, i XOR g] = conj(w(i, g)) sum_k chi(i, k) a_k b_k,

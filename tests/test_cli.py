@@ -953,6 +953,29 @@ class TestProcessEntry:
         assert (code, before) == (0, 0)
         assert after > 0
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_the_entry_runs_the_command_without_cyclic_collections(self, enabled):
+        # numpy's import sets off some 35 collections with the collector on.
+        probe = textwrap.dedent(f"""
+            import gc, sys
+            from pstlab.__main__ import run
+            collections = []
+            gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info))
+            sys.argv = ["pstlab", "parity-sweep"]
+            if not {enabled}:
+                gc.disable()
+            code = run()
+            print(code, len(collections), gc.isenabled(), gc.get_freeze_count())
+        """)
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        *report, probed = result.stdout.splitlines()
+        assert report[0] == "delta,error,symmetrized,noise_kind"
+        code, collections, after, frozen = probed.split()
+        assert (code, collections, after) == ("0", "0", str(enabled))
+        assert int(frozen) > 0
+
     def test_console_script_is_the_module_entry(self):
         # Read as text: tomllib is missing on Python 3.10.
         pyproject = (ROOT / "pyproject.toml").read_text()

@@ -83,3 +83,15 @@ def test_numbers_of_json_and_csv_reports_are_compared():
             == "largest number difference 2.500e-01")
     assert tool.largest_difference(b"[1, 2]", b"[1]") == "2 numbers against 1"
     assert tool.largest_difference(b"pstlab: failure", b"pstlab: other") is None
+
+
+@pytest.mark.parametrize("name", [
+    "parity-sweep-csv", "parity-sweep-n4", "magnus-check-n4", "table1-n4-seed0",
+])
+def test_reports_do_not_depend_on_the_blas_thread_count(name):
+    # The thread count is not part of an invocation: one and two BLAS
+    # threads give the same streams, exit code and dump file.
+    tool = load_tool()
+    one, two = (tool.run(ROOT, tool.INVOCATIONS[name], threads) for threads in (1, 2))
+    assert one["exit code"] == 0, one["stderr"]
+    assert one == two

@@ -145,6 +145,26 @@ class TestExpm:
         expm(stack)
         assert evaluated == [len(stack)]
 
+    def test_noisy_patterns_are_exponentiated_in_real_arithmetic(self, monkeypatch):
+        # `_pattern_bands` hands `expm` the real Pauli-transfer generators,
+        # and their Pade step runs in float64.
+        handed, evaluated = [], []
+        pade = numerics._pade_13
+
+        def recording(m):
+            handed.append(m.dtype)
+            return expm(m)
+
+        def spying(a):
+            evaluated.append(a.dtype)
+            return pade(a)
+
+        monkeypatch.setattr(pst_core, "expm", recording)
+        monkeypatch.setattr(numerics, "_pade_13", spying)
+        run_parity_sweep(ParitySweepConfig(deltas=(-1.0, 1.0)))
+        assert len(handed) == 2
+        assert set(handed) == set(evaluated) == {np.dtype(np.float64)}
+
     def test_stack_overflow_names_the_overflowing_matrix(self):
         # exp(-1e4) underflows to 0 and resolves; exp(1000) overflows, and
         # the message carries its norm and squarings, not the larger one's.
@@ -459,6 +479,37 @@ if st is not None:
                 miss = np.linalg.norm(expm(log) - m)
                 assert miss <= 1e-12 * max(1.0, np.linalg.norm(m))
                 np.testing.assert_allclose(log, logm_principal(m), rtol=0, atol=1e-13)
+
+
+    @st.composite
+    def real_stacks(draw):
+        """1-6 real d x d matrices, d = 4 or 16 (the Pauli-transfer sizes
+        at n = 1 and 2), each of 1-norm theta_13 2^e with e in [-8, 2], so
+        that a stack mixes 0, 1 and 2 squarings; one may be zero."""
+        d = draw(st.sampled_from([4, 16]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        stack = rng.normal(size=(draw(st.integers(1, 6)), d, d))
+        exponents = draw(st.lists(st.floats(-8.0, 2.0), min_size=len(stack),
+                                  max_size=len(stack)))
+        stack *= (_THETA_13 * 2.0 ** np.array(exponents)
+                  / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+        if draw(st.booleans()):
+            stack[draw(st.integers(0, len(stack) - 1))] = 0.0
+        return stack
+
+    class TestRealExpm:
+        @settings(max_examples=100, deadline=None)
+        @given(real_stacks())
+        def test_a_real_stack_is_exponentiated_in_its_field(self, stack):
+            got = expm(stack)
+            assert got.dtype == np.complex128
+            assert not got.imag.any()
+            complex_field = expm(stack.astype(complex))
+            np.testing.assert_allclose(
+                got, complex_field, rtol=0,
+                atol=1e-14 * max(1.0, np.abs(complex_field).max()))
+            for m, exponential in zip(stack, got):
+                assert np.array_equal(exponential, expm(m))
 
 
 class TestOpNorm:

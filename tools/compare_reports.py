@@ -162,13 +162,14 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
                        "--format", "json"),
 }
 
-_ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(tree: Path, argv: tuple[str, ...]) -> dict[str, bytes | int | None]:
-    """stdout, stderr, exit code and dump file of one invocation on ``tree``."""
+def run(tree: Path, argv: tuple[str, ...], threads: int = 1) -> dict[str, bytes | int | None]:
+    """stdout, stderr, exit code and dump file of one invocation on
+    ``tree``, with ``threads`` BLAS threads."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    env.update(dict.fromkeys(_ONE_THREAD, "1"))
+    env.update(dict.fromkeys(_BLAS_THREADS, str(threads)))
     with tempfile.TemporaryDirectory() as workdir:
         dump = Path(workdir) / "dump"
         args = [str(dump) if arg == DUMP else arg for arg in argv]
