@@ -35,18 +35,13 @@ import math
 import random
 import sys
 
-import numpy as np
-
 from .errors import BranchCutError, ConfigError, QuadratureError, ResolutionError
 from .liouville import NoiseSpec
 from .magnus import (
     CoherentErrorSpec,
     DriveSpec,
-    _closed_sum,
+    _crosscheck_norms,
     _frame_work,
-    _omega1_sum,
-    _omega2_sum,
-    _resolved,
     anticommuting_sum_h2,
     check_drive_error_compat,
     over_rotation_factor,
@@ -493,14 +488,6 @@ class MagnusCheckReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _frobenius_norm(a: np.ndarray) -> float:
-    """||a||_F from numpy's pairwise sums of the squared real and imaginary
-    parts, so that its bits do not depend on the BLAS thread count, as
-    those of `np.linalg.norm` (a BLAS dot, split by thread) do.  Squares
-    that overflow give inf, as there."""
-    return float(np.sqrt(np.sum(a.real**2) + np.sum(a.imag**2)))
-
-
 def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusCheckReport:
     """Compare the quadrature and closed-form second-order averages, and
     record the first-order cancellation norm, per (tau, error set) pair.
@@ -512,20 +499,16 @@ def run_magnus_crosscheck(config: MagnusCheckConfig | None = None) -> MagnusChec
     config = config if config is not None else MagnusCheckConfig()
     # The frame work of a set does not depend on tau: built once, reweighted per row.
     drive = DriveSpec.single(config.drive, config.taus[0])
-    sets = [(pairs, _frame_work(drive, CoherentErrorSpec.from_amplitudes(pairs), None))
-            for pairs in config.resolved_error_sets()]
-    quadrature = (config.quadrature_tol, config.max_evaluations)
+    specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
+             for pairs in config.resolved_error_sets()]
+    works = [_frame_work(drive, err, None) for _, err in specs]
     rows = []
     for tau in config.taus:
-        for pairs, work in sets:
+        for (pairs, err), work in zip(specs, works):
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = _omega2_sum(work, tau, *quadrature)
-                    closed = _closed_sum(tau, work.sum_h2, work.drive_matrix)
-                    discrepancy = _resolved(_frobenius_norm(averaged - closed),
-                                            "discrepancy norm")
-                    omega1_norm = _resolved(_frobenius_norm(
-                        _omega1_sum(work, tau, *quadrature)), "first-order term norm")
+                discrepancy, omega1_norm = _crosscheck_norms(
+                    work, DriveSpec.single(config.drive, tau), err, config.quadrature_tol,
+                    config.max_evaluations)
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None

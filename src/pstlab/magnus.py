@@ -19,11 +19,15 @@ space.  In twirl frame alpha the dressed error sum is
 
 with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
 their i P_beta P_w, each weighted by its amplitude and the frame sign
-chi_alpha(P_w).  The frame signs are the rows of `pauli.sign_table`
-against the error words, in group order (frame alpha's at
-``alpha.index``); c0, c1, c2 of every frame are built as Pauli weight
-rows, then as matrices by one `pauli._pauli_sums` pass.  Writing
-c_k = cos 2t_k and s_k = sin 2t_k, the commutator expands exactly as
+chi_alpha(P_w).  A frame enters only through these signs, its row of
+`pauli.sign_table` against the m error words (frame alpha's at
+``alpha.index``).  Taking a frame to its row is a homomorphism onto 2^r
+rows, r the rank of the words, so each distinct row, a sign class, is
+taken by a coset of its kernel, 4^n / 2^r frames, and the mean over the
+2^r <= min(4^n, 2^m) classes is the mean over every frame.  c0, c1, c2
+of every class are built as Pauli weight rows, then as matrices by one
+`pauli._pauli_sums` pass.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the
+commutator expands exactly as
 
     [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
                      + sin 2(t2 - t1) [c1,c2],
@@ -34,30 +38,33 @@ so the time-ordered integral needs only the scalar kernel triple
 (J0, J1, J2) of (1, cos 2t, sin 2t) over [0, tau], numpy expressions in
 the time arrays that depend on tau alone: each is integrated once per
 (tau, tol, max_evaluations) and cached read-only (a failed quadrature is
-not cached, so its error reaches every caller).  The sum over all 4^n
-frames is kept explicit rather than collapsed by sign orthogonality, so
-the crosscheck does not assume the cancellation the closed form relies on.
+not cached, so its error reaches every caller).  The sum over the
+classes is kept explicit rather than collapsed by sign orthogonality, so
+the cross terms between error words still cancel numerically and the
+crosscheck does not assume the cancellation the closed form relies on.
 
-Only the kernels depend on tau, and the terms are linear in the frame
-matrices.  `_frame_work` therefore sums an error set's frames once: it
-builds each frame's three 2^n x 2^n commutators, batched over the frame
-axis, and keeps only the frame sums of c0, c1, c2 and the commutators,
-the frame count, and the closed form's `anticommuting_sum_h2` and drive
-matrix.  Each tau then weights six matrices: `_omega1_sum` and
-`_omega2_sum` pick kernels and a triple for one lift, `_frame_average`
-(zero, with no quadrature, at tau 0 or for an empty set), and
-`_closed_sum` scales the drive matrix by the sinc coefficient.  The
-public terms are these two steps in one call; `experiments` keeps the
-per-set work across its taus.
+Only the kernels depend on tau, and the terms are linear in the class
+matrices.  `_frame_work` therefore averages an error set's classes once:
+it builds each class's three 2^n x 2^n commutators, batched over the
+class axis, and keeps only the class means of c0, c1, c2 and of the
+commutators.  Each tau then weights three of them by its kernels in
+`_generator` (zero, with no quadrature, at tau 0 or for an empty set),
+and `_closed_generator` scales the drive word by the sinc coefficient.
+`experiments` keeps the per-set work across its taus.
 
 The Liouville form is an output format only.  The commutator
 superoperator H(x) = x kron I - I kron x^T of `liouville` is linear and a
 Lie homomorphism, [H(a), H(b)] = H([a, b]), so the interaction-frame
 generator is A(t) = H(a(t)) and each public call lifts one Hermitian
-matrix, summed over its frames:
+matrix, averaged over the classes:
 
     Omega1 = -i H(J0 c0 + J1 c1 + J2 c2),
     Omega2 = -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])).
+
+A `magnus-check` row needs only two Frobenius norms of such lifts, and
+`_crosscheck_norms` reads them off the 2^n x 2^n generators with no
+4^n x 4^n array: ||H(x)||_F = sqrt(2d) ||x - (tr x / d) I||_F for
+d = 2^n (`_lifted_norm`).
 
 ``tol`` and ``max_evaluations`` therefore bound the refinement of the
 kernel vector (Frobenius norm of the level difference, integrand points),
@@ -65,11 +72,10 @@ not of a matrix sum; a frame's matrix error is at most that kernel error
 times the summed norms of the fixed matrices the kernels multiply (half
 the lifted commutators for the second-order term).
 
-Amplitudes large enough that a frame sum, a commutator or a lift
-overflows double precision raise ``ResolutionError``, in the quadrature
-terms and in the closed form alike, with numpy's overflow warnings kept
-quiet; `_resolved` is the one check, which `experiments` also applies to
-the norms it reports.
+Amplitudes large enough that a class matrix, a commutator, a lift or the
+squares of a norm overflow double precision raise ``ResolutionError``,
+in the quadrature terms, the closed form and the crosscheck norms alike,
+with numpy's overflow warnings kept quiet; `_resolved` is the one check.
 
 Closed-form operations require a single drive Pauli with coefficient 1
 (the duration tau carries the rotation angle); the general multi-term
@@ -252,11 +258,16 @@ def _dressed_sums(beta: PauliString, words: list[int], weights: np.ndarray) -> n
 
 def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
                  alpha: PauliString | None) -> np.ndarray:
-    """(c0, c1, c2) of a(t) = c0 + cos(2t) c1 + sin(2t) c2 in every twirl
-    frame, stacked (3, frames, 2^n, 2^n).
+    """(c0, c1, c2) of a(t) = c0 + cos(2t) c1 + sin(2t) c2 in each class
+    of twirl frames, stacked (3, classes, 2^n, 2^n).
 
-    The frames are the rows of `sign_table` against the error words, in
-    group order, or only alpha's row, the one at ``alpha.index``.
+    A frame enters only through its row of `sign_table` against the error
+    words.  A class is one distinct row, the classes in the group order of
+    their first frames; or the one class is alpha's row, the one at
+    ``alpha.index``.  Taking a frame to its row is a homomorphism onto
+    2^r rows, r the rank of the words, so each class holds a coset of its
+    kernel, 4^n / 2^r frames: the mean over the classes is the mean over
+    every frame.
     """
     beta = drive.single_pauli()
     check_drive_error_compat(drive, err)
@@ -266,7 +277,9 @@ def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
         if alpha.n_qubits != n:
             raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
         signs = signs[[alpha.index]]
-    weights = signs * [amplitude for _, amplitude in terms]
+    # A dict, not np.unique, whose first call imports numpy.ma (10-15 ms).
+    classes = np.array(list({row.tobytes(): row for row in signs}.values()))
+    weights = classes * [amplitude for _, amplitude in terms]
     return _dressed_sums(beta, [word.index for word, _ in terms], weights)
 
 
@@ -274,39 +287,34 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] of Hermitian a, b (batched over leading axes) as ab - (ab)^dag:
     one product, and anti-Hermitian by construction whatever order the
     product sums in, so the Hermiticity check of the lift holds even for a
-    frame sum that cancels to rounding level."""
+    class mean that cancels to rounding level."""
     product = a @ b
     return product - product.conj().swapaxes(-1, -2)
 
 
 class _FrameWork(NamedTuple):
     """The part of the Magnus terms of one error set that no tau changes,
-    summed over the frames of `_frame_parts`: c0, c1 and c2, and the
-    Hermitian -(i/2) ([c0,c1], [c0,c2], [c1,c2]), each stacked
-    (3, 2^n, 2^n); the number of frames summed; whether the set has an
-    error word; and, for the closed form, `anticommuting_sum_h2` and the
-    drive word's matrix."""
+    averaged over the classes of `_frame_parts`: the means of c0, c1 and
+    c2, and of the Hermitian -(i/2) ([c0,c1], [c0,c2], [c1,c2]), each
+    stacked (3, 2^n, 2^n); and whether the set has an error word.  The
+    class count is a power of two, so the means divide exactly."""
 
-    sums: np.ndarray
+    means: np.ndarray
     commutators: np.ndarray
-    frames: int
     has_terms: bool
-    sum_h2: float
-    drive_matrix: np.ndarray
 
 
 def _frame_work(drive: DriveSpec, err: CoherentErrorSpec,
                 alpha: PauliString | None) -> _FrameWork:
-    """`_FrameWork` of ``err`` in every frame, or in alpha's alone, under
-    the drive word of ``drive``; its tau is not read.  The commutators of
-    each frame are summed here and not kept."""
+    """`_FrameWork` of ``err`` over every frame, or over alpha's alone,
+    under the drive word of ``drive``; its tau is not read.  The
+    commutators of each class are averaged here and not kept."""
     with np.errstate(over="ignore", invalid="ignore"):
         parts = _frame_parts(drive, err, alpha)
         c0, c1, c2 = parts
-        commutators = np.array([_commutator(a, b).sum(axis=0)
+        commutators = np.array([_commutator(a, b).mean(axis=0)
                                 for a, b in ((c0, c1), (c0, c2), (c1, c2))])
-        return _FrameWork(parts.sum(axis=1), -0.5j * commutators, len(c0), bool(err.terms),
-                          anticommuting_sum_h2(drive, err), matrix_of(drive.single_pauli()))
+        return _FrameWork(parts.mean(axis=1), -0.5j * commutators, bool(err.terms))
 
 
 def interaction_dressed(err_term: PauliString, drive: DriveSpec, t: float) -> np.ndarray:
@@ -345,9 +353,27 @@ def _resolved(value, term: str):
 
 
 def _lift(generator: np.ndarray, term: str) -> np.ndarray:
-    """-i H(generator) of the ``term``, `_resolved` before and after the
-    lift.  Callers build the generator with numpy's overflow warnings off."""
-    return _resolved(-1.0j * hamiltonian_superop(_resolved(generator, term)), term)
+    """-i H(generator) of the ``term``, for a finite generator, `_resolved`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _resolved(-1.0j * hamiltonian_superop(generator), term)
+
+
+def _lifted_norm(x: np.ndarray, term: str) -> float:
+    """||H(x)||_F of the ``term``, read off the d x d matrix x, `_resolved`.
+
+    H(x) = x kron I - I kron x^T has ||H(x)||_F^2 = 2d ||x||_F^2 - 2 |tr x|^2
+    and H(I) = 0, so ||H(x)||_F = sqrt(2d) ||y||_F with y = x - (tr x / d) I.
+    The centred form keeps the digits that the difference of squares
+    cancels when x is near a multiple of I, and an error e in the mean
+    tr x / d only adds d |e|^2 to ||y||_F^2.  The squares are summed by
+    numpy's pairwise sums, whose bits do not depend on the BLAS thread
+    count; squares that overflow give inf.
+    """
+    d = len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = x - np.trace(x) / d * np.eye(d)
+        return _resolved(math.sqrt(2 * d * float(np.sum(centred.real**2)
+                                                 + np.sum(centred.imag**2))), term)
 
 
 @functools.lru_cache(maxsize=256)
@@ -357,42 +383,6 @@ def _omega1_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
         lambda t: np.array([np.ones_like(t), np.cos(2.0 * t), np.sin(2.0 * t)]),
         tau, tol, max_evaluations,
     ).value)
-
-
-def _frame_average(kernels, matrices: np.ndarray, work: _FrameWork, tau: float,
-                   tol: float, max_evaluations: int, term: str) -> np.ndarray:
-    """Frame average -i H(k0 m0 + k1 m1 + k2 m2) / frames of the ``term``,
-    for frame sums (m0, m1, m2) of ``work`` and k the ``kernels`` at
-    ``tau``: zero, with no quadrature, at tau 0 or for an empty error set."""
-    k0, k1, k2 = (kernels(tau, tol, max_evaluations) if tau > 0 and work.has_terms
-                  else np.zeros(3))
-    m0, m1, m2 = matrices
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _lift(k0 * m0 + k1 * m1 + k2 * m2, term) / work.frames
-
-
-def _omega1_sum(work: _FrameWork, tau: float, tol: float,
-                max_evaluations: int) -> np.ndarray:
-    """Frame average of -i H(J0 c0 + J1 c1 + J2 c2), with J the interval
-    kernels of `_omega1_kernels` at ``tau``."""
-    return _frame_average(_omega1_kernels, work.sums, work, tau, tol, max_evaluations,
-                          "first-order term")
-
-
-def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
-                 tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
-    """First-order term -i * integral of the twirled dressed error over [0, tau]."""
-    return _omega1_sum(_frame_work(drive, err, alpha), drive.tau, tol, max_evaluations)
-
-
-def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
-               tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
-    """Twirl average of the first-order term over the full Pauli group.
-
-    Sign orthogonality cancels it exactly; the near-zero matrix is
-    returned so callers can assert how close to zero it lands.
-    """
-    return _omega1_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
 
 
 @functools.lru_cache(maxsize=256)
@@ -411,14 +401,49 @@ def _omega2_kernels(tau: float, tol: float, max_evaluations: int) -> np.ndarray:
     return _read_only(triangle_quadrature(kernels, tau, tol, max_evaluations).value)
 
 
-def _omega2_sum(work: _FrameWork, tau: float, tol: float,
-                max_evaluations: int) -> np.ndarray:
-    """Frame average of
-    -i H(-(i/2) (K01 [c0,c1] + K02 [c0,c2] + K12 [c1,c2])),
-    the exact expansion of -(1/2) iint [A(t1), A(t2)], with K the triangle
-    kernels of `_omega2_kernels` at ``tau``."""
-    return _frame_average(_omega2_kernels, work.commutators, work, tau, tol,
-                          max_evaluations, "second-order term")
+_TERMS = {1: "first-order term", 2: "second-order term"}
+
+
+def _generator(order: int, work: _FrameWork, tau: float, tol: float,
+               max_evaluations: int) -> np.ndarray:
+    """The frame mean g of the generator of the ``order``-th Magnus term
+    at ``tau``, read from the class means of ``work``, `_resolved`; the
+    term is -i H(g).  Order 1: J0 c0 + J1 c1 + J2 c2, with J the interval
+    kernels of `_omega1_kernels`.  Order 2: the exact expansion of
+    -(1/2) iint [A(t1), A(t2)], -(i/2) (K01 [c0,c1] + K02 [c0,c2] +
+    K12 [c1,c2]), with K the triangle kernels of `_omega2_kernels`.  Zero,
+    with no quadrature, at tau 0 or for an empty error set."""
+    kernels, matrices = ((_omega1_kernels, work.means) if order == 1
+                         else (_omega2_kernels, work.commutators))
+    k0, k1, k2 = (kernels(tau, tol, max_evaluations) if tau > 0 and work.has_terms
+                  else np.zeros(3))
+    m0, m1, m2 = matrices
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _resolved(k0 * m0 + k1 * m1 + k2 * m2, _TERMS[order])
+
+
+def _term(order: int, drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString | None,
+          tol: float, max_evaluations: int) -> np.ndarray:
+    """The ``order``-th Magnus term of ``err`` under ``drive``, averaged
+    over every frame, or alpha's alone: the lift of its `_generator`."""
+    work = _frame_work(drive, err, alpha)
+    return _lift(_generator(order, work, drive.tau, tol, max_evaluations), _TERMS[order])
+
+
+def omega1_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
+                 tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
+    """First-order term -i * integral of the twirled dressed error over [0, tau]."""
+    return _term(1, drive, err, alpha, tol, max_evaluations)
+
+
+def omega1_avg(drive: DriveSpec, err: CoherentErrorSpec,
+               tol: float = 1e-9, max_evaluations: int = 2**20) -> np.ndarray:
+    """Twirl average of the first-order term over the full Pauli group.
+
+    Sign orthogonality cancels it exactly; the near-zero matrix is
+    returned so callers can assert how close to zero it lands.
+    """
+    return _term(1, drive, err, None, tol, max_evaluations)
 
 
 def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
@@ -426,7 +451,7 @@ def omega2_alpha(drive: DriveSpec, err: CoherentErrorSpec, alpha: PauliString,
     """Second-order term for one twirl word: the time-ordered double
     commutator integral -(1/2) iint [A(t1), A(t2)] with both error
     insertions conjugated by the twirl."""
-    return _omega2_sum(_frame_work(drive, err, alpha), drive.tau, tol, max_evaluations)
+    return _term(2, drive, err, alpha, tol, max_evaluations)
 
 
 def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
@@ -436,10 +461,10 @@ def omega2_avg(drive: DriveSpec, err: CoherentErrorSpec,
     Cross terms between distinct error words cancel by sign orthogonality,
     so the average equals the sum of squared-amplitude single-word terms
     (the quantity `omega2_avg_closed` evaluates analytically).  The kernel
-    triple is integrated once and every frame is summed explicitly, so
-    this check does not rely on that cancellation.
+    triple is integrated once and every sign class is summed explicitly,
+    so this check does not rely on that cancellation.
     """
-    return _omega2_sum(_frame_work(drive, err, None), drive.tau, tol, max_evaluations)
+    return _term(2, drive, err, None, tol, max_evaluations)
 
 
 def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:
@@ -454,17 +479,29 @@ def anticommuting_sum_h2(drive: DriveSpec, err: CoherentErrorSpec) -> float:
     )
 
 
+def _closed_generator(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
+    """tau (1 - sinc(2 tau))/2 * `anticommuting_sum_h2` * P_beta, `_resolved`:
+    the closed form's second-order term is -i H of it."""
+    weight = drive.tau * _sinc_coefficient(drive.tau) * anticommuting_sum_h2(drive, err)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _resolved(weight * matrix_of(drive.single_pauli()),
+                         "closed-form second-order term")
+
+
 def omega2_avg_closed(drive: DriveSpec, err: CoherentErrorSpec) -> np.ndarray:
     """Closed form of the averaged second-order term:
     -i tau (1 - sinc(2 tau))/2 * (sum of anticommuting amplitudes squared)
     times the drive superoperator, the coefficient from `sinc_law`."""
-    return _closed_sum(drive.tau, anticommuting_sum_h2(drive, err),
-                       matrix_of(drive.single_pauli()))
+    return _lift(_closed_generator(drive, err), "closed-form second-order term")
 
 
-def _closed_sum(tau: float, sum_h2: float, drive_matrix: np.ndarray) -> np.ndarray:
-    """-i H(tau (1 - sinc(2 tau))/2 * sum_h2 * P_beta), the closed-form
-    second-order term of `omega2_avg_closed`."""
-    weight = tau * _sinc_coefficient(tau) * sum_h2
+def _crosscheck_norms(work: _FrameWork, drive: DriveSpec, err: CoherentErrorSpec,
+                      tol: float, max_evaluations: int) -> tuple[float, float]:
+    """||Omega2 - closed form||_F and ||Omega1||_F of ``err`` under
+    ``drive``, from its ``work``, without a lift: `_lifted_norm` of the
+    2^n x 2^n generators, by the linearity of H."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _lift(weight * drive_matrix, "closed-form second-order term")
+        discrepancy = _lifted_norm(_generator(2, work, drive.tau, tol, max_evaluations)
+                                   - _closed_generator(drive, err), "discrepancy norm")
+        return discrepancy, _lifted_norm(_generator(1, work, drive.tau, tol, max_evaluations),
+                                         "first-order term norm")

@@ -11,14 +11,14 @@ generator, such as every noisy pattern generator of `pst_core`, is
 exponentiated in real arithmetic, and only the result is complex.  A
 stack takes one Pade evaluation for all of its matrices, each with its
 own s, bit for bit as alone, and a squaring that overflows raises
-``ResolutionError`` instead of returning inf or nan.  Only dissipative generators need it; a unitary exp(-i t h)
-of a Hermitian h comes from one batched `eigh` instead
-(`expm_hermitian`).  The principal logarithm is an explicit, batched
-eigendecomposition under one rule for each matrix of a stack, the
-branch cut and then reconstruction, so that branch-cut proximity and
-defective inputs surface as errors instead of silently degraded results;
-a block-diagonal matrix is logged block by block, under the same rule as
-one dense matrix.
+``ResolutionError`` instead of returning inf or nan.  Only dissipative
+generators need it; a unitary exp(-i t h) of a Hermitian h comes from
+one batched `eigh` instead (`expm_hermitian`).  The principal logarithm
+is an explicit, batched eigendecomposition under one rule for each
+matrix of a stack, the branch cut and then reconstruction, so that
+branch-cut proximity and defective inputs surface as errors instead of
+silently degraded results; a block-diagonal matrix is logged block by
+block, under the same rule as one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both

@@ -20,10 +20,17 @@ the same long way, one weight row at a time.
 weight rows; `dressed_parts` and `frame_parts` build them word by word
 from `matrix_of` and frame by frame from `commutation_sign`.
 
+`magnus` sums one frame per sign class; `sign_rank` is the rank r that
+sets the class count 2^r, from the error words alone.
+
 `experiments.run_magnus_crosscheck` builds each error set's frame work
-once and reweights it per tau; `magnus_crosscheck_rows` is the row loop
-that calls the public `omega2_avg`, `omega2_avg_closed` and `omega1_avg`
-afresh for every (tau, error set) pair.
+once, reweights it per tau and reads its norms off 2^n x 2^n generators;
+`magnus_crosscheck_rows` is the row loop that calls the public
+`omega2_avg`, `omega2_avg_closed` and `omega1_avg` afresh for every
+(tau, error set) pair and takes the norms of their Liouville matrices,
+and `rebuilt_crosscheck_rows` the loop that builds the frame work afresh
+for every pair.  `assert_rows_agree` compares rows whose norms took
+different paths.
 
 `sinc_law` sums a Taylor series for (1 - sinc(2 tau)) / 2 at small tau;
 `exact_sinc_coefficient` sums more of its terms in rational arithmetic.
@@ -45,6 +52,8 @@ from pstlab.liouville import (
 from pstlab.magnus import (
     CoherentErrorSpec,
     DriveSpec,
+    _crosscheck_norms,
+    _frame_work,
     _resolved,
     omega1_avg,
     omega2_avg,
@@ -200,6 +209,19 @@ def frame_parts(drive, err):
     return np.einsum("fw,kwij->kfij", weights, parts)
 
 
+def sign_rank(words):
+    """Rank over GF(2) of the ``words`` as vectors of index bits, where a
+    product of words is the XOR of their indices up to phase: the rank of
+    their sign map, since the commutation form is non-degenerate."""
+    basis = []
+    for vector in (word.index for word in words):
+        for element in basis:
+            vector = min(vector, vector ^ element)
+        if vector:
+            basis.append(vector)
+    return len(basis)
+
+
 def densified_log_generator(channel):
     """`EffectiveGenerator.from_generator` of the principal log of a
     `TwirledChannel`'s blocks, written out as a dense 4^n x 4^n Liouville
@@ -222,15 +244,29 @@ def exact_sinc_coefficient(tau):
 
 
 def _frobenius(a):
-    """The Frobenius norm as the report takes it: numpy's own sums of the
+    """The Frobenius norm of a Liouville matrix from numpy's own sums of the
     squared parts, not a BLAS dot whose last bit depends on the thread
     count."""
     return float(np.sqrt((a.real**2).sum() + (a.imag**2).sum()))
 
 
-def magnus_crosscheck_rows(config):
-    """The rows of `run_magnus_crosscheck(config)`, one public call per
-    term for every (tau, error set) pair, tau-major."""
+def _public_term_norms(drive, err, tol, max_evaluations):
+    with np.errstate(over="ignore", invalid="ignore"):
+        averaged = omega2_avg(drive, err, tol, max_evaluations)
+        closed = omega2_avg_closed(drive, err)
+        discrepancy = _resolved(_frobenius(averaged - closed), "discrepancy norm")
+        omega1_norm = _resolved(_frobenius(omega1_avg(drive, err, tol, max_evaluations)),
+                                "first-order term norm")
+    return discrepancy, omega1_norm
+
+
+def _rebuilt_norms(drive, err, tol, max_evaluations):
+    return _crosscheck_norms(_frame_work(drive, err, None), drive, err, tol, max_evaluations)
+
+
+def _crosscheck_rows(config, norms):
+    """The rows of `run_magnus_crosscheck(config)`, tau-major, with the two
+    norms of every (tau, error set) pair from ``norms``."""
     specs = [(pairs, CoherentErrorSpec.from_amplitudes(pairs))
              for pairs in config.resolved_error_sets()]
     rows = []
@@ -238,15 +274,8 @@ def magnus_crosscheck_rows(config):
         drive = DriveSpec.single(config.drive, tau)
         for pairs, err in specs:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = omega2_avg(drive, err, config.quadrature_tol,
-                                          config.max_evaluations)
-                    closed = omega2_avg_closed(drive, err)
-                    discrepancy = _resolved(_frobenius(averaged - closed),
-                                            "discrepancy norm")
-                    omega1_norm = _resolved(_frobenius(omega1_avg(
-                        drive, err, config.quadrature_tol, config.max_evaluations
-                    )), "first-order term norm")
+                discrepancy, omega1_norm = norms(drive, err, config.quadrature_tol,
+                                                 config.max_evaluations)
                 note = ""
             except (QuadratureError, ResolutionError) as exc:
                 discrepancy = omega1_norm = None
@@ -255,3 +284,31 @@ def magnus_crosscheck_rows(config):
                       and omega1_norm <= config.omega1_tolerance)
             rows.append(MagnusCheckRow(tau, pairs, discrepancy, omega1_norm, within, note))
     return tuple(rows)
+
+
+def magnus_crosscheck_rows(config):
+    """The rows of `run_magnus_crosscheck(config)`, one public call per
+    term for every (tau, error set) pair, the norms taken of the lifted
+    4^n x 4^n terms."""
+    return _crosscheck_rows(config, _public_term_norms)
+
+
+def rebuilt_crosscheck_rows(config):
+    """The rows of `run_magnus_crosscheck(config)`, the frame work of every
+    (tau, error set) pair built afresh at that tau."""
+    return _crosscheck_rows(config, _rebuilt_norms)
+
+
+def assert_rows_agree(rows, expected):
+    """``rows`` equal ``expected`` in every field but the two norms, which
+    agree to 1e-15 relative: norms read off the 2^n x 2^n generators and
+    norms of the lifted terms sum their squares in different orders."""
+    assert len(rows) == len(expected)
+    for row, other in zip(rows, expected):
+        assert (row.tau, row.errors, row.note, row.within_tolerance) == (
+            other.tau, other.errors, other.note, other.within_tolerance)
+        for norm, reference in ((row.discrepancy, other.discrepancy),
+                                (row.omega1_norm, other.omega1_norm)):
+            assert (norm is None) == (reference is None)
+            assert norm is None or math.isclose(norm, reference, rel_tol=1e-15), (
+                row, other)

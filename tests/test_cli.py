@@ -551,6 +551,20 @@ class TestConfigFiles:
         )
         assert redumped == dumped
 
+    @pytest.mark.parametrize("command, config, flags", [
+        ("table1", {"errors": {"XX": 0.2, "YX": 0.4}},
+         ["--error", "XX=0.2", "--error", "YX=0.4"]),
+        ("magnus-check", {"taus": [0.5], "error_sets": [{"XX": 0.2, "YY": 0.6}, [["YX", 0.4]]]},
+         ["--taus", "0.5", "--error-set", "XX=0.2;YY=0.6", "--error-set", "YX=0.4"]),
+    ], ids=["table1", "magnus-check"])
+    def test_object_form_of_a_pair_list(self, command, config, flags, tmp_path, capsys):
+        # A pair list may be a JSON object of label and amplitude, in key order.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        via_config = run_cli(capsys, command, "--config", str(config_path))
+        assert via_config[0] == 0
+        assert via_config == run_cli(capsys, command, *flags)
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"command": "calibrate", "theta": 1.0,

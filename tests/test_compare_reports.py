@@ -86,7 +86,8 @@ def test_numbers_of_json_and_csv_reports_are_compared():
 
 
 @pytest.mark.parametrize("name", [
-    "parity-sweep-csv", "parity-sweep-n4", "magnus-check-n4", "table1-n4-seed0",
+    "parity-sweep-csv", "parity-sweep-n4", "magnus-check-n4", "magnus-check-n4-many-words",
+    "table1-n4-seed0",
 ])
 def test_reports_do_not_depend_on_the_blas_thread_count(name):
     # The thread count is not part of an invocation: one and two BLAS

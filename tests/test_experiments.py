@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pst_oracles import magnus_crosscheck_rows
+from pst_oracles import assert_rows_agree, magnus_crosscheck_rows, rebuilt_crosscheck_rows
 
 from pstlab import experiments, liouville, magnus, pst_core
 from pstlab.errors import BranchCutError, ConfigError, ResolutionError
@@ -448,8 +448,39 @@ class TestMagnusCrosscheck:
     ], ids=["seed0", "seed1", "seed2", "one-qubit", "3q", "budget", "overflow"])
     def test_rows_match_the_public_term_oracle(self, config, noted):
         rows = run_magnus_crosscheck(config).rows
-        assert rows == magnus_crosscheck_rows(config)
+        assert_rows_agree(rows, magnus_crosscheck_rows(config))
         assert sum(bool(row.note) for row in rows) == noted
+        # Reusing a set's frame work across the taus changes no bit.
+        assert rows == rebuilt_crosscheck_rows(config)
+
+    @pytest.mark.parametrize("config", [
+        MagnusCheckConfig(),
+        MagnusCheckConfig(drive="ZXY", error_sets=(
+            (("XXI", 0.2), ("ZII", 0.3), ("IZZ", 0.1), ("YYY", 0.15)),)),
+        MagnusCheckConfig(drive="ZXII", taus=(0.3,), error_sets=(
+            (("XXII", 0.2), ("YYIZ", 0.3), ("IXYZ", 0.1), ("ZZXY", 0.25), ("XIII", 0.3),
+             ("IIYY", 0.15)), (("ZZZZ", 0.2), ("IXII", 0.4)))),
+    ], ids=["default", "3q", "n4"])
+    def test_sums_sign_classes_and_lifts_nothing(self, config, monkeypatch):
+        # A row's norms come from 2^n x 2^n generators, and a set of m
+        # words sums at most 2^m sign classes, not the 4^n frames.
+        lifts, classes = [], []
+        superop, frame_parts = magnus.hamiltonian_superop, magnus._frame_parts
+
+        def counted(drive, err, alpha):
+            parts = frame_parts(drive, err, alpha)
+            classes.append((drive.n_qubits, len(err.terms), parts.shape[1]))
+            return parts
+
+        monkeypatch.setattr(magnus, "hamiltonian_superop",
+                            lambda *args: lifts.append(args) or superop(*args))
+        monkeypatch.setattr(magnus, "_frame_parts", counted)
+        report = run_magnus_crosscheck(config)
+        assert report.all_within_tolerance
+        assert lifts == []
+        assert len(classes) == len(config.resolved_error_sets())
+        for n, m, count in classes:
+            assert count <= min(4**n, 2**m)
 
     def test_default_random_sets_are_pinned(self):
         # The default run's sets, drawn by random.Random(20240): a change of

@@ -3,11 +3,12 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from pst_oracles import exact_sinc_coefficient
+from pst_oracles import exact_sinc_coefficient, sign_rank
 
 from pstlab import magnus, sinc_law
 from pstlab.errors import QuadratureError, ResolutionError
@@ -34,6 +35,7 @@ from pstlab.pauli import (
     identity_string,
     matrix_of,
     pauli_from_label,
+    sign_table,
 )
 
 TABLE1_ERRORS = (("XX", 0.2), ("YY", 0.6), ("ZZ", 0.2), ("YX", 0.4))
@@ -388,17 +390,37 @@ class TestFrameWork:
         ("ZXY", {"XXI": 0.2, "ZII": 0.3, "IZZ": 0.1, "YYY": 0.15}),
     ])
     def test_state_does_not_grow_with_the_frames(self, drive, errors):
-        # Every frame sum is (3, 2^n, 2^n): the state of all 4^n frames
+        # Every class mean is (3, 2^n, 2^n): the state of all 4^n frames
         # takes the bytes of one frame's.
         drive = DriveSpec.single(drive, 0.5)
         err = CoherentErrorSpec.from_amplitudes(errors)
         alpha = pauli_from_label("Y" * drive.n_qubits)
         every, one = (magnus._frame_work(drive, err, frame) for frame in (None, alpha))
-        assert (every.frames, one.frames) == (4**drive.n_qubits, 1)
         assert sum(np.asarray(value).nbytes for value in every) == sum(
             np.asarray(value).nbytes for value in one)
-        for matrices in (every.sums, every.commutators):
+        for matrices in (every.means, every.commutators):
             assert matrices.shape == (3, 2**drive.n_qubits, 2**drive.n_qubits)
+        # Each distinct sign vector is taken by a coset of 4^n / 2^r frames,
+        # and the parts hold one class per vector.
+        n, words = drive.n_qubits, [word for word, _ in err.terms]
+        counts = Counter(row.tobytes() for row in sign_table(n, words))
+        rank = sign_rank(words)
+        assert sorted(counts.values()) == [4**n // 2**rank] * 2**rank
+        assert magnus._frame_parts(drive, err, None).shape[1] == 2**rank
+
+
+class TestLiftedNorm:
+    def test_centred_form_keeps_the_digits_near_a_multiple_of_identity(self):
+        rng = np.random.default_rng(5)
+        x = (rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+             + 1e8 * np.eye(4))
+        eye = np.eye(4)
+        lift = (np.kron(x, eye) - np.kron(eye, x.T)).ravel()
+        want = math.sqrt(math.fsum(np.concatenate([lift.real**2, lift.imag**2])))
+        assert abs(magnus._lifted_norm(x, "norm") - want) <= 1e-15 * want
+        # The difference of squares 2d ||x||_F^2 - 2 |tr x|^2 cancels the digits.
+        uncentred = math.sqrt(max(0.0, 8 * np.sum(np.abs(x) ** 2) - 2 * abs(np.trace(x)) ** 2))
+        assert abs(uncentred - want) > 1e-3 * want
 
 
 class TestFrameRegister:

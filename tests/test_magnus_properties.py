@@ -1,21 +1,33 @@
 """Property tests of the quadrature twirl averages against the closed form,
-and of the row-built dressed parts against their `matrix_of` oracle.
+of the Hilbert-space lift norm against the dense lift, and of the
+row-built dressed parts against their `matrix_of` oracle.
 
 Skipped where `hypothesis` (the `test` extra) is not installed, so the rest
 of the suite does not depend on it.
 """
+
+import math
+from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
-from pst_oracles import dressed_parts, frame_parts, magnus_crosscheck_rows  # noqa: E402
+from pst_oracles import (  # noqa: E402
+    assert_rows_agree,
+    dressed_parts,
+    frame_parts,
+    magnus_crosscheck_rows,
+    rebuilt_crosscheck_rows,
+    sign_rank,
+)
 
 from pstlab import magnus  # noqa: E402
+from pstlab.errors import ResolutionError  # noqa: E402
 from pstlab.experiments import MagnusCheckConfig, run_magnus_crosscheck  # noqa: E402
 from pstlab.magnus import (  # noqa: E402
     CoherentErrorSpec,
@@ -26,7 +38,12 @@ from pstlab.magnus import (  # noqa: E402
     omega2_avg,
     omega2_avg_closed,
 )
-from pstlab.pauli import PauliString, enumerate_group, pauli_from_label  # noqa: E402
+from pstlab.pauli import (  # noqa: E402
+    PauliString,
+    commutation_sign,
+    enumerate_group,
+    pauli_from_label,
+)
 
 _WORDS = [p.label for p in enumerate_group(2)[1:]]
 
@@ -123,7 +140,61 @@ class TestCrosscheckRows:
     @settings(max_examples=25, deadline=None)
     @given(crosscheck_configs())
     def test_rows_match_the_public_term_oracle(self, config):
-        assert run_magnus_crosscheck(config).rows == magnus_crosscheck_rows(config)
+        rows = run_magnus_crosscheck(config).rows
+        assert_rows_agree(rows, magnus_crosscheck_rows(config))
+        assert rows == rebuilt_crosscheck_rows(config)
+
+
+@st.composite
+def lifted_norm_inputs(draw):
+    """A complex, generally non-Hermitian d x d matrix, d = 2, 4 or 8, with
+    entries of magnitude up to ``scale``, plus c I with |c| up to 1e8."""
+    d = 2 ** draw(st.integers(1, 3))
+    real, imag = draw(arrays(float, (2, d, d),
+                             elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e100, 1e200]))
+    shift = draw(st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e8,
+                                                           allow_subnormal=False)))
+    return scale * (real + 1j * imag) + shift * np.eye(d)
+
+
+def _dense_lift_norm(x):
+    """||x kron I - I kron x^T||_F of the dense 4^n x 4^n lift, its squares
+    summed exactly by `math.fsum` after scaling by the largest entry."""
+    eye = np.eye(len(x))
+    lift = np.kron(x, eye) - np.kron(eye, x.T)
+    top = np.abs(lift).max()
+    if top == 0:
+        return 0.0
+    scaled = (lift / top).ravel()
+    return top * math.sqrt(math.fsum(np.concatenate([scaled.real**2, scaled.imag**2])))
+
+
+class TestLiftedNorm:
+    """`magnus._lifted_norm` reads ||H(x)||_F off x itself, as
+    sqrt(2d) ||x - (tr x / d) I||_F."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lifted_norm_inputs())
+    @example(1e8 * np.eye(4, dtype=complex))
+    @example(np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex))
+    def test_matches_the_dense_lift(self, x):
+        d = len(x)
+        want = _dense_lift_norm(x)
+        if want > 1.35e154:  # 2d ||y||_F^2 passes the largest double
+            with pytest.raises(ResolutionError, match="^the lift norm overflows"):
+                magnus._lifted_norm(x, "lift norm")
+            return
+        assume(want < 1.33e154)
+        got = magnus._lifted_norm(x, "lift norm")
+        # Beyond rounding, an error e in the computed mean tr x / d adds
+        # 2 d^2 |e|^2 to the squared norm, so at most sqrt(2) d |e| to the
+        # norm, with |e| <= 2 d eps max |x_ii|; and each of the 2 d^2
+        # squares that is subnormal is off by at most the smallest
+        # subnormal, which 2d multiplies.
+        mean_error = 2 * d * np.finfo(float).eps * np.abs(np.diag(x)).max()
+        underflow = 2 * d * math.sqrt(d * math.ulp(0.0))
+        assert abs(got - want) <= 1e-15 * want + math.sqrt(2) * d * mean_error + underflow
 
 
 @st.composite
@@ -178,13 +249,19 @@ class TestRowBuiltFrameParts:
               CoherentErrorSpec.from_amplitudes({"ZII": 0.3, "XXI": 0.2, "IZZ": -0.1})))
     def test_every_frame_matches_the_oracle(self, inputs):
         drive, err = inputs
+        n, words = drive.n_qubits, [word for word, _ in err.terms]
+        # Each distinct sign vector is taken by a coset of 4^n / 2^r frames,
+        # so the class mean is the mean over every frame.
+        counts = Counter(tuple(commutation_sign(alpha, word) for word in words)
+                         for alpha in enumerate_group(n))
+        rank = sign_rank(words)
+        assert sorted(counts.values()) == [4**n // 2**rank] * 2**rank
         expected = frame_parts(drive, err)
-        got = magnus._frame_parts(drive, err, None)
-        tolerance = 1e-15 * max(1, len(err.terms))
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= tolerance
+        means = magnus._frame_work(drive, err, None).means
+        tolerance = 1e-15 * max(1, len(words))
+        assert np.abs(means - expected.mean(axis=1)).max() <= tolerance
         if not err.terms:
-            assert not got.any()
-        alpha = PauliString(drive.n_qubits, 4**drive.n_qubits - 1)
+            assert not means.any()
+        alpha = PauliString(n, 4**n - 1)
         one = magnus._frame_parts(drive, err, alpha)
         assert np.abs(one[:, 0] - expected[:, alpha.index]).max() <= tolerance

@@ -128,10 +128,14 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-3q": ("magnus-check", "--drive", "ZXY",
                         "--error-set", "XXI=0.2;ZII=0.3;IZZ=0.1;YYY=0.15",
                         "--error-set", "IIZ=0.4;XII=0.2", "--format", "csv"),
-    # Two sets summed over all 256 frames of a four-qubit drive.
+    # Two sets of a four-qubit drive, whose 256 frames fall into 4 sign classes each.
     "magnus-check-n4": ("magnus-check", "--drive", "ZXII", "--taus", "0.5,1.0",
                         "--error-set", "XXII=0.2;YYIZ=0.3", "--error-set", "ZZZZ=0.2;IXII=0.4",
                         "--format", "csv"),
+    # Six independent words: 64 sign classes of 256 frames.
+    "magnus-check-n4-many-words": ("magnus-check", "--drive", "ZXII", "--taus", "0.3,1.0",
+                                   "--error-set",
+                                   "XXII=0.2;YYIZ=0.3;IXYZ=0.1;ZZXY=0.25;XIII=0.3;IIYY=0.15"),
     # The 4,096-point level of the triangle rule.
     "magnus-check-tau2.5": ("magnus-check", "--taus", "2.5", "--error-set", "XX=0.2;YY=0.6"),
     "magnus-check-xx-1e150": ("magnus-check", "--error-set", "XX=1e150;YY=0.2",
