@@ -160,14 +160,17 @@ def lifted_norm_inputs(draw):
 
 def _dense_lift_norm(x):
     """||x kron I - I kron x^T||_F of the dense 4^n x 4^n lift, its squares
-    summed exactly by `math.fsum` after scaling by the largest entry."""
+    summed exactly by `math.fsum` after scaling by the largest entry.
+
+    The real and imaginary parts are scaled as real arrays: a complex
+    quotient takes 1 / top first, which overflows when top is subnormal."""
     eye = np.eye(len(x))
     lift = np.kron(x, eye) - np.kron(eye, x.T)
     top = np.abs(lift).max()
     if top == 0:
         return 0.0
-    scaled = (lift / top).ravel()
-    return top * math.sqrt(math.fsum(np.concatenate([scaled.real**2, scaled.imag**2])))
+    scaled = np.concatenate([lift.real.ravel(), lift.imag.ravel()]) / top
+    return top * math.sqrt(math.fsum(scaled**2))
 
 
 class TestLiftedNorm:
@@ -178,6 +181,7 @@ class TestLiftedNorm:
     @given(lifted_norm_inputs())
     @example(1e8 * np.eye(4, dtype=complex))
     @example(np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex))
+    @example(np.array([[6.7368326e-317, 0.0], [0.0, 0.0]], dtype=complex))
     def test_matches_the_dense_lift(self, x):
         d = len(x)
         want = _dense_lift_norm(x)
