@@ -20,14 +20,16 @@ space.  In twirl frame alpha the dressed error sum is
 with c0 summing the commuting words P_w, c1 the anticommuting ones and c2
 their i P_beta P_w, each weighted by its amplitude and the frame sign
 chi_alpha(P_w).  A frame enters only through these signs, its row of
-`pauli.sign_table` against the m error words (frame alpha's at
-``alpha.index``).  Taking a frame to its row is a homomorphism onto 2^r
-rows, r the rank of the words, so each distinct row, a sign class, is
-taken by a coset of its kernel, 4^n / 2^r frames, and the mean over the
-2^r <= min(4^n, 2^m) classes is the mean over every frame.  c0, c1, c2
-of every class are built as Pauli weight rows, then as matrices by one
-`pauli._pauli_sums` pass.  Writing c_k = cos 2t_k and s_k = sin 2t_k, the
-commutator expands exactly as
+signs against the m error words.  Taking a frame to its row is a
+homomorphism onto 2^r rows, r the rank of the words over GF(2), so each
+distinct row, a sign class, is taken by a coset of its kernel,
+4^n / 2^r frames, and the mean over the 2^r <= min(4^n, 2^m) classes is
+the mean over every frame.  The classes are the characters of the error
+words' span, read off `pauli._span` in Sylvester order, with no row per
+frame; frame alpha's one row is its `commutation_sign` against each word.
+c0, c1, c2 of every class are built as Pauli weight rows, then as
+matrices by one `pauli._pauli_sums` pass.  Writing c_k = cos 2t_k and
+s_k = sin 2t_k, the commutator expands exactly as
 
     [a(t1), a(t2)] = (c2 - c1) [c0,c1] + (s2 - s1) [c0,c2]
                      + sin 2(t2 - t1) [c1,c2],
@@ -97,10 +99,11 @@ from .pauli import (
     PauliString,
     _pauli_sums,
     _product_phases,
+    _span,
+    check_qubit_count,
     commutation_sign,
     matrix_of,
     pauli_from_label,
-    sign_table,
 )
 from .schema import Record
 from .sinc_law import _sinc_coefficient, over_rotation_factor
@@ -261,24 +264,24 @@ def _frame_parts(drive: DriveSpec, err: CoherentErrorSpec,
     """(c0, c1, c2) of a(t) = c0 + cos(2t) c1 + sin(2t) c2 in each class
     of twirl frames, stacked (3, classes, 2^n, 2^n).
 
-    A frame enters only through its row of `sign_table` against the error
-    words.  A class is one distinct row, the classes in the group order of
-    their first frames; or the one class is alpha's row, the one at
-    ``alpha.index``.  Taking a frame to its row is a homomorphism onto
-    2^r rows, r the rank of the words, so each class holds a coset of its
-    kernel, 4^n / 2^r frames: the mean over the classes is the mean over
-    every frame.
+    A frame enters only through its row of signs against the error words.
+    The classes are the characters of the words' span over GF(2), the rows
+    of `pauli._span`'s characters at the words' elements, in Sylvester
+    order; or the one class is alpha's row of `commutation_sign`.  Taking
+    a frame to its row is a homomorphism onto these 2^r rows, r the rank
+    of the words, so each class holds a coset of its kernel, 4^n / 2^r
+    frames: the mean over the classes is the mean over every frame.
     """
     beta = drive.single_pauli()
     check_drive_error_compat(drive, err)
-    n, terms = drive.n_qubits, err.scaled_terms()
-    signs = sign_table(n, [word for word, _ in terms])
-    if alpha is not None:
-        if alpha.n_qubits != n:
-            raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
-        signs = signs[[alpha.index]]
-    # A dict, not np.unique, whose first call imports numpy.ma (10-15 ms).
-    classes = np.array(list({row.tobytes(): row for row in signs}.values()))
+    n, terms = check_qubit_count(drive.n_qubits), err.scaled_terms()
+    if alpha is None:
+        _, position, characters = _span([word.index for word, _ in terms])
+        classes = characters[:, position]
+    elif alpha.n_qubits != n:
+        raise ValueError(f"frame word acts on {alpha.n_qubits} qubits, drive on {n}")
+    else:
+        classes = np.array([[commutation_sign(alpha, word) for word, _ in terms]])
     weights = classes * [amplitude for _, amplitude in terms]
     return _dressed_sums(beta, [word.index for word, _ in terms], weights)
 

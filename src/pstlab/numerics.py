@@ -28,8 +28,9 @@ levels, its entries scaled by a power of two so that no square
 overflows, is the reported error estimate.  Each level calls the integrand
 once, on arrays holding all of the level's points (4 nodes per cell on
 the interval, the product grid of those nodes on the triangle), and the
-evaluation budget counts those points.  Everything is deterministic,
-with a fixed summation order.
+evaluation budget counts those points.  The value keeps the integrand's
+dtype, so a real integrand is summed, and returned, in real arithmetic.
+Everything is deterministic, with a fixed summation order.
 """
 
 from __future__ import annotations
@@ -254,10 +255,13 @@ def _composite_rule(cells: int) -> tuple[np.ndarray, np.ndarray]:
 def _frobenius(a: np.ndarray) -> float:
     """||a||_F without overflow in the squares: the entries are scaled by a
     power of two near the largest magnitude, exactly, before they are
-    squared, so the norm keeps its bits wherever the plain sum fits."""
+    squared, so the norm keeps its bits wherever the plain sum fits.  The
+    squared real and imaginary parts are summed by numpy's pairwise sums,
+    whose bits do not depend on the BLAS thread count."""
     exponent = min(max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], -1000), 1000)
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(a * 2.0**-exponent) * 2.0**exponent)
+        scaled = a * 2.0**-exponent
+        return float(np.sqrt(np.sum(scaled.real**2) + np.sum(scaled.imag**2)) * 2.0**exponent)
 
 
 def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureResult:
@@ -266,8 +270,9 @@ def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureR
     ``grid(cells)`` returns one level's points, a tuple of coordinate
     arrays, and their weights; ``f`` is called once per level on those
     arrays and returns its values with the point axis last (a scalar
-    broadcasts).  Levels double the cell count until two successive ones
-    agree to ``tol`` in Frobenius norm; the budget counts points.
+    broadcasts), in its own dtype: a real integrand gives a real value.
+    Levels double the cell count until two successive ones agree to
+    ``tol`` in Frobenius norm; the budget counts points.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -287,7 +292,7 @@ def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureR
                 f" {estimate:.3e})",
                 best=best,
             )
-        current = (np.asarray(f(*points), dtype=complex) * weights).sum(axis=-1)
+        current = (np.asarray(f(*points)) * weights).sum(axis=-1)
         evaluations += weights.size
         if previous is not None:
             estimate = _frobenius(current - previous)
@@ -300,7 +305,8 @@ def _refine(f, grid, tol: float, max_evaluations: int, name: str) -> QuadratureR
 def interval_quadrature(f, upper: float, tol: float = 1e-9,
                         max_evaluations: int = 2**20) -> QuadratureResult:
     """Integrate f(t) over [0, upper] by cell-doubling refinement; ``f``
-    takes a level's time array and returns values on its last axis."""
+    takes a level's time array and returns values on its last axis, and
+    the value has their dtype (real for a real integrand)."""
     if upper <= 0:
         raise ValueError(f"upper limit must be positive, got {upper}")
 
@@ -319,7 +325,8 @@ def triangle_quadrature(f, tau: float, tol: float = 1e-9,
     (tau u, tau u v) with Jacobian tau^2 u, then a composite 4-point
     Gauss-Legendre product rule is applied and the cell count doubled
     until successive levels agree to ``tol`` in Frobenius norm.  ``f``
-    takes a level's (t1, t2) arrays and returns values on their last axis.
+    takes a level's (t1, t2) arrays and returns values on their last axis,
+    and the value has their dtype (real for a real integrand).
 
     Raises ``QuadratureError`` (carrying the best estimate) if ``tol``
     is not reached within ``max_evaluations`` integrand points, and

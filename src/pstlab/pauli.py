@@ -21,12 +21,21 @@ every qubit read from the index as two Python ints (`_anticommute`).
 `sign_table_csv`, its JSON rows from `_sign_rows`) use the indices
 alone, so neither loads numpy.
 
+A twirl frame enters every twirl average only through its row of
+commutation signs against a list of words, and those rows are the 2^r
+characters of the group the words span over GF(2), each taken by
+4^n / 2^r frames.  `_span` is the one source of these frame sign
+patterns: `pst_core`'s drive-sign patterns and its resolution bound, and
+`magnus`'s sign classes, all read them off its characters, and none
+builds a row per frame.  `sign_table` does, one row per word, for callers
+that want the table itself.
+
 Group order is a Kronecker order, so every table the twirl needs over n
 qubits is a Kronecker power of one one-qubit table.  `_per_leg` is the
 one routine that applies such a power: along the last axis of a stack,
-one leg at a time (4 for Pauli words, 2 for elements of a drive group),
-leftmost leg most significant.  The numpy sign table, the product phases
-and `pst_core`'s twirl characters run through it, and so do the changes
+one leg at a time (4 for Pauli words, 2 for elements of a generated
+group), leftmost leg most significant.  The numpy sign table, the product
+phases and the characters of `_span` run through it, and so do the changes
 of basis, on the qubit legs that `_qubit_legs` alone fixes: between rows
 W of 4^n Pauli weights and 2^n x 2^n matrices m, `_pauli_sums` (W to
 sum_k W_k P_k, the only builder of Pauli matrices, `matrix_of` included)
@@ -244,6 +253,32 @@ def _per_leg(t: np.ndarray, table: np.ndarray) -> np.ndarray:
         # Transform the last leg and move it to the front.
         t = (t.reshape(*head, size // leg, leg) @ table.T).swapaxes(-1, -2).reshape(*head, size)
     return t
+
+
+def _span(indices) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The group that the words at ``indices`` generate, and its characters.
+
+    Returns (group, position, characters): ``group[p]`` is the XOR of the
+    independent words at the set bits of p, so group[p] XOR group[q] is
+    group[p XOR q]; ``position[j]`` is word j's element; and
+    ``characters[c, p]`` is (-1)^popcount(c & p), the Sylvester Hadamard
+    matrix, a Kronecker power of one 2 x 2 table over the independent
+    words.  A frame's sign against group[p] is characters[c, p], with bit
+    b of c set where the frame anticommutes with independent word b; the
+    commutation form is non-degenerate, so each c is taken by
+    4^n / len(group) frames, and the rows of characters[:, position] are
+    the distinct sign rows of the words, each taken equally often.
+    """
+    import numpy as np
+
+    group, position = np.zeros(1, dtype=np.intp), []
+    for index in indices:
+        found = np.flatnonzero(group == index)
+        position.append(found[0] if found.size else group.size)
+        if not found.size:
+            group = np.concatenate([group, group ^ index])
+    characters = _per_leg(np.eye(group.size), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return group, position, characters
 
 
 def _kron_columns(table: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:

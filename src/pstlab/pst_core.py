@@ -28,7 +28,8 @@ indexed in the group order of `pauli` (`PauliString.index`), where
 P_i P_g = w(i, g) P_(i XOR g) with w a Kronecker product of one-qubit
 phases, so <D> is a set of indices closed under XOR and its cosets
 are rep XOR <D>; its 2^m characters form a Sylvester Hadamard matrix,
-the m-th Kronecker power of the 2 x 2 one.
+the m-th Kronecker power of the 2 x 2 one.  `pauli._span` builds <D> and
+its characters, and `_coset_index` adds the cosets.
 
 Only the bands R_s[i, i XOR g], g in <D>, are needed.  A Pauli sum is a row
 W of its 4^n word weights; pattern s of spec k is error_rows[k] +
@@ -58,8 +59,9 @@ one 4 x 4 table per qubit, so each transform is one pass of
 `pauli._per_leg`, O(n 4^n), and no 4^n x 4^n array is formed.
 The bound refuses a pattern whose Hamiltonian part -i tau H(H_s) takes
 `expm` more than 26 squarings; by the entries above, its 1-norm is
-2 tau max_j sum_k |W_k| over the words k that anticommute with j, from
-one sign table per call.  A spec whose 1-norm overflows double precision
+2 tau max_j sum_k |W_k| over the words k that anticommute with j, read
+over the 2^r sign patterns of the support (`pauli._span`), not over the
+4^n words j.  A spec whose 1-norm overflows double precision
 is refused before any pattern matrix is built.
 `twirled_channels` returns a `TwirledChannel`; its `dense` takes the
 blocks to the row-major Liouville basis once, as B K_PTM B^dag
@@ -114,7 +116,6 @@ from .magnus import (
 )
 from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
-    _kron_columns,
     _liouville_view,
     _numpy_table,
     _pauli_spectra,
@@ -122,6 +123,7 @@ from .pauli import (
     _per_leg,
     _product_phases,
     _SIGNS,
+    _span,
     PauliString,
     check_qubit_count,
     commutation_sign,
@@ -187,25 +189,20 @@ def pst_realization(drive: DriveSpec, err: CoherentErrorSpec,
             - 1.0j * drive.tau * hamiltonian_superop(_pauli_sums(weights)))
 
 
-def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The drive group <D> and its cosets, as word indices.
+def _coset_index(drive: DriveSpec) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """The drive group <D>, its characters and its cosets, as word indices.
 
-    Returns (group, position, cosets): ``group[p]`` is the XOR of the
-    independent drive words at the set bits of p, so group[p] XOR group[q]
-    is group[p XOR q]; ``position[j]`` is drive word j's element, and
+    Returns (group, position, characters, cosets): the first three are
+    `pauli._span` of the drive words, so ``group[p]`` is the XOR of the
+    independent drive words at the set bits of p, ``position[j]`` is drive
+    word j's element and ``characters`` the Sylvester Hadamard matrix; and
     ``cosets[b]`` lists the b-th coset, rep XOR group, with its smallest
     index as rep (``cosets[0]`` is the group itself).
     """
-    group, position = np.zeros(1, dtype=np.intp), []
-    for word, _ in drive.terms:
-        index = word.index
-        found = np.flatnonzero(group == index)
-        position.append(found[0] if found.size else group.size)
-        if not found.size:
-            group = np.concatenate([group, group ^ index])
+    group, position, characters = _span([word.index for word, _ in drive.terms])
     words = np.arange(4**drive.n_qubits)
     cosets = words[(words[:, None] ^ group).min(axis=1) == words][:, None] ^ group
-    return group, position, cosets
+    return group, position, characters, cosets
 
 
 def _commutator_transfers(weights: np.ndarray, n: int) -> np.ndarray:
@@ -220,11 +217,14 @@ def _commutator_transfers(weights: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _commutator_norms(weights: np.ndarray, n: int) -> np.ndarray:
+def _commutator_norms(weights: np.ndarray) -> np.ndarray:
     """||-i H(sum_g W_g P_g)||_1 in the Pauli-transfer basis for each weight
-    row W (see the module notes), from one sign table."""
+    row W (see the module notes): the worst column is that of a word whose
+    signs against the support are one of the characters of `pauli._span`
+    of the support, and every character is some word's."""
     support = np.flatnonzero(weights.any(axis=0))
-    anticommuting = (1 - _kron_columns(_numpy_table(_SIGNS), support, n).T) / 2
+    _, position, characters = _span(support.tolist())
+    anticommuting = (1 - characters[:, position]) / 2
     # Summed elementwise: einsum or a real matmul would page in 0.2 to
     # 0.35 MB more of resident code.
     return 2 * (anticommuting * np.abs(weights[:, None, support])).sum(axis=-1).max(axis=1)
@@ -354,7 +354,7 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
     # huge amplitude overflows a norm to inf, or to nan where an inf meets
     # a 0; such a spec is refused before any pattern matrix is built.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = tau * _commutator_norms(error_rows + drive_rows.sum(axis=0), n)
+        norms = tau * _commutator_norms(error_rows + drive_rows.sum(axis=0))
     for norm, err in zip(norms.tolist(), errs):
         if not math.isfinite(norm):
             raise ResolutionError(
@@ -362,12 +362,9 @@ def twirled_channels(drive: DriveSpec, errs: list[CoherentErrorSpec],
                 f" (its 1-norm reads {norm}; the first refused spec has error scale"
                 f" {err.scale!r}); reduce the error scale or tau"
             )
-    group, position, cosets = _coset_index(drive)
-    # chi_c(element p) = (-1)^popcount(c & p), the Sylvester Hadamard
-    # matrix, a Kronecker power of one 2 x 2 table over the independent
-    # drive words; character c is the drive-sign pattern chi_c[position],
-    # and chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
-    characters = _per_leg(np.eye(group.size), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    group, position, characters, cosets = _coset_index(drive)
+    # Character c is the drive-sign pattern chi_c[position], and
+    # chi_c(P_i P_j) = chi_c[p XOR q] on the (p, q) entry of a block.
     patterns = characters[:, position]
     noise_transfer = None if noise.kind == "none" or noise.rate == 0 else _noise_transfer(noise, n)
     pattern_entries = (2**n if noise_transfer is None else 4**n) ** 2

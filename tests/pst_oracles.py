@@ -117,7 +117,7 @@ def _gathered_blocks(drive, pattern_channel):
     """Coset blocks of the twirl, gathered from the dense Pauli-transfer
     matrix of each realized pattern's Liouville channel
     ``pattern_channel(signs)``."""
-    group, position, cosets = pst_core._coset_index(drive)
+    group, position, _, cosets = pst_core._coset_index(drive)
     characters = np.ones((1, 1))
     while characters.shape[0] < group.size:
         characters = np.block([[characters, characters], [characters, -characters]])
@@ -168,7 +168,7 @@ def frame_average_blocks(drive, err=None):
     to the Pauli-transfer basis on its own."""
     err = err if err is not None else CoherentErrorSpec()
     n = drive.n_qubits
-    _, _, cosets = pst_core._coset_index(drive)
+    _, _, _, cosets = pst_core._coset_index(drive)
     total = np.zeros((4**n,) * 2, dtype=complex)
     for alpha in enumerate_group(n):
         signs = [commutation_sign(alpha, word) for word, _ in drive.terms]

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from pst_oracles import exact_sinc_coefficient, sign_rank
 
-from pstlab import magnus, sinc_law
+from pstlab import magnus, pauli, pst_core, sinc_law
 from pstlab.errors import QuadratureError, ResolutionError
-from pstlab.liouville import hamiltonian_superop
+from pstlab.experiments import DEFAULT_ERRORS, MagnusCheckConfig, run_magnus_crosscheck
+from pstlab.liouville import NoiseSpec, hamiltonian_superop
 from pstlab.magnus import (
     CoherentErrorSpec,
     DriveSpec,
@@ -30,6 +31,7 @@ from pstlab.magnus import (
 )
 from pstlab.numerics import expm, interval_quadrature, triangle_quadrature
 from pstlab.pauli import (
+    MAX_QUBITS_ENV,
     commutation_sign,
     enumerate_group,
     identity_string,
@@ -409,6 +411,64 @@ class TestFrameWork:
         assert magnus._frame_parts(drive, err, None).shape[1] == 2**rank
 
 
+class TestFrameSignPatterns:
+    """Every frame sign pattern comes from `pauli._span`: no run builds a
+    sign row per frame, through `sign_table` or the Kronecker power of the
+    one-qubit sign table."""
+
+    @pytest.fixture
+    def sign_rows(self, monkeypatch):
+        """The calls that build sign rows, recorded wherever the names are bound."""
+        calls, table, columns = [], pauli.sign_table, pauli._kron_columns
+
+        def spy_table(*args):
+            calls.append(("sign_table", args))
+            return table(*args)
+
+        def spy_columns(one_qubit, words, n):
+            if np.array_equal(one_qubit, pauli._SIGNS):
+                calls.append(("_kron_columns", words.tolist(), n))
+            return columns(one_qubit, words, n)
+
+        for module in (pauli, magnus, pst_core):
+            for name, spy in (("sign_table", spy_table), ("_kron_columns", spy_columns)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("config", [
+        MagnusCheckConfig(),
+        # The set of the magnus-check-n4-many-words report: six independent words.
+        MagnusCheckConfig(drive="ZXII", taus=(0.3, 1.0), error_sets=((
+            ("XXII", 0.2), ("YYIZ", 0.3), ("IXYZ", 0.1), ("ZZXY", 0.25), ("XIII", 0.3),
+            ("IIYY", 0.15)),)),
+    ], ids=["default", "n4-many-words"])
+    def test_magnus_check_builds_no_sign_row(self, config, sign_rows):
+        assert run_magnus_crosscheck(config).all_within_tolerance
+        assert sign_rows == []
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("amplitude_damping", 0.5)])
+    def test_twirled_channels_build_no_sign_row(self, noise, sign_rows):
+        drive = DriveSpec((("ZXI", 1.0), ("IZZ", 0.3)), 0.5)
+        err = CoherentErrorSpec.from_amplitudes({"XXY": 0.2, "YZI": 0.6, "IIZ": 0.1})
+        assert len(pst_core.twirled_channels(drive, [err, err.with_scale(-0.5)], noise)) == 2
+        assert sign_rows == []
+
+    def test_six_qubit_classes_are_the_two_qubit_ones(self, monkeypatch, sign_rows):
+        # The default words padded with I: XX YY is ZZ, so 8 classes of 512 frames.
+        monkeypatch.setenv(MAX_QUBITS_ENV, "6")
+        small, wide = DriveSpec.single("ZX", 0.5), DriveSpec.single("ZXIIII", 0.5)
+        err = CoherentErrorSpec.from_amplitudes(DEFAULT_ERRORS)
+        padded = CoherentErrorSpec.from_amplitudes(
+            [(label + "IIII", amplitude) for label, amplitude in DEFAULT_ERRORS])
+        assert magnus._frame_parts(wide, padded, None).shape[1] == 8
+        means = magnus._frame_work(wide, padded, None).means
+        np.testing.assert_allclose(
+            means, np.kron(magnus._frame_work(small, err, None).means, np.eye(16)),
+            rtol=0, atol=1e-15)
+        assert sign_rows == []
+
+
 class TestLiftedNorm:
     def test_centred_form_keeps_the_digits_near_a_multiple_of_identity(self):
         rng = np.random.default_rng(5)
@@ -538,6 +598,9 @@ class TestScalarKernels:
             _omega1_kernels(tau, 1e-12, 2**20), [tau, s / 2, (1 - c) / 2],
             rtol=0, atol=1e-12,
         )
+        # Real integrands are refined in real arithmetic.
+        for kernels in (_omega1_kernels, _omega2_kernels):
+            assert kernels(tau, 1e-12, 2**20).dtype == np.float64
 
     def test_kernels_are_integrated_once_and_read_only(self, monkeypatch):
         calls = []

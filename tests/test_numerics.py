@@ -688,6 +688,15 @@ def test_each_level_calls_the_integrand_once(rule, arity):
     assert result.evaluations == sum(sizes)
 
 
+@pytest.mark.parametrize("rule", [interval_quadrature, triangle_quadrature],
+                         ids=["interval", "triangle"])
+@pytest.mark.parametrize("unit, dtype", [(1.0, np.float64), (1.0j, np.complex128)],
+                         ids=["real", "complex"])
+def test_the_value_keeps_the_integrand_dtype(rule, unit, dtype):
+    result = rule(lambda *times: unit * np.sin(sum(times)), 1.0)
+    assert result.value.dtype == dtype
+
+
 class TestQuadratureResult:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 """Tests for the symplectic Pauli-string algebra."""
 
+import functools
 import hashlib
 import itertools
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
+from pst_oracles import sign_rank
 
 from pstlab.errors import PauliParseError, ResourceLimitError
 from pstlab.pauli import (
@@ -20,10 +24,11 @@ from pstlab.pauli import (
     sign_table_csv,
     _per_leg,
     _sign_rows,
+    _span,
 )
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # without the `test` extra the index property is not collected
     st = None
@@ -96,6 +101,47 @@ if st is not None:
             # Two different non-identity letters anticommute.
             pairs = sum(x != y and "I" not in (x, y) for x, y in zip(a.label, b.label))
             assert commutation_sign(a, b) == (-1) ** (pairs % 2)
+
+    @st.composite
+    def word_lists(draw):
+        """A register of 1 to 3 qubits and up to 6 word indices on it, each
+        drawn freely or as the product of some earlier words: of none (the
+        identity), of one (a repeat) or of several (a dependent word)."""
+        n = draw(st.integers(1, 3))
+        indices = []
+        for _ in range(draw(st.integers(0, 6))):
+            if indices and draw(st.booleans()):
+                factors = draw(st.lists(st.sampled_from(indices), max_size=3))
+                indices.append(functools.reduce(operator.xor, factors, 0))
+            else:
+                indices.append(draw(st.integers(0, 4**n - 1)))
+        return n, indices
+
+    class TestSpan:
+        """The group, positions and characters of `_span` against the GF(2)
+        rank of the words and the sign table's rows, frame by frame."""
+
+        @settings(max_examples=200, deadline=None)
+        @given(word_lists())
+        # I, XX twice, YY, ZZ = XX YY and YX: rank 3.
+        @example((2, [0, 5, 5, 10, 15, 9]))
+        def test_characters_are_the_distinct_sign_rows(self, drawn):
+            n, indices = drawn
+            group, position, characters = _span(indices)
+            p = np.arange(len(group))
+            np.testing.assert_array_equal(group[p[:, None]] ^ group[p], group[p[:, None] ^ p])
+            assert [int(group[q]) for q in position] == indices
+            words = [PauliString(n, index) for index in indices]
+            assert len(group) == 2 ** sign_rank(words)
+            np.testing.assert_array_equal(
+                characters, [[(-1) ** (c & q).bit_count() for q in range(p.size)]
+                             for c in range(p.size)])
+            # Every sign row is one character's, taken by 4^n / |group| frames.
+            rows = Counter(map(tuple, sign_table(n, words).tolist()))
+            patterns = set(map(tuple, characters[:, position].tolist()))
+            assert len(patterns) == len(group)
+            assert set(rows) == patterns
+            assert set(rows.values()) == {4**n // len(group)}
 
 
 class TestCommutationSign:

@@ -334,7 +334,7 @@ class TestChannelMatchesOracle:
 
         monkeypatch.setattr(pst_core, "_pattern_weights", recording)
         pst_channel(drive, CoherentErrorSpec(errors), NoiseSpec(kind, rate))
-        group, position, _ = pst_core._coset_index(drive)
+        group, position, _, _ = pst_core._coset_index(drive)
         assert patterns == [[[(-1) ** (c & int(p)).bit_count() for p in position]
                              for c in range(group.size)]]
 

@@ -190,7 +190,7 @@ class TestPatternBands:
     def test_match_the_dense_oracle(self, inputs):
         drive, err, noise = inputs
         n, tau = drive.n_qubits, drive.tau
-        group, _, _ = pst_core._coset_index(drive)
+        group, _, _, _ = pst_core._coset_index(drive)
         noisy = noise.kind != "none" and noise.rate != 0
         dissipator = jump_dissipator(noise, n) if noisy else None
         # One weight row per realized frame sign pattern: the scaled error
@@ -298,7 +298,8 @@ def label_row(n, **weights):
 
 class TestCommutatorNorms:
     """The resolution bound's 1-norm of -i H(h) from a weight row's |W_g|
-    and one sign table, against the transfer matrix's largest column sum."""
+    and the characters of its support's span, against the transfer
+    matrix's largest column sum."""
 
     @settings(max_examples=60, deadline=None)
     @given(weight_rows())
@@ -309,7 +310,7 @@ class TestCommutatorNorms:
         transfers = pst_core._commutator_transfers(rows, n)
         expected = np.abs(transfers).sum(axis=-2).max(axis=-1)
         # Sums of at most five |W_g| in two orders part by under 1e-15.
-        np.testing.assert_allclose(pst_core._commutator_norms(rows, n), expected,
+        np.testing.assert_allclose(pst_core._commutator_norms(rows), expected,
                                    rtol=1e-15, atol=0)
 
 

@@ -128,6 +128,9 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     "magnus-check-3q": ("magnus-check", "--drive", "ZXY",
                         "--error-set", "XXI=0.2;ZII=0.3;IZZ=0.1;YYY=0.15",
                         "--error-set", "IIZ=0.4;XII=0.2", "--format", "csv"),
+    # XIX is XXI IXX: four words of rank 3, so 8 sign classes of 8 frames.
+    "magnus-check-3q-dependent": ("magnus-check", "--drive", "ZXY",
+                                  "--error-set", "XXI=0.2;IXX=0.3;XIX=0.1;ZII=0.25"),
     # Two sets of a four-qubit drive, whose 256 frames fall into 4 sign classes each.
     "magnus-check-n4": ("magnus-check", "--drive", "ZXII", "--taus", "0.5,1.0",
                         "--error-set", "XXII=0.2;YYIZ=0.3", "--error-set", "ZZZZ=0.2;IXII=0.4",
