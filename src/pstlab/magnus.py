@@ -65,8 +65,9 @@ matrix, averaged over the classes:
 
 A `magnus-check` row needs only two Frobenius norms of such lifts, and
 `_crosscheck_norms` reads them off the 2^n x 2^n generators with no
-4^n x 4^n array: ||H(x)||_F = sqrt(2d) ||x - (tr x / d) I||_F for
-d = 2^n (`_lifted_norm`).
+4^n x 4^n array: H(x) holds each off-diagonal x_ij 2d times, d = 2^n,
+and the differences x_ii - x_kk on its diagonal, and `_lifted_norm`
+forms those differences as the lift rounds them.
 
 ``tol`` and ``max_evaluations`` therefore bound the refinement of the
 kernel vector (Frobenius norm of the level difference, integrand points),
@@ -361,22 +362,32 @@ def _lift(generator: np.ndarray, term: str) -> np.ndarray:
         return _resolved(-1.0j * hamiltonian_superop(generator), term)
 
 
-def _lifted_norm(x: np.ndarray, term: str) -> float:
-    """||H(x)||_F of the ``term``, read off the d x d matrix x, `_resolved`.
+def _lifted_norm(x: np.ndarray, term: str, minus: np.ndarray | None = None) -> float:
+    """||H(x) - H(minus)||_F of the ``term``, read off the d x d matrices
+    x and ``minus`` (zero if omitted), `_resolved`.
 
-    H(x) = x kron I - I kron x^T has ||H(x)||_F^2 = 2d ||x||_F^2 - 2 |tr x|^2
-    and H(I) = 0, so ||H(x)||_F = sqrt(2d) ||y||_F with y = x - (tr x / d) I.
-    The centred form keeps the digits that the difference of squares
-    cancels when x is near a multiple of I, and an error e in the mean
-    tr x / d only adds d |e|^2 to ||y||_F^2.  The squares are summed by
-    numpy's pairwise sums, whose bits do not depend on the BLAS thread
+    H(x) = x kron I - I kron x^T holds each off-diagonal x_ij exactly, 2d
+    times, and on its diagonal the d^2 differences x_ii - x_kk, each
+    rounded once.  These are formed as the lift rounds them, and those of
+    ``minus`` subtracted, so the norm is that of the difference of the two
+    lifted terms entry for entry.  The lift of x - minus would round other
+    differences, and where the terms cancel to a residual at their own
+    rounding, as a converged discrepancy does, its norm differs from
+    theirs by far more than the sums' rounding.  No mean is subtracted,
+    so x near a multiple of I keeps its digits.  The squares are summed
+    by numpy's pairwise sums, whose bits do not depend on the BLAS thread
     count; squares that overflow give inf.
     """
     d = len(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        centred = x - np.trace(x) / d * np.eye(d)
-        return _resolved(math.sqrt(2 * d * float(np.sum(centred.real**2)
-                                                 + np.sum(centred.imag**2))), term)
+        off = x - (0 if minus is None else minus)
+        np.fill_diagonal(off, 0)
+        diagonal = np.subtract.outer(np.diag(x), np.diag(x))
+        if minus is not None:
+            diagonal = diagonal - np.subtract.outer(np.diag(minus), np.diag(minus))
+        return _resolved(math.sqrt(float(
+            2 * d * (np.sum(off.real**2) + np.sum(off.imag**2))
+            + np.sum(diagonal.real**2) + np.sum(diagonal.imag**2))), term)
 
 
 @functools.lru_cache(maxsize=256)
@@ -502,9 +513,10 @@ def _crosscheck_norms(work: _FrameWork, drive: DriveSpec, err: CoherentErrorSpec
                       tol: float, max_evaluations: int) -> tuple[float, float]:
     """||Omega2 - closed form||_F and ||Omega1||_F of ``err`` under
     ``drive``, from its ``work``, without a lift: `_lifted_norm` of the
-    2^n x 2^n generators, by the linearity of H."""
+    2^n x 2^n generators, the norms of the terms `omega2_avg`,
+    `omega2_avg_closed` and `omega1_avg` return."""
     with np.errstate(over="ignore", invalid="ignore"):
-        discrepancy = _lifted_norm(_generator(2, work, drive.tau, tol, max_evaluations)
-                                   - _closed_generator(drive, err), "discrepancy norm")
+        discrepancy = _lifted_norm(_generator(2, work, drive.tau, tol, max_evaluations),
+                                   "discrepancy norm", _closed_generator(drive, err))
         return discrepancy, _lifted_norm(_generator(1, work, drive.tau, tol, max_evaluations),
                                          "first-order term norm")

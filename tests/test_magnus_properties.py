@@ -174,8 +174,8 @@ def _dense_lift_norm(x):
 
 
 class TestLiftedNorm:
-    """`magnus._lifted_norm` reads ||H(x)||_F off x itself, as
-    sqrt(2d) ||x - (tr x / d) I||_F."""
+    """`magnus._lifted_norm` reads ||H(x)||_F off x itself: each
+    off-diagonal x_ij 2d times, and the differences x_ii - x_kk."""
 
     @settings(max_examples=200, deadline=None)
     @given(lifted_norm_inputs())
@@ -185,20 +185,17 @@ class TestLiftedNorm:
     def test_matches_the_dense_lift(self, x):
         d = len(x)
         want = _dense_lift_norm(x)
-        if want > 1.35e154:  # 2d ||y||_F^2 passes the largest double
+        if want > 1.35e154:  # the sum of the squares passes the largest double
             with pytest.raises(ResolutionError, match="^the lift norm overflows"):
                 magnus._lifted_norm(x, "lift norm")
             return
         assume(want < 1.33e154)
         got = magnus._lifted_norm(x, "lift norm")
-        # Beyond rounding, an error e in the computed mean tr x / d adds
-        # 2 d^2 |e|^2 to the squared norm, so at most sqrt(2) d |e| to the
-        # norm, with |e| <= 2 d eps max |x_ii|; and each of the 2 d^2
-        # squares that is subnormal is off by at most the smallest
-        # subnormal, which 2d multiplies.
-        mean_error = 2 * d * np.finfo(float).eps * np.abs(np.diag(x)).max()
+        # The entries are the dense lift's own, so beyond the order of the
+        # sums only subnormal squares differ: each of the 2 d^2 is off by
+        # at most the smallest subnormal, which 2d multiplies.
         underflow = 2 * d * math.sqrt(d * math.ulp(0.0))
-        assert abs(got - want) <= 1e-15 * want + math.sqrt(2) * d * mean_error + underflow
+        assert abs(got - want) <= 1e-15 * want + underflow
 
 
 @st.composite
