@@ -14,11 +14,14 @@ own s, bit for bit as alone, and a squaring that overflows raises
 ``ResolutionError`` instead of returning inf or nan.  Only dissipative
 generators need it; a unitary exp(-i t h) of a Hermitian h comes from
 one batched `eigh` instead (`expm_hermitian`).  The principal logarithm
-is an explicit, batched eigendecomposition under one rule for each
-matrix of a stack, the branch cut and then reconstruction, so that
-branch-cut proximity and defective inputs surface as errors instead of
-silently degraded results; a block-diagonal matrix is logged block by
-block, under the same rule as one dense matrix.
+is an explicit, batched eigendecomposition (`logm_principal`) or, for a
+stack of 2 x 2 matrices, a closed form with no eigenbasis (`_logm_2x2`),
+which also reads the defective matrices the eigenbasis cannot.  One rule
+(`_accepted_log`) accepts both, for each matrix of a stack, the branch
+cut and then reconstruction, so that branch-cut proximity and a log that
+does not give its matrix back surface as errors instead of silently
+degraded results; a block-diagonal matrix is logged block by block,
+under the same rule as one dense matrix.
 
 Quadrature is a fixed composite 4-point Gauss-Legendre rule (order 8),
 on an interval or as a product rule on the time-ordered triangle.  Both
@@ -189,19 +192,17 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     return (basis * np.exp(-1.0j * t * energies)[..., None, :]) @ basis.conj().swapaxes(-1, -2)
 
 
-def logm_principal(m) -> np.ndarray:
-    """Principal matrix logarithm via eigendecomposition, of one square
-    matrix or of each matrix in a stack of shape (..., d, d).
+def _accepted_log(m: np.ndarray, eigvals: np.ndarray, logarithm) -> np.ndarray:
+    """The one rule by which a principal log of ``m``, a square matrix or a
+    stack of them, is accepted, each matrix judged alone.
 
-    The one place a log is accepted, each matrix of a stack judged alone:
-    an eigenvalue within ``BRANCH_TOL`` of the closed negative real axis
-    (the branch cut, including 0) raises ``BranchCutError``; a singular
-    eigenbasis, or a log whose exponential misses its matrix by more than
-    1e-12 of that matrix's Frobenius norm (at least 1), raises
-    ``DefectiveMatrixError``.  Eigenvalue arguments lie in (-pi, pi).
+    An eigenvalue of ``eigvals`` (shape (..., d)) within ``BRANCH_TOL`` of
+    the closed negative real axis (the branch cut, including 0) raises
+    ``BranchCutError``.  Only then is ``logarithm()`` called; it returns the
+    log and its exponential, and a log whose exponential misses its matrix
+    by more than 1e-12 of that matrix's Frobenius norm (at least 1), or is
+    not finite, raises ``DefectiveMatrixError``.
     """
-    m = _as_square_finite(m)
-    eigvals, eigvecs = np.linalg.eig(m)
     # Distance to the ray (-inf, 0]: |Im| beside it, |z| past its end.
     distance = np.where(eigvals.real < 0, np.abs(eigvals.imag), np.abs(eigvals))
     near_cut = eigvals[distance <= BRANCH_TOL]
@@ -216,23 +217,124 @@ def logm_principal(m) -> np.ndarray:
             " branch cut of the principal logarithm; reduce the evolution"
             " time tau so the eigenphases stay inside (-pi, pi)"
         )
-    # LinAlgError is a ValueError, which the CLI reads as bad input.
-    try:
-        inverse = np.linalg.inv(eigvecs)
-    except np.linalg.LinAlgError:
-        raise DefectiveMatrixError(
-            "eigenbasis is singular; the matrix is defective and has no"
-            " eigendecomposition logarithm"
-        ) from None
-    log = (eigvecs * np.log(eigvals)[..., None, :]) @ inverse
-    miss = np.linalg.norm(expm(log) - m, axis=(-2, -1))
+    log, rebuilt = logarithm()
+    miss = np.linalg.norm(rebuilt - m, axis=(-2, -1))
     bound = 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if np.any(miss > bound):
+    if not np.all(miss <= bound):
         raise DefectiveMatrixError(
             f"the principal log reconstructs the channel only to {float(miss.max()):.3e};"
             " the channel is defective or nearly so"
         )
     return log
+
+
+def logm_principal(m) -> np.ndarray:
+    """Principal matrix logarithm via eigendecomposition, of one square
+    matrix or of each matrix in a stack of shape (..., d, d).
+
+    Accepted by the one rule of `_accepted_log`, each matrix of a stack
+    judged alone: an eigenvalue within ``BRANCH_TOL`` of the closed
+    negative real axis (the branch cut, including 0) raises
+    ``BranchCutError``; a singular eigenbasis, or a log whose exponential
+    misses its matrix by more than 1e-12 of that matrix's Frobenius norm
+    (at least 1), raises ``DefectiveMatrixError``.  Eigenvalue arguments
+    lie in (-pi, pi).
+    """
+    m = _as_square_finite(m)
+    eigvals, eigvecs = np.linalg.eig(m)
+
+    def logarithm():
+        # LinAlgError is a ValueError, which the CLI reads as bad input.
+        try:
+            inverse = np.linalg.inv(eigvecs)
+        except np.linalg.LinAlgError:
+            raise DefectiveMatrixError(
+                "eigenbasis is singular; the matrix is defective and has no"
+                " eigendecomposition logarithm"
+            ) from None
+        log = (eigvecs * np.log(eigvals)[..., None, :]) @ inverse
+        return log, expm(log)
+
+    return _accepted_log(m, eigvals, logarithm)
+
+
+def _half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = (a - d) / 2 and s = +-sqrt(p^2 + b c) of each complex 2 x 2 matrix
+    [[a, b], [c, d]] of a stack, the sign of s taken so that
+    |p + s|^2 >= |p|^2 + |s|^2: its eigenvalues are (a + d) / 2 +- s."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    p = (a - d) / 2
+    s = np.sqrt(p * p + b * c)
+    return p, np.where((np.conj(p) * s).real < 0, -s, s)
+
+
+def _expm_2x2(x: np.ndarray) -> np.ndarray:
+    """exp(X) = e^nu [cosh s I + (sinh s / s) (X - nu I)] of each 2 x 2
+    matrix of a stack, nu = tr X / 2 and nu +- s its eigenvalues; cosh s
+    and sinh s / s are even in s, so a defective X (s = 0) is no
+    exception."""
+    nu = (x[..., 0, 0] + x[..., 1, 1]) / 2
+    _, s = _half_gap(x)
+    small = np.abs(s) < 1e-4
+    sinhc = np.where(small, 1 + s * s / 6 + s**4 / 120, np.sinh(s) / np.where(small, 1.0, s))
+    eye = np.eye(2)
+    return np.exp(nu)[..., None, None] * (
+        np.cosh(s)[..., None, None] * eye
+        + sinhc[..., None, None] * (x - nu[..., None, None] * eye))
+
+
+def _logm_2x2(stack) -> np.ndarray:
+    """Principal logarithm of each 2 x 2 matrix [[a, b], [c, d]] of a stack,
+    shape (..., 2, 2), in closed form, accepted by the rule of
+    `_accepted_log`.
+
+    The eigenvalues are l1 = a + b c / (p + s) and l2 = d - b c / (p + s)
+    (`_half_gap`): each is its diagonal entry plus a correction, so a small
+    one keeps its digits beside a large one, and l1 - l2 = 2 s.  With them,
+    Cayley-Hamilton gives log M = log(l2) I + L (M - l2 I), where
+    L = log[l1, l2] is the divided difference of log (Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 11): the difference quotient where l1 and l2
+    lie far apart; (2 atanh(z) + 2 pi i U) / (l1 - l2) where they are close,
+    |z| <= 1/2 with z = (l1 - l2) / (l1 + l2) and U the unwinding number of
+    log l1 - log l2, whose 2 pi i the atanh does not see; and 1 / l1 where
+    they are equal, so a defective matrix is a removable case.  The log is
+    rebuilt by the closed-form `_expm_2x2`, so no eigenbasis, inverse or
+    solve is formed.
+    """
+    m = _as_square_finite(stack)
+    if m.shape[-1] != 2:
+        raise ValueError(f"expected a stack of 2 x 2 matrices, got shape {m.shape}")
+    p, s = _half_gap(m)
+    # b c / (p + s) equals s - p, but keeps the digits that s - p loses where
+    # b c is small beside p^2.  A denominator below 1e-150 would overflow
+    # numpy's complex division; there s - p is exact far below 1e-8, the
+    # smallest eigenvalue the branch cut accepts.
+    sized = np.abs(p + s) > 1e-150
+    shift = np.where(sized, m[..., 0, 1] * m[..., 1, 0] / np.where(sized, p + s, 1.0), s - p)
+    l1, l2 = m[..., 0, 0] + shift, m[..., 1, 1] - shift
+
+    def logarithm():
+        log1, log2 = np.log(l1), np.log(l2)
+        unwinding = np.ceil((log1.imag - log2.imag - math.pi) / (2 * math.pi))
+        # Each form is evaluated everywhere and kept where it holds, and no
+        # kept quotient overflows: |s| > 3e-9 where l1 and l2 lie far apart
+        # or U != 0 (each eigenvalue is 1e-8 off the cut), and |z| < 1e-4
+        # takes the series of atanh(z) / z.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z = 2 * s / (l1 + l2)
+            far = (log1 - log2) / (2 * s)
+            small = np.abs(z) < 1e-4
+            atanhc = np.where(small, 1 + z * z / 3 + z**4 / 5,
+                              np.arctanh(z) / np.where(small, 1.0, z))
+            close = 2 * atanhc / (l1 + l2) + np.where(
+                unwinding == 0, 0.0, 1j * math.pi * unwinding / s)
+        divided = np.where(np.abs(z) <= 0.5, close, far)
+        eye = np.eye(2)
+        log = (log2[..., None, None] * eye
+               + divided[..., None, None] * (m - l2[..., None, None] * eye))
+        return log, _expm_2x2(log)
+
+    return _accepted_log(m, np.stack([l1, l2], axis=-1), logarithm)
 
 
 def op_norm(m) -> float:

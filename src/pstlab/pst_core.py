@@ -79,15 +79,19 @@ part is the one traceless Hermitian matrix h = herm(L - R^T) / 2^(n+1)
 gate reads 1 on its drive word).  A channel has no generator of its
 own: `effective_generator` takes its principal log first, and so reads
 the generator back only while the channel eigenphases stay inside
-(-pi, pi).  `logm_principal` alone accepts the log, by one rule for every
-caller: the branch cut, then reconstruction to 1e-12 of the matrix's norm.
+(-pi, pi).  One rule, `numerics._accepted_log`, accepts every log, for
+every caller: the branch cut, then reconstruction to 1e-12 of the
+matrix's norm.
 
 `TwirledChannel.weights` never forms the dense log.  The log of a
 block-diagonal matrix is the block-diagonal matrix of the blocks' logs,
-so it logs the coset blocks as one stack of 2^m x 2^m matrices, which
-`logm_principal` accepts or refuses block by block, each against its own
-norm.  H_g has Pauli-transfer entries only at (g XOR j, j) (see above),
-so with X = log / (-i tau) the weight
+so it logs the coset blocks as one stack of 2^m x 2^m matrices, accepted
+or refused block by block, each against its own norm.  For one drive
+word (every `table1` run) the blocks are 2 x 2 and take the closed form
+`numerics._logm_2x2`, with no eigenbasis, which also reads a block that
+a Liouvillian exceptional point makes defective; larger blocks take
+`logm_principal`.  H_g has Pauli-transfer entries only at (g XOR j, j)
+(see above), so with X = log / (-i tau) the weight
 c_g = Re <H_g, X> / (2 * 4^n) = sum_i Im w(i, g) Re log[i, i XOR g] / (tau 4^n)
 reads the (i, i XOR g) band alone, and every word outside <D> weighs 0;
 `table1` reads its twirled row off these weights by word index.
@@ -114,7 +118,7 @@ from .magnus import (
     DriveSpec,
     check_drive_error_compat,
 )
-from .numerics import expm, expm_hermitian, logm_principal, op_norm, squarings_for
+from .numerics import _logm_2x2, expm, expm_hermitian, logm_principal, op_norm, squarings_for
 from .pauli import (
     _liouville_view,
     _numpy_table,
@@ -278,12 +282,16 @@ class TwirledChannel(Record, eq=False):
         log's Hamiltonian part: read off the log's (i, i XOR g) bands for g
         in <D>, 0 elsewhere (see the module notes), as
         `EffectiveGenerator.from_generator` reads them from the dense log.
-        `logm_principal` refuses, by its one rule, a block near the branch cut
-        or whose log misses it by more than 1e-12 of its norm
-        (``BranchCutError``, ``DefectiveMatrixError``)."""
+        2 x 2 blocks (one drive word) are logged in closed form by
+        `numerics._logm_2x2`, larger ones by `logm_principal`; either
+        refuses, by the one rule, a block near the branch cut or whose log
+        misses it by more than 1e-12 of its norm (``BranchCutError``,
+        ``DefectiveMatrixError``), but only the eigenbasis log refuses a
+        defective 2 x 2 block."""
         _check_tau(self.tau)
         cosets, n = self.cosets, self._n_qubits
-        group, log = cosets[0], logm_principal(self.blocks)
+        group = cosets[0]
+        log = (_logm_2x2 if group.size == 2 else logm_principal)(self.blocks)
         p = np.arange(group.size)
         bands = log[:, p, p ^ p[:, None]].real.swapaxes(0, 1)  # [q, b, p]: log[b, p, p XOR q]
         terms = _product_phases(group, n).imag[:, cosets] * bands
@@ -475,6 +483,8 @@ def effective_generator(k: np.ndarray, tau: float) -> EffectiveGenerator:
 
     A log whose exponential misses the channel by more than 1e-12 times
     its Frobenius norm (at least 1) raises ``DefectiveMatrixError``; that
-    rule, like the branch cut's, is `logm_principal`'s.
+    rule, like the branch cut's, is the one rule of every log
+    (`numerics._accepted_log`).  The dense log is `logm_principal`'s
+    eigenbasis log, which refuses a channel at an exceptional point.
     """
     return EffectiveGenerator.from_generator(logm_principal(k), tau)

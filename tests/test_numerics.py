@@ -38,7 +38,7 @@ from pstlab.pauli import enumerate_group, matrix_of, pauli_from_label
 from pstlab.sinc_law import sinc
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # without the `test` extra the log property is not collected
     st = None
@@ -428,6 +428,103 @@ class TestStackedLogm:
                 logm_principal(np.ones(shape))
 
 
+@pytest.fixture
+def scipy_logm():
+    return pytest.importorskip("scipy.linalg").logm
+
+
+def similar_to(eigvals, seed):
+    """A 2 x 2 matrix with ``eigvals``, diagonalized by a random, well
+    conditioned similarity S, and the same similarity of their principal
+    logs: (S diag(eigvals) S^-1, S diag(log eigvals) S^-1)."""
+    rng = np.random.default_rng(seed)
+    similarity = np.eye(2) + 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    inverse = np.linalg.inv(similarity)
+    return (similarity @ np.diag(eigvals) @ inverse,
+            similarity @ np.diag(np.log(np.asarray(eigvals, dtype=complex))) @ inverse)
+
+
+class TestClosedFormLog:
+    """`numerics._logm_2x2`, the closed-form log of a 2 x 2 stack, under the
+    rule of `logm_principal`."""
+
+    def test_a_jordan_block_is_a_removable_case(self):
+        # Equal eigenvalues: log[l, l] = 1 / l, and no eigenbasis is needed.
+        np.testing.assert_array_equal(numerics._logm_2x2([[1.0, 1.0], [0.0, 1.0]]),
+                                      [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_matches_scipy(self, scipy_logm):
+        rng = np.random.default_rng(39)
+        cases = [scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                 for scale in (0.1, 1.0, 10.0) for _ in range(20)]
+        # Real, with real or complex-conjugate eigenvalues off the cut.
+        cases += [expm(rng.normal(size=(2, 2))).real for _ in range(20)]
+        # Nearly defective: a Jordan block 0.5 [[1, 1], [0, 1 + gap]] in a
+        # random basis, down to a gap the eigenbasis cannot resolve.
+        similarity = np.array([[1.0, 0.3], [0.2, 1.0]])
+        cases += [similarity @ (0.5 * np.array([[1.0, 1.0], [0.0, 1.0 + gap]]))
+                  @ np.linalg.inv(similarity) for gap in (1e-2, 1e-5, 1e-8, 1e-12, 0.0)]
+        for m in cases:
+            expected = scipy_logm(m)
+            np.testing.assert_allclose(numerics._logm_2x2(m), expected, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(expected).max()))
+
+    @pytest.mark.parametrize("phase", [3.1289, -3.1289, math.pi - 1e-6])
+    def test_the_unwinding_number_near_the_cut(self, phase):
+        # Close eigenvalues on either side of the cut: their logs differ by
+        # nearly 2 pi i, which 2 atanh(z) alone does not see.
+        eigvals = [0.99 * np.exp(1j * phase), 0.99 * np.exp(-1j * phase) * (1 + 1e-3)]
+        m, expected = similar_to(eigvals, seed=7)
+        _, s = numerics._half_gap(m)
+        assert abs(2 * s) <= abs(np.trace(m)) / 2  # the close branch
+        np.testing.assert_allclose(numerics._logm_2x2(m), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9, 0.99e-4, 1.01e-4, 1e-3])
+    def test_series_and_quotients_agree_across_their_threshold(self, gap, scipy_logm,
+                                                               scipy_expm):
+        # Half gaps on both sides of 1e-4, where atanh(z) / z (z = s / mu in
+        # the log) and sinh(s) / s (in the exponential) switch to series.
+        m = np.array([[0.8 * (1 + gap), 1.0], [0.0, 0.8 * (1 - gap)]])
+        np.testing.assert_allclose(numerics._logm_2x2(m), scipy_logm(m), rtol=0, atol=1e-14)
+        x = np.array([[0.3 + gap, 1.0], [0.0, 0.3 - gap]])
+        np.testing.assert_allclose(numerics._expm_2x2(x), scipy_expm(x), rtol=0, atol=1e-14)
+
+    def test_a_stack_is_logged_matrix_by_matrix(self):
+        stack, anti = unitary_stack(6, 2, seed=12)
+        log = numerics._logm_2x2(stack.reshape(2, 3, 2, 2))
+        assert (log.shape, log.dtype) == ((2, 3, 2, 2), np.complex128)
+        np.testing.assert_allclose(log.reshape(6, 2, 2), anti, rtol=0, atol=1e-13)
+        for block, block_log in zip(stack, log.reshape(6, 2, 2)):
+            np.testing.assert_array_equal(numerics._logm_2x2(block), block_log)
+            np.testing.assert_allclose(block_log, logm_principal(block), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([-1.0 + 0j, 1.0]),
+        np.diag([-0.5 + 1e-9j, 1.0]),
+        np.diag([0.0j, 1.0]),
+        np.array([[-0.7, 0.2], [0.1, -0.4]]),
+    ], ids=["on-cut", "near-cut", "singular", "real-negative"])
+    def test_refuses_the_cut_as_the_eigenbasis_log_does(self, m):
+        # The same message, up to which of two eigenvalues on the cut it names.
+        with pytest.raises(BranchCutError) as refused:
+            logm_principal(m)
+        with pytest.raises(BranchCutError) as closed_form:
+            numerics._logm_2x2(m)
+        assert (re.sub(r"eigenvalue \S+", "eigenvalue", str(closed_form.value))
+                == re.sub(r"eigenvalue \S+", "eigenvalue", str(refused.value)))
+
+    def test_a_reconstruction_that_is_not_finite_is_refused(self):
+        # log[l1, l2] b overflows: the log holds an inf, its exponential a nan.
+        with np.errstate(all="ignore"), pytest.raises(DefectiveMatrixError, match="nan"):
+            numerics._logm_2x2(np.array([[2e-8, 1e308], [0.0, 3e-8]]))
+
+    def test_rejects_other_shapes(self):
+        for shape in ((3, 3), (4, 4, 4), (2, 3)):
+            with pytest.raises(ValueError):
+                numerics._logm_2x2(np.ones(shape))
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (1, 0, 0)],
                          ids=["0x0", "two-0x0", "one-0x0"])
 @pytest.mark.parametrize("function", [expm, logm_principal, lambda m: expm_hermitian(m, 1.0)],
@@ -480,6 +577,42 @@ if st is not None:
                 assert miss <= 1e-12 * max(1.0, np.linalg.norm(m))
                 np.testing.assert_allclose(log, logm_principal(m), rtol=0, atol=1e-13)
 
+    @st.composite
+    def principal_generators(draw):
+        """1-4 random 2 x 2 generators whose eigenvalues have imaginary parts
+        in [-3, 3], so that each is the principal log of its exponential.
+        A Jordan-like generator is a multiple of the identity plus a
+        nilpotent part of scale 1e-16..1, so that its exponential is nearly
+        defective or defective."""
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        generators = []
+        for _ in range(draw(st.integers(1, 4))):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if draw(st.booleans()):
+                g = (rng.normal() + 1j * rng.normal()) * np.eye(2) + (
+                    10.0 ** draw(st.integers(-16, 0)) * np.triu(g, 1))
+            g *= draw(st.floats(0.0, 1.5))
+            phase = np.abs(np.linalg.eigvals(g).imag).max()
+            generators.append(g * 3.0 / phase if phase > 3.0 else g)
+        return np.array(generators)
+
+    class TestClosedFormLogInverse:
+        @settings(max_examples=200, deadline=None)
+        @given(principal_generators())
+        # Subnormal entries, whose quotients overflow numpy's complex division.
+        @example(np.array([[[2.79759028e-314 - 1.19190392e-313j,
+                             -2.93943078e-314 + 8.04575704e-314j],
+                            [1.42498770e-313 + 2.90149641e-313j,
+                             2.33410508e-314 + 2.10732509e-313j]]]))
+        def test_the_closed_form_inverts_expm(self, generators):
+            # Also where the eigenbasis log refuses a nearly defective block.
+            stack = expm(generators)
+            log = numerics._logm_2x2(stack)
+            np.testing.assert_allclose(log, generators, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(generators).max()))
+            for m, block_log in zip(stack, log):
+                miss = np.linalg.norm(numerics._expm_2x2(block_log) - m)
+                assert miss <= 1e-12 * max(1.0, np.linalg.norm(m))
 
     @st.composite
     def real_stacks(draw):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from pst_oracles import exact_sinc_coefficient, jump_dissipator, pauli_transfer_matrix
 
-from pstlab import pauli, pst_core, sinc_law
+from pstlab import numerics, pauli, pst_core, sinc_law
 from pstlab.errors import (
     BranchCutError,
     CalibrationError,
@@ -386,16 +386,42 @@ class TestChannelMatchesOracle:
         assert hermitian_calls.calls == 3
 
 
+def log_calls(monkeypatch, name):
+    """Shapes of the inputs `pst_core` passes to its log ``name``."""
+    calls, log = [], getattr(pst_core, name)
+
+    def counting_log(m):
+        calls.append(np.shape(m))
+        return log(m)
+
+    monkeypatch.setattr(pst_core, name, counting_log)
+    return calls
+
+
 @pytest.fixture
 def logm_calls(monkeypatch):
-    """Shapes of the inputs `pst_core` takes principal logs of."""
+    """Shapes of the inputs `pst_core` takes eigenbasis logs of."""
+    return log_calls(monkeypatch, "logm_principal")
+
+
+@pytest.fixture
+def closed_form_log_calls(monkeypatch):
+    """Shapes of the 2 x 2 stacks `pst_core` logs in closed form."""
+    return log_calls(monkeypatch, "_logm_2x2")
+
+
+@pytest.fixture
+def dense_linalg_calls(monkeypatch):
+    """Names of the `numpy.linalg` eigendecomposition, inverse, solve and SVD
+    routines called, through `np.linalg` or inside numpy's linalg module."""
     calls = []
+    modules = [np.linalg, *filter(None, [getattr(np.linalg, "_linalg", None)])]
+    for module, name in itertools.product(modules, ("eig", "inv", "solve", "svd")):
+        def spy(*args, _name=name, _routine=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
 
-    def counting_logm(m):
-        calls.append(np.shape(m))
-        return logm_principal(m)
-
-    monkeypatch.setattr(pst_core, "logm_principal", counting_logm)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -428,12 +454,26 @@ class TestCosetBlocks:
         ("ZX", TABLE1_ERRORS),
         ("ZXY", (("XXY", 0.2), ("YZI", 0.6), ("IIZ", 0.1))),
     ])
-    def test_table1_logs_one_stack_of_two_by_two_blocks(self, logm_calls, label, errors):
+    def test_table1_logs_one_stack_of_two_by_two_blocks(self, logm_calls,
+                                                        closed_form_log_calls, label, errors):
         # One drive word generates <D> = {I, P}: 4^n / 2 cosets of two
-        # words each, and no dense 4^n x 4^n log.
+        # words each, logged in closed form, and no dense 4^n x 4^n log.
         report = run_table1(Table1Config(drive=label, errors=errors))
-        assert logm_calls == [(4**len(label) // 2, 2, 2)]
+        assert closed_form_log_calls == [(4**len(label) // 2, 2, 2)]
+        assert logm_calls == []
         assert abs(report.pst[label] - report.theoretical_drive_coeff) <= 1e-2
+
+    @pytest.mark.parametrize("label, errors", [
+        ("ZX", TABLE1_ERRORS),
+        ("ZXII", (("ZZZI", 0.314), ("ZYIZ", 0.264), ("XXXX", 0.238), ("ZZXZ", 0.306))),
+    ])
+    def test_table1_forms_no_eigenbasis(self, logm_calls, dense_linalg_calls, label, errors):
+        # The noiseless patterns take `eigh`; the log needs no eigenbasis,
+        # inverse, solve (a Pade exponential) or SVD.
+        run_table1(Table1Config(drive=label, errors=errors))
+        assert (logm_calls, dense_linalg_calls) == ([], [])
+        logm_principal(np.eye(2))  # the spies see the eigenbasis log
+        assert dense_linalg_calls == ["eig", "inv", "solve"]
 
     def test_dependent_drive_logs_blocks_of_four(self, logm_calls):
         # XI, IX and XX generate a group of 4 words: 4 cosets of 4.
@@ -444,6 +484,17 @@ class TestCosetBlocks:
         drive = DriveSpec.single("ZX", math.pi / 2)
         with pytest.raises(BranchCutError):
             block_log_weights(drive)
+
+    def test_drift_near_the_cut_is_the_exact_principal_log(self, monkeypatch):
+        # `table1 --drive X --error Z=0.1 --tau 1.555` reads an X weight of
+        # 1.2807 against the sinc law's 1.005.  The closed form and the
+        # eigenbasis log read it alike to 1e-12, so the drift is the
+        # principal log's own, not rounding.
+        report = run_table1(Table1Config(drive="X", errors=(("Z", 0.1),), tau=1.555))
+        assert abs(report.theoretical_drive_coeff - 1.005) <= 1e-3
+        assert round(report.pst["X"], 4) == 1.2807
+        monkeypatch.setattr(pst_core, "_logm_2x2", logm_principal)
+        assert abs(report.pst["X"] - report.twirled.weights()[1]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_transfer_is_the_dense_change_of_basis(self, n):
@@ -643,12 +694,27 @@ class TestEffectiveGenerator:
         np.testing.assert_allclose(expm(eff.reconstructed()), k, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("label", ["X", "ZX"])
-    def test_block_log_refuses_the_exceptional_point(self, label):
-        # The block log `table1` reads misses these blocks by about 5e-10
-        # of their norm, past the 1e-12 that `effective_generator` allows.
+    def test_block_log_reads_the_exceptional_point(self, label):
+        # The eigenbasis log misses these blocks by about 5e-10 of their
+        # norm, past the 1e-12 the rule allows; the closed form needs no
+        # eigenbasis and reads them.
+        scipy_logm = pytest.importorskip("scipy.linalg").logm
         channel = twirled(DriveSpec.single(label, 0.5), noise=NoiseSpec("amplitude_damping", 4.0))
         with pytest.raises(DefectiveMatrixError, match="reconstructs the channel only to"):
-            channel.weights()
+            logm_principal(channel.blocks)
+        assert np.isfinite(channel.weights()).all()
+        for block, log in zip(channel.blocks, numerics._logm_2x2(channel.blocks)):
+            np.testing.assert_allclose(log, scipy_logm(block), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau, rate", [(0.5, 1.0), (0.25, 0.5), (1.0, 2.0)])
+    def test_block_log_reads_the_dephasing_exceptional_line(self, tau, rate):
+        # pauli_z on both qubits at rate 2 tau makes a coset block of the
+        # error-free ZX channel defective (eigen-gap 5e-10 to 8e-9), where
+        # the eigenbasis log fails; the drive weight is exactly 1.
+        channel = twirled(DriveSpec.single("ZX", tau), noise=NoiseSpec("pauli_z", rate))
+        with pytest.raises(DefectiveMatrixError):
+            logm_principal(channel.blocks)
+        assert abs(channel.weights()[pauli_from_label("ZX").index] - 1.0) <= 1e-12
 
     def test_log_check_judges_each_block_by_its_own_norm(self):
         # Beside a block of norm 1e6 the exceptional blocks would pass a

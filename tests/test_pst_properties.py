@@ -1,6 +1,7 @@
 """Property tests of the ensemble channel against the per-frame oracle,
 of its complete positivity (a PSD Choi matrix), of its coset-block log
-against the dense one, of the noiseless spectral blocks and band weights
+against the dense one, of the closed-form log of one-word blocks against
+the eigenbasis log, of the noiseless spectral blocks and band weights
 against dense oracles, of the resolution bound's weight-row 1-norm, of its
 evenness in the error scale when one Pauli word flips the whole error, of
 the effective generator's Hamiltonian, of the noise generator against its
@@ -12,6 +13,7 @@ of the suite does not depend on it.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from pstlab.liouville import (  # noqa: E402
     hamiltonian_superop,
 )
 from pstlab.magnus import CoherentErrorSpec, DriveSpec  # noqa: E402
+from pstlab.numerics import logm_principal  # noqa: E402
 from pstlab.pauli import (  # noqa: E402
     PauliString,
     commutation_sign,
@@ -65,19 +68,19 @@ _LETTERS = st.sampled_from("IXYZ")
 
 
 @st.composite
-def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0, kinds=NOISE_KINDS):
+def twirl_inputs(draw, max_qubits=2, noise=True, max_rate=3.0, kinds=NOISE_KINDS,
+                 max_drive_words=3, min_errors=0, max_tau=1.2):
     n = draw(st.integers(1, max_qubits))
     word = st.lists(_LETTERS, min_size=n, max_size=n).map("".join).filter(
         lambda label: set(label) != {"I"}
     )
-    drive_words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
-    error_words = draw(
-        st.lists(word.filter(lambda w: w not in drive_words), max_size=3, unique=True)
-    )
+    drive_words = draw(st.lists(word, min_size=1, max_size=max_drive_words, unique=True))
+    error_words = draw(st.lists(word.filter(lambda w: w not in drive_words),
+                                min_size=min_errors, max_size=3, unique=True))
     amplitude = st.floats(-0.8, 0.8, allow_nan=False)
     drive = DriveSpec(
         tuple((w, draw(amplitude)) for w in drive_words),
-        draw(st.floats(0.05, 1.2)),
+        draw(st.floats(0.05, max_tau)),
     )
     err = CoherentErrorSpec(
         tuple((w, draw(amplitude)) for w in error_words),
@@ -120,6 +123,45 @@ class TestChannelProperties:
         # reads the same generator as the dense log of the whole channel.
         assert_coset_block_sparse(oracle, drive)
         assert_block_log_matches_dense(drive, err, noise)
+
+
+class TestClosedFormBlockLog:
+    """A one-word drive's coset blocks are 2 x 2, and `TwirledChannel.weights`
+    logs them in closed form; the eigenbasis log of the same blocks reads
+    the same weights wherever it accepts them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(twirl_inputs(max_qubits=3, max_rate=5.0, max_drive_words=1, min_errors=1,
+                        max_tau=1.4))
+    # Eigenphases +-3.1289 in one block: close eigenvalues whose logs
+    # differ by nearly 2 pi i, which only the unwinding number restores.
+    @example((DriveSpec.single("X", 1.555), CoherentErrorSpec((("Z", 0.1),)), NoiseSpec()))
+    @example((DriveSpec.single("X", 1.555), CoherentErrorSpec((("Z", 0.1),), scale=-1.0),
+              NoiseSpec()))
+    @example((DriveSpec.single("ZX", 1.555), CoherentErrorSpec((("XX", 0.1), ("IZ", 0.05))),
+              NoiseSpec()))
+    # Eigenvalues 1 and 6.1e-6 in one block: (a + d) / 2 - s would lose
+    # the small one's digits to cancellation.
+    @example((DriveSpec.single("XX", 1.0, 0.5), CoherentErrorSpec(), NoiseSpec("pauli_z", 3.0)))
+    # The exceptional point, which only the eigenbasis log refuses.
+    @example((DriveSpec.single("X", 0.5), CoherentErrorSpec(),
+              NoiseSpec("amplitude_damping", 4.0)))
+    def test_weights_match_the_eigenbasis_log(self, inputs):
+        drive, err, noise = inputs
+        [channel] = twirled_channels(drive, [err], noise)
+        try:
+            with mock.patch.object(pst_core, "_logm_2x2", logm_principal):
+                expected = channel.weights()
+        except BranchCutError:
+            with pytest.raises(BranchCutError):
+                channel.weights()
+            return
+        except DefectiveMatrixError:
+            expected = None
+        weights = channel.weights()
+        assert np.isfinite(weights).all()
+        if expected is not None:
+            assert np.abs(weights - expected).max() <= 1e-13
 
 
 def choi_matrix(k: np.ndarray) -> np.ndarray:

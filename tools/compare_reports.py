@@ -60,6 +60,10 @@ INVOCATIONS: dict[str, tuple[str, ...]] = {
     # The drive rotation 2 tau f passes pi: the log is an aliased branch.
     "table1-aliased": ("table1", "--drive", "X", "--error", "Z=0.1",
                        "--tau", "1.5707963267948966"),
+    # Below pi, but with block eigenphases near +-pi: the weight drifts
+    # from the sinc law, and the log needs the unwinding number.
+    "table1-near-cut-1.55": ("table1", "--drive", "X", "--error", "Z=0.1", "--tau", "1.55"),
+    "table1-near-cut-1.555": ("table1", "--drive", "X", "--error", "Z=0.1", "--tau", "1.555"),
     "parity-sweep-csv": ("parity-sweep",),
     "parity-sweep-json": ("parity-sweep", "--format", "json"),
     "parity-sweep-output-csv": ("parity-sweep", "--output", DUMP),
